@@ -297,7 +297,9 @@ _HALF_COUNT_CACHE = {}
 def _enumerated_norm_counts(dim, n_max):
     """#{x in Z^dim : |x|^2 = n} for n <= n_max by raw grid enumeration.
 
-    Direct enumeration only; no coefficient tables involved.  dim <= 4.
+    Direct enumeration only; no coefficient tables involved.  Shared by the
+    r_d, hyperboloid and divisor-identity oracles (dim up to 5); the grid
+    grows like n_max^{dim/2}, so callers keep n_max desk-scale.
     """
     key = (dim, n_max)
     hit = _HALF_COUNT_CACHE.get(key)

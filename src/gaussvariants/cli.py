@@ -5,8 +5,8 @@ in --help) and a JSON summary (fitted constants, residuals, verdicts,
 pass/fail where --check applies).  Identical configurations, including
 --seed, produce byte-identical CSV output.
 
-Exit codes: 0 ok, 2 configuration error, 3 table-coverage error,
-4 failed check under --check.
+Exit codes: 0 ok, 2 configuration error (or a table past 128 bits),
+3 table-coverage error, 4 failed check under --check.
 """
 
 from __future__ import annotations
@@ -355,16 +355,11 @@ def cmd_short_hyperboloid(args):
 def cmd_divisor_identity(args):
     n_needed = args.R * args.R + 1
     d_all, d_odd = arith.divisor_counts(n_needed)
-    rows = []
-    all_equal = True
-    for R in range(1, args.R + 1):
-        lhs, rhs, eq = lattice.divisor_identity_check(R, d_odd)
-        rows.append((R, "odd-divisor", lhs, rhs, int(eq)))
-        all_equal = all_equal and eq
-    for R in range(2, args.R + 1, 2):
-        direct, combined, eq = lattice.divisor_combination(R, d_all)
-        rows.append((R, "combination", direct, combined, int(eq)))
-        all_equal = all_equal and eq
+    odd = lattice.divisor_identity_check(args.R, d_odd)
+    comb = lattice.divisor_combination(args.R - args.R % 2, d_all)
+    rows = [(R, "odd-divisor", a, b, int(e)) for R, a, b, e in zip(range(1, args.R + 1), *odd)]
+    rows += [(R, "combination", a, b, int(e)) for R, a, b, e in zip(range(2, args.R + 1, 2), *comb)]
+    all_equal = all(row[4] for row in rows)
     ok = _check(args, all_equal, "an exact divisor identity failed")
     csv_path, json_path = out_paths(args, "divisor-identity")
     write_csv(csv_path, ("R", "identity", "lhs", "rhs", "equal"), rows)
@@ -689,7 +684,7 @@ def main(argv=None):
     except CheckFailure as exc:
         print(f"gv: check failed: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILED
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, arith.TableOverflowError) as exc:
         print(f"gv: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import CoefficientTable
+from . import arith
 
 # ---------------------------------------------------------------------------
 # CountSeries: the grid-of-evaluations record handed to the fit module
@@ -195,7 +195,34 @@ def _hyperboloid_m_range(h, R):
     """Largest |m| with 2 m^2 + h <= R (negative if the shell is empty)."""
     if R < h:
         return -1
-    return math.isqrt((int(math.floor(R)) - h) // 2) if R >= h else -1
+    return math.isqrt((int(math.floor(R)) - h) // 2)
+
+
+def _hyperboloid_shells(h, n_top, table, what):
+    """Shells n = 2m^2 + h <= n_top (m = 0..m_top) and their exact weights
+    b = (1 if m = 0 else 2) r(m^2 + h), with r read from ``table``.
+
+    Every hyperboloid sum is a sum over these shells.  b is int64 when the
+    table fits and no partial sum can pass 2 (m_top + 1) max|r| <= 2^62,
+    and an object array of Python ints otherwise, so sums of b are exact.
+    Both arrays are empty (int64) when no shell lies below n_top.
+    """
+    m_top = _hyperboloid_m_range(h, n_top)
+    m = np.arange(m_top + 1, dtype=np.int64)
+    n = 2 * m * m + h
+    if m_top < 0:
+        return n, m
+    idx = m * m + h
+    top = int(idx[-1])
+    table.require(top, what)
+    try:
+        r = table.ints()[idx]
+        exact = 2 * (m_top + 1) * max(int(r.max()), -int(r.min())) <= arith._INT64_SAFE
+    except arith.TableOverflowError:
+        exact = False
+    if not exact:
+        r = np.array(table[: top + 1], dtype=object)[idx]
+    return n, np.where(m == 0, r, 2 * r)
 
 
 def hyperboloid_count(d, h, R, table):
@@ -208,14 +235,8 @@ def hyperboloid_count(d, h, R, table):
     R = float(R)
     if d < 3 or h < 1:
         raise ValueError("need d >= 3 and h >= 1")
-    m_top = _hyperboloid_m_range(h, R)
-    if m_top < 0:
-        return 0
-    table.require(m_top * m_top + h, f"N_{{{d},{h}}}({R:g})")
-    vals = table.ints()
-    m = np.arange(0, m_top + 1, dtype=np.int64)
-    shell = vals[m * m + h]
-    return int(shell[0] + 2 * shell[1:].sum())
+    _, b = _hyperboloid_shells(h, R, table, f"N_{{{d},{h}}}({R:g})")
+    return int(b.sum())
 
 
 def hyperboloid_bruteforce(d, h, R):
@@ -235,14 +256,7 @@ def hyperboloid_bruteforce(d, h, R):
     if R < h:
         return 0
     t_top = (int(math.floor(R)) + h) // 2  # x_d^2 + h <= (R + h)/2
-    root = math.isqrt(t_top)
-    side = np.arange(-root, root + 1, dtype=np.int64)
-    sq = side * side
-    norms = sq
-    for _ in range(d - 2):
-        norms = (norms[:, None] + sq[None, :]).ravel()
-        norms = norms[norms <= t_top]
-    counts = np.bincount(norms, minlength=t_top + 1)
+    counts = arith._enumerated_norm_counts(d - 1, t_top)
     total = 0
     for t in range(h, t_top + 1):
         c = int(counts[t])
@@ -266,35 +280,20 @@ def hyperboloid_shell_table(d, h, n_max, table):
     = sum_n b(n) w(n).
     """
     n_max = int(n_max)
-    m_top = _hyperboloid_m_range(h, n_max)
-    out = np.zeros(n_max + 1, dtype=np.int64)
-    if m_top >= 0:
-        table.require(m_top * m_top + h, "hyperboloid shell table")
-        vals = table.ints()
-        for m in range(0, m_top + 1):
-            weight = 1 if m == 0 else 2
-            out[2 * m * m + h] += weight * int(vals[m * m + h])
-    return CoefficientTable(f"hyp_{d}_{h}", out)
+    n, b = _hyperboloid_shells(h, n_max, table, "hyperboloid shell table")
+    out = np.zeros(n_max + 1, dtype=b.dtype)
+    out[n] = b
+    return arith.CoefficientTable(f"hyp_{d}_{h}", out.tolist() if out.dtype == object else out)
 
 
 def hyperboloid_smoothed(d, h, X, table):
     """sum_{m in Z} r_{d-1}(m^2 + h) e^{-(2m^2 + h)/X}, truncated once the
     weight drops below 1e-15 (at 2m^2 + h = 40X the weight is ~4e-18)."""
-    d, h = int(d), int(h)
     X = float(X)
     if X <= 0:
         raise ValueError("X must be positive")
-    reach = 40.0 * X
-    m_top = _hyperboloid_m_range(h, reach)
-    if m_top < 0:
-        return 0.0
-    table.require(m_top * m_top + h, f"smoothed hyperboloid at X={X:g}")
-    m = np.arange(0, m_top + 1, dtype=np.float64)
-    shell = table.floats()[(np.arange(0, m_top + 1) ** 2 + h)]
-    weights = np.exp(-(2 * m * m + h) / X)
-    mult = np.full(m_top + 1, 2.0)
-    mult[0] = 1.0
-    return float(np.sum(mult * shell * weights))
+    n, b = _hyperboloid_shells(int(h), 40.0 * X, table, f"smoothed hyperboloid at X={X:g}")
+    return float(np.sum(b.astype(np.float64) * np.exp(-n / X)))
 
 
 def power_saving_exponent(d):
@@ -315,16 +314,8 @@ def hyperboloid_short_interval(d, h, X, table):
     lam = power_saving_exponent(d)
     width = X ** (1.0 - lam)
     lo, hi = X - width, X + width
-    m_top = _hyperboloid_m_range(h, hi)
-    if m_top < 0:
-        return 0, 0.0
-    table.require(m_top * m_top + h, f"short-interval window at X={X:g}")
-    vals = table.ints()
-    total = 0
-    for m in range(0, m_top + 1):
-        n = 2 * m * m + h
-        if lo < n < hi:
-            total += (1 if m == 0 else 2) * int(vals[m * m + h])
+    n, b = _hyperboloid_shells(h, hi, table, f"short-interval window at X={X:g}")
+    total = int(b[(lo < n) & (n < hi)].sum())
     return total, total / X ** (k - lam)
 
 
@@ -332,66 +323,54 @@ def hyperboloid_short_interval(d, h, X, table):
 # The exact divisor identities on X^2 + Y^2 = Z^2 + 1
 # ---------------------------------------------------------------------------
 
-def _r2_enumerated(n):
-    """r_2(n) by direct enumeration over |x| <= sqrt(n); exact."""
-    total = 0
-    root = math.isqrt(n)
-    for x in range(-root, root + 1):
-        y2 = n - x * x
-        y = math.isqrt(y2)
-        if y * y == y2:
-            total += 1 if y == 0 else 2
-    return total
+def points_on_unit_hyperboloid(R, even_z=False):
+    """Integer points on X^2 + Y^2 = Z^2 + 1 for each Z = 0..R, enumerated.
 
+    With ``even_z`` the surface is X^2 + Y^2 = (2Z)^2 + 1.  Returns the
+    int64 array of counts r_2(shell) per Z, read off one grid enumeration
+    of X^2 + Y^2 (never an r_2 table).
 
-def points_on_unit_hyperboloid(R, even_z=False, signed_z=False):
-    """Integer points on X^2 + Y^2 = Z^2 + 1 with 1 <= Z <= R, enumerated.
-
-    With ``even_z`` the surface is X^2 + Y^2 = (2Z)^2 + 1 (Z in 1..R).
-
-    Convention (frozen after comparing both for small R): the count takes
-    each solution once per positive Z.  ``signed_z`` counts both sheets
-    (exactly doubling the value), and the Z = 0 shell, excluded either
-    way, holds exactly 4 points that pair with the absent n = 0 term of
-    the divisor sums.
+    Convention (frozen after comparing it with the two-sheet count for
+    small R): the identities take each solution once per positive Z, i.e.
+    entries 1..R.  Entry 0, the Z = 0 shell, holds exactly 4 points that
+    pair with the absent n = 0 term of the divisor sums.
     """
     R = int(R)
-    total = 0
-    for z in range(1, R + 1):
-        n = (4 * z * z + 1) if even_z else (z * z + 1)
-        total += _r2_enumerated(n)
-    return 2 * total if signed_z else total
+    if R < 0:
+        raise ValueError("R must be nonnegative")
+    shells = (np.arange(R + 1, dtype=np.int64) * (2 if even_z else 1)) ** 2 + 1
+    return arith._enumerated_norm_counts(2, int(shells[-1]))[shells]
 
 
 def divisor_identity_check(R, d_odd_table):
-    """Exact check: points on X^2+Y^2=Z^2+1 with 1 <= Z <= R
-    vs 4 sum_{n <= R} d_o(n^2 + 1).  Returns (lhs, rhs, equal)."""
+    """Exact check, for every R' = 1..R: points on X^2+Y^2=Z^2+1 with
+    1 <= Z <= R' vs 4 sum_{n <= R'} d_o(n^2 + 1).
+
+    Returns lists (lhs, rhs, equal), entry R' - 1 for R'.
+    """
     R = int(R)
     d_odd_table.require(R * R + 1, "divisor identity")
-    lhs = points_on_unit_hyperboloid(R)
-    vals = d_odd_table.ints()
     n = np.arange(1, R + 1, dtype=np.int64)
-    rhs = 4 * int(vals[n * n + 1].sum())
-    return lhs, rhs, lhs == rhs
+    lhs = np.cumsum(points_on_unit_hyperboloid(R)[1:])
+    rhs = 4 * np.cumsum(d_odd_table.ints()[n * n + 1])
+    return lhs.tolist(), rhs.tolist(), (lhs == rhs).tolist()
 
 
 def divisor_combination(R, d_table):
-    """Exact check of sum_{n <= R} d(n^2 + 1) = N_1(R)/2 - N_2(R/2)/4 for
-    even R, with N_1, N_2 the enumerated counts on the two hyperboloids.
+    """Exact check of sum_{n <= R'} d(n^2 + 1) = N_1(R')/2 - N_2(R'/2)/4 for
+    every even R' = 2..R, with N_1, N_2 the enumerated counts on the two
+    hyperboloids.  R must be even.
 
-    Returns (direct, combined, equal); the combination is integral.
+    Returns lists (direct, combined, equal), entry R'/2 - 1 for R'; the
+    combination is integral (a float marks a failure).
     """
     R = int(R)
     if R % 2:
         raise ValueError("the combination formula is stated for even R")
     d_table.require(R * R + 1, "divisor combination")
-    vals = d_table.ints()
     n = np.arange(1, R + 1, dtype=np.int64)
-    direct = int(vals[n * n + 1].sum())
-    n1 = points_on_unit_hyperboloid(R)
-    n2 = points_on_unit_hyperboloid(R // 2, even_z=True)
-    combined_times_4 = 2 * n1 - n2
-    if combined_times_4 % 4:
-        return direct, combined_times_4 / 4.0, False
-    combined = combined_times_4 // 4
-    return direct, combined, direct == combined
+    direct = np.cumsum(d_table.ints()[n * n + 1])[1::2].tolist()
+    n1 = np.cumsum(points_on_unit_hyperboloid(R)[1:])[1::2]
+    n2 = np.cumsum(points_on_unit_hyperboloid(R // 2, even_z=True)[1:])
+    combined = [c // 4 if c % 4 == 0 else c / 4.0 for c in (2 * n1 - n2).tolist()]
+    return direct, combined, [a == c for a, c in zip(direct, combined)]

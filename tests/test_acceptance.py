@@ -55,10 +55,16 @@ def test_criterion_01_r_d_oracle_equivalence(r_small):
 def test_criterion_02_exact_divisor_identities(divisor_tables):
     t0 = time.time()
     d_all, d_odd = divisor_tables
-    bad = [R for R in range(1, 201) if not lattice.divisor_identity_check(R, d_odd)[2]]
-    bad += [R for R in range(2, 201, 2) if not lattice.divisor_combination(R, d_all)[2]]
+    lhs, rhs, equal = lattice.divisor_identity_check(200, d_odd)
+    bad = [R for R in range(1, 201) if not (equal[R - 1] and lhs[R - 1] == rhs[R - 1])]
+    direct, combined, equal2 = lattice.divisor_combination(200, d_all)
+    bad += [
+        R
+        for R in range(2, 201, 2)
+        if not (equal2[R // 2 - 1] and direct[R // 2 - 1] == combined[R // 2 - 1])
+    ]
     elapsed = time.time() - t0
-    ok = not bad and elapsed < 60.0
+    ok = not bad and len(equal) == 200 and len(equal2) == 100 and elapsed < 60.0
     assert report(2, "exact divisor identities to R=200", ok, f"failures={bad}", t0)
 
 

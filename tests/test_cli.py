@@ -1,6 +1,7 @@
 """CLI: determinism, cache round-trips, exit codes, grid/kernel parsing."""
 
 import json
+import math
 import os
 
 import pytest
@@ -49,6 +50,24 @@ class TestExitCodes:
             ["count-circle", "--grid", "2^4..2^13", "--table-size", "100"], tmp_path
         )
         assert code == cli.EXIT_COVERAGE
+
+    def test_table_beyond_int128_is_config_error(self, tmp_path):
+        # r_29 leaves the signed 128-bit range while the table is built
+        code = run(
+            [
+                "count-hyperboloid",
+                "--d",
+                "30",
+                "--h",
+                "1",
+                "--table-size",
+                "2000",
+                "--grid",
+                "2^6..2^8",
+            ],
+            tmp_path,
+        )
+        assert code == cli.EXIT_CONFIG
 
     def test_check_failure_exits_4(self, tmp_path):
         # massively over-normalized sums keep one sign on small windows
@@ -141,6 +160,32 @@ class TestSubcommandsEndToEnd:
         summary = json.loads((tmp_path / "h2.json").read_text())
         assert summary["verdict"] == "no-log"
         assert summary["expectedVerdict"] == "no-log"
+
+    def test_count_hyperboloid_wide_table(self, tmp_path):
+        # r_15 to 5000 does not fit int64; the counts take Python ints
+        args = [
+            "count-hyperboloid",
+            "--d",
+            "16",
+            "--h",
+            "1",
+            "--grid",
+            "2^10..2^13",
+            "--table-size",
+            "5000",
+            "--out",
+            "wide",
+        ]
+        assert run(args, tmp_path) == 0
+        r15 = arith.r_d_table(15, 5000)
+        lines = (tmp_path / "wide.csv").read_text().splitlines()
+        assert lines[0] == "R,count"
+        assert len(lines) == 5
+        for line in lines[1:]:
+            R, count = line.split(",")
+            m_top = math.isqrt((int(float(R)) - 1) // 2)
+            expected = sum((1 if m == 0 else 2) * r15[m * m + 1] for m in range(m_top + 1))
+            assert int(count) == expected
 
     def test_mean_square_check(self, tmp_path):
         args = [

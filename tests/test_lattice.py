@@ -220,25 +220,52 @@ class TestHyperboloidSmoothed:
         assert lattice.hyperboloid_short_interval(3, 1, 0.25, r2_big) == (0, 0.0)
 
 
+class TestHyperboloidBeyondInt64:
+    """r_12 fits int64 to n = 3970, but N_{13,1}(7939) does not."""
+
+    @staticmethod
+    def python_int_sum(table, h, lo, hi):
+        """Plain Python-int sum of r(m^2 + h) over m in Z with lo < 2m^2 + h < hi."""
+        return sum(
+            (1 if m == 0 else 2) * table[m * m + h]
+            for m in range(math.isqrt(table.n_max - h) + 1)
+            if lo < 2 * m * m + h < hi
+        )
+
+    def test_count_and_window_exact(self):
+        r12 = arith.r_d_table(12, 3970)
+        expected = self.python_int_sum(r12, 1, -math.inf, 7940)
+        assert expected == 100180679812738477896 > 2**63
+        assert lattice.hyperboloid_count(13, 1, 7939.0, r12) == expected
+        X = 4500.0
+        width = X ** (1.0 - lattice.power_saving_exponent(13))
+        total, _ = lattice.hyperboloid_short_interval(13, 1, X, r12)
+        assert total == self.python_int_sum(r12, 1, X - width, X + width) > 2**63
+
+
 class TestDivisorIdentities:
     def test_full_range_exact(self, divisor_tables):
         d_all, d_odd = divisor_tables
+        lhs, rhs, equal = lattice.divisor_identity_check(200, d_odd)
+        assert len(lhs) == len(rhs) == len(equal) == 200
         for R in range(1, 201):
-            lhs, rhs, equal = lattice.divisor_identity_check(R, d_odd)
-            assert equal and lhs == rhs, R
+            assert equal[R - 1] and lhs[R - 1] == rhs[R - 1], R
+        direct, combined, equal = lattice.divisor_combination(200, d_all)
+        assert len(direct) == len(combined) == len(equal) == 100
         for R in range(2, 201, 2):
-            direct, combined, equal = lattice.divisor_combination(R, d_all)
-            assert equal and direct == combined, R
+            j = R // 2 - 1
+            assert equal[j] and direct[j] == combined[j], R
 
     def test_conventions_reported_small_R(self, divisor_tables):
         _, d_odd = divisor_tables
-        for R in range(1, 6):
-            lhs, rhs, _ = lattice.divisor_identity_check(R, d_odd)
-            signed = lattice.points_on_unit_hyperboloid(R, signed_z=True)
-            assert signed == 2 * rhs  # the two-sheet count doubles exactly
-            assert lhs == rhs
+        lhs, rhs, _ = lattice.divisor_identity_check(5, d_odd)
+        assert lhs == rhs
+        # per-Z counts r_2(Z^2 + 1) and r_2(4Z^2 + 1); lhs sums Z = 1..R'
+        assert lattice.points_on_unit_hyperboloid(5).tolist() == [4, 4, 8, 8, 8, 8]
+        assert lattice.points_on_unit_hyperboloid(4, even_z=True).tolist() == [4, 8, 8, 8, 16]
+        assert lhs == [4, 12, 20, 28, 36]
         # the Z = 0 shell holds exactly 4 points, pairing with n = 0
-        assert lattice._r2_enumerated(1) == 4
+        assert lattice.points_on_unit_hyperboloid(5)[0] == 4
 
     def test_combination_odd_R_rejected(self, divisor_tables):
         d_all, _ = divisor_tables
