@@ -68,7 +68,7 @@ class CoefficientTable:
             self.n_max = len(arr) - 1
         else:
             vals = [int(v) for v in values]
-            lo, hi = min(vals), max(vals)
+            lo, hi = min(vals, default=0), max(vals, default=0)
             if lo < INT128_MIN or hi > INT128_MAX:
                 raise TableOverflowError(
                     f"table '{label}' has an entry outside the signed 128-bit range"
@@ -83,7 +83,7 @@ class CoefficientTable:
                 self._big = vals
             self.n_max = len(vals) - 1
         if self.n_max < 0:
-            raise ValueError("empty coefficient table")
+            raise ValueError(f"coefficient table '{self.label}' is empty")
 
     def __len__(self):
         return self.n_max + 1
@@ -348,15 +348,24 @@ def r_d_bruteforce(d, n):
 def divisor_counts(n_max):
     """Sieve d(n) and d_o(n) (all / odd positive divisors) for 1 <= n <= n_max.
 
-    d_o(n) = d(n / 2^v2(n)); the two tables share index 0 = 0.
+    d_o(n) = d(n / 2^v2(n)); the two tables share index 0 = 0.  Divisors
+    k <= K = isqrt(n_max) are sieved one k at a time; the larger ones are
+    sieved one cofactor j = n / k < n_max / K at a time, as the multiples
+    j*k of j with K < k <= n_max / j.  That is O(sqrt(n_max)) slice-adds.
     """
     n_max = int(n_max)
     d_all = np.zeros(n_max + 1, dtype=np.int64)
     d_odd = np.zeros(n_max + 1, dtype=np.int64)
-    for k in range(1, n_max + 1):
+    K = math.isqrt(n_max)
+    for k in range(1, K + 1):
         d_all[k::k] += 1
         if k % 2 == 1:
             d_odd[k::k] += 1
+    first_odd = K + 1 if K % 2 == 0 else K + 2  # smallest odd k > K
+    for j in range(1, n_max // (K + 1) + 1):
+        last = j * (n_max // j)
+        d_all[j * (K + 1) : last + 1 : j] += 1
+        d_odd[j * first_odd : last + 1 : 2 * j] += 1
     return CoefficientTable("d", d_all), CoefficientTable("d_odd", d_odd)
 
 

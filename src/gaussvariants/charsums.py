@@ -97,11 +97,16 @@ def _chi_bottom_varying(a, d_odd):
     return out
 
 
-def _roots_of_unity_dot(multiplicities, modulus):
-    """sum_j m_j e(j/modulus) with integer multiplicities, one float pass."""
-    j = np.arange(modulus, dtype=np.float64)
-    phase = np.exp(2j * np.pi * j / modulus)
-    return complex(np.dot(multiplicities.astype(np.float64), phase))
+def _roots_of_unity(modulus):
+    """e(j/modulus) for j = 0..modulus-1."""
+    return np.exp(2j * np.pi * np.arange(modulus, dtype=np.float64) / modulus)
+
+
+def _roots_of_unity_dot(exponents, chi, phase):
+    """sum_d chi(d) e(exponent_d/modulus): the integer multiplicity of each
+    root of unity first (exact in float64), then one dot with ``phase``."""
+    mult = np.bincount(exponents, weights=chi, minlength=len(phase))
+    return complex(np.dot(mult, phase))
 
 
 def _half_integer_times_two(k):
@@ -147,11 +152,15 @@ def gauss_sum_g(h, c4, k):
     Half-integral k uses the eps twist; integral k routes to the
     (-4/d)^k character, matching the full-integral weighting factor.
     """
+    return _g_at_modulus((int(h),), c4, _half_integer_times_two(k))[0]
+
+
+def _g_at_modulus(hs, c4, two_k):
+    """[g_h(c4) for h in hs]: the character, the eps twist and the roots of
+    unity depend on c4 and k only, so they are built once for every h."""
     c4 = int(c4)
-    h = int(h)
     if c4 <= 0 or c4 % 4 != 0:
         raise ValueError(f"modulus must be a positive multiple of 4, got {c4}")
-    two_k = _half_integer_times_two(k)
     d = np.arange(1, c4, 2, dtype=np.int64)
     if two_k % 2 == 1:
         chi = _chi_bottom_varying(c4, d)
@@ -163,10 +172,9 @@ def gauss_sum_g(h, c4, k):
         else:
             chi = np.where(d % 4 == 1, 1, -1).astype(np.int8)
         quarter = np.zeros(len(d), dtype=np.int64)
-    exponents = (h * d + quarter * (c4 // 4)) % c4
-    mult = np.zeros(c4, dtype=np.int64)
-    np.add.at(mult, exponents, chi.astype(np.int64))
-    return _roots_of_unity_dot(mult, c4)
+    twist = quarter * (c4 // 4)
+    phase = _roots_of_unity(c4)
+    return [_roots_of_unity_dot((h * d + twist) % c4, chi, phase) for h in hs]
 
 
 def gauss_sum_H(h, c):
@@ -182,11 +190,8 @@ def gauss_sum_H(h, c):
         return complex(1, 0)
     d = np.arange(c, dtype=np.int64)
     chi = _jacobi_top_varying(d, c)
-    exponents = (h * d) % c
-    mult = np.zeros(c, dtype=np.int64)
-    np.add.at(mult, exponents, chi.astype(np.int64))
     eps = complex(1, 0) if c % 4 == 1 else complex(0, 1)
-    return eps * _roots_of_unity_dot(mult, c)
+    return eps * _roots_of_unity_dot((h * d) % c, chi, _roots_of_unity(c))
 
 
 def d2_sum(h, alpha, k):
@@ -210,9 +215,7 @@ def d2_sum(h, alpha, k):
         chi = np.ones(len(d), dtype=np.int64)
     quarter = np.where(d % 4 == 1, 0, two_k % 4).astype(np.int64)
     exponents = (int(h) * d + quarter * (modulus // 4)) % modulus
-    mult = np.zeros(modulus, dtype=np.int64)
-    np.add.at(mult, exponents, chi)
-    return _roots_of_unity_dot(mult, modulus)
+    return _roots_of_unity_dot(exponents, chi, _roots_of_unity(modulus))
 
 
 def eisenstein_D_full(h, w, k):
@@ -319,16 +322,29 @@ def dtilde_half(h, w, k):
 _G_SERIES_CACHE = {}
 
 
-def _g_series(h, k, n_max):
-    """g_h(4c) for c = 1..n_max, cached per (h, 2k) since the two-sided
-    factorization check revisits the same series at several abscissae."""
+def gauss_sum_g_series(hs, k, n_max):
+    """g_h(4c) for c = 1..n_max, one row per h in ``hs``.
+
+    Rows are cached per (h, 2k), since the two-sided factorization check
+    revisits the same series at several abscissae.  Missing rows are built
+    together in one pass over c, sharing each modulus's character and
+    roots of unity; every entry has the bits of ``gauss_sum_g(h, 4c, k)``.
+    """
     two_k = _half_integer_times_two(k)
-    key = (int(h), two_k)
-    cached = _G_SERIES_CACHE.get(key)
-    if cached is None or len(cached) < n_max:
-        cached = np.array([gauss_sum_g(h, 4 * c, k) for c in range(1, n_max + 1)])
-        _G_SERIES_CACHE[key] = cached
-    return cached[:n_max]
+    n_max = int(n_max)
+    if n_max < 0:
+        raise ValueError(f"series length must be nonnegative, got {n_max}")
+    hs = [int(h) for h in hs]
+    missing = [
+        h for h in dict.fromkeys(hs) if len(_G_SERIES_CACHE.get((h, two_k), ())) < n_max
+    ]
+    if missing:
+        rows = np.array(
+            [_g_at_modulus(missing, 4 * c, two_k) for c in range(1, n_max + 1)]
+        ).reshape(n_max, len(missing))
+        for h, row in zip(missing, rows.T):
+            _G_SERIES_CACHE[(h, two_k)] = row.copy()
+    return np.array([_G_SERIES_CACHE[(h, two_k)][:n_max] for h in hs])
 
 
 def factorization_check(h, w, k, n_trunc):
@@ -351,7 +367,7 @@ def factorization_check(h, w, k, n_trunc):
         raise ValueError("w outside the absolute-convergence region")
 
     c = np.arange(1, n_trunc + 1, dtype=np.float64)
-    lhs = complex(np.sum(_g_series(h, k, n_trunc) * (4.0 * c) ** (-2 * w)))
+    lhs = complex(np.sum(gauss_sum_g_series((h,), k, n_trunc)[0] * (4.0 * c) ** (-2 * w)))
     # |g_h(4c)| <= 2c (only odd d contribute), so the c-tail is bounded by
     # 2 * 4^(-2 Re w) * N^(2 - 2 Re w) / (2 Re w - 2).
     sigma2 = 2 * w.real

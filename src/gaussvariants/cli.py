@@ -317,9 +317,9 @@ def cmd_smooth_hyperboloid(args):
             val = lattice.hyperboloid_smoothed(args.d, args.h, X, table)
         else:
             shell = lattice.hyperboloid_shell_table(
-                args.d, args.h, min(table.n_max, kernels.kernel_support(kernel, X)), table
+                args.d, args.h, kernels.kernel_support(kernel, X), table
             )
-            val = kernels.apply_kernel(shell, 0.0, kernel, X, strict=False)
+            val = kernels.apply_kernel(shell, 0.0, kernel, X)
         rows.append((X, val))
     csv_path, json_path = out_paths(args, "smooth-hyperboloid")
     write_csv(csv_path, ("X", "smoothed"), rows)
@@ -422,7 +422,10 @@ def cmd_eisenstein_check(args):
                 rows.append((h, c, k, 0.0, res, "reduction"))
                 worst_reduction = max(worst_reduction, res / (4 * c))
     fact_ok = True
-    for h in (1, 2, 3, 4, 9):
+    hs = (1, 2, 3, 4, 9)
+    for k in (0.5, 1.5):
+        charsums.gauss_sum_g_series(hs, k, args.terms)  # fills the series cache
+    for h in hs:
         for k in (0.5, 1.5):
             for w in (2.0, 1.75):
                 res, bound = charsums.factorization_check(h, w, k, args.terms)
@@ -454,12 +457,13 @@ def cmd_kernels_verify(args):
 
     worst = {}
     for Y in (0.5, 1.5, 2.0, 10.0):
-        for k in (1, 2, 3):
-            if Y < 1:
-                quad = kernels.Quadrature(30.0, 200.0, 20000)
-            else:
-                quad = kernels.Quadrature(0.5, 4000.0, 4_000_000)
-            res = abs(kernels.cesaro_contour(Y, k, quad) - kernels.cesaro_closed(Y, k))
+        if Y < 1:
+            quad = kernels.Quadrature(30.0, 200.0, 20000)
+        else:
+            quad = kernels.Quadrature(0.5, 4000.0, 4_000_000)
+        ks = (1, 2, 3)
+        for k, contour in zip(ks, kernels.cesaro_contours(Y, ks, quad)):
+            res = abs(contour - kernels.cesaro_closed(Y, k))
             record("cesaro", f"Y={Y};k={k}", res, 1e-6)
             worst["cesaro"] = max(worst.get("cesaro", 0.0), res)
     for X in (1.0, math.e, 3.0, 10.0):

@@ -84,21 +84,28 @@ class KernelSpec:
         return cls("compact", Y=float(Y), quadrature=quadrature)
 
 
-def _vertical_trapezoid(integrand, quad, chunk=1 << 20):
-    """(1/2 pi i) int_(sigma) f(s) ds by the trapezoid rule on |Im s| <= T."""
+def _vertical_trapezoid(integrands, quad, chunk=1 << 20):
+    """(1/2 pi i) int_(sigma) f(s) ds by the trapezoid rule on |Im s| <= T,
+    for each f whose values ``integrands(s)`` yields, in order, on one
+    chunk of nodes s; one total per f."""
     t = np.linspace(-quad.T, quad.T, quad.steps + 1)
-    total = 0.0 + 0.0j
+    totals = []
     h = t[1] - t[0]
     for start in range(0, len(t), chunk):
         seg = t[start : start + chunk]
-        vals = integrand(quad.sigma + 1j * seg)
         weights = np.ones(len(seg))
         if start == 0:
             weights[0] = 0.5
         if start + chunk >= len(t):
             weights[-1] = 0.5
-        total += np.sum(vals * weights)
-    return total * h / (2 * np.pi)
+        # map() lets go of each integrand's values once summed, so no two
+        # value arrays are live at once and peak memory stays as for one f
+        sums = map(lambda vals: np.sum(vals * weights), integrands(quad.sigma + 1j * seg))
+        for i, part in enumerate(sums):
+            if i == len(totals):
+                totals.append(0.0 + 0.0j)
+            totals[i] += part
+    return [total * h / (2 * np.pi) for total in totals]
 
 
 # ---------------------------------------------------------------------------
@@ -120,18 +127,36 @@ def cesaro_contour(Y, k, quad):
     The integrand decays like |t|^{-(k+1)}, so the truncation tail beyond
     |Im s| = T is bounded by ``cesaro_tail_bound``.
     """
+    return cesaro_contours(Y, (k,), quad)[0]
+
+
+def cesaro_contours(Y, ks, quad):
+    """``cesaro_contour(Y, k, quad)`` for every k in ``ks``, in one sweep.
+
+    Each chunk of nodes computes Y^s once and extends the product
+    s(s+1)...(s+k) one factor at a time through the sorted orders, with the
+    same operations as a single-k evaluation, so every value has its bits.
+    """
     Y = float(Y)
-    k = int(k)
+    ks = [int(k) for k in ks]
     if quad.sigma <= 0:
         raise ValueError("cesaro contour needs sigma > 0")
+    order = sorted(set(ks))
 
-    def integrand(s):
+    def integrands(s):
+        Ys = Y**s
         denom = s.copy()
-        for j in range(1, k + 1):
-            denom = denom * (s + j)
-        return Y**s / denom
+        j = 0
+        for k in order:
+            while j < k:
+                j += 1
+                # not in place: numpy's in-place complex product can round
+                # differently in the last bit
+                denom = denom * (s + j)
+            yield Ys / denom
 
-    return _vertical_trapezoid(integrand, quad).real
+    totals = dict(zip(order, _vertical_trapezoid(integrands, quad)))
+    return [totals[k].real for k in ks]
 
 
 def cesaro_tail_bound(Y, k, quad):
@@ -216,9 +241,9 @@ def exp_contour(x, quad):
         raise ValueError("the Gamma kernel needs sigma > 0")
 
     def integrand(s):
-        return x ** (-s) * gamma_vertical(s)
+        yield x ** (-s) * gamma_vertical(s)
 
-    return _vertical_trapezoid(integrand, quad).real
+    return _vertical_trapezoid(integrand, quad)[0].real
 
 
 # ---------------------------------------------------------------------------
@@ -244,9 +269,9 @@ def concentrating_contour(X, Y, quad):
     Y = float(Y)
 
     def integrand(s):
-        return np.exp(np.pi * s * s / (Y * Y)) * X**s / Y
+        yield np.exp(np.pi * s * s / (Y * Y)) * X**s / Y
 
-    return _vertical_trapezoid(integrand, quad).real
+    return _vertical_trapezoid(integrand, quad)[0].real
 
 
 # ---------------------------------------------------------------------------

@@ -113,6 +113,17 @@ class TestDivisorCounts:
         assert d_all[1] == 1
         assert d_odd[8] == 1
 
+    def test_matches_naive_counts(self):
+        # every table length to 400 crosses the isqrt split differently
+        naive_all = [0] + [sum(1 for k in range(1, n + 1) if n % k == 0) for n in range(1, 401)]
+        naive_odd = [0] + [
+            sum(1 for k in range(1, n + 1, 2) if n % k == 0) for n in range(1, 401)
+        ]
+        for n_max in range(401):
+            d_all, d_odd = arith.divisor_counts(n_max)
+            assert d_all.tolist() == naive_all[: n_max + 1], n_max
+            assert d_odd.tolist() == naive_odd[: n_max + 1], n_max
+
     def test_odd_part_relation(self):
         d_all, d_odd = arith.divisor_counts(500)
         for n in range(1, 501):
@@ -200,6 +211,11 @@ class TestCoefficientTable:
         vals = [0, -(1 << 100), (1 << 100) + 12345]
         t = arith.CoefficientTable("wide", vals)
         assert t.tolist() == vals
+
+    def test_empty_rejected_by_name(self):
+        for values in ([], np.array([], dtype=np.int64)):
+            with pytest.raises(ValueError, match="table 'nothing' is empty"):
+                arith.CoefficientTable("nothing", values)
 
     def test_coverage_error(self):
         t = arith.r_d_table(2, 10)

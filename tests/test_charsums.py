@@ -217,6 +217,26 @@ class TestFactorization:
             charsums.factorization_check(1, 0.6, 0.5, 100)
 
 
+class TestBatchedSeries:
+    @pytest.mark.parametrize("k", [0.5, 1.5, 1, 2])
+    def test_rows_are_the_single_sums(self, k, monkeypatch):
+        monkeypatch.setattr(charsums, "_G_SERIES_CACHE", {})
+        hs = tuple(range(1, 10))
+        rows = charsums.gauss_sum_g_series(hs, k, 300)
+        assert rows.shape == (9, 300)
+        for h, row in zip(hs, rows):
+            assert row.tolist() == [charsums.gauss_sum_g(h, 4 * c, k) for c in range(1, 301)]
+
+    def test_cache_serves_repeats_and_prefixes(self, monkeypatch):
+        monkeypatch.setattr(charsums, "_G_SERIES_CACHE", {})
+        rows = charsums.gauss_sum_g_series((2, 5, 2), 0.5, 40)
+        assert rows[0].tolist() == rows[2].tolist()
+        assert charsums.gauss_sum_g_series((5,), 0.5, 20)[0].tolist() == rows[1][:20].tolist()
+        longer = charsums.gauss_sum_g_series((5, 7), 0.5, 60)
+        assert longer[0][:40].tolist() == rows[1].tolist()
+        assert longer[1].tolist() == [charsums.gauss_sum_g(7, 4 * c, 0.5) for c in range(1, 61)]
+
+
 def direct_H(h, c):
     """Term-by-term reference: eps_c sum (d/c) e(hd/c), scalar arithmetic."""
     import cmath

@@ -6,7 +6,7 @@ import os
 
 import pytest
 
-from gaussvariants import arith, cli
+from gaussvariants import arith, cli, kernels
 
 
 def run(argv, cwd):
@@ -50,6 +50,24 @@ class TestExitCodes:
             ["count-circle", "--grid", "2^4..2^13", "--table-size", "100"], tmp_path
         )
         assert code == cli.EXIT_COVERAGE
+
+    def test_smooth_kernel_past_shell_reach_is_coverage_error(self, tmp_path):
+        # conc:3 at X = 2^8 weighs shells 2m^2 + 2 whose r_3(m^2 + 2) lies
+        # past the 40000-entry table
+        args = [
+            "smooth-hyperboloid",
+            "--d",
+            "4",
+            "--h",
+            "2",
+            "--table-size",
+            "40000",
+            "--grid",
+            "2^6..2^12",
+            "--kernel",
+            "conc:3",
+        ]
+        assert run(args, tmp_path) == cli.EXIT_COVERAGE
 
     def test_table_beyond_int128_is_config_error(self, tmp_path):
         # r_29 leaves the signed 128-bit range while the table is built
@@ -186,6 +204,41 @@ class TestSubcommandsEndToEnd:
             m_top = math.isqrt((int(float(R)) - 1) // 2)
             expected = sum((1 if m == 0 else 2) * r15[m * m + 1] for m in range(m_top + 1))
             assert int(count) == expected
+
+    def test_smooth_hyperboloid_sums_past_table_end(self, tmp_path):
+        # at X = 128 the conc:3 support (n <= 51700) passes the table's
+        # 40000, but its shells read r_3 only up to 160^2 + 2
+        args = [
+            "smooth-hyperboloid",
+            "--d",
+            "4",
+            "--h",
+            "2",
+            "--table-size",
+            "40000",
+            "--grid",
+            "64:128:32",
+            "--kernel",
+            "conc:3",
+            "--out",
+            "conc",
+        ]
+        assert run(args, tmp_path) == 0
+        kernel = cli.parse_kernel("conc:3")
+        r3 = arith.r_d_table(3, 40000)
+        rows = (tmp_path / "conc.csv").read_text().splitlines()[1:]
+        assert len(rows) == 3
+        for row in rows:
+            X, value = (float(v) for v in row.split(","))
+            support = kernels.kernel_support(kernel, X)
+            n = [2 * m * m + 2 for m in range(math.isqrt((support - 2) // 2) + 1)]
+            b = [(1 if m == 0 else 2) * r3[m * m + 2] for m in range(len(n))]
+            w = kernels.kernel_weights(kernel, n, X)
+            full = math.fsum(bi * wi for bi, wi in zip(b, w))
+            assert value == pytest.approx(full, rel=1e-12), X
+        cut = math.fsum(bi * wi for bi, wi, ni in zip(b, w, n) if ni <= 40000)
+        assert support > 40000
+        assert abs(value - cut) > 1e3 * abs(value - full)
 
     def test_mean_square_check(self, tmp_path):
         args = [

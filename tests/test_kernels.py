@@ -37,6 +37,14 @@ class TestCesaro:
         with pytest.raises(ValueError):
             kernels.cesaro_contour(2.0, 1, kernels.Quadrature(-1.0, 10.0, 100))
 
+    @pytest.mark.parametrize("Y", [0.5, 1.5])
+    def test_batched_orders_are_the_single_contours(self, Y):
+        # more than 2^20 steps, so the nodes span two chunks of the trapezoid
+        quad = kernels.Quadrature(0.5 if Y > 1 else 30.0, 400.0, (1 << 20) + 4096)
+        single = [kernels.cesaro_contour(Y, k, quad) for k in (1, 2, 3)]
+        assert kernels.cesaro_contours(Y, (1, 2, 3), quad) == single
+        assert kernels.cesaro_contours(Y, (3, 1, 3), quad) == [single[2], single[0], single[2]]
+
 
 class TestExponential:
     @pytest.mark.parametrize("x", [0.1, 1.0, 5.0, 20.0, 50.0])
