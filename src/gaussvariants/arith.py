@@ -182,15 +182,6 @@ def epsilon(d):
     return complex(1, 0) if d % 4 == 1 else complex(0, 1)
 
 
-def epsilon_quarter(d, power=1):
-    """Exponent q mod 4 with eps_d**power = i**q.  Exact integer bookkeeping."""
-    d = int(d)
-    if d % 2 == 0:
-        raise ValueError(f"eps_d needs odd d, got {d}")
-    base = 0 if d % 4 == 1 else 1
-    return (base * power) % 4
-
-
 # ---------------------------------------------------------------------------
 # Prime machinery (shared sieves, lazily grown)
 # ---------------------------------------------------------------------------
@@ -222,19 +213,25 @@ def primes_up_to(limit):
 
 
 def factorize(n):
-    """Prime factorization [(p, multiplicity), ...] via the shared SPF sieve."""
+    """Prime factorization [(p, multiplicity), ...] by trial division.
+
+    O(sqrt(n)) time and O(1) memory; the shared SPF sieve is not touched.
+    """
     n = int(n)
     if n <= 0:
         raise ValueError("factorize needs a positive integer")
-    spf = smallest_prime_factors(n)
     out = []
-    while n > 1:
-        p = int(spf[n])
-        e = 0
-        while n % p == 0:
-            n //= p
-            e += 1
-        out.append((p, e))
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            e = 0
+            while n % p == 0:
+                n //= p
+                e += 1
+            out.append((p, e))
+        p += 1 if p == 2 else 2
+    if n > 1:
+        out.append((n, 1))
     return out
 
 

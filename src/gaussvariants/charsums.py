@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -118,30 +117,6 @@ def _half_integer_times_two(k):
     return two_k_int
 
 
-@dataclass(frozen=True)
-class GaussSumRecord:
-    """One evaluated Gauss sum: (h, modulus, weight class) -> complex value."""
-
-    h: int
-    modulus: int
-    weight_numerator: int  # 2k, so half-integral weights stay exact
-    value: complex
-
-    @property
-    def weight(self):
-        return self.weight_numerator / 2
-
-
-def gauss_sum_record(h, c4, k):
-    """Evaluate g_h(c4) and package it with its parameters."""
-    return GaussSumRecord(
-        h=int(h),
-        modulus=int(c4),
-        weight_numerator=_half_integer_times_two(k),
-        value=gauss_sum_g(h, c4, k),
-    )
-
-
 # ---------------------------------------------------------------------------
 # The sums themselves
 # ---------------------------------------------------------------------------
@@ -209,10 +184,7 @@ def d2_sum(h, alpha, k):
         raise ValueError("the eps-twisted 2-adic sum is defined for half-integral k")
     modulus = 1 << alpha
     d = np.arange(1, modulus, 2, dtype=np.int64)
-    if alpha % 2 == 1:
-        chi = np.where(np.isin(d % 8, (1, 7)), 1, -1).astype(np.int64)
-    else:
-        chi = np.ones(len(d), dtype=np.int64)
+    chi = _chi_bottom_varying(modulus, d)
     quarter = np.where(d % 4 == 1, 0, two_k % 4).astype(np.int64)
     exponents = (int(h) * d + quarter * (modulus // 4)) % modulus
     return _roots_of_unity_dot(exponents, chi, _roots_of_unity(modulus))

@@ -19,7 +19,7 @@ import sys
 
 import numpy as np
 
-from . import arith, charsums, cuspform, fit, kernels, lattice
+from . import arith, checks, cuspform, fit, kernels, lattice
 
 SCHEMA_VERSION = 1
 
@@ -367,44 +367,22 @@ def cmd_divisor_identity(args):
     return EXIT_OK
 
 
+_GAUSS_SUITES = (
+    ("H-multiplicative", checks.h_multiplicative),
+    ("H-prime-eval", checks.h_prime_eval),
+    ("H-vanishing", checks.h_vanishing),
+    ("two-piece", checks.two_piece),
+)
+
+
 def cmd_gauss_sums(args):
     rows = []
     worst = {}
-
-    def record(h, modulus, k, value, check, residual):
-        rows.append((h, modulus, k, value.real, value.imag, check, residual))
-        worst[check] = max(worst.get(check, 0.0), residual)
-
-    for h in range(1, 9):
-        odd = [n for n in range(3, 50, 2)]
-        for i, n1 in enumerate(odd):
-            for n2 in odd[i + 1 :]:
-                if math.gcd(n1, n2) != 1:
-                    continue
-                prod = charsums.gauss_sum_H(h, n1 * n2)
-                res = abs(prod - charsums.gauss_sum_H(h, n1) * charsums.gauss_sum_H(h, n2))
-                record(h, n1 * n2, 0.5, prod, "H-multiplicative", res)
-    for p in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97):
-        for h in range(1, 9):
-            if h % p == 0:
-                continue
-            val = charsums.gauss_sum_H(h, p)
-            res = abs(val - arith.kronecker(-h, p) * math.sqrt(p))
-            record(h, p, 0.5, val, "H-prime-eval", res)
-    for h in range(1, 9):
-        for p in (3, 5, 7):
-            for j in range(2, 5):
-                if h % p ** (j - 1) == 0:
-                    continue
-                val = charsums.gauss_sum_H(h, p**j)
-                record(h, p**j, 0.5, val, "H-vanishing", abs(val))
-    for h in range(1, 9):
-        for c in range(1, 31):
-            for k in (0.5, 1.5):
-                g = charsums.gauss_sum_g(h, 4 * c, k)
-                res = abs(g - charsums.two_piece_product(h, 4 * c, k))
-                record(h, 4 * c, k, g, "two-piece", res)
-    tol = 1e-9
+    for name, suite in _GAUSS_SUITES:
+        for p in suite():
+            rows.append((*p.params, p.value.real, p.value.imag, name, p.residual))
+            worst[name] = max(worst.get(name, 0.0), p.residual)
+    tol = checks.TOL
     ok = _check(args, max(worst.values()) < tol, "a Gauss-sum residual exceeded 1e-9")
     csv_path, json_path = out_paths(args, "gauss-sums")
     write_csv(csv_path, ("h", "modulus", "k", "re", "im", "check", "residual"), rows)
@@ -415,25 +393,17 @@ def cmd_gauss_sums(args):
 def cmd_eisenstein_check(args):
     rows = []
     worst_reduction = 0.0
-    for h in range(1, 21):
-        for c in range(1, 51):
-            for k in (1, 2):
-                res = charsums.reduction_check(h, c, k)
-                rows.append((h, c, k, 0.0, res, "reduction"))
-                worst_reduction = max(worst_reduction, res / (4 * c))
+    for p in checks.reduction():
+        h, c, k = p.params
+        rows.append((h, c, k, 0.0, p.residual, "reduction"))
+        worst_reduction = max(worst_reduction, p.residual / (4 * c))
     fact_ok = True
-    hs = (1, 2, 3, 4, 9)
-    for k in (0.5, 1.5):
-        charsums.gauss_sum_g_series(hs, k, args.terms)  # fills the series cache
-    for h in hs:
-        for k in (0.5, 1.5):
-            for w in (2.0, 1.75):
-                res, bound = charsums.factorization_check(h, w, k, args.terms)
-                rows.append((h, args.terms, k, w, res, "factorization"))
-                fact_ok = fact_ok and res <= bound
+    for p in checks.factorization(((2.0, args.terms), (1.75, args.terms))):
+        rows.append((*p.params, p.residual, "factorization"))
+        fact_ok = fact_ok and p.residual <= p.bound
     ok = _check(
         args,
-        worst_reduction < 1e-9 and fact_ok,
+        worst_reduction < checks.TOL and fact_ok,
         "an Eisenstein-coefficient identity failed",
     )
     csv_path, json_path = out_paths(args, "eisenstein-check")
@@ -449,53 +419,27 @@ def cmd_eisenstein_check(args):
     return EXIT_OK
 
 
+# suite name, its points and the format of its CSV params column
+_KERNEL_SUITES = (
+    ("cesaro", checks.cesaro, "Y={};k={}"),
+    ("concentrating", checks.concentrating, "X={:g};Y={:g}"),
+    ("exponential", checks.exponential, "x={:g}"),
+    ("compact", checks.compact, "Y={:g};s={:g}"),
+)
+
+
 def cmd_kernels_verify(args):
     rows = []
-
-    def record(kernel, params, residual, tol):
-        rows.append((kernel, params, residual, tol))
-
     worst = {}
-    for Y in (0.5, 1.5, 2.0, 10.0):
-        if Y < 1:
-            quad = kernels.Quadrature(30.0, 200.0, 20000)
-        else:
-            quad = kernels.Quadrature(0.5, 4000.0, 4_000_000)
-        ks = (1, 2, 3)
-        for k, contour in zip(ks, kernels.cesaro_contours(Y, ks, quad)):
-            res = abs(contour - kernels.cesaro_closed(Y, k))
-            record("cesaro", f"Y={Y};k={k}", res, 1e-6)
-            worst["cesaro"] = max(worst.get("cesaro", 0.0), res)
-    for X in (1.0, math.e, 3.0, 10.0):
-        for Y in (1.0, 2.0, 4.0):
-            quad = kernels.Quadrature(2.0, 15.0 * Y, max(600, int(300 * Y)))
-            res = abs(
-                kernels.concentrating_contour(X, Y, quad)
-                - kernels.concentrating_closed(X, Y)
-            )
-            record("concentrating", f"X={X:g};Y={Y:g}", res, 1e-8)
-            worst["concentrating"] = max(worst.get("concentrating", 0.0), res)
-    for x in (0.1, 1.0, 5.0, 20.0, 50.0):
-        quad = kernels.Quadrature(2.0, 40.0, 4000)
-        res = abs(kernels.exp_contour(x, quad) - math.exp(-x))
-        record("exponential", f"x={x:g}", res, 1e-6)
-        worst["exponential"] = max(worst.get("exponential", 0.0), res)
-    for Y in (10.0, 100.0):
-        for sig in (0.5, 1.0, 2.0):
-            s = complex(sig, 0.0)
-            if abs(s) > Y / 2:
-                continue
-            res = abs(kernels.compact_Phi(Y, s) - 1.0 / s)
-            record("compact", f"Y={Y:g};s={sig:g}", res, 2.0 / Y)
-            worst["compact"] = max(worst.get("compact", 0.0), res * Y / 2.0)
-    ok = _check(
-        args,
-        worst["cesaro"] < 1e-6
-        and worst["concentrating"] < 1e-8
-        and worst["exponential"] < 1e-6
-        and worst["compact"] < 1.0,
-        "a kernel identity exceeded its tolerance",
-    )
+    within = True
+    for name, suite, label in _KERNEL_SUITES:
+        for p in suite():
+            rows.append((name, label.format(*p.params), p.residual, p.bound))
+            # compact reports its residual in units of its 2/Y bound
+            scaled = p.residual * p.params[0] / 2.0 if name == "compact" else p.residual
+            worst[name] = max(worst.get(name, 0.0), scaled)
+            within = within and p.residual < p.bound
+    ok = _check(args, within, "a kernel identity exceeded its tolerance")
     csv_path, json_path = out_paths(args, "kernels-verify")
     write_csv(csv_path, ("kernel", "params", "residual", "tolerance"), rows)
     write_json(json_path, {"maxResidualPerKernel": worst, "pass": ok})

@@ -44,12 +44,11 @@ class Quadrature:
 
 @dataclass(frozen=True)
 class KernelSpec:
-    """One of the four cutoffs with its parameters and quadrature settings."""
+    """One of the four cutoffs with its parameters."""
 
     kind: str  # "cesaro" | "exponential" | "concentrating" | "compact"
     k: int | None = None
     Y: float | None = None
-    quadrature: Quadrature | None = None
 
     def __post_init__(self):
         if self.kind == "cesaro":
@@ -63,25 +62,22 @@ class KernelSpec:
                 raise ValueError("compact kernel needs Y >= 2")
         elif self.kind != "exponential":
             raise ValueError(f"unknown kernel kind {self.kind!r}")
-        if self.quadrature is not None and self.kind in ("cesaro", "exponential"):
-            if self.quadrature.sigma <= 0:
-                raise ValueError(f"{self.kind} kernel needs sigma > 0")
 
     @classmethod
-    def cesaro(cls, k, quadrature=None):
-        return cls("cesaro", k=int(k), quadrature=quadrature)
+    def cesaro(cls, k):
+        return cls("cesaro", k=int(k))
 
     @classmethod
-    def exponential(cls, quadrature=None):
-        return cls("exponential", quadrature=quadrature)
+    def exponential(cls):
+        return cls("exponential")
 
     @classmethod
-    def concentrating(cls, Y, quadrature=None):
-        return cls("concentrating", Y=float(Y), quadrature=quadrature)
+    def concentrating(cls, Y):
+        return cls("concentrating", Y=float(Y))
 
     @classmethod
-    def compact(cls, Y, quadrature=None):
-        return cls("compact", Y=float(Y), quadrature=quadrature)
+    def compact(cls, Y):
+        return cls("compact", Y=float(Y))
 
 
 def _vertical_trapezoid(integrands, quad, chunk=1 << 20):
@@ -314,7 +310,7 @@ def compact_phi(Y, x):
     return float(out[0]) if scalar else out
 
 
-def compact_Phi(Y, s, quad=None):
+def compact_Phi(Y, s):
     """Mellin transform Phi_Y(s) = int_0^infty t^{s-1} phi_Y(t) dt, Re s > 0.
 
     The piece over [0, 1] integrates to 1/s exactly; the transition band
@@ -326,16 +322,9 @@ def compact_Phi(Y, s, quad=None):
     s = complex(s)
     if s.real <= 0:
         raise ValueError("Phi_Y is defined for Re(s) > 0")
-    if quad is not None:
-        nodes_budget = max(int(quad.steps), 32)
-    else:
-        nodes_budget = 0
     cycles = abs(s.imag) * math.log1p(1.0 / Y) / (2 * math.pi)
     panels = max(8, int(4 * cycles) + 1)
-    per_panel = 24
-    if nodes_budget:
-        panels = max(panels, nodes_budget // per_panel)
-    x_gl, w_gl = np.polynomial.legendre.leggauss(per_panel)
+    x_gl, w_gl = np.polynomial.legendre.leggauss(24)
     edges = np.linspace(1.0, 1.0 + 1.0 / Y, panels + 1)
     mid = 0.5 * (edges[1:] + edges[:-1])
     half = 0.5 * (edges[1:] - edges[:-1])

@@ -22,7 +22,7 @@ import numpy as np
 import pytest
 from conftest import ACCEPTANCE_REPORTS
 
-from gaussvariants import arith, charsums, cuspform, fit, kernels, lattice
+from gaussvariants import arith, checks, cuspform, fit, lattice
 
 
 def report(num, name, ok, detail, t0):
@@ -70,92 +70,31 @@ def test_criterion_02_exact_divisor_identities(divisor_tables):
 
 def test_criterion_03_kernel_identities():
     t0 = time.time()
-    worst = {"cesaro": 0.0, "concentrating": 0.0, "exponential": 0.0}
-    for Y in (0.5, 1.5, 2.0, 10.0):
-        quad = (
-            kernels.Quadrature(30.0, 200.0, 20_000)
-            if Y < 1
-            else kernels.Quadrature(0.5, 4000.0, 4_000_000)
-        )
-        ks = (1, 2, 3)
-        for k, contour in zip(ks, kernels.cesaro_contours(Y, ks, quad)):
-            err = abs(contour - kernels.cesaro_closed(Y, k))
-            worst["cesaro"] = max(worst["cesaro"], err)
-    for X in (1.0, math.e, 3.0, 10.0):
-        for Y in (1.0, 2.0, 4.0):
-            quad = kernels.Quadrature(2.0, 15.0 * Y, max(600, int(300 * Y)))
-            err = abs(
-                kernels.concentrating_contour(X, Y, quad)
-                - kernels.concentrating_closed(X, Y)
-            )
-            worst["concentrating"] = max(worst["concentrating"], err)
-    for x in (0.1, 1.0, 5.0, 20.0, 50.0):
-        quad = kernels.Quadrature(2.0, 40.0, 4000)
-        worst["exponential"] = max(
-            worst["exponential"], abs(kernels.exp_contour(x, quad) - math.exp(-x))
-        )
+    worst = {}
+    within = True
+    for name in ("cesaro", "concentrating", "exponential"):
+        points = list(getattr(checks, name)())
+        worst[name] = max(p.residual for p in points)
+        within = within and all(p.residual < p.bound for p in points)
     elapsed = time.time() - t0
-    ok = (
-        worst["cesaro"] < 1e-6
-        and worst["concentrating"] < 1e-8
-        and worst["exponential"] < 1e-6
-        and elapsed < 30.0
-    )
+    ok = within and elapsed < 30.0
     detail = ", ".join(f"{k} {v:.2e}" for k, v in worst.items())
     assert report(3, "kernel contour identities", ok, detail, t0)
 
 
 def test_criterion_04_gauss_sum_lemma_suite():
     t0 = time.time()
-    tol = 1e-9
-    worst = 0.0
-    odd = list(range(3, 50, 2))
-    for h in range(1, 9):
-        for i, n1 in enumerate(odd):
-            for n2 in odd[i + 1 :]:
-                if math.gcd(n1, n2) != 1:
-                    continue
-                worst = max(
-                    worst,
-                    abs(
-                        charsums.gauss_sum_H(h, n1 * n2)
-                        - charsums.gauss_sum_H(h, n1) * charsums.gauss_sum_H(h, n2)
-                    ),
-                )
-    primes = [p for p in range(3, 98, 2) if all(p % q for q in range(3, p, 2))]
-    for p in primes:
-        for h in range(1, 9):
-            if h % p:
-                worst = max(
-                    worst,
-                    abs(charsums.gauss_sum_H(h, p) - arith.kronecker(-h, p) * math.sqrt(p)),
-                )
-    for h in range(1, 9):
-        for p in (3, 5, 7):
-            for j in range(2, 5):
-                if h % p ** (j - 1):
-                    worst = max(worst, abs(charsums.gauss_sum_H(h, p**j)))
-        v2 = (h & -h).bit_length() - 1
-        for k in (0.5, 1.5, 2.5):
-            for alpha in (v2 + 4, v2 + 5):
-                worst = max(worst, abs(charsums.d2_sum(h, alpha, k)))
-        for c in range(1, 31):
-            for k in (0.5, 1.5):
-                worst = max(
-                    worst,
-                    abs(
-                        charsums.gauss_sum_g(h, 4 * c, k)
-                        - charsums.two_piece_product(h, 4 * c, k)
-                    ),
-                )
-    reduction_ok = all(
-        charsums.reduction_check(h, c, k) < tol * (4 * c)
-        for h in range(1, 21)
-        for c in range(1, 51)
-        for k in (1, 2)
+    suites = (
+        checks.h_multiplicative,
+        checks.h_prime_eval,
+        checks.h_vanishing,
+        checks.d2_vanishing,
+        checks.two_piece,
     )
+    worst = max(p.residual for suite in suites for p in suite())
+    reduction_ok = all(p.residual < p.bound for p in checks.reduction())
     elapsed = time.time() - t0
-    ok = worst < tol and reduction_ok and elapsed < 60.0
+    ok = worst < checks.TOL and reduction_ok and elapsed < 60.0
     assert report(
         4,
         "Gauss-sum lemma suite",
@@ -169,16 +108,11 @@ def test_criterion_05_half_integral_factorization():
     t0 = time.time()
     failures = []
     worst_margin = 0.0
-    hs = (1, 2, 3, 4, 9)
-    for k in (0.5, 1.5):
-        charsums.gauss_sum_g_series(hs, k, 5000)  # every series, one pass over c
-    for h in hs:
-        for k in (0.5, 1.5):
-            for w, n in ((1.75, 5000), (2.0, 2000)):
-                residual, bound = charsums.factorization_check(h, w, k, n)
-                worst_margin = max(worst_margin, residual / bound)
-                if residual > bound:
-                    failures.append((h, k, w))
+    for p in checks.factorization(((1.75, 5000), (2.0, 2000))):
+        worst_margin = max(worst_margin, p.residual / p.bound)
+        if p.residual > p.bound:
+            h, _, k, w = p.params
+            failures.append((h, k, w))
     elapsed = time.time() - t0
     ok = not failures and elapsed < 300.0
     assert report(

@@ -133,6 +133,21 @@ class TestDivisorCounts:
             assert d_odd[n] == d_all[m]
 
 
+class TestFactorize:
+    def test_small_numbers(self):
+        spf = arith.smallest_prime_factors(2000)
+        for n in range(1, 2001):
+            factors = arith.factorize(n)
+            assert math.prod(p**e for p, e in factors) == n
+            assert all(spf[p] == p and e > 0 for p, e in factors)
+            assert [p for p, _ in factors] == sorted({p for p, _ in factors})
+
+    def test_large_semiprime_needs_no_sieve(self):
+        before = len(arith._SPF)
+        assert arith.factorize(999983 * 1000003) == [(999983, 1), (1000003, 1)]
+        assert len(arith._SPF) == before
+
+
 # Euler product over the first 1e4 primes; frozen oracle for zeta(2).
 ZETA2_EULER_10K_PRIMES = 1.6449328112720727
 # Alternating-series oracle sum (-1)^k/(2k+1)^2 to 1e6 terms.

@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from gaussvariants import arith, charsums
+from gaussvariants import arith, charsums, checks
 
 TOL = 1e-9
 
@@ -29,11 +29,6 @@ class TestGaussSumG:
         with pytest.raises(ValueError):
             charsums.gauss_sum_g(1, 6, 0.5)
 
-    def test_record_invariant(self):
-        rec = charsums.gauss_sum_record(3, 20, 0.5)
-        assert abs(rec.value) <= rec.modulus
-        assert rec.weight == 0.5
-
 
 class TestGaussSumH:
     def test_explicit_three(self):
@@ -50,33 +45,17 @@ class TestGaussSumH:
             charsums.gauss_sum_H(1, 6)
 
     def test_multiplicative(self):
-        odd = list(range(3, 50, 2))
-        for h in range(1, 9):
-            for i, n1 in enumerate(odd):
-                for n2 in odd[i + 1 :]:
-                    if math.gcd(n1, n2) != 1:
-                        continue
-                    lhs = charsums.gauss_sum_H(h, n1 * n2)
-                    rhs = charsums.gauss_sum_H(h, n1) * charsums.gauss_sum_H(h, n2)
-                    assert abs(lhs - rhs) < TOL, (h, n1, n2)
+        for p in checks.h_multiplicative():
+            assert p.bound == TOL and p.residual < p.bound, p.params
 
     def test_prime_evaluation(self):
-        primes = [p for p in range(3, 98, 2) if all(p % q for q in range(3, p, 2))]
-        for p in primes:
-            for h in range(1, 9):
-                if h % p == 0:
-                    continue
-                expected = arith.kronecker(-h, p) * math.sqrt(p)
-                assert abs(charsums.gauss_sum_H(h, p) - expected) < TOL, (h, p)
+        for p in checks.h_prime_eval():
+            assert p.bound == TOL and p.residual < p.bound, p.params
 
     def test_vanishing_at_unsaturated_prime_powers(self):
         # H_h(p^j) = 0 whenever p^{j-1} does not divide h, j >= 2
-        for h in range(1, 9):
-            for p in (3, 5, 7):
-                for j in range(2, 5):
-                    if h % p ** (j - 1) == 0:
-                        continue
-                    assert abs(charsums.gauss_sum_H(h, p**j)) < TOL, (h, p, j)
+        for p in checks.h_vanishing():
+            assert p.bound == TOL and p.residual < p.bound, p.params
 
 
 class TestD2Sum:
@@ -138,20 +117,17 @@ class TestReductionCheck:
         assert charsums.reduction_check(1, 1, 1) < TOL
 
     def test_grid(self):
-        for h in range(1, 21):
-            for c in range(1, 51):
-                for k in (1, 2):
-                    assert charsums.reduction_check(h, c, k) < TOL * (4 * c), (h, c, k)
+        for p in checks.reduction():
+            assert p.bound == TOL * (4 * p.params[1]) and p.residual < p.bound, p.params
 
 
 class TestTwoPiece:
     @pytest.mark.parametrize("k", [0.5, 1.5])
     def test_decomposition_grid(self, k):
-        for h in range(1, 9):
-            for c in range(1, 31):
-                g = charsums.gauss_sum_g(h, 4 * c, k)
-                prod = charsums.two_piece_product(h, 4 * c, k)
-                assert abs(g - prod) < TOL, (h, c, k)
+        points = [p for p in checks.two_piece() if p.params[2] == k]
+        assert len(points) == 8 * 30
+        for p in points:
+            assert p.bound == TOL and p.residual < p.bound, p.params
 
 
 class TestDtilde:

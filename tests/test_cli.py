@@ -3,6 +3,7 @@
 import json
 import math
 import os
+from pathlib import Path
 
 import pytest
 
@@ -16,6 +17,16 @@ def run(argv, cwd):
         return cli.main(argv)
     finally:
         os.chdir(here)
+
+
+# the stored outputs of the benchmark, one CSV and one JSON per subcommand
+REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference"
+
+
+def assert_matches_reference(tmp_path, stem, name):
+    """The run's CSV and JSON are byte-identical to the stored reference."""
+    for ext in (".csv", ".json"):
+        assert (tmp_path / (stem + ext)).read_bytes() == (REFERENCE / (name + ext)).read_bytes(), ext
 
 
 class TestParsing:
@@ -266,12 +277,12 @@ class TestSubcommandsEndToEnd:
         assert float(out[1].split(",")[2]) == pytest.approx(3.0, rel=1e-9)
 
     def test_gauss_sums_csv_columns(self, tmp_path):
-        # trimmed instance of the residual suite exercising the CSV contract
         assert run(["gauss-sums", "--out", "g"], tmp_path) == 0
         header = (tmp_path / "g.csv").read_text().splitlines()[0]
         assert header == "h,modulus,k,re,im,check,residual"
         summary = json.loads((tmp_path / "g.json").read_text())
         assert max(summary["worstResiduals"].values()) < 1e-9
+        assert_matches_reference(tmp_path, "g", "gauss-sums")
 
     def test_short_interval_runs(self, tmp_path):
         args = [
@@ -316,12 +327,17 @@ class TestVerificationSubcommands:
         assert summary["factorizationWithinTails"] is True
         assert summary["worstReductionResidualOver4c"] < 1e-9
 
+    def test_eisenstein_check_default_terms(self, tmp_path):
+        assert run(["eisenstein-check", "--check", "--out", "e"], tmp_path) == 0
+        assert_matches_reference(tmp_path, "e", "eisenstein-check")
+
     def test_kernels_verify(self, tmp_path):
         assert run(["kernels-verify", "--check", "--out", "k"], tmp_path) == 0
         summary = json.loads((tmp_path / "k.json").read_text())
         assert summary["maxResidualPerKernel"]["cesaro"] < 1e-6
         assert summary["maxResidualPerKernel"]["concentrating"] < 1e-8
         assert summary["maxResidualPerKernel"]["exponential"] < 1e-6
+        assert_matches_reference(tmp_path, "k", "kernels-verify")
 
     def test_second_moment_check(self, tmp_path):
         args = ["second-moment", "--grid", "2^8..2^10", "--table-size", "41000", "--out", "sm"]

@@ -215,10 +215,6 @@ class TestSpecValidation:
             kernels.KernelSpec.concentrating(-1.0)
         with pytest.raises(ValueError):
             kernels.KernelSpec.compact(1.5)
-        with pytest.raises(ValueError):
-            kernels.KernelSpec(
-                "cesaro", k=1, quadrature=kernels.Quadrature(-2.0, 10.0, 100)
-            )
 
 
 class TestTailBounds:
