@@ -13,14 +13,17 @@ This module provides the primitives everything else is built on:
 * the little-endian binary cache format used to persist coefficient
   tables between runs.
 
-All tables hold exact integers.  Entries are checked against the signed
-128-bit range at construction time so that a silent wraparound can never
-poison a downstream identity check.
+All tables hold exact integers in one ndarray: int64 while every entry
+fits, Python ints (dtype object) past that, so each exact path is one numpy
+expression on either dtype.  Entries are checked against the signed 128-bit
+range at construction time so that a silent wraparound can never poison a
+downstream identity check.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import os
 import tempfile
 from dataclasses import dataclass, field
@@ -30,9 +33,16 @@ import numpy as np
 INT128_MAX = (1 << 127) - 1
 INT128_MIN = -(1 << 127)
 
-# Largest accumulation allowed on the fast int64 path; convolutions whose
-# worst-case partial sums could exceed this fall back to exact Python ints.
+_INT64 = np.iinfo(np.int64)
+
+# Largest accumulation allowed on the int64 path; convolutions whose
+# worst-case partial sums could exceed this run on Python ints (dtype object).
 _INT64_SAFE = 1 << 62
+_LOW64 = (1 << 64) - 1
+
+# operator.index on every entry of an object array: exact, and TypeError on
+# a float or any other non-integer.
+_as_int = np.frompyfunc(operator.index, 1, 1)
 
 CACHE_MAGIC = b"GVCT"
 CACHE_VERSION = 1
@@ -49,39 +59,36 @@ class TableOverflowError(OverflowError):
 class CoefficientTable:
     """Exact integer sequence a(0..N) with 128-bit-bounded entries.
 
-    Values are stored as a numpy int64 array when every entry fits, and as
-    a plain list of Python ints otherwise.  Tables are immutable after
-    construction and safe to share across threads.
+    ``values`` is one read-only 1-D ndarray: int64 when every entry fits,
+    and dtype object (Python ints) otherwise, so one numpy expression serves
+    either.  Input may be any iterable or ndarray of integers; a non-integer
+    entry raises TypeError, and nothing is wrapped or truncated.  Tables are
+    immutable after construction and safe to share across threads.
     """
 
-    __slots__ = ("label", "n_max", "_small", "_big")
+    __slots__ = ("label", "n_max", "values")
 
     def __init__(self, label, values):
         self.label = str(label)
-        if isinstance(values, np.ndarray):
-            if not np.issubdtype(values.dtype, np.integer):
-                raise TypeError("coefficient tables hold integers")
-            arr = values.astype(np.int64, copy=True)
-            arr.setflags(write=False)
-            self._small = arr
-            self._big = None
-            self.n_max = len(arr) - 1
-        else:
-            vals = [int(v) for v in values]
-            lo, hi = min(vals, default=0), max(vals, default=0)
+        arr = values if isinstance(values, np.ndarray) else np.fromiter(values, dtype=object)
+        if arr.dtype == object:
+            arr = _as_int(arr)
+            lo, hi = arr.min(initial=0), arr.max(initial=0)
             if lo < INT128_MIN or hi > INT128_MAX:
                 raise TableOverflowError(
                     f"table '{label}' has an entry outside the signed 128-bit range"
                 )
-            if lo >= np.iinfo(np.int64).min and hi <= np.iinfo(np.int64).max:
-                arr = np.array(vals, dtype=np.int64)
-                arr.setflags(write=False)
-                self._small = arr
-                self._big = None
-            else:
-                self._small = None
-                self._big = vals
-            self.n_max = len(vals) - 1
+            if _INT64.min <= lo and hi <= _INT64.max:
+                arr = arr.astype(np.int64)
+        elif not np.issubdtype(arr.dtype, np.integer):
+            raise TypeError("coefficient tables hold integers")
+        elif arr.dtype.kind == "u" and arr.max(initial=0) > _INT64.max:
+            arr = arr.astype(object)
+        else:
+            arr = arr.astype(np.int64)
+        arr.setflags(write=False)
+        self.values = arr
+        self.n_max = len(arr) - 1
         if self.n_max < 0:
             raise ValueError(f"coefficient table '{self.label}' is empty")
 
@@ -89,37 +96,29 @@ class CoefficientTable:
         return self.n_max + 1
 
     def __getitem__(self, n):
-        if isinstance(n, slice):
-            src = self._big if self._small is None else self._small
-            return [int(v) for v in src[n]]
-        return int(self._small[n]) if self._big is None else self._big[n]
+        v = self.values[n]
+        return v.tolist() if isinstance(n, slice) else int(v)
 
     def __eq__(self, other):
         if not isinstance(other, CoefficientTable):
             return NotImplemented
-        return (
-            self.label == other.label
-            and self.n_max == other.n_max
-            and self.tolist() == other.tolist()
-        )
+        return self.label == other.label and np.array_equal(self.values, other.values)
 
     def __repr__(self):
         return f"CoefficientTable(label={self.label!r}, n_max={self.n_max})"
 
     def tolist(self):
-        return list(self._big) if self._small is None else self._small.tolist()
+        return self.values.tolist()
 
     def floats(self):
-        """Entries as float64 (lossy for entries beyond 2^53)."""
-        if self._small is not None:
-            return self._small.astype(np.float64)
-        return np.array([float(v) for v in self._big], dtype=np.float64)
+        """Entries as float64, each correctly rounded (lossy beyond 2^53)."""
+        return self.values.astype(np.float64)
 
     def ints(self):
         """Entries as an int64 numpy array; raises if any entry is too wide."""
-        if self._small is None:
+        if self.values.dtype == object:
             raise TableOverflowError(f"table '{self.label}' does not fit in int64")
-        return self._small
+        return self.values
 
     def require(self, n, what=""):
         if n > self.n_max:
@@ -251,24 +250,16 @@ def _convolve_with_r1(cur, n_max):
     """One additive convolution with the squares indicator, exactly.
 
     With nonnegative entries the largest possible partial accumulation is
-    (1 + 2*sqrt(N)) * max(cur); if that certificate fits comfortably in
-    int64 we convolve with numpy, otherwise with Python ints.
+    (1 + 2*sqrt(N)) * max(cur); if that certificate does not fit comfortably
+    in int64, the same slice-adds run on Python ints (dtype object).
     """
     root = math.isqrt(n_max)
-    if isinstance(cur, np.ndarray):
-        worst = (1 + 2 * root) * int(cur.max(initial=0))
-        if worst < _INT64_SAFE:
-            out = cur.copy()
-            for m in range(1, root + 1):
-                sq = m * m
-                out[sq:] += 2 * cur[: n_max + 1 - sq]
-            return out
-        cur = [int(v) for v in cur]
-    out = list(cur)
+    if cur.dtype != object and (1 + 2 * root) * int(cur.max(initial=0)) >= _INT64_SAFE:
+        cur = cur.astype(object)
+    out = cur.copy()
     for m in range(1, root + 1):
         sq = m * m
-        for i in range(sq, n_max + 1):
-            out[i] += 2 * cur[i - sq]
+        out[sq:] += 2 * cur[: n_max + 1 - sq]
     return out
 
 
@@ -462,14 +453,21 @@ def write_table_cache(path, table):
         + label_bytes
         + table.n_max.to_bytes(8, "little")
     )
-    payload = b"".join(v.to_bytes(16, "little", signed=True) for v in table.tolist())
+    v = table.values
+    words = np.empty((len(v), 2), dtype="<i8")  # (low word, high word) per entry
+    if v.dtype == object:
+        words[:, 0] = (v & _LOW64).astype(np.uint64).view(np.int64)
+        words[:, 1] = (v >> 64).astype(np.int64)
+    else:
+        words[:, 0] = v
+        words[:, 1] = v >> 63
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".gvct-")
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.write(header)
-            fh.write(payload)
+            fh.write(words)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -491,18 +489,10 @@ def read_table_cache(path):
     off = 8 + label_len
     n_max = int.from_bytes(blob[off : off + 8], "little")
     off += 8
-    body = blob[off:]
-    if len(body) != 16 * (n_max + 1):
+    if len(blob) - off != 16 * (n_max + 1):
         raise ValueError(f"{path}: truncated cache body")
-    raw = np.frombuffer(body, dtype=np.uint8).reshape(n_max + 1, 16)
-    lo = raw[:, :8].copy().view("<u8").ravel()
-    hi = raw[:, 8:].copy().view("<i8").ravel()
-    small_mask = (hi == 0) & (lo < (1 << 63)) | (hi == -1) & (lo >= (1 << 63))
-    if bool(small_mask.all()):
-        values = lo.view("<i8")
-        return CoefficientTable(label, values.astype(np.int64))
-    values = [
-        int.from_bytes(body[16 * i : 16 * (i + 1)], "little", signed=True)
-        for i in range(n_max + 1)
-    ]
-    return CoefficientTable(label, values)
+    words = np.frombuffer(blob, dtype="<i8", offset=off).reshape(n_max + 1, 2)
+    lo, hi = words[:, 0], words[:, 1]
+    if np.array_equal(hi, lo >> 63):  # every entry fits in int64
+        return CoefficientTable(label, lo)
+    return CoefficientTable(label, (hi.astype(object) << 64) + lo.view("<u8").astype(object))

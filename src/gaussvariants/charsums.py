@@ -30,6 +30,7 @@ import numpy as np
 
 from .arith import (
     CharacterSpec,
+    epsilon,
     factorize,
     kronecker,
     kronecker_character,
@@ -165,8 +166,7 @@ def gauss_sum_H(h, c):
         return complex(1, 0)
     d = np.arange(c, dtype=np.int64)
     chi = _jacobi_top_varying(d, c)
-    eps = complex(1, 0) if c % 4 == 1 else complex(0, 1)
-    return eps * _roots_of_unity_dot((h * d) % c, chi, _roots_of_unity(c))
+    return epsilon(c) * _roots_of_unity_dot((h * d) % c, chi, _roots_of_unity(c))
 
 
 def d2_sum(h, alpha, k):

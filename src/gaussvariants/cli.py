@@ -235,9 +235,7 @@ def cmd_mean_square_p2(args):
     table = cached_table(args, "r_2", lambda n: arith.r_d_table(2, n), args.table_size)
     grid = parse_grid(args.grid)
     rows = [(X, lattice.mean_square_P2(X, table)) for X in grid]
-    series = lattice.count_series(
-        grid, [r[1] for r in rows], "sharp", "circle-discrepancy-mean-square"
-    )
+    series = lattice.count_series(grid, [r[1] for r in rows])
     slope = fit.estimate_exponent(series)
     ok = _check(args, abs(slope - 1.5) <= 0.05, f"slope {slope:.4f} not 1.5 +- 0.05")
     csv_path, json_path = out_paths(args, "mean-square-p2")
@@ -282,9 +280,7 @@ def cmd_count_hyperboloid(args):
     rows = [(R, lattice.hyperboloid_count(args.d, args.h, R, table)) for R in grid]
     summary = {"d": args.d, "h": args.h}
     if args.d == 3:
-        series = lattice.count_series(
-            grid, [r[1] for r in rows], "sharp", f"hyperboloid-sharp-{args.d}-{args.h}"
-        )
+        series = lattice.count_series(grid, [r[1] for r in rows])
         verdict = fit.log_term_verdict(series, _WITH_LOG, _WITHOUT_LOG, seed=args.seed)
         summary.update(
             {
@@ -323,9 +319,7 @@ def cmd_smooth_hyperboloid(args):
         rows.append((X, val))
     csv_path, json_path = out_paths(args, "smooth-hyperboloid")
     write_csv(csv_path, ("X", "smoothed"), rows)
-    series = lattice.count_series(
-        grid, [r[1] for r in rows], "smoothed-exp", f"hyperboloid-smooth-{args.d}-{args.h}"
-    )
+    series = lattice.count_series(grid, [r[1] for r in rows])
     write_json(
         json_path,
         {"d": args.d, "h": args.h, "kernel": args.kernel, "slope": fit.estimate_exponent(series)},
@@ -453,7 +447,7 @@ def cmd_fit(args):
     for term in args.model.split(","):
         a, _, b = term.partition(":")
         model.append((float(a), int(b or 0)))
-    series = lattice.count_series(grid, values, "sharp", "cli-fit")
+    series = lattice.count_series(grid, values)
     result = fit.fit_model(series, model)
     csv_path, json_path = out_paths(args, "fit")
     write_csv(

@@ -20,7 +20,6 @@ coefficient cache format.  The module computes
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -52,9 +51,10 @@ def tau_table(n_max):
     """Exact tau(n) for 1 <= n <= n_max (index 0 = 0).
 
     Seven sparse-by-dense multiplications per residue class, followed by an
-    exact CRT reconstruction.  Any value outside the signed 128-bit range
-    would fail table construction loudly, so the reconstruction can never
-    wrap silently.
+    exact CRT reconstruction on an object array of Python ints, lifted to
+    the symmetric range by one np.where.  Any value outside the signed
+    128-bit range would fail table construction loudly, so the
+    reconstruction can never wrap silently.
     """
     n_max = int(n_max)
     if n_max < 1:
@@ -85,10 +85,8 @@ def tau_table(n_max):
     combined = sum(
         res.astype(object) * b for res, b in zip(residues, basis)
     ) % modulus
-    values = [0] * (n_max + 1)
-    for n in range(1, n_max + 1):
-        v = combined[n - 1]
-        values[n] = v - modulus if v > half else v
+    values = np.zeros(n_max + 1, dtype=object)
+    values[1:] = np.where(combined > half, combined - modulus, combined)
     return CoefficientTable("tau", values)
 
 
@@ -133,8 +131,7 @@ class CuspFormSeries:
     def prefix_floats(self):
         """S_f(0..N) as float64 (exact integer prefix sums, then rounded)."""
         if self._prefix_floats is None:
-            acc = list(itertools.accumulate(self.coeffs.tolist()))
-            self._prefix_floats = np.array([float(v) for v in acc])
+            self._prefix_floats = np.cumsum(self.coeffs.values, dtype=object).astype(np.float64)
         return self._prefix_floats
 
 
@@ -150,7 +147,7 @@ class PartialSumSeries:
     base: CuspFormSeries
     nu: float
     values: np.ndarray
-    exact_values: list | None = None
+    exact_values: np.ndarray | None = None  # object array of Python ints
 
     @property
     def n_max(self):
@@ -164,9 +161,8 @@ def partial_sums(form, nu):
         raise ValueError("nu must be nonnegative")
     coeffs = form.coeffs
     if nu == 0.0:
-        exact = list(itertools.accumulate(coeffs.tolist()))
-        values = np.array([float(v) for v in exact])
-        return PartialSumSeries(form, 0.0, values, exact_values=exact)
+        exact = np.cumsum(coeffs.values, dtype=object)
+        return PartialSumSeries(form, 0.0, exact.astype(np.float64), exact_values=exact)
     n = np.arange(len(coeffs), dtype=np.float64)
     n[0] = 1.0
     terms = coeffs.floats() * n ** (-nu)

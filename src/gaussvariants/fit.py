@@ -25,13 +25,6 @@ class AsymptoticFit:
     slope_estimate: float
     condition_number: float
 
-    def predict(self, X):
-        X = np.asarray(X, dtype=np.float64)
-        out = np.zeros(X.shape)
-        for (a, b), c in zip(self.model, self.coefficients):
-            out = out + c * X**a * np.log(X) ** b
-        return out
-
 
 def _design_matrix(grid, model):
     cols = [grid**a * np.log(grid) ** b for a, b in model]

@@ -30,21 +30,14 @@ from . import arith
 # CountSeries: the grid-of-evaluations record handed to the fit module
 # ---------------------------------------------------------------------------
 
-_SERIES_KINDS = ("sharp", "smoothed-exp", "concentrated", "compact-cutoff")
-
-
 @dataclass(frozen=True)
 class CountSeries:
-    """(X, value) grid from one counting operation, tagged with its target."""
+    """(X, value) grid from one counting operation."""
 
     gridX: tuple
     values: tuple
-    kind: str
-    target: str
 
     def __post_init__(self):
-        if self.kind not in _SERIES_KINDS:
-            raise ValueError(f"unknown series kind {self.kind!r}")
         if len(self.gridX) != len(self.values):
             raise ValueError("grid and values must have equal length")
         if any(b <= a for a, b in zip(self.gridX, self.gridX[1:])):
@@ -59,8 +52,8 @@ class CountSeries:
         return np.array(self.values, dtype=np.float64)
 
 
-def count_series(grid, values, kind, target):
-    return CountSeries(tuple(grid), tuple(values), kind, target)
+def count_series(grid, values):
+    return CountSeries(tuple(grid), tuple(values))
 
 
 # ---------------------------------------------------------------------------
@@ -213,15 +206,12 @@ def _hyperboloid_shells(h, n_top, table, what):
     if m_top < 0:
         return n, m
     idx = m * m + h
-    top = int(idx[-1])
-    table.require(top, what)
-    try:
-        r = table.ints()[idx]
-        exact = 2 * (m_top + 1) * max(int(r.max()), -int(r.min())) <= arith._INT64_SAFE
-    except arith.TableOverflowError:
-        exact = False
-    if not exact:
-        r = np.array(table[: top + 1], dtype=object)[idx]
+    table.require(int(idx[-1]), what)
+    r = table.values[idx]
+    if r.dtype != object:
+        worst = 2 * (m_top + 1) * max(int(r.max()), -int(r.min()))
+        if worst > arith._INT64_SAFE:
+            r = r.astype(object)
     return n, np.where(m == 0, r, 2 * r)
 
 
@@ -283,7 +273,7 @@ def hyperboloid_shell_table(d, h, n_max, table):
     n, b = _hyperboloid_shells(h, n_max, table, "hyperboloid shell table")
     out = np.zeros(n_max + 1, dtype=b.dtype)
     out[n] = b
-    return arith.CoefficientTable(f"hyp_{d}_{h}", out.tolist() if out.dtype == object else out)
+    return arith.CoefficientTable(f"hyp_{d}_{h}", out)
 
 
 def hyperboloid_smoothed(d, h, X, table):

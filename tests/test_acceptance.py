@@ -144,20 +144,10 @@ def test_criterion_06_smoothed_second_moment_constant(delta):
 def test_criterion_07_exponent_checks(r2_big, delta):
     t0 = time.time()
     grid = [2.0**e for e in range(10, 19)]
-    ms = lattice.count_series(
-        grid,
-        [lattice.mean_square_P2(x, r2_big) for x in grid],
-        "sharp",
-        "circle-mean-square",
-    )
+    ms = lattice.count_series(grid, [lattice.mean_square_P2(x, r2_big) for x in grid])
     slope_ms = fit.estimate_exponent(ms)
     grid2 = [2.0**e for e in range(8, 13)]
-    sm = lattice.count_series(
-        grid2,
-        [cuspform.smoothed_second_moment(delta, x) for x in grid2],
-        "smoothed-exp",
-        "delta-smoothed-moment",
-    )
+    sm = lattice.count_series(grid2, [cuspform.smoothed_second_moment(delta, x) for x in grid2])
     slope_sm = fit.estimate_exponent(sm)
     ok = abs(slope_ms - 1.5) <= 0.05 and abs(slope_sm - 1.5) <= 0.1
     assert report(
@@ -175,7 +165,7 @@ def test_criterion_08_hyperboloid_dichotomy(r2_big):
     verdicts = {}
     for h in (1, 2):
         vals = [lattice.hyperboloid_count(3, h, R, r2_big) for R in grid]
-        series = lattice.count_series(grid, vals, "sharp", f"hyperboloid-sharp-3-{h}")
+        series = lattice.count_series(grid, vals)
         verdicts[h] = fit.log_term_verdict(
             series, ((0.5, 1), (0.5, 0)), ((0.5, 0),)
         ).verdict

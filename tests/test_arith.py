@@ -217,6 +217,24 @@ class TestTruncatedL:
                 assert vals[n] == chi(n), n
 
 
+# Entries that cross every word boundary of the signed 128-bit cache format.
+EDGE_VALUES = [0, -1, 2**63 - 1, -(2**63), 2**63, 2**64, 2**127 - 1, -(2**127)]
+
+# The version-1 file of CoefficientTable("pin", EDGE_VALUES): magic, version,
+# label length and label, n_max, then (low word, high word) per entry.
+EDGE_FILE_HEX = (
+    "47564354" "0100" "0300" "70696e" "0700000000000000"
+    "0000000000000000" "0000000000000000"
+    "ffffffffffffffff" "ffffffffffffffff"
+    "ffffffffffffff7f" "0000000000000000"
+    "0000000000000080" "ffffffffffffffff"
+    "0000000000000080" "0000000000000000"
+    "0000000000000000" "0100000000000000"
+    "ffffffffffffffff" "ffffffffffffff7f"
+    "0000000000000000" "0000000000000080"
+)
+
+
 class TestCoefficientTable:
     def test_overflow_rejected(self):
         with pytest.raises(OverflowError):
@@ -237,6 +255,33 @@ class TestCoefficientTable:
         with pytest.raises(arith.TableCoverageError):
             t.require(11)
 
+    def test_non_integer_entries_rejected(self):
+        floats = ([0.5, 2.7], [1, 2.0], np.array([0.5, 2.7]), np.array([1, 2.5], dtype=object))
+        for values in floats:
+            with pytest.raises(TypeError):
+                arith.CoefficientTable("x", values)
+
+    def test_unsigned_entries_keep_their_values(self):
+        t = arith.CoefficientTable("u", np.array([2**64 - 1, 2**63, 7], dtype=np.uint64))
+        assert t.tolist() == [2**64 - 1, 2**63, 7]
+        assert t[1] == 2**63
+        small = arith.CoefficientTable("u", np.array([2**63 - 1, 7], dtype=np.uint64))
+        assert small.ints().tolist() == [2**63 - 1, 7]
+
+    def test_object_array_accepted_and_downcast(self):
+        t = arith.CoefficientTable("o", np.array([0, -3, 2**62], dtype=object))
+        assert t.ints().dtype == np.int64
+        assert t.tolist() == [0, -3, 2**62]
+        wide = arith.CoefficientTable("o", np.array([0, 2**63], dtype=object))
+        assert wide.tolist() == [0, 2**63]
+        with pytest.raises(arith.TableOverflowError):
+            wide.ints()
+
+    def test_wide_floats_correctly_rounded(self):
+        vals = EDGE_VALUES + [(1 << 100) + 12345, 3**70]
+        t = arith.CoefficientTable("wide", vals)
+        assert t.floats().tolist() == [float(v) for v in vals]
+
 
 class TestCacheFile:
     def test_round_trip_small(self, tmp_path):
@@ -247,10 +292,16 @@ class TestCacheFile:
         assert back == table
 
     def test_round_trip_wide_values(self, tmp_path):
-        table = arith.CoefficientTable("wide", [-(1 << 90), 7, (1 << 126) - 1])
+        table = arith.CoefficientTable("wide", EDGE_VALUES + [-(1 << 90), 7, (1 << 126) - 1])
         path = tmp_path / "wide.gvct"
         arith.write_table_cache(path, table)
         assert arith.read_table_cache(path) == table
+
+    def test_format_pinned(self, tmp_path):
+        path = tmp_path / "pin.gvct"
+        arith.write_table_cache(path, arith.CoefficientTable("pin", EDGE_VALUES))
+        assert path.read_bytes().hex() == EDGE_FILE_HEX
+        assert arith.read_table_cache(path).tolist() == EDGE_VALUES
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.gvct"
@@ -271,8 +322,9 @@ class TestCacheFile:
 
 class TestWideConvolutionPath:
     def test_high_dimension_exact_beyond_int64(self):
-        # d = 24 drives entries past int64; the ladder must switch to exact
-        # Python-int convolution and still satisfy r_24 = r_12 * r_12
+        # d = 24 drives entries past int64; the ladder must switch its
+        # slice-adds to Python ints (dtype object) and still satisfy
+        # r_24 = r_12 * r_12
         t = arith.r_d_table(24, 120)
         assert t[120] > 2**63
         half = arith.r_d_table(12, 120).tolist()

@@ -10,8 +10,8 @@ WITH_LOG = ((0.5, 1), (0.5, 0))
 WITHOUT_LOG = ((0.5, 0),)
 
 
-def series_of(values, kind="sharp", target="synthetic"):
-    return lattice.count_series(GRID, values, kind, target)
+def series_of(values):
+    return lattice.count_series(GRID, values)
 
 
 class TestFitModel:
@@ -29,7 +29,7 @@ class TestFitModel:
     def test_smoothed_hyperboloid_leading_log_positive(self, r2_big):
         grid = [2.0**e for e in range(8, 17)]
         vals = [lattice.hyperboloid_smoothed(3, 1, X, r2_big) for X in grid]
-        s = lattice.count_series(grid, vals, "smoothed-exp", "hyperboloid-smooth-3-1")
+        s = lattice.count_series(grid, vals)
         f = fit.fit_model(s, [(0.5, 1), (0.5, 0)])
         assert f.coefficients[0] > 0
 
@@ -38,7 +38,7 @@ class TestFitModel:
             fit.fit_model(series_of(GRID**1.5), [(1.5, 0), (1.5, 0)])
 
     def test_needs_headroom(self):
-        small = lattice.count_series(GRID[:3], GRID[:3] ** 1.5, "sharp", "t")
+        small = lattice.count_series(GRID[:3], GRID[:3] ** 1.5)
         with pytest.raises(ValueError):
             fit.fit_model(small, [(1.5, 0), (0.5, 0)])
 
@@ -98,14 +98,14 @@ class TestLogTermVerdict:
         grid = [2.0**e for e in range(10, 21)]
         for h, expected in ((1, "log"), (2, "no-log")):
             vals = [lattice.hyperboloid_count(3, h, R, r2_big) for R in grid]
-            s = lattice.count_series(grid, vals, "sharp", f"hyperboloid-{h}")
+            s = lattice.count_series(grid, vals)
             v = fit.log_term_verdict(s, WITH_LOG, WITHOUT_LOG)
             assert v.verdict == expected, (h, v)
 
     def test_verdict_deterministic_under_seed(self, r2_big):
         grid = [2.0**e for e in range(10, 21)]
         vals = [lattice.hyperboloid_count(3, 1, R, r2_big) for R in grid]
-        s = lattice.count_series(grid, vals, "sharp", "hyperboloid-1")
+        s = lattice.count_series(grid, vals)
         a = fit.log_term_verdict(s, WITH_LOG, WITHOUT_LOG, seed=11)
         b = fit.log_term_verdict(s, WITH_LOG, WITHOUT_LOG, seed=11)
         assert a.log_coefficient_se == b.log_coefficient_se

@@ -276,16 +276,14 @@ class TestDivisorIdentities:
 class TestCountSeries:
     def test_validation(self):
         with pytest.raises(ValueError):
-            lattice.count_series([1.0, 2.0], [1.0], "sharp", "t")
+            lattice.count_series([1.0, 2.0], [1.0])
         with pytest.raises(ValueError):
-            lattice.count_series([2.0, 1.0], [1.0, 2.0], "sharp", "t")
-        with pytest.raises(ValueError):
-            lattice.count_series([1.0, 2.0], [1.0, 2.0], "bogus", "t")
+            lattice.count_series([2.0, 1.0], [1.0, 2.0])
 
     def test_sharp_counts_nondecreasing_invariant(self, r2_big):
         grid = [2.0**e for e in range(10, 17)]
         vals = [lattice.hyperboloid_count(3, 1, R, r2_big) for R in grid]
-        series = lattice.count_series(grid, vals, "sharp", "hyperboloid-sharp")
+        series = lattice.count_series(grid, vals)
         arr = series.value_array
         assert np.all(np.diff(arr) >= 0)
 
@@ -294,7 +292,7 @@ class TestSmoothedSeriesInvariant:
     def test_positive_and_increasing_in_X(self, r2_big):
         grid = [2.0**e for e in range(8, 17)]
         vals = [lattice.hyperboloid_smoothed(3, 2, X, r2_big) for X in grid]
-        series = lattice.count_series(grid, vals, "smoothed-exp", "hyp-smooth-3-2")
+        series = lattice.count_series(grid, vals)
         arr = series.value_array
         assert np.all(arr > 0)
         assert np.all(np.diff(arr) > 0)
