@@ -3,8 +3,8 @@
 This module provides the primitives everything else is built on:
 
 * ``r_d(n)``, the number of representations of n as an ordered sum of d
-  squares of integers (signs counted), tabulated exactly by repeated
-  additive convolution of the one-dimensional squares indicator,
+  squares of integers (signs counted), tabulated exactly as theta^d by
+  ``powers.sparse_power``,
 * divisor-count sieves d(n) and d_o(n) (all / odd divisors),
 * the Kronecker symbol (a/n) extended to all integer bottoms,
 * the Gauss-sum sign eps_d (1 for d = 1 mod 4, i for d = 3 mod 4),
@@ -35,8 +35,8 @@ INT128_MIN = -(1 << 127)
 
 _INT64 = np.iinfo(np.int64)
 
-# Largest accumulation allowed on the int64 path; convolutions whose
-# worst-case partial sums could exceed this run on Python ints (dtype object).
+# Largest accumulation allowed on the int64 path; sums whose worst-case
+# partial sums could exceed this run on Python ints (dtype object).
 _INT64_SAFE = 1 << 62
 _LOW64 = (1 << 64) - 1
 
@@ -54,6 +54,10 @@ class TableCoverageError(ValueError):
 
 class TableOverflowError(OverflowError):
     """A table entry left the signed 128-bit range."""
+
+
+class RoundingMarginError(ArithmeticError):
+    """A float FFT product came back too far from the integers to round exactly."""
 
 
 class CoefficientTable:
@@ -238,45 +242,22 @@ def factorize(n):
 # Sums of d squares
 # ---------------------------------------------------------------------------
 
-def _squares_indicator(n_max):
-    r1 = np.zeros(n_max + 1, dtype=np.int64)
-    r1[0] = 1
-    m = np.arange(1, math.isqrt(n_max) + 1)
-    r1[m * m] = 2
-    return r1
-
-
-def _convolve_with_r1(cur, n_max):
-    """One additive convolution with the squares indicator, exactly.
-
-    With nonnegative entries the largest possible partial accumulation is
-    (1 + 2*sqrt(N)) * max(cur); if that certificate does not fit comfortably
-    in int64, the same slice-adds run on Python ints (dtype object).
-    """
-    root = math.isqrt(n_max)
-    if cur.dtype != object and (1 + 2 * root) * int(cur.max(initial=0)) >= _INT64_SAFE:
-        cur = cur.astype(object)
-    out = cur.copy()
-    for m in range(1, root + 1):
-        sq = m * m
-        out[sq:] += 2 * cur[: n_max + 1 - sq]
-    return out
-
-
 def r_d_table(d, n_max):
-    """Exact table of r_d(n), 0 <= n <= n_max, by d-fold convolution of r_1.
+    """Exact table of r_d(n), 0 <= n <= n_max, as the d-th power of theta.
 
-    r_1(0) = 1 and r_1(m^2) = 2 for m >= 1 (the two signs), so each
-    convolution step adds one squared coordinate.  All arithmetic exact.
+    theta = 1 + 2 sum_{m >= 1} q^{m^2} counts one coordinate with both signs,
+    so r_d is the q-expansion of theta^d; see ``powers.sparse_power``.
     """
     d = int(d)
     n_max = int(n_max)
     if d < 1 or n_max < 0:
         raise ValueError("need d >= 1 and n_max >= 0")
-    cur = _squares_indicator(n_max)
-    for _ in range(d - 1):
-        cur = _convolve_with_r1(cur, n_max)
-    return CoefficientTable(f"r_{d}", cur)
+    # imported on first use: a process that reads its tables from the cache
+    # never loads the FFT code
+    from .powers import sparse_power
+
+    m = np.arange(math.isqrt(n_max) + 1, dtype=np.int64)
+    return CoefficientTable(f"r_{d}", sparse_power(m * m, np.where(m == 0, 1, 2), d, n_max))
 
 
 _HALF_COUNT_CACHE = {}
@@ -460,7 +441,7 @@ def write_table_cache(path, table):
         words[:, 1] = (v >> 64).astype(np.int64)
     else:
         words[:, 0] = v
-        words[:, 1] = v >> 63
+        np.right_shift(v, 63, out=words[:, 1])
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".gvct-")

@@ -5,7 +5,8 @@ in --help) and a JSON summary (fitted constants, residuals, verdicts,
 pass/fail where --check applies).  Identical configurations, including
 --seed, produce byte-identical CSV output.
 
-Exit codes: 0 ok, 2 configuration error (or a table past 128 bits),
+Exit codes: 0 ok, 2 configuration error (or a table past 128 bits, or an
+FFT product whose rounding margin cannot certify an exact table),
 3 table-coverage error, 4 failed check under --check.
 """
 
@@ -626,7 +627,7 @@ def main(argv=None):
     except CheckFailure as exc:
         print(f"gv: check failed: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILED
-    except (ValueError, OSError, arith.TableOverflowError) as exc:
+    except (ValueError, OSError, arith.TableOverflowError, arith.RoundingMarginError) as exc:
         print(f"gv: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

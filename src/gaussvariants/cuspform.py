@@ -6,7 +6,7 @@ coefficient cache format.  The module computes
 
 * tau(1..N) exactly, as the coefficients of q * (eta-cube series)^8 where
   the eta-cube series sum (-1)^m (2m+1) q^{m(m+1)/2} has sparse triangular
-  support, so the eighth power is seven sparse-by-dense multiplications,
+  support, so the eighth power is one ``powers.sparse_power``,
 * partial sums S^nu(n) = sum_{m <= n} a(m)/m^nu (exact integers at nu = 0,
   compensated floating accumulation otherwise),
 * the exponentially smoothed second moment
@@ -27,12 +27,9 @@ import numpy as np
 
 from .arith import CoefficientTable, TableCoverageError
 
-_TAU_N_LIMIT = 10**6  # keeps every ladder intermediate far inside 128 bits
-
-# Five 31-bit primes: products (2m+1) * residue stay under 2^43 and the
-# sparse accumulation under 2^54, so the int64 passes are exact; the CRT
-# modulus (~2^155) covers anything a 128-bit table can legally hold.
-_CRT_PRIMES = (2147483647, 2147483629, 2147483587, 2147483579, 2147483563)
+# Deligne: |tau(n)| <= d(n) n^{11/2} < 2^120 for n <= 10^6, inside the 128
+# bits a coefficient table holds.
+_TAU_N_LIMIT = 10**6
 
 
 def _eta_cube_support(degree):
@@ -50,50 +47,25 @@ def _eta_cube_support(degree):
 def tau_table(n_max):
     """Exact tau(n) for 1 <= n <= n_max (index 0 = 0).
 
-    Seven sparse-by-dense multiplications per residue class, followed by an
-    exact CRT reconstruction on an object array of Python ints, lifted to
-    the symmetric range by one np.where.  Any value outside the signed
-    128-bit range would fail table construction loudly, so the
-    reconstruction can never wrap silently.
+    tau(n) is the coefficient of q^(n-1) in the eighth power of the
+    eta-cube series, taken exactly by ``powers.sparse_power``.
     """
     n_max = int(n_max)
     if n_max < 1:
         raise ValueError("need n_max >= 1")
     if n_max > _TAU_N_LIMIT:
         raise ValueError(f"tau table limited to N <= {_TAU_N_LIMIT}")
-    degree = n_max - 1  # tau(n) = [q^(n-1)] (eta-cube series)^8
-    exps, coeffs = _eta_cube_support(degree)
-    residues = []
-    for p in _CRT_PRIMES:
-        base = np.zeros(degree + 1, dtype=np.int64)
-        base[exps] = coeffs % p
-        cur = base.copy()
-        for _ in range(7):
-            acc = np.zeros(degree + 1, dtype=np.int64)
-            for e, c in zip(exps.tolist(), coeffs.tolist()):
-                acc[e:] += c * cur[: degree + 1 - e]
-            cur = acc % p
-        residues.append(cur)
-    modulus = 1
-    for p in _CRT_PRIMES:
-        modulus *= p
-    basis = []
-    for p in _CRT_PRIMES:
-        m_i = modulus // p
-        basis.append(m_i * pow(m_i, -1, p))
-    half = modulus // 2
-    combined = sum(
-        res.astype(object) * b for res, b in zip(residues, basis)
-    ) % modulus
-    values = np.zeros(n_max + 1, dtype=object)
-    values[1:] = np.where(combined > half, combined - modulus, combined)
-    return CoefficientTable("tau", values)
+    from .powers import sparse_power  # on first use, as in arith.r_d_table
+
+    exps, coeffs = _eta_cube_support(n_max - 1)
+    power = sparse_power(exps, coeffs, 8, n_max - 1)
+    return CoefficientTable("tau", np.concatenate((np.zeros(1, dtype=power.dtype), power)))
 
 
 def tau_bruteforce(n_max):
     """tau by direct expansion of q * prod_{j <= N}(1 - q^j)^24, exact ints.
 
-    Quadratic-cost oracle for small N; shares nothing with the sparse ladder.
+    Quadratic-cost oracle for small N; shares nothing with ``sparse_power``.
     """
     n_max = int(n_max)
     degree = n_max - 1

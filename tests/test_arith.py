@@ -322,9 +322,9 @@ class TestCacheFile:
 
 class TestWideConvolutionPath:
     def test_high_dimension_exact_beyond_int64(self):
-        # d = 24 drives entries past int64; the ladder must switch its
-        # slice-adds to Python ints (dtype object) and still satisfy
-        # r_24 = r_12 * r_12
+        # d = 24 drives entries past int64; the FFT products must run mod
+        # enough 31-bit primes, join them by Garner's CRT into Python ints
+        # (dtype object) and still satisfy r_24 = r_12 * r_12
         t = arith.r_d_table(24, 120)
         assert t[120] > 2**63
         half = arith.r_d_table(12, 120).tolist()

@@ -1,4 +1,5 @@
-"""Property tests of CoefficientTable storage and the version-1 cache file."""
+"""Property tests of CoefficientTable storage, the version-1 cache file,
+the exact sparse power and the r_d tables."""
 
 import os
 import tempfile
@@ -8,10 +9,10 @@ import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from gaussvariants import arith  # noqa: E402
+from gaussvariants import arith, powers  # noqa: E402
 
 INT64 = np.iinfo(np.int64)
 
@@ -70,3 +71,56 @@ def test_cache_round_trip(values):
     assert back == table
     assert back.values.dtype == table.values.dtype
     assert back.tolist() == values
+
+
+def naive_power(exps, coeffs, k, n_max):
+    """(sum c_i q^e_i)^k to q^n_max by a Python-int convolution loop."""
+    base = dict((e, c) for e, c in zip(exps, coeffs) if e <= n_max)
+    acc = [base.get(n, 0) for n in range(n_max + 1)]
+    for _ in range(k - 1):
+        nxt = [0] * (n_max + 1)
+        for e, c in base.items():
+            for j in range(n_max + 1 - e):
+                nxt[e + j] += c * acc[j]
+        acc = nxt
+    return acc
+
+
+@st.composite
+def power_cases(draw):
+    n_max = draw(st.integers(0, 200))
+    exps = sorted(draw(st.sets(st.integers(0, 220), max_size=12)))
+    width = draw(st.sampled_from([2, 2**12, 2**40]))
+    coeffs = draw(st.lists(st.integers(-width, width), min_size=len(exps), max_size=len(exps)))
+    return exps, coeffs, draw(st.integers(1, 8)), n_max
+
+
+def test_sparse_power_matches_naive_convolution_on_every_path(monkeypatch):
+    seen = set()
+    for name in ("_float_product", "_mod_product"):
+        real = getattr(powers, name)
+        monkeypatch.setattr(powers, name, lambda *a, _real=real, _name=name: seen.add(_name) or _real(*a))
+
+    # one draw per path, so each is reached whatever the random draws
+    @example(([0, 1, 3], [1, -2, 1], 3, 40))  # small: one float FFT
+    @example(([0, 2, 7], [4000, -3999, 17], 4, 60))  # past 2^40: mod primes
+    @example(([0, 1], [2**40, -(2**40) + 1], 3, 10))  # past int64: object
+    @settings(database=None, deadline=None, max_examples=150)
+    @given(power_cases())
+    def check(case):
+        out = powers.sparse_power(*case)
+        want = naive_power(*case)
+        assert out.tolist() == want
+        fits = all(INT64.min <= v <= INT64.max for v in want)
+        assert out.dtype == (np.int64 if fits else object)
+        if not fits:
+            seen.add("object")
+
+    check()
+    assert seen == {"_float_product", "_mod_product", "object"}
+
+
+@settings(database=None, deadline=None, max_examples=40)
+@given(st.integers(1, 8), st.integers(0, 300))
+def test_r_d_table_matches_enumeration(d, n):
+    assert arith.r_d_table(d, n)[n] == arith.r_d_bruteforce(d, n)

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from gaussvariants import arith, cli, kernels
+from gaussvariants import arith, cli, cuspform, kernels
 
 
 def run(argv, cwd):
@@ -97,6 +97,14 @@ class TestExitCodes:
             tmp_path,
         )
         assert code == cli.EXIT_CONFIG
+
+    def test_rounding_margin_error_is_config_error(self, tmp_path, monkeypatch, capsys):
+        def thin_margin(n_max):
+            raise arith.RoundingMarginError("FFT product rounding margin 0.5")
+
+        monkeypatch.setattr(cuspform, "tau_table", thin_margin)
+        assert run(["tau", "--table-size", "100"], tmp_path) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == "gv: FFT product rounding margin 0.5\n"
 
     def test_check_failure_exits_4(self, tmp_path):
         # massively over-normalized sums keep one sign on small windows

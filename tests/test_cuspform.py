@@ -245,3 +245,15 @@ class TestCuspFormSeriesInvariants:
 
 def test_smoothed_second_moment_vanishes_at_tiny_X(delta):
     assert cuspform.smoothed_second_moment(delta, 1e-4) == pytest.approx(0.0, abs=1e-300)
+
+
+def test_ramanujan_congruence_mod_691(delta):
+    # tau(n) = sigma_11(n) mod 691 (Ramanujan 1916) for every tabulated n.
+    # The Rankin pins sum tau(n)^2 and cannot see a sign; this can, and the
+    # divisor sieve below shares nothing with either tau builder.
+    n_max = delta.n_max
+    sigma = np.zeros(n_max + 1, dtype=np.int64)
+    for d in range(1, n_max + 1):
+        sigma[d::d] += pow(d, 11, 691)
+    tau = (delta.coeffs.values % 691).astype(np.int64)
+    assert np.array_equal(tau[1:], sigma[1:] % 691)
