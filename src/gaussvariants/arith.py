@@ -125,11 +125,16 @@ class CoefficientTable:
         return self.values
 
     def require(self, n, what=""):
-        if n > self.n_max:
-            raise TableCoverageError(
-                f"table '{self.label}' covers n <= {self.n_max}, "
-                f"but {what or 'the computation'} needs n <= {n}"
-            )
+        require_coverage(self.label, self.n_max, n, what)
+
+
+def require_coverage(label, n_max, n, what=""):
+    """Raise TableCoverageError unless table ``label`` to n_max reaches n."""
+    if n > n_max:
+        raise TableCoverageError(
+            f"table '{label}' covers n <= {n_max}, "
+            f"but {what or 'the computation'} needs n <= {n}"
+        )
 
 
 # ---------------------------------------------------------------------------

@@ -128,29 +128,29 @@ def gauss_sum_g(h, c4, k):
     Half-integral k uses the eps twist; integral k routes to the
     (-4/d)^k character, matching the full-integral weighting factor.
     """
-    return _g_at_modulus((int(h),), c4, _half_integer_times_two(k))[0]
+    return _g_at_modulus((int(h),), c4, (_half_integer_times_two(k),))[0][0]
 
 
-def _g_at_modulus(hs, c4, two_k):
-    """[g_h(c4) for h in hs]: the character, the eps twist and the roots of
-    unity depend on c4 and k only, so they are built once for every h."""
+def _g_at_modulus(hs, c4, two_ks):
+    """[[g_h(c4) for h in hs] for 2k in two_ks]: d and the roots of unity
+    depend on c4 only, and the character and eps twist on c4 and k, so each
+    is built once for every h and weight."""
     c4 = int(c4)
     if c4 <= 0 or c4 % 4 != 0:
         raise ValueError(f"modulus must be a positive multiple of 4, got {c4}")
     d = np.arange(1, c4, 2, dtype=np.int64)
-    if two_k % 2 == 1:
-        chi = _chi_bottom_varying(c4, d)
-        quarter = np.where(d % 4 == 1, 0, two_k % 4).astype(np.int64)
-    else:
-        kk = two_k // 2
-        if kk % 2 == 0:
-            chi = np.ones(len(d), dtype=np.int8)
-        else:
-            chi = np.where(d % 4 == 1, 1, -1).astype(np.int8)
-        quarter = np.zeros(len(d), dtype=np.int64)
-    twist = quarter * (c4 // 4)
     phase = _roots_of_unity(c4)
-    return [_roots_of_unity_dot((h * d + twist) % c4, chi, phase) for h in hs]
+    half_chi = _chi_bottom_varying(c4, d) if any(t % 2 for t in two_ks) else None
+    rows = []
+    for two_k in two_ks:
+        if two_k % 2 == 1:
+            chi = half_chi
+            twist = np.where(d % 4 == 1, 0, two_k % 4) * (c4 // 4)
+        else:  # (-4/d)^k
+            chi = np.where(d % 4 == 1, 1, -1 if two_k // 2 % 2 else 1).astype(np.int8)
+            twist = 0
+        rows.append([_roots_of_unity_dot((h * d + twist) % c4, chi, phase) for h in hs])
+    return rows
 
 
 def gauss_sum_H(h, c):
@@ -220,19 +220,27 @@ def reduction_check(h, c, k):
 
     Contract: the residual stays below 1e-9 * (4c).
     """
-    h, c, k = int(h), int(c), int(k)
+    return reduction_residuals((h,), c, (k,))[0][0]
+
+
+def reduction_residuals(hs, c, ks):
+    """[[reduction_check(h, c, k) for h in hs] for k in ks], from one build
+    of the characters and roots of unity mod 4c."""
+    hs, c, ks = [int(h) for h in hs], int(c), [int(k) for k in ks]
     if c < 1:
         raise ValueError("c must be positive")
-    direct = gauss_sum_g(h, 4 * c, k)
-    if h % c == 0:
-        sign = -1 if k % 2 else 1
-        closed = c * (
-            cmath.exp(1j * math.pi * h / (2 * c))
-            + sign * cmath.exp(3j * math.pi * h / (2 * c))
-        )
-    else:
-        closed = 0j
-    return abs(direct - closed)
+    rows = _g_at_modulus(hs, 4 * c, [2 * k for k in ks])
+    return [
+        [abs(g - _reduction_closed(h, c, k)) for h, g in zip(hs, row)] for k, row in zip(ks, rows)
+    ]
+
+
+def _reduction_closed(h, c, k):
+    if h % c:
+        return 0j
+    sign = -1 if k % 2 else 1
+    phases = cmath.exp(1j * math.pi * h / (2 * c)) + sign * cmath.exp(3j * math.pi * h / (2 * c))
+    return c * phases
 
 
 def two_piece_product(h, c4, k):
@@ -294,29 +302,28 @@ def dtilde_half(h, w, k):
 _G_SERIES_CACHE = {}
 
 
-def gauss_sum_g_series(hs, k, n_max):
-    """g_h(4c) for c = 1..n_max, one row per h in ``hs``.
+def gauss_sum_g_series(hs, ks, n_max):
+    """g_h(4c) for c = 1..n_max: an array of one row per h in ``hs`` for
+    each k in ``ks``, of shape (len(ks), len(hs), n_max).
 
     Rows are cached per (h, 2k), since the two-sided factorization check
-    revisits the same series at several abscissae.  Missing rows are built
-    together in one pass over c, sharing each modulus's character and
-    roots of unity; every entry has the bits of ``gauss_sum_g(h, 4c, k)``.
+    revisits the same series at several abscissae.  A request that misses
+    a row builds all its rows in one pass over c, sharing each modulus's
+    characters and roots of unity; each entry has gauss_sum_g's bits.
     """
-    two_k = _half_integer_times_two(k)
+    two_ks = [_half_integer_times_two(k) for k in ks]
     n_max = int(n_max)
     if n_max < 0:
         raise ValueError(f"series length must be nonnegative, got {n_max}")
     hs = [int(h) for h in hs]
-    missing = [
-        h for h in dict.fromkeys(hs) if len(_G_SERIES_CACHE.get((h, two_k), ())) < n_max
-    ]
-    if missing:
-        rows = np.array(
-            [_g_at_modulus(missing, 4 * c, two_k) for c in range(1, n_max + 1)]
-        ).reshape(n_max, len(missing))
-        for h, row in zip(missing, rows.T):
-            _G_SERIES_CACHE[(h, two_k)] = row.copy()
-    return np.array([_G_SERIES_CACHE[(h, two_k)][:n_max] for h in hs])
+    if any(len(_G_SERIES_CACHE.get((h, t), ())) < n_max for h in hs for t in two_ks):
+        new_hs, new_ts = list(dict.fromkeys(hs)), list(dict.fromkeys(two_ks))
+        rows = np.array([_g_at_modulus(new_hs, 4 * c, new_ts) for c in range(1, n_max + 1)])
+        for i, t in enumerate(new_ts):
+            for j, h in enumerate(new_hs):
+                if len(_G_SERIES_CACHE.get((h, t), ())) < n_max:
+                    _G_SERIES_CACHE[(h, t)] = rows[:, i, j].copy()
+    return np.array([[_G_SERIES_CACHE[(h, t)][:n_max] for h in hs] for t in two_ks])
 
 
 def factorization_check(h, w, k, n_trunc):
@@ -339,7 +346,7 @@ def factorization_check(h, w, k, n_trunc):
         raise ValueError("w outside the absolute-convergence region")
 
     c = np.arange(1, n_trunc + 1, dtype=np.float64)
-    lhs = complex(np.sum(gauss_sum_g_series((h,), k, n_trunc)[0] * (4.0 * c) ** (-2 * w)))
+    lhs = complex(np.sum(gauss_sum_g_series((h,), (k,), n_trunc)[0, 0] * (4.0 * c) ** (-2 * w)))
     # |g_h(4c)| <= 2c (only odd d contribute), so the c-tail is bounded by
     # 2 * 4^(-2 Re w) * N^(2 - 2 Re w) / (2 Re w - 2).
     sigma2 = 2 * w.real

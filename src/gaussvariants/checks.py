@@ -80,18 +80,20 @@ def two_piece():
 
 def reduction():
     """The full-integral character sum mod 4c against its closed form."""
-    for h in range(1, 21):
-        for c in range(1, 51):
-            for k in (1, 2):
-                yield Point((h, c, k), None, charsums.reduction_check(h, c, k), TOL * (4 * c))
+    hs, ks = range(1, 21), (1, 2)
+    by_c = {c: charsums.reduction_residuals(hs, c, ks) for c in range(1, 51)}
+    for h in hs:
+        for c, rows in by_c.items():
+            for k, row in zip(ks, rows):
+                yield Point((h, c, k), None, row[h - 1], TOL * (4 * c))
 
 
 def factorization(terms_by_w):
     """The L-factorization of sum g_h(4c) (4c)^{-2w} at each (w, N) in
     ``terms_by_w``; params are (h, N, k, w), and the identity holds while
     the residual is <= the combined tail bound."""
-    for k in _HALF:  # every series in one pass over c
-        charsums.gauss_sum_g_series(_SERIES_HS, k, max(n for _, n in terms_by_w))
+    # every series of both weights in one pass over c
+    charsums.gauss_sum_g_series(_SERIES_HS, _HALF, max(n for _, n in terms_by_w))
     for h in _SERIES_HS:
         for k in _HALF:
             for w, n in terms_by_w:
@@ -101,14 +103,14 @@ def factorization(terms_by_w):
 
 def cesaro():
     """Cesaro contours of orders 1-3 against (1/k!) (1 - 1/Y)^k."""
-    for Y in (0.5, 1.5, 2.0, 10.0):
-        if Y < 1:
-            quad = kernels.Quadrature(30.0, 200.0, 20000)
-        else:
-            quad = kernels.Quadrature(0.5, 4000.0, 4_000_000)
-        ks = (1, 2, 3)
-        for k, contour in zip(ks, kernels.cesaro_contours(Y, ks, quad)):
-            yield Point((Y, k), contour, abs(contour - kernels.cesaro_closed(Y, k)), 1e-6)
+    ks = (1, 2, 3)
+    for Ys, quad in (
+        ((0.5,), kernels.Quadrature(30.0, 200.0, 20000)),
+        ((1.5, 2.0, 10.0), kernels.Quadrature(0.5, 4000.0, 4_000_000)),
+    ):
+        for Y, row in zip(Ys, kernels.cesaro_contours(Ys, ks, quad)):
+            for k, contour in zip(ks, row):
+                yield Point((Y, k), contour, abs(contour - kernels.cesaro_closed(Y, k)), 1e-6)
 
 
 def concentrating():

@@ -273,11 +273,22 @@ _WITH_LOG = ((0.5, 1), (0.5, 0))
 _WITHOUT_LOG = ((0.5, 0),)
 
 
+def _hyperboloid_table(args, grid, reach, what):
+    """The r_{d-1} table of a hyperboloid command, whose grid point X reads
+    the shells below reach(X) for ``what``; a --table-size that falls short
+    of one exits 3 before any table is built or cached."""
+    if args.d < 3 or args.h < 1:
+        raise ValueError("need d >= 3 and h >= 1")
+    label = f"r_{args.d - 1}"
+    for X in grid:
+        need = lattice.hyperboloid_index(args.h, reach(X))
+        arith.require_coverage(label, args.table_size, need, what.format(X=X, d=args.d, h=args.h))
+    return cached_table(args, label, lambda n: arith.r_d_table(args.d - 1, n), args.table_size)
+
+
 def cmd_count_hyperboloid(args):
-    table = cached_table(
-        args, f"r_{args.d - 1}", lambda n: arith.r_d_table(args.d - 1, n), args.table_size
-    )
     grid = parse_grid(args.grid)
+    table = _hyperboloid_table(args, grid, lambda R: R, "N_{{{d},{h}}}({X:g})")
     rows = [(R, lattice.hyperboloid_count(args.d, args.h, R, table)) for R in grid]
     summary = {"d": args.d, "h": args.h}
     if args.d == 3:
@@ -303,11 +314,14 @@ def cmd_count_hyperboloid(args):
 
 
 def cmd_smooth_hyperboloid(args):
-    table = cached_table(
-        args, f"r_{args.d - 1}", lambda n: arith.r_d_table(args.d - 1, n), args.table_size
-    )
     kernel = parse_kernel(args.kernel)
     grid = parse_grid(args.grid)
+    if kernel.kind == "exponential":
+        table = _hyperboloid_table(args, grid, lambda X: 40.0 * X, "smoothed hyperboloid at X={X:g}")
+    else:
+        table = _hyperboloid_table(
+            args, grid, lambda X: kernels.kernel_support(kernel, X), "hyperboloid shell table"
+        )
     rows = []
     for X in grid:
         if kernel.kind == "exponential":
@@ -329,12 +343,14 @@ def cmd_smooth_hyperboloid(args):
 
 
 def cmd_short_hyperboloid(args):
-    table = cached_table(
-        args, f"r_{args.d - 1}", lambda n: arith.r_d_table(args.d - 1, n), args.table_size
+    grid = parse_grid(args.grid)
+    table = _hyperboloid_table(  # each window |n - X| < X^(1 - lambda)
+        args, grid, lambda X: X + X ** (1.0 - lattice.power_saving_exponent(args.d)),
+        "short-interval window at X={X:g}",
     )
     rows = []
     worst = 0.0
-    for X in parse_grid(args.grid):
+    for X in grid:
         total, norm = lattice.hyperboloid_short_interval(args.d, args.h, X, table)
         worst = max(worst, norm)
         rows.append((X, total, norm))

@@ -80,28 +80,50 @@ class KernelSpec:
         return cls("compact", Y=float(Y))
 
 
+_BLOCK = 1 << 13  # nodes evaluated at once: 128 KiB per complex array
+
+
+def _pairwise_sum(i, m, leaf):
+    """np.sum of the m values from index i, given ``leaf(i, j)``, the np.sum
+    of values i..j-1 for a run of at most _BLOCK >= 64 values.  numpy sums m
+    complex values pairwise, splitting at (m - m % 8) // 2 until a run holds
+    at most 64 (Higham 1993); splitting at the same points gives its bits."""
+    if m <= _BLOCK:
+        return leaf(i, i + m)
+    half = (m - m % 8) // 2
+    return _pairwise_sum(i, half, leaf) + _pairwise_sum(i + half, m - half, leaf)
+
+
+def _nodes(quad, i, j):
+    """Nodes i..j-1 of np.linspace(-T, T, steps + 1), by its own operations."""
+    t = np.arange(i, j, dtype=np.float64) * (2 * quad.T / quad.steps) - quad.T
+    if j == quad.steps + 1:
+        t[-1] = quad.T
+    return t
+
+
 def _vertical_trapezoid(integrands, quad, chunk=1 << 20):
     """(1/2 pi i) int_(sigma) f(s) ds by the trapezoid rule on |Im s| <= T,
     for each f whose values ``integrands(s)`` yields, in order, on one
-    chunk of nodes s; one total per f."""
-    t = np.linspace(-quad.T, quad.T, quad.steps + 1)
-    totals = []
-    h = t[1] - t[0]
-    for start in range(0, len(t), chunk):
-        seg = t[start : start + chunk]
-        weights = np.ones(len(seg))
-        if start == 0:
-            weights[0] = 0.5
-        if start + chunk >= len(t):
-            weights[-1] = 0.5
-        # map() lets go of each integrand's values once summed, so no two
-        # value arrays are live at once and peak memory stays as for one f
-        sums = map(lambda vals: np.sum(vals * weights), integrands(quad.sigma + 1j * seg))
-        for i, part in enumerate(sums):
-            if i == len(totals):
-                totals.append(0.0 + 0.0j)
-            totals[i] += part
-    return [total * h / (2 * np.pi) for total in totals]
+    block of nodes s; one total per f.
+
+    Each chunk of 2^20 nodes sums to np.sum over the whole chunk, bit for
+    bit, and the chunk sums add in order.  The integrands see blocks of at
+    most _BLOCK nodes, so no array grows with the node count.
+    """
+    n = quad.steps + 1
+
+    def leaf(i, j):
+        # the end nodes 0 and steps weigh 1/2
+        weights = np.where(np.arange(i, j) % quad.steps == 0, 0.5, 1.0)
+        s = quad.sigma + 1j * _nodes(quad, i, j)
+        return np.array([np.sum(vals * weights) for vals in integrands(s)])
+
+    totals = 0j
+    for start in range(0, n, chunk):
+        totals = totals + _pairwise_sum(start, min(chunk, n - start), leaf)
+    t0, t1 = _nodes(quad, 0, 2)
+    return [total * (t1 - t0) / (2 * np.pi) for total in totals]
 
 
 # ---------------------------------------------------------------------------
@@ -123,36 +145,38 @@ def cesaro_contour(Y, k, quad):
     The integrand decays like |t|^{-(k+1)}, so the truncation tail beyond
     |Im s| = T is bounded by ``cesaro_tail_bound``.
     """
-    return cesaro_contours(Y, (k,), quad)[0]
+    return cesaro_contours((Y,), (k,), quad)[0][0]
 
 
-def cesaro_contours(Y, ks, quad):
-    """``cesaro_contour(Y, k, quad)`` for every k in ``ks``, in one sweep.
+def cesaro_contours(Ys, ks, quad):
+    """[[cesaro_contour(Y, k, quad) for k in ks] for Y in Ys], in one sweep.
 
-    Each chunk of nodes computes Y^s once and extends the product
-    s(s+1)...(s+k) one factor at a time through the sorted orders, with the
-    same operations as a single-k evaluation, so every value has its bits.
+    Each block of nodes extends the product s(s+1)...(s+k) one factor at a
+    time through the sorted orders and takes Y^s once per Y, with the same
+    operations as a single evaluation, so every value has its bits.
     """
-    Y = float(Y)
+    Ys = [float(Y) for Y in Ys]
     ks = [int(k) for k in ks]
     if quad.sigma <= 0:
         raise ValueError("cesaro contour needs sigma > 0")
     order = sorted(set(ks))
 
     def integrands(s):
-        Ys = Y**s
-        denom = s.copy()
-        j = 0
-        for k in order:
-            while j < k:
-                j += 1
-                # not in place: numpy's in-place complex product can round
-                # differently in the last bit
-                denom = denom * (s + j)
-            yield Ys / denom
+        denoms = [s]  # denoms[j] = s(s+1)...(s+j)
+        for j in range(1, order[-1] + 1):
+            # np.multiply fixes the operand order: on arrays of 256 KiB or
+            # more, numpy's temporary elision evaluates denom * (s + j) as
+            # (s + j) * denom, and the SIMD complex product is not bitwise
+            # commutative
+            denoms.append(np.multiply(s + j, denoms[-1]))
+        for Y in Ys:
+            power = Y**s
+            for k in order:
+                yield power / denoms[k]
 
-    totals = dict(zip(order, _vertical_trapezoid(integrands, quad)))
-    return [totals[k].real for k in ks]
+    totals = iter(_vertical_trapezoid(integrands, quad))
+    rows = [dict(zip(order, totals)) for _ in Ys]
+    return [[row[k].real for k in ks] for row in rows]
 
 
 def cesaro_tail_bound(Y, k, quad):

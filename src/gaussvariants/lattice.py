@@ -191,6 +191,12 @@ def _hyperboloid_m_range(h, R):
     return math.isqrt((int(math.floor(R)) - h) // 2)
 
 
+def hyperboloid_index(h, n_top):
+    """The largest r-table index m^2 + h of the shells 2m^2 + h <= n_top, or -1."""
+    m_top = _hyperboloid_m_range(h, n_top)
+    return m_top * m_top + h if m_top >= 0 else -1
+
+
 def _hyperboloid_shells(h, n_top, table, what):
     """Shells n = 2m^2 + h <= n_top (m = 0..m_top) and their exact weights
     b = (1 if m = 0 else 2) r(m^2 + h), with r read from ``table``.

@@ -1,6 +1,7 @@
 """Gauss-sum lemmas: multiplicativity, prime evaluation, vanishing,
 the two-piece decomposition, and the L-factorization."""
 
+import cmath
 import math
 
 import pytest
@@ -120,6 +121,22 @@ class TestReductionCheck:
         for p in checks.reduction():
             assert p.bound == TOL * (4 * p.params[1]) and p.residual < p.bound, p.params
 
+    @pytest.mark.parametrize("c", [1, 4, 6, 7, 50])
+    def test_rows_are_the_single_residuals(self, c):
+        hs, ks = range(1, 21), (1, 2)
+        rows = charsums.reduction_residuals(hs, c, ks)
+        assert rows == [[charsums.reduction_check(h, c, k) for h in hs] for k in ks]
+        # the residual is |g_h(4c) - closed form| with g_h(4c) from gauss_sum_g
+        for k, row in zip(ks, rows):
+            for h, res in zip(hs, row):
+                closed = 0j
+                if h % c == 0:
+                    closed = c * (
+                        cmath.exp(1j * math.pi * h / (2 * c))
+                        + (-1) ** k * cmath.exp(3j * math.pi * h / (2 * c))
+                    )
+                assert res == abs(charsums.gauss_sum_g(h, 4 * c, k) - closed), (h, k)
+
 
 class TestTwoPiece:
     @pytest.mark.parametrize("k", [0.5, 1.5])
@@ -198,17 +215,27 @@ class TestBatchedSeries:
     def test_rows_are_the_single_sums(self, k, monkeypatch):
         monkeypatch.setattr(charsums, "_G_SERIES_CACHE", {})
         hs = tuple(range(1, 10))
-        rows = charsums.gauss_sum_g_series(hs, k, 300)
-        assert rows.shape == (9, 300)
-        for h, row in zip(hs, rows):
+        rows = charsums.gauss_sum_g_series(hs, (k,), 300)
+        assert rows.shape == (1, 9, 300)
+        for h, row in zip(hs, rows[0]):
             assert row.tolist() == [charsums.gauss_sum_g(h, 4 * c, k) for c in range(1, 301)]
+
+    @pytest.mark.parametrize("ks", [(0.5, 1.5), (1, 2), (1.5, 2, 0.5)])
+    def test_weights_in_one_pass_are_the_single_sums(self, ks, monkeypatch):
+        monkeypatch.setattr(charsums, "_G_SERIES_CACHE", {})
+        hs = (1, 2, 3, 4, 9)
+        rows = charsums.gauss_sum_g_series(hs, ks, 200)
+        assert rows.shape == (len(ks), 5, 200)
+        for k, by_h in zip(ks, rows):
+            for h, row in zip(hs, by_h):
+                assert row.tolist() == [charsums.gauss_sum_g(h, 4 * c, k) for c in range(1, 201)]
 
     def test_cache_serves_repeats_and_prefixes(self, monkeypatch):
         monkeypatch.setattr(charsums, "_G_SERIES_CACHE", {})
-        rows = charsums.gauss_sum_g_series((2, 5, 2), 0.5, 40)
+        rows = charsums.gauss_sum_g_series((2, 5, 2), (0.5,), 40)[0]
         assert rows[0].tolist() == rows[2].tolist()
-        assert charsums.gauss_sum_g_series((5,), 0.5, 20)[0].tolist() == rows[1][:20].tolist()
-        longer = charsums.gauss_sum_g_series((5, 7), 0.5, 60)
+        assert charsums.gauss_sum_g_series((5,), (0.5,), 20)[0, 0].tolist() == rows[1][:20].tolist()
+        longer = charsums.gauss_sum_g_series((5, 7), (0.5,), 60)[0]
         assert longer[0][:40].tolist() == rows[1].tolist()
         assert longer[1].tolist() == [charsums.gauss_sum_g(7, 4 * c, 0.5) for c in range(1, 61)]
 

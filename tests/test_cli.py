@@ -80,6 +80,45 @@ class TestExitCodes:
         ]
         assert run(args, tmp_path) == cli.EXIT_COVERAGE
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["count-hyperboloid", "--d", "16", "--table-size", "5000"],
+            ["smooth-hyperboloid", "--table-size", "1000"],
+            ["smooth-hyperboloid", "--table-size", "1000", "--kernel", "compact:10"],
+            ["short-hyperboloid", "--table-size", "1000"],
+        ],
+    )
+    def test_short_table_exits_before_it_is_built(self, tmp_path, argv):
+        (tmp_path / "cache").mkdir()
+        assert run(argv + ["--cache", "cache"], tmp_path) == cli.EXIT_COVERAGE
+        assert list((tmp_path / "cache").iterdir()) == []
+
+    def test_short_table_message(self, tmp_path, capsys):
+        # the default grid 2^10..2^20 first passes r_15(5000) at R = 2^14
+        code = run(["count-hyperboloid", "--d", "16", "--table-size", "5000"], tmp_path)
+        assert code == cli.EXIT_COVERAGE
+        assert capsys.readouterr().err == (
+            "gv: table coverage: table 'r_15' covers n <= 5000, "
+            "but N_{16,1}(16384) needs n <= 8101\n"
+        )
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["count-hyperboloid", "--grid", "7..9"],
+            ["short-hyperboloid", "--grid", "1:2"],
+            ["smooth-hyperboloid", "--kernel", "box:1"],
+            ["smooth-hyperboloid", "--h", "-5"],
+            ["short-hyperboloid", "--d", "2"],
+        ],
+    )
+    def test_bad_configuration_exits_before_a_table_is_built(self, tmp_path, argv):
+        (tmp_path / "cache").mkdir()
+        args = argv + ["--table-size", "100", "--cache", "cache"]
+        assert run(args, tmp_path) == cli.EXIT_CONFIG
+        assert list((tmp_path / "cache").iterdir()) == []
+
     def test_table_beyond_int128_is_config_error(self, tmp_path):
         # r_29 leaves the signed 128-bit range while the table is built
         code = run(

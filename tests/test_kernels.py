@@ -1,6 +1,7 @@
 """Kernel identities: contour quadrature vs closed forms, cutoff behavior."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -42,8 +43,63 @@ class TestCesaro:
         # more than 2^20 steps, so the nodes span two chunks of the trapezoid
         quad = kernels.Quadrature(0.5 if Y > 1 else 30.0, 400.0, (1 << 20) + 4096)
         single = [kernels.cesaro_contour(Y, k, quad) for k in (1, 2, 3)]
-        assert kernels.cesaro_contours(Y, (1, 2, 3), quad) == single
-        assert kernels.cesaro_contours(Y, (3, 1, 3), quad) == [single[2], single[0], single[2]]
+        assert kernels.cesaro_contours((Y,), (1, 2, 3), quad) == [single]
+        assert kernels.cesaro_contours((Y,), (3, 1, 3), quad) == [[single[2], single[0], single[2]]]
+
+    def test_batched_abscissae_are_the_single_contours(self):
+        quad = kernels.Quadrature(0.5, 400.0, (1 << 20) + 4096)
+        Ys, ks = (10.0, 1.5, 10.0), (3, 1)
+        single = {(Y, k): kernels.cesaro_contour(Y, k, quad) for Y in Ys for k in ks}
+        assert kernels.cesaro_contours(Ys, ks, quad) == [[single[Y, k] for k in ks] for Y in Ys]
+
+    def test_long_contour_stays_small_in_memory(self):
+        # the 4M-node contour of kernels-verify: blocks of 2^13 nodes, not
+        # node arrays, set its peak
+        tracemalloc.start()
+        try:
+            kernels.cesaro_contour(2.0, 3, CESARO_GRID_QUAD)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 << 20
+
+
+def _leaves(n):
+    """The runs the trapezoid hands to its integrands for n nodes, in order."""
+    runs = []
+    for start in range(0, n, 1 << 20):
+        kernels._pairwise_sum(start, min(1 << 20, n - start), lambda i, j: runs.append((i, j)) or 0)
+    return runs
+
+
+class TestBlockedTrapezoid:
+    @pytest.mark.parametrize(
+        "m", [1, kernels._BLOCK - 1, kernels._BLOCK, kernels._BLOCK + 1, 20_001, 854_273, 1 << 20]
+    )
+    def test_pairwise_join_is_np_sum(self, m):
+        rng = np.random.default_rng(m)
+        x = rng.standard_normal(m) * 10.0 ** rng.integers(-6, 7, m) + 1j * rng.standard_normal(m)
+        assert kernels._pairwise_sum(0, m, lambda i, j: np.sum(x[i:j])) == np.sum(x)
+
+    def test_leaves_tile_the_nodes(self):
+        runs = _leaves(4_000_001)
+        assert runs[0][0] == 0 and runs[-1][1] == 4_000_001
+        assert all(a[1] == b[0] for a, b in zip(runs, runs[1:]))
+        assert max(j - i for i, j in runs) <= kernels._BLOCK
+
+    @pytest.mark.parametrize(
+        "quad",
+        [
+            kernels.Quadrature(30.0, 200.0, 20000),
+            kernels.Quadrature(0.5, 4000.0, 4_000_000),
+            kernels.Quadrature(2.0, 40.0, 4000),
+        ]
+        + [kernels.Quadrature(2.0, 15.0 * Y, max(600, int(300 * Y))) for Y in (1.0, 2.0, 4.0)],
+    )
+    def test_block_nodes_are_linspace(self, quad):
+        # every Quadrature of the checks suites, bit for bit
+        nodes = np.concatenate([kernels._nodes(quad, i, j) for i, j in _leaves(quad.steps + 1)])
+        assert nodes.tobytes() == np.linspace(-quad.T, quad.T, quad.steps + 1).tobytes()
 
 
 class TestExponential:
