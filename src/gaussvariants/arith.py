@@ -6,7 +6,10 @@ This module provides the primitives everything else is built on:
   squares of integers (signs counted), tabulated exactly as theta^d by
   ``powers.sparse_power``,
 * divisor-count sieves d(n) and d_o(n) (all / odd divisors),
-* the Kronecker symbol (a/n) extended to all integer bottoms,
+* the Kronecker symbol (a/n) extended to all integer bottoms, as a scalar
+  (``kronecker``, the oracle) and over an array of bottoms
+  (``kronecker_array``); every character array in the package, including
+  the Gauss-sum characters of ``charsums``, is built here and nowhere else,
 * the Gauss-sum sign eps_d (1 for d = 1 mod 4, i for d = 3 mod 4),
 * truncated Dirichlet L-series with removed Euler factors and an honest
   integral tail bound,
@@ -141,6 +144,13 @@ def require_coverage(label, n_max, n, what=""):
 # Kronecker symbol and eps_d
 # ---------------------------------------------------------------------------
 
+def split_two(n):
+    """(v, m) with n = 2^v m and m odd, for a nonzero integer n."""
+    n = int(n)
+    v = (n & -n).bit_length() - 1
+    return v, n >> v
+
+
 def kronecker(a, n):
     """Kronecker symbol (a/n), extended to all integer bottoms.
 
@@ -159,10 +169,7 @@ def kronecker(a, n):
         if a < 0:
             sign = -sign
     # (a/2) factor per power of two in n: 0 unless a odd, then +-1 by a mod 8
-    v2 = 0
-    while n % 2 == 0:
-        n //= 2
-        v2 += 1
+    v2, n = split_two(n)
     if v2 % 2 == 1 and a % 8 in (3, 5):
         sign = -sign
     # Jacobi loop on the odd part
@@ -177,6 +184,78 @@ def kronecker(a, n):
             sign = -sign
         a %= n
     return sign if n == 1 else 0
+
+
+_QR_TABLES = {}
+_QR_TABLE_MIN = 1 << 16  # Legendre tables up to this length are always built
+
+
+def _legendre(tops, p):
+    """(t/p) as int8 for an int64 array of nonnegative tops and an odd prime p.
+
+    A gather from a table of the p symbols, which is cached, while p is at
+    most 2^16 or the length of ``tops``; past that the table would outgrow
+    the work, and the distinct residues go through ``kronecker`` instead.
+    """
+    if p > max(_QR_TABLE_MIN, tops.size):
+        residues, where = np.unique(tops % p, return_inverse=True)
+        return np.array([kronecker(int(r), p) for r in residues], dtype=np.int8)[where]
+    tab = _QR_TABLES.get(p)
+    if tab is None:
+        tab = np.full(p, -1, dtype=np.int8)
+        tab[0] = 0
+        i = np.arange(1, (p - 1) // 2 + 1, dtype=np.int64)
+        tab[(i * i) % p] = 1
+        _QR_TABLES[p] = tab
+    return tab[tops % p]
+
+
+def _jacobi_top_varying(tops, c_odd):
+    """(t/c) for an int64 array of nonnegative tops and odd positive c;
+    all ones at c = 1."""
+    out = np.ones(tops.shape, dtype=np.int8)
+    for p, e in factorize(c_odd):
+        vals = _legendre(tops, p)
+        out = out * vals if e % 2 else out * (vals != 0)
+    return out
+
+
+# bits 2^1, 2^3, ..., 2^61: a power of two 2^v has one of them iff v is odd
+_ODD_POWERS_OF_TWO = 0x2AAAAAAAAAAAAAAA
+
+
+def kronecker_array(a, n):
+    """(a/n) as int8 for a fixed integer a and an int64 array of n >= 0.
+
+    The array form of ``kronecker``, with its conventions: (a/0) = [|a| = 1],
+    (a/2) = 0 for even a and +-1 by a mod 8 for odd a, and (-1/n) = (-1/n')
+    on the odd part n' of n.  With |a| = 2^beta a', the odd part is
+    (2/n')^beta (a'/n'), and (a'/n') = (n'/a') (-1)^((a'-1)/2 (n'-1)/2) by
+    reciprocity: one Legendre-table gather per prime of a'.  The 2-adic
+    split of n runs only when some n is even.
+    """
+    a = int(a)
+    n = np.asarray(n, dtype=np.int64)
+    if a == 0:
+        return (n == 1).astype(np.int8)
+    beta, a_odd = split_two(abs(a))
+    odd = n
+    has_even = not np.bitwise_and.reduce(n, axis=None) & 1
+    if has_even:
+        low = n & -n  # 2^v(n), and 0 at n = 0, where odd = 0 gives [|a| = 1]
+        odd = n // np.maximum(low, 1)
+    out = _jacobi_top_varying(odd, a_odd)
+    if has_even:
+        if beta:
+            out[low != 1] = 0
+        elif a_odd % 8 in (3, 5):  # (a/2) = -1
+            out[(low & _ODD_POWERS_OF_TWO) != 0] *= -1
+    if beta % 2:  # (2/n') = -1 for n' = 3, 5 mod 8
+        odd8 = odd & 7
+        out[(odd8 == 3) | (odd8 == 5)] *= -1
+    if (a_odd % 4 == 3) != (a < 0):  # reciprocity sign, (-1/n'), or both
+        out[(odd & 3) == 3] *= -1
+    return out
 
 
 def epsilon(d):
@@ -212,12 +291,6 @@ def smallest_prime_factors(limit):
         spf[0] = spf[1] = 0
         _SPF = spf
     return _SPF
-
-
-def primes_up_to(limit):
-    spf = smallest_prime_factors(limit)
-    idx = np.arange(len(spf))
-    return idx[(idx >= 2) & (spf == idx) & (idx <= limit)]
 
 
 def factorize(n):
@@ -349,53 +422,38 @@ def divisor_counts(n_max):
 
 @dataclass(frozen=True)
 class CharacterSpec:
-    """A real character: Kronecker symbol (top/.) or the constant 1,
-    with the Euler factors at ``removed_primes`` deleted."""
+    """The real character n -> (top/n), a Kronecker symbol, with the Euler
+    factors at ``removed_primes`` deleted and chi(0) = 0; top = 1 is the
+    principal character."""
 
-    kind: str  # "kronecker-top" | "principal"
     top: int = 1
     removed_primes: frozenset = field(default_factory=frozenset)
 
     def __post_init__(self):
-        if self.kind not in ("kronecker-top", "principal"):
-            raise ValueError(f"unknown character kind {self.kind!r}")
+        object.__setattr__(self, "top", int(self.top))
         object.__setattr__(self, "removed_primes", frozenset(int(p) for p in self.removed_primes))
 
     def __call__(self, n):
         n = int(n)
-        for p in self.removed_primes:
-            if n % p == 0:
-                return 0
-        if self.kind == "principal":
-            return 1 if n != 0 else 0
+        if n == 0 or any(n % p == 0 for p in self.removed_primes):
+            return 0
         return kronecker(self.top, n)
 
     def values(self, n_max):
-        """chi(0..n_max) as int8, sieved completely multiplicatively."""
-        n_max = int(n_max)
-        tab = np.ones(n_max + 1, dtype=np.int8)
+        """chi(0..n_max) as int8."""
+        tab = kronecker_array(self.top, np.arange(int(n_max) + 1, dtype=np.int64))
+        for p in self.removed_primes:
+            tab[::p] = 0
         tab[0] = 0
-        for p in primes_up_to(n_max):
-            p = int(p)
-            v = self(p)
-            if v == 1:
-                continue
-            if v == 0:
-                tab[p::p] = 0
-                continue
-            q = p
-            while q <= n_max:
-                tab[q::q] *= -1
-                q *= p
         return tab
 
 
 def principal_character(removed_primes=()):
-    return CharacterSpec("principal", 1, frozenset(removed_primes))
+    return CharacterSpec(1, removed_primes)
 
 
 def kronecker_character(top, removed_primes=()):
-    return CharacterSpec("kronecker-top", int(top), frozenset(removed_primes))
+    return CharacterSpec(top, removed_primes)
 
 
 def truncated_L(s, chi, n_trunc):

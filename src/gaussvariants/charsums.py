@@ -18,7 +18,9 @@ polynomial assembled from d2 sums and H_h values at primes dividing h.
 
 Every character-exponential sum here accumulates integer multiplicities of
 roots of unity first and converts to floating complex exactly once, so the
-10^-9 residual tolerances hold independently of the modulus.
+10^-9 residual tolerances hold independently of the modulus.  The characters
+live in ``arith`` only: arrays come from ``arith.kronecker_array`` and single
+values from ``arith.kronecker``; this module defines no character of its own.
 """
 
 from __future__ import annotations
@@ -29,73 +31,19 @@ import math
 import numpy as np
 
 from .arith import (
-    CharacterSpec,
     epsilon,
     factorize,
     kronecker,
+    kronecker_array,
     kronecker_character,
-    primes_up_to,
     principal_character,
+    split_two,
     truncated_L,
 )
 
 # ---------------------------------------------------------------------------
-# Vectorized Jacobi symbols via per-prime quadratic-residue tables
+# Roots of unity and the exact character-exponential dot
 # ---------------------------------------------------------------------------
-
-_QR_TABLES = {}
-
-
-def _qr_table(p):
-    """int8 table of Legendre symbols (e/p) for e in [0, p); (0/p) = 0."""
-    tab = _QR_TABLES.get(p)
-    if tab is None:
-        tab = np.full(p, -1, dtype=np.int8)
-        tab[0] = 0
-        i = np.arange(1, (p - 1) // 2 + 1, dtype=np.int64)
-        tab[(i * i) % p] = 1
-        if p == 2:  # not used as a QR table, guard anyway
-            tab = np.array([0, 1], dtype=np.int8)
-        _QR_TABLES[p] = tab
-    return tab
-
-
-def _jacobi_top_varying(tops, c_odd):
-    """(t/c) for an int64 array of nonnegative tops and odd positive c."""
-    out = np.ones(len(tops), dtype=np.int8)
-    for p, e in factorize(c_odd):
-        tab = _qr_table(p)
-        vals = tab[tops % p]
-        if e % 2 == 1:
-            out = out * vals
-        else:
-            out = out * (vals != 0)
-    return out
-
-
-def _chi_bottom_varying(a, d_odd):
-    """(a/d) for fixed positive a and an int64 array of odd positive d.
-
-    Splits a = 2^alpha * a' and flips (a'/d) by quadratic reciprocity, so the
-    d-dependence reduces to QR-table gathers; exact integers in {-1, 0, 1}.
-    """
-    alpha = 0
-    a_odd = int(a)
-    while a_odd % 2 == 0:
-        a_odd //= 2
-        alpha += 1
-    out = np.ones(len(d_odd), dtype=np.int8)
-    if alpha % 2 == 1:
-        two_part = np.where(np.isin(d_odd % 8, (1, 7)), 1, -1).astype(np.int8)
-        out = out * two_part
-    if a_odd > 1:
-        flip = _jacobi_top_varying(d_odd % a_odd, a_odd)
-        if a_odd % 4 == 3:
-            sign = np.where(d_odd % 4 == 3, -1, 1).astype(np.int8)
-            flip = flip * sign
-        out = out * flip
-    return out
-
 
 def _roots_of_unity(modulus):
     """e(j/modulus) for j = 0..modulus-1."""
@@ -140,7 +88,7 @@ def _g_at_modulus(hs, c4, two_ks):
         raise ValueError(f"modulus must be a positive multiple of 4, got {c4}")
     d = np.arange(1, c4, 2, dtype=np.int64)
     phase = _roots_of_unity(c4)
-    half_chi = _chi_bottom_varying(c4, d) if any(t % 2 for t in two_ks) else None
+    half_chi = kronecker_array(c4, d) if any(t % 2 for t in two_ks) else None
     rows = []
     for two_k in two_ks:
         if two_k % 2 == 1:
@@ -164,14 +112,17 @@ def gauss_sum_H(h, c):
         raise ValueError(f"H_h needs an odd positive modulus, got {c}")
     if c == 1:
         return complex(1, 0)
-    d = np.arange(c, dtype=np.int64)
-    chi = _jacobi_top_varying(d, c)
+    # (d/c) = (c*/d) with c* = (-1)^((c-1)/2) c, and the odd d < 2c run
+    # over the residues mod c once each
+    d = np.arange(1, 2 * c, 2, dtype=np.int64)
+    chi = kronecker_array(c if c % 4 == 1 else -c, d)
     return epsilon(c) * _roots_of_unity_dot((h * d) % c, chi, _roots_of_unity(c))
 
 
 def d2_sum(h, alpha, k):
     """The 2-adic block: sum over odd d mod 2^alpha of
-    eps_d^{2k} (2^alpha/d) e(h d / 2^alpha), for alpha >= 2, half-integral k.
+    eps_d^{2k} (2^alpha/d) e(h d / 2^alpha), for alpha >= 2, half-integral k;
+    that is g_h(2^alpha).
 
     Vanishes once alpha >= v2(h) + 4; integral k belongs to the
     (-4/d)^k route in ``gauss_sum_g``, not here.
@@ -182,12 +133,7 @@ def d2_sum(h, alpha, k):
     two_k = _half_integer_times_two(k)
     if two_k % 2 == 0:
         raise ValueError("the eps-twisted 2-adic sum is defined for half-integral k")
-    modulus = 1 << alpha
-    d = np.arange(1, modulus, 2, dtype=np.int64)
-    chi = _chi_bottom_varying(modulus, d)
-    quarter = np.where(d % 4 == 1, 0, two_k % 4).astype(np.int64)
-    exponents = (int(h) * d + quarter * (modulus // 4)) % modulus
-    return _roots_of_unity_dot(exponents, chi, _roots_of_unity(modulus))
+    return _g_at_modulus((int(h),), 1 << alpha, (two_k,))[0][0]
 
 
 def eisenstein_D_full(h, w, k):
@@ -252,11 +198,7 @@ def two_piece_product(h, c4, k):
     two_k = _half_integer_times_two(k)
     if two_k % 2 == 0:
         raise ValueError("two-piece form applies to half-integral k")
-    alpha = 0
-    c_odd = c4
-    while c_odd % 2 == 0:
-        c_odd //= 2
-        alpha += 1
+    alpha, c_odd = split_two(c4)
     mu = (-1) ** ((two_k + 1) // 2)  # (-1)^(k + 1/2)
     chi_k_val = kronecker(mu, c_odd)
     return chi_k_val * d2_sum(h, alpha, k) * gauss_sum_H(h, c_odd)
@@ -278,11 +220,7 @@ def dtilde_half(h, w, k):
     two_k = _half_integer_times_two(k)
     if two_k % 2 == 0:
         raise ValueError("Dtilde is the half-integral-weight polynomial")
-    v2 = 0
-    h_odd = h
-    while h_odd % 2 == 0:
-        h_odd //= 2
-        v2 += 1
+    v2, h_odd = split_two(h)
     two_adic = 0j
     for alpha in range(2, v2 + 4):
         two_adic += 2.0 ** (-2 * alpha * w) * d2_sum(h, alpha, k)

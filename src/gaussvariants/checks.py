@@ -61,7 +61,7 @@ def h_vanishing():
 def d2_vanishing():
     """The 2-adic block vanishes at alpha = v2(h) + 4 and v2(h) + 5."""
     for h in _HS:
-        v2 = (h & -h).bit_length() - 1
+        v2, _ = arith.split_two(h)
         for k in (0.5, 1.5, 2.5):
             for alpha in (v2 + 4, v2 + 5):
                 val = charsums.d2_sum(h, alpha, k)

@@ -330,7 +330,7 @@ def cmd_smooth_hyperboloid(args):
             shell = lattice.hyperboloid_shell_table(
                 args.d, args.h, kernels.kernel_support(kernel, X), table
             )
-            val = kernels.apply_kernel(shell, 0.0, kernel, X)
+            val = kernels.apply_kernel(shell, kernel, X)
         rows.append((X, val))
     csv_path, json_path = out_paths(args, "smooth-hyperboloid")
     write_csv(csv_path, ("X", "smoothed"), rows)

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .arith import CoefficientTable, TableCoverageError
+from .arith import CoefficientTable, require_coverage
 
 # Deligne: |tau(n)| <= d(n) n^{11/2} < 2^120 for n <= 10^6, inside the 128
 # bits a coefficient table holds.
@@ -161,10 +161,7 @@ def smoothed_second_moment(form, X):
     if X <= 0:
         raise ValueError("X must be positive")
     top = int(math.ceil(40 * X))
-    if form.n_max < top:
-        raise TableCoverageError(
-            f"form '{form.label}' tabulated to {form.n_max}, needs {top} for X={X:g}"
-        )
+    require_coverage(form.label, form.n_max, top, f"the smoothed second moment at X={X:g}")
     S = form.prefix_floats()[1 : top + 1]
     n = np.arange(1, top + 1, dtype=np.float64)
     return float(np.sum(S * S * n ** (1 - form.weight) * np.exp(-n / X)))
@@ -214,10 +211,7 @@ def sign_changes(series, X, r):
         raise ValueError("r must lie in (0, 1]")
     window = int(math.floor(X**r))
     hi = X + window
-    if hi + 1 > series.n_max:
-        raise TableCoverageError(
-            f"sign scan window [{X}, {hi}] exceeds the table (n_max={series.n_max})"
-        )
+    require_coverage(series.base.label, series.n_max, hi + 1, f"the sign scan window [{X}, {hi}]")
     vals = series.values
     changes = []
     prev_sign = 0
@@ -238,8 +232,7 @@ def classical_average_ratio(form, X):
     """sum_{n <= X} S_f(n)^2 / X^{k + 1/2}: the sharp-moment ratio that
     stabilizes as X grows (its log-log slope against X is k + 1/2)."""
     X = int(X)
-    if form.n_max < X:
-        raise TableCoverageError(f"table ends at {form.n_max}, need {X}")
+    require_coverage(form.label, form.n_max, X, f"the sharp second moment at X={X}")
     S = form.prefix_floats()[1 : X + 1]
     return float(np.sum(S * S)) / float(X) ** (form.weight + 0.5)
 
@@ -253,7 +246,6 @@ def short_interval_average(form, X):
     width = X ** (2.0 / 3.0) * math.log(X) ** (1.0 / 6.0)
     lo = max(1, int(math.floor(X - width)) + 1)
     hi = int(math.ceil(X + width)) - 1
-    if form.n_max < hi:
-        raise TableCoverageError(f"table ends at {form.n_max}, window needs {hi}")
+    require_coverage(form.label, form.n_max, hi, f"the short-interval window at X={X}")
     S = form.prefix_floats()[lo : hi + 1]
     return float(np.sum(S * S)) / width

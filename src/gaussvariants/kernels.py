@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import CoefficientTable, TableCoverageError
+from .arith import CoefficientTable
 
 _WEIGHT_FLOOR = 1e-12  # kernel mass allowed beyond the end of a table
 
@@ -393,8 +393,8 @@ def kernel_support(kernel, X):
     raise ValueError(f"unknown kernel kind {kernel.kind!r}")
 
 
-def apply_kernel(coeffs, exponent_shift, kernel, X, strict=True):
-    """sum_{n >= 1} a(n) n^{-shift} w_kernel(n; X), on the coefficient side.
+def apply_kernel(coeffs, kernel, X, strict=True):
+    """sum_{n >= 1} a(n) w_kernel(n; X), on the coefficient side.
 
     With ``strict`` (the default) the table must extend past the point
     where the kernel weight drops below 1e-12.  ``strict=False`` evaluates
@@ -408,17 +408,11 @@ def apply_kernel(coeffs, exponent_shift, kernel, X, strict=True):
     if X <= 0:
         raise ValueError("X must be positive")
     needed = kernel_support(kernel, X)
-    if strict and coeffs.n_max < needed:
-        raise TableCoverageError(
-            f"table '{coeffs.label}' ends at {coeffs.n_max} but the "
-            f"{kernel.kind} kernel at X={X:g} carries weight out to n={needed}"
-        )
+    if strict:
+        coeffs.require(needed, f"the {kernel.kind} kernel at X={X:g}")
     top = min(coeffs.n_max, needed)
     if top < 1:
         return 0.0
     n = np.arange(1, top + 1, dtype=np.float64)
     a = coeffs.floats()[1 : top + 1]
-    w = kernel_weights(kernel, n, X)
-    if exponent_shift:
-        w = w * n ** (-float(exponent_shift))
-    return float(np.dot(a, w))
+    return float(np.dot(a, kernel_weights(kernel, n, X)))

@@ -204,8 +204,11 @@ def _hyperboloid_shells(h, n_top, table, what):
     Every hyperboloid sum is a sum over these shells.  b is int64 when the
     table fits and no partial sum can pass 2 (m_top + 1) max|r| <= 2^62,
     and an object array of Python ints otherwise, so sums of b are exact.
-    Both arrays are empty (int64) when no shell lies below n_top.
+    Both arrays are empty (int64) when no shell lies below n_top.  Raises
+    ValueError for h < 1, where m^2 + h would index the table from its end.
     """
+    if h < 1:
+        raise ValueError(f"need h >= 1, got {h}")
     m_top = _hyperboloid_m_range(h, n_top)
     m = np.arange(m_top + 1, dtype=np.int64)
     n = 2 * m * m + h
@@ -229,8 +232,8 @@ def hyperboloid_count(d, h, R, table):
     """
     d, h = int(d), int(h)
     R = float(R)
-    if d < 3 or h < 1:
-        raise ValueError("need d >= 3 and h >= 1")
+    if d < 3:
+        raise ValueError(f"need d >= 3, got {d}")
     _, b = _hyperboloid_shells(h, R, table, f"N_{{{d},{h}}}({R:g})")
     return int(b.sum())
 
@@ -294,6 +297,8 @@ def hyperboloid_smoothed(d, h, X, table):
 
 def power_saving_exponent(d):
     """lambda(k) = 1/(6 + 19/k) at k = (d-2)/2; equals 1/44 in dimension 3."""
+    if d < 3:
+        raise ValueError(f"need d >= 3, got {d}")
     k = (d - 2) / 2.0
     return 1.0 / (6.0 + 19.0 / k)
 

@@ -49,6 +49,20 @@ class TestKronecker:
             n = 2 * rng.randrange(1, 500) + 1
             assert arith.kronecker(a * b, n) == arith.kronecker(a, n) * arith.kronecker(b, n)
 
+    def test_array_matches_scalar(self):
+        n = np.arange(701)
+        for a in range(-60, 61):
+            got = arith.kronecker_array(a, n)
+            assert got.dtype == np.int8
+            assert got.tolist() == [arith.kronecker(a, m) for m in range(701)], a
+
+    def test_array_with_a_prime_top_past_the_tables(self):
+        # 10^9 + 7 is prime: no Legendre table of that length is built
+        n = np.arange(300)
+        for a in (10**9 + 7, -12 * (10**9 + 7)):
+            assert arith.kronecker_array(a, n).tolist() == [arith.kronecker(a, m) for m in range(300)]
+        assert 10**9 + 7 not in arith._QR_TABLES
+
 
 class TestEpsilon:
     def test_values(self):
@@ -209,6 +223,19 @@ class TestTruncatedL:
         chi = arith.kronecker_character(5, removed_primes={2, 3})
         assert chi(6) == 0 and chi(9) == 0 and chi(10) == 0
         assert chi(7) == arith.kronecker(5, 7)
+
+    def test_values_match_pointwise_at_every_index(self):
+        for chi in (
+            arith.principal_character(),
+            arith.principal_character({2, 3}),
+            arith.kronecker_character(-1),
+            arith.kronecker_character(-3, {5}),
+            arith.kronecker_character(8),
+            arith.kronecker_character(-20, {2, 7}),
+        ):
+            vals = chi.values(300)
+            assert vals.dtype == np.int8
+            assert vals.tolist() == [chi(n) for n in range(301)], chi
 
     def test_character_sieve_matches_pointwise(self):
         for chi in (arith.kronecker_character(-4), arith.kronecker_character(12, {2})):

@@ -1,5 +1,5 @@
 """Property tests of CoefficientTable storage, the version-1 cache file,
-the exact sparse power and the r_d tables."""
+the exact sparse power, the r_d tables and the Kronecker symbol."""
 
 import os
 import tempfile
@@ -124,3 +124,39 @@ def test_sparse_power_matches_naive_convolution_on_every_path(monkeypatch):
 @given(st.integers(1, 8), st.integers(0, 300))
 def test_r_d_table_matches_enumeration(d, n):
     assert arith.r_d_table(d, n)[n] == arith.r_d_bruteforce(d, n)
+
+
+tops = st.integers(-(10**6), 10**6)
+bottoms = st.integers(1, 10**5)
+
+
+@settings(database=None, deadline=None)
+@given(tops, st.lists(st.integers(0, 10**5), max_size=60))
+@example(-8, [0, 1, 2, 4, 6, 8, 16])
+@example(12, [0, 2, 3, 9, 24])
+@example(-1, [0, 1, 2, 3])
+@example(0, [0, 1, 2])
+def test_kronecker_array_is_the_scalar_symbol(a, ns):
+    got = arith.kronecker_array(a, np.array(ns, dtype=np.int64))
+    assert got.dtype == np.int8
+    assert got.tolist() == [arith.kronecker(a, n) for n in ns]
+
+
+@settings(database=None, deadline=None)
+@given(tops, bottoms, bottoms)
+@example(3, 2, 4)
+@example(-6, 3, 8)
+def test_kronecker_multiplicative_in_the_bottom(a, m, n):
+    both = arith.kronecker_array(a, np.array([m, n, m * n], dtype=np.int64))
+    assert both[2] == both[0] * both[1]
+    assert arith.kronecker(a, m * n) == arith.kronecker(a, m) * arith.kronecker(a, n)
+
+
+@settings(database=None, deadline=None)
+@given(tops, tops, bottoms)
+@example(-1, -1, 2)
+@example(2, -3, 6)
+def test_kronecker_multiplicative_in_the_top(a, b, n):
+    ns = np.array([n], dtype=np.int64)
+    assert arith.kronecker_array(a * b, ns) == arith.kronecker_array(a, ns) * arith.kronecker_array(b, ns)
+    assert arith.kronecker(a * b, n) == arith.kronecker(a, n) * arith.kronecker(b, n)

@@ -78,6 +78,12 @@ class TestD2Sum:
                 for alpha in range(v2 + 4, v2 + 7):
                     assert abs(charsums.d2_sum(h, alpha, k)) < TOL, (h, alpha, k)
 
+    def test_is_g_at_a_power_of_two(self):
+        for h in range(-3, 21):
+            for alpha in range(2, 9):
+                for k in (0.5, 1.5, 2.5):
+                    assert charsums.d2_sum(h, alpha, k) == charsums.gauss_sum_g(h, 2**alpha, k)
+
     def test_rejects_integer_weight(self):
         with pytest.raises(ValueError):
             charsums.d2_sum(1, 3, 1)

@@ -220,6 +220,27 @@ class TestHyperboloidSmoothed:
         assert lattice.hyperboloid_short_interval(3, 1, 0.25, r2_big) == (0, 0.0)
 
 
+class TestHyperboloidInputs:
+    """h < 1 would read the r table from its end; d < 3 has no power saving."""
+
+    @pytest.mark.parametrize("h", [0, -5])
+    def test_every_hyperboloid_sum_rejects_h_below_one(self, h):
+        r2 = arith.r_d_table(2, 200)
+        with pytest.raises(ValueError):
+            lattice.hyperboloid_count(3, h, 64.0, r2)
+        with pytest.raises(ValueError):
+            lattice.hyperboloid_smoothed(3, h, 16.0, r2)
+        with pytest.raises(ValueError):
+            lattice.hyperboloid_short_interval(3, h, 64.0, r2)
+        with pytest.raises(ValueError):
+            lattice.hyperboloid_shell_table(3, h, 50, r2)
+
+    def test_short_interval_rejects_dimension_two(self):
+        r1 = arith.r_d_table(1, 200)
+        with pytest.raises(ValueError):
+            lattice.hyperboloid_short_interval(2, 1, 64.0, r1)
+
+
 class TestHyperboloidBeyondInt64:
     """r_12 fits int64 to n = 3970, but N_{13,1}(7939) does not."""
 
