@@ -139,22 +139,19 @@ def d2_sum(h, alpha, k):
 def eisenstein_D_full(h, w, k):
     """Full-integral finite Dirichlet sum over the divisors of h:
 
-        D(h, w) = sum_{c | |h|} c (4c)^{-2w} (e^{pi i h/2c} + (-1)^k e^{3 pi i h/2c}).
+        D(h, w) = sum_{c | |h|} c (4c)^{-2w} (e^{pi i h/2c} + (-1)^k e^{3 pi i h/2c}),
+
+    each term (4c)^{-2w} times the closed form of the reduction identity.
     """
     h = int(h)
     if h == 0:
         raise ValueError("h must be nonzero")
     k = int(k)
     w = complex(w)
-    sign = -1 if k % 2 else 1
     total = 0j
     for c in range(1, abs(h) + 1):
-        if abs(h) % c:
-            continue
-        phases = cmath.exp(1j * math.pi * h / (2 * c)) + sign * cmath.exp(
-            3j * math.pi * h / (2 * c)
-        )
-        total += c * (4 * c) ** (-2 * w) * phases
+        if h % c == 0:
+            total += (4 * c) ** (-2 * w) * _reduction_closed(h, c, k)
     return total
 
 

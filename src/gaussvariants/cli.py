@@ -2,8 +2,17 @@
 
 Every run writes a CSV (the data; fixed columns per subcommand, described
 in --help) and a JSON summary (fitted constants, residuals, verdicts,
-pass/fail where --check applies).  Identical configurations, including
---seed, produce byte-identical CSV output.
+pass/fail where the subcommand has a criterion).  Identical
+configurations, including --seed, produce byte-identical CSV output.
+
+Each subcommand is declared once, beside its function, by ``subcommand``:
+its name, help, CSV header, default --table-size, whether it takes --check
+and --seed, and its own arguments.  The function returns (rows, summary,
+failure), and ``main`` alone checks and writes, so a failed check leaves no
+files.  Every subcommand takes --out and --cache.  --check (exit 4 when the
+criterion fails) is taken by second-moment, sign-scan, mean-square-p2,
+hardy, count-hyperboloid, divisor-identity, gauss-sums, eisenstein-check
+and kernels-verify; --seed only by hardy and count-hyperboloid.
 
 Exit codes: 0 ok, 2 configuration error (or a table past 128 bits, or an
 FFT product whose rounding margin cannot certify an exact table),
@@ -17,6 +26,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -91,6 +101,17 @@ def cached_table(args, label, builder, n_max):
     return table
 
 
+def _delta(args):
+    """The weight-12 form delta on the cached tau table of --table-size."""
+    table = cached_table(args, "tau", cuspform.tau_table, args.table_size)
+    return cuspform.CuspFormSeries(12, table, "delta")
+
+
+def _r2(args):
+    """The cached r_2 table of --table-size."""
+    return cached_table(args, "r_2", lambda n: arith.r_d_table(2, n), args.table_size)
+
+
 def _fmt(v):
     if isinstance(v, float):
         return repr(v)
@@ -119,42 +140,71 @@ def write_json(path, summary):
         fh.write(payload)
 
 
-def out_paths(args, stem):
+def out_paths(args):
+    """The CSV and JSON paths: --out as a stem or .csv path, else the
+    subcommand's name as the stem."""
     if args.out:
         base, ext = os.path.splitext(args.out)
         if ext.lower() == ".csv":
             return args.out, base + ".json"
         return args.out + ".csv", args.out + ".json"
-    return f"{stem}.csv", f"{stem}.json"
-
-
-class CheckFailure(Exception):
-    """Raised when --check is set and the run's criterion fails."""
-
-
-def _check(args, ok, message):
-    if args.check and not ok:
-        raise CheckFailure(message)
-    return bool(ok)
+    return f"{args.subcommand}.csv", f"{args.subcommand}.json"
 
 
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
 
+@dataclass(frozen=True)
+class Subcommand:
+    """One gv subcommand, declared beside the function that runs it."""
+
+    name: str
+    help: str
+    header: tuple  # the CSV columns
+    run: object  # args -> (rows, summary, failure message or None)
+    arguments: tuple  # (flags, add_argument keywords) of its own options
+    table_size: int | None  # default --table-size; None: reads no table
+    check: bool  # has a criterion, so takes --check
+    seed: bool  # has a randomized piece, so takes --seed
+
+
+SUBCOMMANDS = []  # in declaration order, which --help keeps
+
+
+def subcommand(name, help, header, *arguments, table_size=None, check=False, seed=False):
+    """Declare the decorated function as the gv subcommand ``name``."""
+
+    def register(run):
+        SUBCOMMANDS.append(Subcommand(name, help, header, run, arguments, table_size, check, seed))
+        return run
+
+    return register
+
+
+def _arg(*flags, **kwargs):
+    return flags, kwargs
+
+
+_HYPERBOLOID_ARGS = (_arg("--d", type=int, default=3), _arg("--h", type=int, default=1))
+
+
+@subcommand("tau", "build (and cache) the tau coefficient table", ("n", "tau"), table_size=1000)
 def cmd_tau(args):
     table = cached_table(args, "tau", cuspform.tau_table, args.table_size)
-    csv_path, json_path = out_paths(args, "tau")
     rows = [(n, table[n]) for n in range(1, min(table.n_max, args.table_size) + 1)]
-    write_csv(csv_path, ("n", "tau"), rows)
-    write_json(json_path, {"label": "tau", "nMax": table.n_max, "csv": csv_path})
-    return EXIT_OK
+    return rows, {"label": "tau", "nMax": table.n_max, "csv": out_paths(args)[0]}, None
 
 
+@subcommand(
+    "second-moment",
+    "smoothed second moment of delta partial sums vs its constant",
+    ("X", "smoothedSecondMoment", "ratioX32", "relGapToC"),
+    _arg("--grid", default="2^8..2^12"),
+    table_size=164000, check=True,
+)
 def cmd_second_moment(args):
-    form = cuspform.CuspFormSeries(
-        12, cached_table(args, "tau", cuspform.tau_table, args.table_size), "delta"
-    )
+    form = _delta(args)
     grid = parse_grid(args.grid)
     C, tail = cuspform.rankin_constant(form, args.table_size)
     rows = []
@@ -162,47 +212,47 @@ def cmd_second_moment(args):
         val = cuspform.smoothed_second_moment(form, X)
         rows.append((X, val, val / X**1.5, val / X**1.5 / C - 1.0))
     gap = abs(rows[-1][2] / C - 1.0)
-    ok = _check(args, gap <= 0.05, f"relative gap {gap:.4f} exceeds 5%")
-    csv_path, json_path = out_paths(args, "second-moment")
-    write_csv(csv_path, ("X", "smoothedSecondMoment", "ratioX32", "relGapToC"), rows)
-    write_json(
-        json_path,
-        {
-            "constant": C,
-            "constantTailBound": tail,
-            "relativeGapAtMaxX": gap,
-            "tolerance": 0.05,
-            "pass": ok,
-        },
-    )
-    return EXIT_OK
+    ok = bool(gap <= 0.05)
+    summary = {
+        "constant": C,
+        "constantTailBound": tail,
+        "relativeGapAtMaxX": gap,
+        "tolerance": 0.05,
+        "pass": ok,
+    }
+    return rows, summary, None if ok else f"relative gap {gap:.4f} exceeds 5%"
 
 
+@subcommand(
+    "sign-scan",
+    "sign changes of normalized partial sums in [X, X + X^r]",
+    ("X", "nChanges", "firstChange"),
+    _arg("--grid", default="2^4..2^13"),
+    _arg("--nu", type=float, default=11 / 2 + 1 / 6 - 0.01),
+    _arg("--r", type=float, default=1.0),
+    table_size=21000, check=True,
+)
 def cmd_sign_scan(args):
-    form = cuspform.CuspFormSeries(
-        12, cached_table(args, "tau", cuspform.tau_table, args.table_size), "delta"
-    )
-    series = cuspform.partial_sums(form, args.nu)
+    series = cuspform.partial_sums(_delta(args), args.nu)
     rows = []
     all_nonempty = True
     for X in parse_grid(args.grid):
         changes = cuspform.sign_changes(series, int(X), args.r)
         rows.append((int(X), len(changes), changes[0] if changes else -1))
         all_nonempty = all_nonempty and bool(changes)
-    ok = _check(args, all_nonempty, "a window produced no sign change")
-    csv_path, json_path = out_paths(args, "sign-scan")
-    write_csv(csv_path, ("X", "nChanges", "firstChange"), rows)
-    write_json(
-        json_path,
-        {"nu": args.nu, "r": args.r, "allWindowsNonempty": all_nonempty, "pass": ok},
-    )
-    return EXIT_OK
+    summary = {"nu": args.nu, "r": args.r, "allWindowsNonempty": all_nonempty, "pass": all_nonempty}
+    return rows, summary, None if all_nonempty else "a window produced no sign change"
 
 
+@subcommand(
+    "short-interval",
+    "windowed second moment of delta partial sums",
+    ("X", "windowAverage", "normalized"),
+    _arg("--grid", default="2^10..2^16"),
+    table_size=70000,
+)
 def cmd_short_interval(args):
-    form = cuspform.CuspFormSeries(
-        12, cached_table(args, "tau", cuspform.tau_table, args.table_size), "delta"
-    )
+    form = _delta(args)
     rows = []
     worst = 0.0
     for X in parse_grid(args.grid):
@@ -210,43 +260,55 @@ def cmd_short_interval(args):
         norm = val / X ** (form.weight - 0.5)
         worst = max(worst, norm)
         rows.append((int(X), val, norm))
-    csv_path, json_path = out_paths(args, "short-interval")
-    write_csv(csv_path, ("X", "windowAverage", "normalized"), rows)
-    write_json(json_path, {"maxNormalized": worst})
-    return EXIT_OK
+    return rows, {"maxNormalized": worst}, None
 
 
+@subcommand(
+    "count-circle",
+    "exact circle counts vs area",
+    ("R", "count", "volume", "discrepancy"),
+    _arg("--grid", default="2^4..2^13"),
+    table_size=10000,
+)
 def cmd_count_circle(args):
-    table = cached_table(args, "r_2", lambda n: arith.r_d_table(2, n), args.table_size)
+    table = _r2(args)
     rows = []
     for R in parse_grid(args.grid):
         count = lattice.count_ball(2, R, table)
         vol = lattice.ball_volume(2, R)
         rows.append((R, count, vol, count - vol))
-    csv_path, json_path = out_paths(args, "count-circle")
-    write_csv(csv_path, ("R", "count", "volume", "discrepancy"), rows)
-    write_json(
-        json_path,
-        {"maxAbsDiscrepancyOverSqrtR": max(abs(r[3]) / math.sqrt(r[0]) for r in rows)},
-    )
-    return EXIT_OK
+    worst = max(abs(r[3]) / math.sqrt(r[0]) for r in rows)
+    return rows, {"maxAbsDiscrepancyOverSqrtR": worst}, None
 
 
+@subcommand(
+    "mean-square-p2",
+    "mean square of the circle discrepancy and its growth exponent",
+    ("X", "integral"),
+    _arg("--grid", default="2^10..2^18"),
+    table_size=262200, check=True,
+)
 def cmd_mean_square_p2(args):
-    table = cached_table(args, "r_2", lambda n: arith.r_d_table(2, n), args.table_size)
+    table = _r2(args)
     grid = parse_grid(args.grid)
     rows = [(X, lattice.mean_square_P2(X, table)) for X in grid]
     series = lattice.count_series(grid, [r[1] for r in rows])
     slope = fit.estimate_exponent(series)
-    ok = _check(args, abs(slope - 1.5) <= 0.05, f"slope {slope:.4f} not 1.5 +- 0.05")
-    csv_path, json_path = out_paths(args, "mean-square-p2")
-    write_csv(csv_path, ("X", "integral"), rows)
-    write_json(json_path, {"slope": slope, "tolerance": 0.05, "pass": ok})
-    return EXIT_OK
+    ok = bool(abs(slope - 1.5) <= 0.05)
+    summary = {"slope": slope, "tolerance": 0.05, "pass": ok}
+    return rows, summary, None if ok else f"slope {slope:.4f} not 1.5 +- 0.05"
 
 
+@subcommand(
+    "hardy",
+    "Bessel-series discrepancy vs exact counts at random non-integer R",
+    ("R", "besselSeries", "discrepancy", "absError"),
+    _arg("--count", type=int, default=20),
+    _arg("--terms", type=int, default=10**6),
+    table_size=10**6, check=True, seed=True,
+)
 def cmd_hardy(args):
-    table = cached_table(args, "r_2", lambda n: arith.r_d_table(2, n), args.table_size)
+    table = _r2(args)
     rng = np.random.default_rng(args.seed)
     rows = []
     worst = 0.0
@@ -259,14 +321,9 @@ def cmd_hardy(args):
         err = abs(approx - exact)
         worst = max(worst, err)
         rows.append((R, approx, exact, err))
-    ok = _check(args, worst < 0.05, f"max |error| {worst:.4f} >= 0.05")
-    csv_path, json_path = out_paths(args, "hardy")
-    write_csv(csv_path, ("R", "besselSeries", "discrepancy", "absError"), rows)
-    write_json(
-        json_path,
-        {"terms": args.terms, "maxAbsError": worst, "tolerance": 0.05, "pass": ok},
-    )
-    return EXIT_OK
+    ok = bool(worst < 0.05)
+    summary = {"terms": args.terms, "maxAbsError": worst, "tolerance": 0.05, "pass": ok}
+    return rows, summary, None if ok else f"max |error| {worst:.4f} >= 0.05"
 
 
 _WITH_LOG = ((0.5, 1), (0.5, 0))
@@ -286,33 +343,48 @@ def _hyperboloid_table(args, grid, reach, what):
     return cached_table(args, label, lambda n: arith.r_d_table(args.d - 1, n), args.table_size)
 
 
+@subcommand(
+    "count-hyperboloid",
+    "sharp hyperboloid counts with the log-term verdict at d=3",
+    ("R", "count"),
+    *_HYPERBOLOID_ARGS,
+    _arg("--grid", default="2^10..2^20"),
+    table_size=530000, check=True, seed=True,
+)
 def cmd_count_hyperboloid(args):
     grid = parse_grid(args.grid)
     table = _hyperboloid_table(args, grid, lambda R: R, "N_{{{d},{h}}}({X:g})")
     rows = [(R, lattice.hyperboloid_count(args.d, args.h, R, table)) for R in grid]
     summary = {"d": args.d, "h": args.h}
-    if args.d == 3:
-        series = lattice.count_series(grid, [r[1] for r in rows])
-        verdict = fit.log_term_verdict(series, _WITH_LOG, _WITHOUT_LOG, seed=args.seed)
-        summary.update(
-            {
-                "verdict": verdict.verdict,
-                "logCoefficient": verdict.log_coefficient,
-                "logCoefficientSE": verdict.log_coefficient_se,
-                "residualRatio": verdict.residual_ratio,
-            }
-        )
-        root = math.isqrt(args.h)
-        expected = "log" if root * root == args.h else "no-log"
-        summary["expectedVerdict"] = expected
-        _check(args, verdict.verdict == expected, f"verdict {verdict.verdict}")
-        summary["pass"] = verdict.verdict == expected
-    csv_path, json_path = out_paths(args, "count-hyperboloid")
-    write_csv(csv_path, ("R", "count"), rows)
-    write_json(json_path, summary)
-    return EXIT_OK
+    if args.d != 3:
+        return rows, summary, None
+    series = lattice.count_series(grid, [r[1] for r in rows])
+    verdict = fit.log_term_verdict(series, _WITH_LOG, _WITHOUT_LOG, seed=args.seed)
+    root = math.isqrt(args.h)
+    expected = "log" if root * root == args.h else "no-log"
+    ok = verdict.verdict == expected
+    summary.update(
+        {
+            "verdict": verdict.verdict,
+            "logCoefficient": verdict.log_coefficient,
+            "logCoefficientSE": verdict.log_coefficient_se,
+            "residualRatio": verdict.residual_ratio,
+            "expectedVerdict": expected,
+            "pass": ok,
+        }
+    )
+    return rows, summary, None if ok else f"verdict {verdict.verdict}"
 
 
+@subcommand(
+    "smooth-hyperboloid",
+    "kernel-smoothed hyperboloid counts",
+    ("X", "smoothed"),
+    *_HYPERBOLOID_ARGS,
+    _arg("--grid", default="2^8..2^16"),
+    _arg("--kernel", default="exp", help="exp | cesaro:k | conc:Y | compact:Y"),
+    table_size=1_400_000,
+)
 def cmd_smooth_hyperboloid(args):
     kernel = parse_kernel(args.kernel)
     grid = parse_grid(args.grid)
@@ -332,16 +404,19 @@ def cmd_smooth_hyperboloid(args):
             )
             val = kernels.apply_kernel(shell, kernel, X)
         rows.append((X, val))
-    csv_path, json_path = out_paths(args, "smooth-hyperboloid")
-    write_csv(csv_path, ("X", "smoothed"), rows)
     series = lattice.count_series(grid, [r[1] for r in rows])
-    write_json(
-        json_path,
-        {"d": args.d, "h": args.h, "kernel": args.kernel, "slope": fit.estimate_exponent(series)},
-    )
-    return EXIT_OK
+    summary = {"d": args.d, "h": args.h, "kernel": args.kernel, "slope": fit.estimate_exponent(series)}
+    return rows, summary, None
 
 
+@subcommand(
+    "short-hyperboloid",
+    "sharp window sums of width X^(1-lambda)",
+    ("X", "windowSum", "normalized"),
+    *_HYPERBOLOID_ARGS,
+    _arg("--grid", default="2^10..2^14"),
+    table_size=600000,
+)
 def cmd_short_hyperboloid(args):
     grid = parse_grid(args.grid)
     table = _hyperboloid_table(  # each window |n - X| < X^(1 - lambda)
@@ -354,15 +429,17 @@ def cmd_short_hyperboloid(args):
         total, norm = lattice.hyperboloid_short_interval(args.d, args.h, X, table)
         worst = max(worst, norm)
         rows.append((X, total, norm))
-    csv_path, json_path = out_paths(args, "short-hyperboloid")
-    write_csv(csv_path, ("X", "windowSum", "normalized"), rows)
-    write_json(
-        json_path,
-        {"d": args.d, "h": args.h, "lambda": lattice.power_saving_exponent(args.d), "maxNormalized": worst},
-    )
-    return EXIT_OK
+    lam = lattice.power_saving_exponent(args.d)
+    return rows, {"d": args.d, "h": args.h, "lambda": lam, "maxNormalized": worst}, None
 
 
+@subcommand(
+    "divisor-identity",
+    "exact odd-divisor identities on X^2+Y^2=Z^2+1",
+    ("R", "identity", "lhs", "rhs", "equal"),
+    _arg("--R", type=int, default=200),
+    check=True,
+)
 def cmd_divisor_identity(args):
     n_needed = args.R * args.R + 1
     d_all, d_odd = arith.divisor_counts(n_needed)
@@ -371,11 +448,8 @@ def cmd_divisor_identity(args):
     rows = [(R, "odd-divisor", a, b, int(e)) for R, a, b, e in zip(range(1, args.R + 1), *odd)]
     rows += [(R, "combination", a, b, int(e)) for R, a, b, e in zip(range(2, args.R + 1, 2), *comb)]
     all_equal = all(row[4] for row in rows)
-    ok = _check(args, all_equal, "an exact divisor identity failed")
-    csv_path, json_path = out_paths(args, "divisor-identity")
-    write_csv(csv_path, ("R", "identity", "lhs", "rhs", "equal"), rows)
-    write_json(json_path, {"maxR": args.R, "allEqual": all_equal, "pass": ok})
-    return EXIT_OK
+    summary = {"maxR": args.R, "allEqual": all_equal, "pass": all_equal}
+    return rows, summary, None if all_equal else "an exact divisor identity failed"
 
 
 _GAUSS_SUITES = (
@@ -386,6 +460,12 @@ _GAUSS_SUITES = (
 )
 
 
+@subcommand(
+    "gauss-sums",
+    "Gauss-sum invariant suite",
+    ("h", "modulus", "k", "re", "im", "check", "residual"),
+    check=True,
+)
 def cmd_gauss_sums(args):
     rows = []
     worst = {}
@@ -394,13 +474,18 @@ def cmd_gauss_sums(args):
             rows.append((*p.params, p.value.real, p.value.imag, name, p.residual))
             worst[name] = max(worst.get(name, 0.0), p.residual)
     tol = checks.TOL
-    ok = _check(args, max(worst.values()) < tol, "a Gauss-sum residual exceeded 1e-9")
-    csv_path, json_path = out_paths(args, "gauss-sums")
-    write_csv(csv_path, ("h", "modulus", "k", "re", "im", "check", "residual"), rows)
-    write_json(json_path, {"tolerance": tol, "worstResiduals": worst, "pass": ok})
-    return EXIT_OK
+    ok = bool(max(worst.values()) < tol)
+    summary = {"tolerance": tol, "worstResiduals": worst, "pass": ok}
+    return rows, summary, None if ok else "a Gauss-sum residual exceeded 1e-9"
 
 
+@subcommand(
+    "eisenstein-check",
+    "reduction and L-factorization identities",
+    ("h", "cOrN", "k", "w", "residual", "check"),
+    _arg("--terms", type=int, default=2000),
+    check=True,
+)
 def cmd_eisenstein_check(args):
     rows = []
     worst_reduction = 0.0
@@ -412,22 +497,13 @@ def cmd_eisenstein_check(args):
     for p in checks.factorization(((2.0, args.terms), (1.75, args.terms))):
         rows.append((*p.params, p.residual, "factorization"))
         fact_ok = fact_ok and p.residual <= p.bound
-    ok = _check(
-        args,
-        worst_reduction < checks.TOL and fact_ok,
-        "an Eisenstein-coefficient identity failed",
-    )
-    csv_path, json_path = out_paths(args, "eisenstein-check")
-    write_csv(csv_path, ("h", "cOrN", "k", "w", "residual", "check"), rows)
-    write_json(
-        json_path,
-        {
-            "worstReductionResidualOver4c": worst_reduction,
-            "factorizationWithinTails": fact_ok,
-            "pass": ok,
-        },
-    )
-    return EXIT_OK
+    ok = bool(worst_reduction < checks.TOL and fact_ok)
+    summary = {
+        "worstReductionResidualOver4c": worst_reduction,
+        "factorizationWithinTails": fact_ok,
+        "pass": ok,
+    }
+    return rows, summary, None if ok else "an Eisenstein-coefficient identity failed"
 
 
 # suite name, its points and the format of its CSV params column
@@ -439,6 +515,12 @@ _KERNEL_SUITES = (
 )
 
 
+@subcommand(
+    "kernels-verify",
+    "contour quadrature vs closed forms for all kernels",
+    ("kernel", "params", "residual", "tolerance"),
+    check=True,
+)
 def cmd_kernels_verify(args):
     rows = []
     worst = {}
@@ -450,13 +532,18 @@ def cmd_kernels_verify(args):
             scaled = p.residual * p.params[0] / 2.0 if name == "compact" else p.residual
             worst[name] = max(worst.get(name, 0.0), scaled)
             within = within and p.residual < p.bound
-    ok = _check(args, within, "a kernel identity exceeded its tolerance")
-    csv_path, json_path = out_paths(args, "kernels-verify")
-    write_csv(csv_path, ("kernel", "params", "residual", "tolerance"), rows)
-    write_json(json_path, {"maxResidualPerKernel": worst, "pass": ok})
-    return EXIT_OK
+    ok = bool(within)
+    summary = {"maxResidualPerKernel": worst, "pass": ok}
+    return rows, summary, None if ok else "a kernel identity exceeded its tolerance"
 
 
+@subcommand(
+    "fit",
+    "standalone least-squares fit of a CSV (X,value)",
+    ("exponent", "logPower", "coefficient"),
+    _arg("--data", required=True, help="input CSV with header and X,value columns"),
+    _arg("--model", required=True, help="comma list of exponent:logpower terms"),
+)
 def cmd_fit(args):
     data = np.loadtxt(args.data, delimiter=",", skiprows=1, ndmin=2)
     grid, values = data[:, 0], data[:, 1]
@@ -466,25 +553,17 @@ def cmd_fit(args):
         model.append((float(a), int(b or 0)))
     series = lattice.count_series(grid, values)
     result = fit.fit_model(series, model)
-    csv_path, json_path = out_paths(args, "fit")
-    write_csv(
-        csv_path,
-        ("exponent", "logPower", "coefficient"),
-        [(a, b, c) for (a, b), c in zip(result.model, result.coefficients)],
-    )
-    write_json(
-        json_path,
-        {
-            "residualNorm": result.residual_norm,
-            "slopeEstimate": result.slope_estimate,
-            "conditionNumber": result.condition_number,
-        },
-    )
-    return EXIT_OK
+    rows = [(a, b, c) for (a, b), c in zip(result.model, result.coefficients)]
+    summary = {
+        "residualNorm": result.residual_norm,
+        "slopeEstimate": result.slope_estimate,
+        "conditionNumber": result.condition_number,
+    }
+    return rows, summary, None
 
 
 # ---------------------------------------------------------------------------
-# Parser
+# Parser and entry point
 # ---------------------------------------------------------------------------
 
 def build_parser():
@@ -495,137 +574,19 @@ def build_parser():
         allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    def common(p, table_size=None):
+    for spec in SUBCOMMANDS:
+        p = sub.add_parser(spec.name, help=f"{spec.help}; CSV: {','.join(spec.header)}")
         p.add_argument("--out", help="output stem or .csv path (JSON goes beside it)")
         p.add_argument("--cache", help="coefficient cache directory (env GV_CACHE overrides)")
-        p.add_argument("--check", action="store_true", help="exit 4 if the run's criterion fails")
-        p.add_argument("--seed", type=int, default=0, help="seed for any randomized piece")
-        if table_size is not None:
-            p.add_argument("--table-size", type=int, default=table_size, help="coefficient table length")
-
-    p = sub.add_parser("tau", help="build (and cache) the tau coefficient table; CSV: n,tau")
-    common(p, table_size=1000)
-    p.set_defaults(func=cmd_tau)
-
-    p = sub.add_parser(
-        "second-moment",
-        help="smoothed second moment of delta partial sums vs its constant; "
-        "CSV: X,smoothedSecondMoment,ratioX32,relGapToC",
-    )
-    common(p, table_size=164000)
-    p.add_argument("--grid", default="2^8..2^12")
-    p.set_defaults(func=cmd_second_moment)
-
-    p = sub.add_parser(
-        "sign-scan",
-        help="sign changes of normalized partial sums in [X, X + X^r]; CSV: X,nChanges,firstChange",
-    )
-    common(p, table_size=21000)
-    p.add_argument("--grid", default="2^4..2^13")
-    p.add_argument("--nu", type=float, default=11 / 2 + 1 / 6 - 0.01)
-    p.add_argument("--r", type=float, default=1.0)
-    p.set_defaults(func=cmd_sign_scan)
-
-    p = sub.add_parser(
-        "short-interval",
-        help="windowed second moment of delta partial sums; CSV: X,windowAverage,normalized",
-    )
-    common(p, table_size=70000)
-    p.add_argument("--grid", default="2^10..2^16")
-    p.set_defaults(func=cmd_short_interval)
-
-    p = sub.add_parser(
-        "count-circle", help="exact circle counts vs area; CSV: R,count,volume,discrepancy"
-    )
-    common(p, table_size=10000)
-    p.add_argument("--grid", default="2^4..2^13")
-    p.set_defaults(func=cmd_count_circle)
-
-    p = sub.add_parser(
-        "mean-square-p2",
-        help="mean square of the circle discrepancy and its growth exponent; CSV: X,integral",
-    )
-    common(p, table_size=262200)
-    p.add_argument("--grid", default="2^10..2^18")
-    p.set_defaults(func=cmd_mean_square_p2)
-
-    p = sub.add_parser(
-        "hardy",
-        help="Bessel-series discrepancy vs exact counts at random non-integer R; "
-        "CSV: R,besselSeries,discrepancy,absError",
-    )
-    common(p, table_size=10**6)
-    p.add_argument("--count", type=int, default=20)
-    p.add_argument("--terms", type=int, default=10**6)
-    p.set_defaults(func=cmd_hardy)
-
-    p = sub.add_parser(
-        "count-hyperboloid",
-        help="sharp hyperboloid counts with the log-term verdict at d=3; CSV: R,count",
-    )
-    common(p, table_size=530000)
-    p.add_argument("--d", type=int, default=3)
-    p.add_argument("--h", type=int, default=1)
-    p.add_argument("--grid", default="2^10..2^20")
-    p.set_defaults(func=cmd_count_hyperboloid)
-
-    p = sub.add_parser(
-        "smooth-hyperboloid", help="kernel-smoothed hyperboloid counts; CSV: X,smoothed"
-    )
-    common(p, table_size=1_400_000)
-    p.add_argument("--d", type=int, default=3)
-    p.add_argument("--h", type=int, default=1)
-    p.add_argument("--grid", default="2^8..2^16")
-    p.add_argument("--kernel", default="exp", help="exp | cesaro:k | conc:Y | compact:Y")
-    p.set_defaults(func=cmd_smooth_hyperboloid)
-
-    p = sub.add_parser(
-        "short-hyperboloid",
-        help="sharp window sums of width X^(1-lambda); CSV: X,windowSum,normalized",
-    )
-    common(p, table_size=600000)
-    p.add_argument("--d", type=int, default=3)
-    p.add_argument("--h", type=int, default=1)
-    p.add_argument("--grid", default="2^10..2^14")
-    p.set_defaults(func=cmd_short_hyperboloid)
-
-    p = sub.add_parser(
-        "divisor-identity",
-        help="exact odd-divisor identities on X^2+Y^2=Z^2+1; CSV: R,identity,lhs,rhs,equal",
-    )
-    common(p)
-    p.add_argument("--R", type=int, default=200)
-    p.set_defaults(func=cmd_divisor_identity)
-
-    p = sub.add_parser(
-        "gauss-sums",
-        help="Gauss-sum invariant suite; CSV: h,modulus,k,re,im,check,residual",
-    )
-    common(p)
-    p.set_defaults(func=cmd_gauss_sums)
-
-    p = sub.add_parser(
-        "eisenstein-check",
-        help="reduction and L-factorization identities; CSV: h,cOrN,k,w,residual,check",
-    )
-    common(p)
-    p.add_argument("--terms", type=int, default=2000)
-    p.set_defaults(func=cmd_eisenstein_check)
-
-    p = sub.add_parser(
-        "kernels-verify",
-        help="contour quadrature vs closed forms for all kernels; CSV: kernel,params,residual,tolerance",
-    )
-    common(p)
-    p.set_defaults(func=cmd_kernels_verify)
-
-    p = sub.add_parser("fit", help="standalone least-squares fit of a CSV (X,value)")
-    common(p)
-    p.add_argument("--data", required=True, help="input CSV with header and X,value columns")
-    p.add_argument("--model", required=True, help="comma list of exponent:logpower terms")
-    p.set_defaults(func=cmd_fit)
-
+        if spec.check:
+            p.add_argument("--check", action="store_true", help="exit 4 if the run's criterion fails")
+        if spec.seed:
+            p.add_argument("--seed", type=int, default=0, help="seed for the randomized piece")
+        if spec.table_size is not None:
+            p.add_argument("--table-size", type=int, default=spec.table_size, help="coefficient table length")
+        for flags, kwargs in spec.arguments:
+            p.add_argument(*flags, **kwargs)
+        p.set_defaults(spec=spec)
     return parser
 
 
@@ -636,13 +597,18 @@ def main(argv=None):
     except SystemExit as exc:
         return exc.code if exc.code is not None else EXIT_CONFIG
     try:
-        return args.func(args)
+        rows, summary, failure = args.spec.run(args)
+        # only a subcommand with a criterion, and so with --check, fails
+        if failure is not None and args.check:
+            print(f"gv: check failed: {failure}", file=sys.stderr)
+            return EXIT_CHECK_FAILED
+        csv_path, json_path = out_paths(args)
+        write_csv(csv_path, args.spec.header, rows)
+        write_json(json_path, summary)
+        return EXIT_OK
     except arith.TableCoverageError as exc:
         print(f"gv: table coverage: {exc}", file=sys.stderr)
         return EXIT_COVERAGE
-    except CheckFailure as exc:
-        print(f"gv: check failed: {exc}", file=sys.stderr)
-        return EXIT_CHECK_FAILED
     except (ValueError, OSError, arith.TableOverflowError, arith.RoundingMarginError) as exc:
         print(f"gv: {exc}", file=sys.stderr)
         return EXIT_CONFIG

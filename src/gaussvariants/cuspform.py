@@ -211,7 +211,7 @@ def sign_changes(series, X, r):
         raise ValueError("r must lie in (0, 1]")
     window = int(math.floor(X**r))
     hi = X + window
-    require_coverage(series.base.label, series.n_max, hi + 1, f"the sign scan window [{X}, {hi}]")
+    require_coverage(series.base.label, series.n_max, hi, f"the sign scan window [{X}, {hi}]")
     vals = series.values
     changes = []
     prev_sign = 0

@@ -5,7 +5,8 @@ X^a (log X)^b via QR orthogonalization.  ``log_term_verdict`` decides the
 square / non-square dichotomy empirically: a log term is accepted only
 when it both collapses the residual and carries a coefficient that stands
 clear of its own bootstrap spread.  The thresholds are engineering
-choices, exposed as keyword arguments.
+choices, fixed as the module constants RESIDUAL_FACTOR, COEF_SIGMA and
+BOOTSTRAP_DRAWS.
 """
 
 from __future__ import annotations
@@ -99,24 +100,21 @@ def _leading_log_index(model):
     return max(logs)[2]
 
 
-def log_term_verdict(
-    series,
-    model_with_log,
-    model_without_log,
-    *,
-    residual_factor=5.0,
-    coef_sigma=3.0,
-    bootstrap_draws=200,
-    seed=0,
-):
+RESIDUAL_FACTOR = 5.0  # residual cut a "log" verdict needs from the log term
+COEF_SIGMA = 3.0  # bootstrap standard errors that separate "log" from "no-log"
+BOOTSTRAP_DRAWS = 200
+
+
+def log_term_verdict(series, model_with_log, model_without_log, *, seed=0):
     """Decide whether a series carries an X^a log X main term.
 
-    "log"    : the with-log fit cuts the residual by >= residual_factor AND
-               its log coefficient is positive and >= coef_sigma bootstrap
+    "log"    : the with-log fit cuts the residual by >= RESIDUAL_FACTOR AND
+               its log coefficient is positive and >= COEF_SIGMA bootstrap
                standard errors;
-    "no-log" : the log coefficient is within coef_sigma of zero;
+    "no-log" : the log coefficient is within COEF_SIGMA of zero;
     anything else is "inconclusive".  The bootstrap refits the with-log
-    model on random grid subsets (deterministic under ``seed``).
+    model on BOOTSTRAP_DRAWS random grid subsets (deterministic under
+    ``seed``).
     """
     fit_with = fit_model(series, model_with_log)
     fit_without = fit_model(series, model_without_log)
@@ -130,7 +128,7 @@ def log_term_verdict(
     A = _design_matrix(grid, fit_with.model)
     scale = np.linalg.norm(A, axis=0)
     samples = []
-    for _ in range(bootstrap_draws):
+    for _ in range(BOOTSTRAP_DRAWS):
         rows = rng.choice(n, size=n, replace=True)
         if len(np.unique(rows)) < len(fit_with.model) + 1:
             continue
@@ -149,10 +147,10 @@ def log_term_verdict(
     se = max(se, 1e-9 * coef_scale)
 
     ratio = fit_without.residual_norm / max(fit_with.residual_norm, 1e-300)
-    strong = ratio >= residual_factor and coef_log > 0 and coef_log >= coef_sigma * se
+    strong = ratio >= RESIDUAL_FACTOR and coef_log > 0 and coef_log >= COEF_SIGMA * se
     if strong:
         verdict = "log"
-    elif abs(coef_log) < coef_sigma * se:
+    elif abs(coef_log) < COEF_SIGMA * se:
         verdict = "no-log"
     else:
         verdict = "inconclusive"

@@ -11,10 +11,12 @@ sum under each of these vertical-line transforms:
 * compact cutoff:   phi_Y smooth, 1 below 1, 0 above 1 + 1/Y, with Mellin
                     transform Phi_Y(s) = 1/s + O(1/Y).
 
-``apply_kernel`` is the single entry point the counting modules use; it
-always evaluates on the coefficient side.  The ``*_contour`` functions
-exist to verify the identities by trapezoidal quadrature with explicit
-truncation-tail bounds.
+``apply_kernel`` weights a coefficient table by any of the four kernels,
+always on the coefficient side.  ``lattice.hyperboloid_smoothed`` and
+``cuspform.smoothed_second_moment`` do not call it: they apply the
+exponential weight e^{-n/X} themselves, out to 40X.  The ``*_contour``
+functions exist to verify the identities by trapezoidal quadrature with
+explicit truncation-tail bounds.
 """
 
 from __future__ import annotations
@@ -81,6 +83,7 @@ class KernelSpec:
 
 
 _BLOCK = 1 << 13  # nodes evaluated at once: 128 KiB per complex array
+_CHUNK = 1 << 20  # nodes summed pairwise as one np.sum
 
 
 def _pairwise_sum(i, m, leaf):
@@ -102,12 +105,12 @@ def _nodes(quad, i, j):
     return t
 
 
-def _vertical_trapezoid(integrands, quad, chunk=1 << 20):
+def _vertical_trapezoid(integrands, quad):
     """(1/2 pi i) int_(sigma) f(s) ds by the trapezoid rule on |Im s| <= T,
     for each f whose values ``integrands(s)`` yields, in order, on one
     block of nodes s; one total per f.
 
-    Each chunk of 2^20 nodes sums to np.sum over the whole chunk, bit for
+    Each chunk of _CHUNK nodes sums to np.sum over the whole chunk, bit for
     bit, and the chunk sums add in order.  The integrands see blocks of at
     most _BLOCK nodes, so no array grows with the node count.
     """
@@ -120,8 +123,8 @@ def _vertical_trapezoid(integrands, quad, chunk=1 << 20):
         return np.array([np.sum(vals * weights) for vals in integrands(s)])
 
     totals = 0j
-    for start in range(0, n, chunk):
-        totals = totals + _pairwise_sum(start, min(chunk, n - start), leaf)
+    for start in range(0, n, _CHUNK):
+        totals = totals + _pairwise_sum(start, min(_CHUNK, n - start), leaf)
     t0, t1 = _nodes(quad, 0, 2)
     return [total * (t1 - t0) / (2 * np.pi) for total in totals]
 

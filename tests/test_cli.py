@@ -161,6 +161,12 @@ class TestExitCodes:
             tmp_path,
         )
         assert code == cli.EXIT_CHECK_FAILED
+        assert list(tmp_path.iterdir()) == []  # neither CSV nor JSON
+
+    @pytest.mark.parametrize("argv", [["tau", "--check"], ["count-circle", "--seed", "1"]])
+    def test_option_without_effect_is_config_error(self, tmp_path, argv):
+        # tau has no criterion to check and count-circle nothing randomized
+        assert run(argv, tmp_path) == cli.EXIT_CONFIG
 
     def test_check_success_exits_0(self, tmp_path):
         code = run(["divisor-identity", "--R", "20", "--check"], tmp_path)

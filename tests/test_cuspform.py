@@ -179,6 +179,19 @@ class TestSignChanges:
         with pytest.raises(arith.TableCoverageError):
             cuspform.sign_changes(s, delta.n_max, 1.0)
 
+    def test_table_ending_at_window_end(self, delta):
+        # the window [512, 1024] reads S(n) for n <= 1024 and no further
+        nu = 5.5 + 1 / 6 - 0.01
+
+        def scan(n_max):
+            table = arith.CoefficientTable("tau", delta.coeffs.values[: n_max + 1])
+            series = cuspform.partial_sums(cuspform.CuspFormSeries(12, table, "delta"), nu)
+            return cuspform.sign_changes(series, 512, 1.0)
+
+        assert scan(1024) == scan(delta.n_max)
+        with pytest.raises(arith.TableCoverageError):
+            scan(1023)
+
     def test_first_change_position_pinned(self, delta):
         # the over-normalized series stays positive until n = 316; see the
         # acceptance module for the criterion this blocks
