@@ -29,12 +29,13 @@ Point = namedtuple("Point", "params value residual bound")
 def h_multiplicative():
     """H_h(n1 n2) = H_h(n1) H_h(n2) for coprime odd 3 <= n1 < n2 < 50."""
     for h in _HS:
+        H = {n: charsums.gauss_sum_H(h, n) for n in _ODD}
         for i, n1 in enumerate(_ODD):
             for n2 in _ODD[i + 1 :]:
                 if math.gcd(n1, n2) != 1:
                     continue
                 prod = charsums.gauss_sum_H(h, n1 * n2)
-                res = abs(prod - charsums.gauss_sum_H(h, n1) * charsums.gauss_sum_H(h, n2))
+                res = abs(prod - H[n1] * H[n2])
                 yield Point((h, n1 * n2, 0.5), prod, res, TOL)
 
 

@@ -122,9 +122,6 @@ def write_csv(path, header, rows):
     lines = [",".join(header)]
     lines.extend(",".join(_fmt(v) for v in row) for row in rows)
     payload = ("\n".join(lines) + "\n").encode("utf-8")
-    if path == "-":
-        sys.stdout.buffer.write(payload)
-        return
     with open(path, "wb") as fh:
         fh.write(payload)
 
@@ -133,9 +130,6 @@ def write_json(path, summary):
     summary = dict(summary)
     summary["schemaVersion"] = SCHEMA_VERSION
     payload = (json.dumps(summary, sort_keys=True, indent=2) + "\n").encode("utf-8")
-    if path == "-":
-        sys.stdout.buffer.write(payload)
-        return
     with open(path, "wb") as fh:
         fh.write(payload)
 
@@ -310,13 +304,13 @@ def cmd_mean_square_p2(args):
 def cmd_hardy(args):
     table = _r2(args)
     rng = np.random.default_rng(args.seed)
+    # offsets stay in the middle band between integer shells, where the
+    # truncated Bessel series is not Gibbs-limited by the count jumps
+    radii = [float(rng.integers(10, 999)) + float(rng.uniform(0.3, 0.7)) for _ in range(args.count)]
+    series = lattice.hardy_identity(np.array(radii), args.terms, table).tolist()
     rows = []
     worst = 0.0
-    for _ in range(args.count):
-        # offsets stay in the middle band between integer shells, where the
-        # truncated Bessel series is not Gibbs-limited by the count jumps
-        R = float(rng.integers(10, 999)) + float(rng.uniform(0.3, 0.7))
-        approx = lattice.hardy_identity(R, args.terms, table)
+    for R, approx in zip(radii, series):
         exact = lattice.discrepancy(2, R, table)
         err = abs(approx - exact)
         worst = max(worst, err)

@@ -117,10 +117,17 @@ def _vertical_trapezoid(integrands, quad):
     n = quad.steps + 1
 
     def leaf(i, j):
-        # the end nodes 0 and steps weigh 1/2
-        weights = np.where(np.arange(i, j) % quad.steps == 0, 0.5, 1.0)
         s = quad.sigma + 1j * _nodes(quad, i, j)
-        return np.array([np.sum(vals * weights) for vals in integrands(s)])
+        sums = []
+        for vals in integrands(s):
+            # the end nodes 0 and steps weigh 1/2, halved in place: each
+            # integrand must yield a fresh array, which this leaf then owns
+            if i == 0:
+                vals[0] *= 0.5
+            if j == n:
+                vals[-1] *= 0.5
+            sums.append(np.sum(vals))
+        return np.array(sums)
 
     totals = 0j
     for start in range(0, n, _CHUNK):
@@ -157,14 +164,30 @@ def cesaro_contours(Ys, ks, quad):
     Each block of nodes extends the product s(s+1)...(s+k) one factor at a
     time through the sorted orders and takes Y^s once per Y, with the same
     operations as a single evaluation, so every value has its bits.
+
+    On the line s = sigma + it, Y^s = Y^sigma (cos(t log Y) + i sin(t log Y)):
+    one ``math.exp(sigma log Y)`` per Y, and one real cosine and sine of
+    t log Y per node, scaled in place.  numpy hands a non-integral complex
+    power to the C library's ``cpow``, which glibc computes as
+    cexp(s clog Y).  For real Y > 0, clog Y = (log Y, 0), so s clog Y is
+    (sigma log Y, t log Y) and cexp takes exp of the first part and the
+    sine and cosine of the second: the same operations, so the same bits as
+    ``Y**s``, without a complex log and exp per node.  The node t = 0 stays
+    on ``Y ** s``: there s is real, and when sigma is an integer numpy
+    takes its integer-power branch instead, which rounds differently
+    (0.5 ** 30 is exactly 2^-30; exp(30 log 0.5) is 8 ulp off).
     """
     Ys = [float(Y) for Y in Ys]
     ks = [int(k) for k in ks]
     if quad.sigma <= 0:
         raise ValueError("cesaro contour needs sigma > 0")
     order = sorted(set(ks))
+    logs = [math.log(Y) for Y in Ys]
+    scales = [math.exp(quad.sigma * log_Y) for log_Y in logs]
 
     def integrands(s):
+        t = s.imag
+        origin = t == 0
         denoms = [s]  # denoms[j] = s(s+1)...(s+j)
         for j in range(1, order[-1] + 1):
             # np.multiply fixes the operand order: on arrays of 256 KiB or
@@ -172,8 +195,13 @@ def cesaro_contours(Ys, ks, quad):
             # (s + j) * denom, and the SIMD complex product is not bitwise
             # commutative
             denoms.append(np.multiply(s + j, denoms[-1]))
-        for Y in Ys:
-            power = Y**s
+        for Y, log_Y, scale in zip(Ys, logs, scales):
+            theta = t * log_Y
+            power = np.empty_like(s)
+            np.cos(theta, out=power.real)
+            np.sin(theta, out=power.imag)
+            power *= scale
+            power[origin] = Y ** s[origin]
             for k in order:
                 yield power / denoms[k]
 

@@ -164,20 +164,28 @@ def hardy_identity(R, n_terms, table):
 
     Converges (slowly, in mean) to the circle discrepancy at non-integer R;
     integer R is rejected since the boundary convention there is delicate.
+    R is a float or a 1-D array of radii, as in ``bessel_J1``; the nonzero
+    terms of the table are gathered once for all of them.
     """
-    R = float(R)
-    if R <= 0:
+    radii = np.asarray(R, dtype=np.float64)
+    scalar = radii.ndim == 0
+    radii = np.atleast_1d(radii)
+    if np.any(radii <= 0):
         raise ValueError("R must be positive")
-    if R == math.floor(R):
+    if np.any(radii == np.floor(radii)):
         raise ValueError("the Bessel series is evaluated at non-integer R only")
     n_terms = int(n_terms)
     table.require(n_terms, f"Bessel series with {n_terms} terms")
     r2 = table.floats()[1 : n_terms + 1]
-    n = np.arange(1, n_terms + 1, dtype=np.float64)
     mask = r2 != 0
-    n = n[mask]
-    vals = bessel_J1(2 * math.pi * np.sqrt(n * R)) * r2[mask] / np.sqrt(n)
-    return math.sqrt(R) * float(np.sum(vals))
+    n = np.arange(1, n_terms + 1, dtype=np.float64)[mask]
+    r2 = r2[mask]
+    root_n = np.sqrt(n)
+    out = np.array([
+        math.sqrt(R) * float(np.sum(bessel_J1(2 * math.pi * np.sqrt(n * R)) * r2 / root_n))
+        for R in radii.tolist()
+    ])
+    return float(out[0]) if scalar else out
 
 
 # ---------------------------------------------------------------------------

@@ -52,6 +52,36 @@ class TestCesaro:
         single = {(Y, k): kernels.cesaro_contour(Y, k, quad) for Y in Ys for k in ks}
         assert kernels.cesaro_contours(Ys, ks, quad) == [[single[Y, k] for k in ks] for Y in Ys]
 
+    @pytest.mark.parametrize(
+        "Ys, quad",
+        [
+            ((0.5,), kernels.Quadrature(30.0, 200.0, 20_000)),
+            ((1.5, 2.0, 10.0), kernels.Quadrature(0.5, 400.0, 40_000)),
+        ],
+    )
+    def test_contours_match_complex_power_oracle(self, Ys, quad):
+        # the integrand by numpy's own Y ** s on all nodes at once, through
+        # t = 0 (where sigma = 30 takes numpy's integer-power branch)
+        t = np.linspace(-quad.T, quad.T, quad.steps + 1)
+        assert 0.0 in t
+        s = quad.sigma + 1j * t
+        step = (t[1] - t[0]) / (2 * np.pi)
+        n_nodes = quad.steps + 1
+        got = kernels.cesaro_contours(Ys, (1, 2, 3), quad)
+        for Y, row in zip(Ys, got):
+            for k, val in zip((1, 2, 3), row):
+                denom = s.copy()
+                for j in range(1, k + 1):
+                    denom = denom * (s + j)
+                terms = Y**s / denom
+                terms[[0, -1]] *= 0.5
+                # both sides round each node's few operations and then
+                # sum N terms, so each lies within N eps of the exact sum
+                # relative to the trapezoid of |f|
+                tol = n_nodes * np.finfo(float).eps * np.sum(np.abs(terms)) * step
+                oracle = (np.sum(terms) * step).real
+                assert abs(val - oracle) <= tol, (Y, k, val - oracle, tol)
+
     def test_long_contour_stays_small_in_memory(self):
         # the 4M-node contour of kernels-verify: blocks of 2^13 nodes, not
         # node arrays, set its peak

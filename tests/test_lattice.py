@@ -154,6 +154,15 @@ class TestHardyIdentity:
     def test_rejects_integer_radius(self, r2_big):
         with pytest.raises(ValueError):
             lattice.hardy_identity(10.0, 100, r2_big)
+        with pytest.raises(ValueError):
+            lattice.hardy_identity(np.array([10.5, 11.0]), 100, r2_big)
+
+    def test_array_of_radii_is_the_scalar_calls(self, r2_big):
+        radii = np.array([0.5, 10.5, 123.37, 998.6])
+        got = lattice.hardy_identity(radii, 10**5, r2_big)
+        assert isinstance(got, np.ndarray) and got.shape == radii.shape
+        assert got.tolist() == [lattice.hardy_identity(R, 10**5, r2_big) for R in radii.tolist()]
+        assert isinstance(lattice.hardy_identity(10.5, 100, r2_big), float)
 
 
 class TestHyperboloidCounts:
