@@ -519,23 +519,41 @@ def write_table_cache(path, table):
         raise
 
 
-def read_table_cache(path):
-    """Load a table written by ``write_table_cache``; verifies magic/version."""
+def _read_exactly(fh, size, path):
+    blob = fh.read(size)
+    if len(blob) != size:
+        raise ValueError(f"{path}: truncated cache file")
+    return blob
+
+
+def read_table_cache(path, n_max=None):
+    """Load a table written by ``write_table_cache``, or with ``n_max`` only
+    its entries 0..n_max, which are then all of the body that is read.
+
+    Either way the magic, the version and the body length (against the
+    file's size) are verified, so a truncated or over-long file is refused.
+    The prefix takes int64 when its entries fit, as a fresh build would.
+    """
     with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[:4] != CACHE_MAGIC:
-        raise ValueError(f"{path}: bad magic, not a coefficient cache file")
-    version = int.from_bytes(blob[4:6], "little")
-    if version != CACHE_VERSION:
-        raise ValueError(f"{path}: unsupported cache version {version}")
-    label_len = int.from_bytes(blob[6:8], "little")
-    label = blob[8 : 8 + label_len].decode("utf-8")
-    off = 8 + label_len
-    n_max = int.from_bytes(blob[off : off + 8], "little")
-    off += 8
-    if len(blob) - off != 16 * (n_max + 1):
-        raise ValueError(f"{path}: truncated cache body")
-    words = np.frombuffer(blob, dtype="<i8", offset=off).reshape(n_max + 1, 2)
+        head = _read_exactly(fh, 8, path)
+        if head[:4] != CACHE_MAGIC:
+            raise ValueError(f"{path}: bad magic, not a coefficient cache file")
+        version = int.from_bytes(head[4:6], "little")
+        if version != CACHE_VERSION:
+            raise ValueError(f"{path}: unsupported cache version {version}")
+        label_len = int.from_bytes(head[6:8], "little")
+        rest = _read_exactly(fh, label_len + 8, path)
+        label = rest[:label_len].decode("utf-8")
+        stored = int.from_bytes(rest[label_len:], "little")
+        body = os.fstat(fh.fileno()).st_size - fh.tell()
+        if body != 16 * (stored + 1):
+            raise ValueError(f"{path}: cache body is {body} bytes, not {16 * (stored + 1)}")
+        if n_max is None:
+            n_max = stored
+        elif not 0 <= n_max <= stored:
+            raise ValueError(f"{path}: holds n <= {stored}, cannot serve n <= {n_max}")
+        blob = _read_exactly(fh, 16 * (n_max + 1), path)
+    words = np.frombuffer(blob, dtype="<i8").reshape(n_max + 1, 2)
     lo, hi = words[:, 0], words[:, 1]
     if np.array_equal(hi, lo >> 63):  # every entry fits in int64
         return CoefficientTable(label, lo)

@@ -25,6 +25,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 from dataclasses import dataclass
 
@@ -86,18 +87,36 @@ def cache_dir(args):
     return os.environ.get("GV_CACHE") or args.cache
 
 
+def _smallest_cached(directory, label, n_max):
+    """Path of the smallest cached table ``label-<N>.gvct`` with N >= n_max,
+    or None; other labels, temporary files and other names are skipped."""
+    try:
+        names = os.listdir(directory)
+    except FileNotFoundError:
+        return None
+    pattern = re.compile(re.escape(label) + r"-(0|[1-9][0-9]*)\.gvct")
+    sizes = [int(m[1]) for m in map(pattern.fullmatch, names) if m]
+    reach = [N for N in sizes if N >= n_max]
+    return os.path.join(directory, f"{label}-{min(reach)}.gvct") if reach else None
+
+
 def cached_table(args, label, builder, n_max):
-    """Fetch a coefficient table from the cache dir, building on miss."""
+    """Table ``label`` to exactly n_max: the first n_max + 1 entries of the
+    smallest cached table of that label that reaches n_max, read from the
+    front of its file.  On a miss the table is built and cached as
+    ``label-<n_max>.gvct``; a cut is never written back.  A cached file
+    whose header disagrees with its name raises ValueError naming it."""
     directory = cache_dir(args)
     if not directory:
         return builder(n_max)
-    path = os.path.join(directory, f"{label}-{n_max}.gvct")
-    if os.path.exists(path):
-        table = arith.read_table_cache(path)
-        if table.label == label and table.n_max >= n_max:
-            return table
+    path = _smallest_cached(directory, label, n_max)
+    if path is not None:
+        table = arith.read_table_cache(path, n_max)
+        if table.label != label:
+            raise ValueError(f"{path}: holds table '{table.label}', not '{label}'")
+        return table
     table = builder(n_max)
-    arith.write_table_cache(path, table)
+    arith.write_table_cache(os.path.join(directory, f"{label}-{n_max}.gvct"), table)
     return table
 
 
@@ -186,7 +205,7 @@ _HYPERBOLOID_ARGS = (_arg("--d", type=int, default=3), _arg("--h", type=int, def
 @subcommand("tau", "build (and cache) the tau coefficient table", ("n", "tau"), table_size=1000)
 def cmd_tau(args):
     table = cached_table(args, "tau", cuspform.tau_table, args.table_size)
-    rows = [(n, table[n]) for n in range(1, min(table.n_max, args.table_size) + 1)]
+    rows = [(n, table[n]) for n in range(1, table.n_max + 1)]
     return rows, {"label": "tau", "nMax": table.n_max, "csv": out_paths(args)[0]}, None
 
 

@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -345,6 +346,45 @@ class TestCacheFile:
         path.write_bytes(bytes(blob))
         with pytest.raises(ValueError, match="version"):
             arith.read_table_cache(path)
+
+    @pytest.mark.parametrize("n_max", [None, 3])
+    @pytest.mark.parametrize("damage", ["truncated", "trailing", "cut in header"])
+    def test_wrong_body_length_rejected(self, tmp_path, damage, n_max):
+        path = tmp_path / "r2.gvct"
+        arith.write_table_cache(path, arith.r_d_table(2, 20))
+        blob = path.read_bytes()
+        damaged = {
+            "truncated": blob[:-1],
+            "trailing": blob + b"\x00",
+            "cut in header": blob[:11],
+        }[damage]
+        path.write_bytes(damaged)
+        with pytest.raises(ValueError, match=re.escape(str(path))):
+            arith.read_table_cache(path, n_max)
+
+    def test_prefix_read(self, tmp_path):
+        table = arith.r_d_table(3, 100)
+        path = tmp_path / "r3.gvct"
+        arith.write_table_cache(path, table)
+        for n in (0, 1, 37, 100):
+            assert arith.read_table_cache(path, n) == arith.CoefficientTable("r_3", table.values[: n + 1])
+
+    def test_prefix_past_stored_table_rejected(self, tmp_path):
+        path = tmp_path / "r3.gvct"
+        arith.write_table_cache(path, arith.r_d_table(3, 100))
+        with pytest.raises(ValueError, match="n <= 100"):
+            arith.read_table_cache(path, 101)
+
+    def test_wide_table_prefix_comes_back_int64(self, tmp_path):
+        values = [3, -(1 << 62), (1 << 63) - 1, 1 << 100, -7]
+        table = arith.CoefficientTable("wide", values)
+        assert table.values.dtype == object
+        path = tmp_path / "wide.gvct"
+        arith.write_table_cache(path, table)
+        prefix = arith.read_table_cache(path, 2)
+        assert prefix == arith.CoefficientTable("wide", values[:3])
+        assert prefix.values.dtype == np.int64
+        assert arith.read_table_cache(path, 3).values.dtype == object
 
 
 class TestWideConvolutionPath:

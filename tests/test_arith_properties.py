@@ -68,6 +68,11 @@ def test_cache_round_trip(values):
         with open(path, "rb") as fh:
             assert fh.read() == reference_file("prop", values)
         back = arith.read_table_cache(path)
+        prefixes = [arith.read_table_cache(path, n) for n in range(len(values))]
+    for n, prefix in enumerate(prefixes):
+        cut = arith.CoefficientTable("prop", values[: n + 1])
+        assert prefix == cut
+        assert prefix.values.dtype == cut.values.dtype
     assert back == table
     assert back.values.dtype == table.values.dtype
     assert back.tolist() == values

@@ -1,10 +1,12 @@
 """CLI: determinism, cache round-trips, exit codes, grid/kernel parsing."""
 
+import argparse
 import json
 import math
 import os
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from gaussvariants import arith, cli, cuspform, kernels
@@ -221,6 +223,80 @@ class TestCache:
         assert run(args, tmp_path) == 0
         assert (env_cache / "tau-30.gvct").exists()
         assert not (tmp_path / "flag-cache").exists()
+
+    def test_served_from_larger_table(self, tmp_path):
+        cache, cut, fresh = tmp_path / "cache", tmp_path / "cut", tmp_path / "fresh"
+        assert run(["tau", "--table-size", "200", "--cache", str(cache)], tmp_path) == 0
+        for out, c in ((cut, cache), (fresh, tmp_path / "fresh-cache")):
+            out.mkdir()
+            assert run(["tau", "--table-size", "50", "--cache", str(c)], out) == 0
+        for name in ("tau.csv", "tau.json"):
+            assert (cut / name).read_bytes() == (fresh / name).read_bytes()
+        assert json.loads((cut / "tau.json").read_text())["nMax"] == 50
+        assert sorted(p.name for p in cache.iterdir()) == ["tau-200.gvct"]
+
+    def test_smallest_table_that_reaches_is_read(self, tmp_path, monkeypatch):
+        for n in (100, 200):
+            arith.write_table_cache(tmp_path / f"tau-{n}.gvct", cuspform.tau_table(n))
+        read, original = [], arith.read_table_cache
+
+        def recording(path, n_max=None):
+            read.append(os.path.basename(path))
+            return original(path, n_max)
+
+        monkeypatch.setattr(arith, "read_table_cache", recording)
+        args = argparse.Namespace(cache=str(tmp_path))
+        table = cli.cached_table(args, "tau", cuspform.tau_table, 50)
+        assert read == ["tau-100.gvct"]
+        assert table == cuspform.tau_table(50)
+        assert table.values.dtype == np.int64
+
+    def test_request_past_every_table_builds_its_own(self, tmp_path):
+        for n in (100, 200):
+            arith.write_table_cache(tmp_path / f"tau-{n}.gvct", cuspform.tau_table(n))
+        args = argparse.Namespace(cache=str(tmp_path))
+        table = cli.cached_table(args, "tau", cuspform.tau_table, 300)
+        assert table == cuspform.tau_table(300)
+        assert arith.read_table_cache(tmp_path / "tau-300.gvct") == table
+
+    def test_lookup_skips_other_labels_and_names(self, tmp_path):
+        junk = b"not a cache file"
+        arith.write_table_cache(tmp_path / "r_3-500.gvct", arith.r_d_table(3, 500))
+        for name in ("r_2-abc.gvct", "r_2-0500.gvct", ".gvct-x1y2z3", "r_2-500.gvct-tmp", "r_22-500.gvct"):
+            (tmp_path / name).write_bytes(junk)
+        built = []
+
+        def builder(n):
+            built.append(n)
+            return arith.r_d_table(2, n)
+
+        args = argparse.Namespace(cache=str(tmp_path))
+        assert cli.cached_table(args, "r_2", builder, 100) == arith.r_d_table(2, 100)
+        assert built == [100]
+        assert (tmp_path / "r_2-100.gvct").exists()
+
+    @pytest.mark.parametrize("size", [40, 60])
+    def test_label_disagreeing_with_name_exits_2(self, tmp_path, capsys, size):
+        path = tmp_path / "tau-60.gvct"
+        arith.write_table_cache(path, arith.CoefficientTable("r_2", range(61)))
+        before = path.read_bytes()
+        args = ["tau", "--table-size", str(size), "--cache", str(tmp_path), "--out", "t"]
+        assert run(args, tmp_path) == cli.EXIT_CONFIG
+        assert str(path) in capsys.readouterr().err
+        assert path.read_bytes() == before
+        assert not (tmp_path / "t.csv").exists()
+
+    @pytest.mark.parametrize("stored", ["truncated", 20])
+    def test_corrupt_table_exits_2_with_its_path(self, tmp_path, capsys, stored):
+        path = tmp_path / "tau-60.gvct"
+        if stored == "truncated":
+            arith.write_table_cache(path, cuspform.tau_table(60))
+            path.write_bytes(path.read_bytes()[:-1])
+        else:  # the header holds less than the name promises
+            arith.write_table_cache(path, cuspform.tau_table(stored))
+        args = ["tau", "--table-size", "30", "--cache", str(tmp_path), "--out", "t"]
+        assert run(args, tmp_path) == cli.EXIT_CONFIG
+        assert str(path) in capsys.readouterr().err
 
 
 class TestSubcommandsEndToEnd:
