@@ -6,9 +6,10 @@ The half-integral-weight Eisenstein coefficients carry the Gauss sums
     H_h(c)  = eps_c sum_{d mod c} (d/c) e(hd/c),             c odd,
 
 together with the two-piece decomposition g_h(4c) = chi_k(c') * d2 * H_h(c')
-(writing 4c = 2^alpha c'), the full-integral finite Dirichlet sum
-D_inf^k(h,w) = sum_{c|h} c (4c)^{-2w} (e^{pi i h/2c} + (-1)^k e^{3 pi i h/2c}),
-and the factorization
+(writing 4c = 2^alpha c'), the full-integral reduction
+sum_{d mod 4c} (-4/d)^k e(hd/4c) = [c | h] c (e^{pi i h/2c} + (-1)^k e^{3 pi i h/2c}),
+which gives each term of the finite Dirichlet sum D_inf^k(h, w), and the
+factorization
 
     sum_{c>=1} g_h(4c) (4c)^{-2w}
         = L^(2)(2w - 1/2, chi_{k,h}) / zeta^(2h)(4w - 1) * Dtilde(h, w),
@@ -136,25 +137,6 @@ def d2_sum(h, alpha, k):
     return _g_at_modulus((int(h),), 1 << alpha, (two_k,))[0][0]
 
 
-def eisenstein_D_full(h, w, k):
-    """Full-integral finite Dirichlet sum over the divisors of h:
-
-        D(h, w) = sum_{c | |h|} c (4c)^{-2w} (e^{pi i h/2c} + (-1)^k e^{3 pi i h/2c}),
-
-    each term (4c)^{-2w} times the closed form of the reduction identity.
-    """
-    h = int(h)
-    if h == 0:
-        raise ValueError("h must be nonzero")
-    k = int(k)
-    w = complex(w)
-    total = 0j
-    for c in range(1, abs(h) + 1):
-        if h % c == 0:
-            total += (4 * c) ** (-2 * w) * _reduction_closed(h, c, k)
-    return total
-
-
 def reduction_check(h, c, k):
     """|direct sum - closed form| for the full-integral character sum
 
@@ -245,6 +227,7 @@ def gauss_sum_g_series(hs, ks, n_max):
     revisits the same series at several abscissae.  A request that misses
     a row builds all its rows in one pass over c, sharing each modulus's
     characters and roots of unity; each entry has gauss_sum_g's bits.
+    n_max = 0 gives empty rows.
     """
     two_ks = [_half_integer_times_two(k) for k in ks]
     n_max = int(n_max)
@@ -258,7 +241,8 @@ def gauss_sum_g_series(hs, ks, n_max):
             for j, h in enumerate(new_hs):
                 if len(_G_SERIES_CACHE.get((h, t), ())) < n_max:
                     _G_SERIES_CACHE[(h, t)] = rows[:, i, j].copy()
-    return np.array([[_G_SERIES_CACHE[(h, t)][:n_max] for h in hs] for t in two_ks])
+    empty = np.zeros(0, dtype=complex)
+    return np.array([[_G_SERIES_CACHE.get((h, t), empty)[:n_max] for h in hs] for t in two_ks])
 
 
 def factorization_check(h, w, k, n_trunc):
@@ -267,11 +251,14 @@ def factorization_check(h, w, k, n_trunc):
     Compares sum_{c <= N} g_h(4c) (4c)^{-2w} against
     L^(2)(2w-1/2, chi_{k,h}) / zeta^(2h)(4w-1) * Dtilde(h,w), both sides
     truncated at N.  Returns (residual, combined_tail_bound); the identity
-    holds iff residual <= bound.  Needs Re(2w - 1/2) > 1 and Re(4w - 1) > 1.
+    holds iff residual <= bound.  Needs N >= 1, Re(2w - 1/2) > 1 and
+    Re(4w - 1) > 1.
     """
     h = int(h)
     w = complex(w)
     n_trunc = int(n_trunc)
+    if n_trunc < 1:  # the c-tail bound divides by a power of N
+        raise ValueError(f"the factorization check needs N >= 1, got {n_trunc}")
     two_k = _half_integer_times_two(k)
     if two_k % 2 == 0:
         raise ValueError("the factorization is the half-integral-weight one")

@@ -1,9 +1,32 @@
-"""Each numerical check suite of the Gauss sums and the kernels, defined once.
+"""Every pass/fail check of the reproduction, defined once.
 
 A suite is a generator of one ``Point(params, value, residual, bound)`` per
-grid point (``value`` is None where a check has only a residual).  `gv
-gauss-sums`, `eisenstein-check`, `kernels-verify` and acceptance criteria
-03-05 loop over them, so each grid and tolerance lives here only.  Layer
+grid point, and a point holds when ``holds`` says so: residual <= bound,
+the one pass comparison.  ``value`` is what the point measured: a number,
+the pair of compared sides where a caller reports both, a record, or None
+where a check has only a residual.  A check that is not numeric (a
+verdict, a window that must hold a sign change, an exact equality) has
+residual 0.0 when it holds and 1.0 when it fails, against bound 0.5, so
+residual / bound is finite at every point.
+
+The suites, with the `gv` subcommand and acceptance criterion that loop
+over each:
+
+* ``divisor_identities``: `divisor-identity`, criterion 02;
+* ``cesaro``, ``concentrating``, ``exponential``: `kernels-verify`,
+  criterion 03; ``compact``: `kernels-verify`;
+* ``h_multiplicative``, ``h_prime_eval``, ``h_vanishing``, ``two_piece``:
+  `gauss-sums`, criterion 04; ``d2_vanishing``: criterion 04;
+  ``reduction``: `eisenstein-check`, criterion 04;
+* ``factorization``: `eisenstein-check`, criterion 05;
+* ``second_moment``: `second-moment`, criterion 06;
+* ``growth_exponent``: `mean-square-p2`, criterion 07;
+* ``log_term``: `count-hyperboloid`, criterion 08;
+* ``bessel``: `hardy`, criterion 10;
+* ``sign_change_windows``: `sign-scan`, criterion 11.
+
+The Gauss-sum and kernel suites carry their own grids; the others take
+their table and grid as arguments, since each caller picks its own.  Layer
 functions are called through their modules, so a wrapper rebound on a
 module sees every call.
 """
@@ -13,17 +36,33 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
-from . import arith, charsums, kernels
+from . import arith, charsums, cuspform, fit, kernels, lattice
 
 TOL = 1e-9  # the Gauss-sum identities; the reduction bound is TOL * 4c
+MOMENT_TOL = 0.05  # relative gap of the smoothed second moment to C X^{3/2}
+EXPONENT = 1.5  # the growth exponent of both second moments
+SLOPE_TOL = 0.05  # a fitted growth exponent against EXPONENT
+BESSEL_TOL = 0.05  # the truncated Bessel series against the exact discrepancy
 
 _HS = range(1, 9)
 _ODD = range(3, 50, 2)
 _PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97)
 _SERIES_HS = (1, 2, 3, 4, 9)
 _HALF = (0.5, 1.5)
+_WITH_LOG = ((0.5, 1), (0.5, 0))
+_WITHOUT_LOG = ((0.5, 0),)
 
 Point = namedtuple("Point", "params value residual bound")
+
+
+def holds(point):
+    """Whether ``point`` passes: its residual is within its bound."""
+    return bool(point.residual <= point.bound)
+
+
+def _outcome(ok):
+    """(residual, bound) of a check that is not numeric."""
+    return (0.0 if ok else 1.0), 0.5
 
 
 def h_multiplicative():
@@ -139,3 +178,59 @@ def compact():
                 continue
             val = kernels.compact_Phi(Y, s)
             yield Point((Y, sig), val, abs(val - 1.0 / s), 2.0 / Y)
+
+
+def divisor_identities(R, d_all, d_odd):
+    """The odd-divisor identity at every R' = 1..R and the divisor
+    combination at every even R' <= R, exactly, from the divisor-count
+    tables ``d_all`` and ``d_odd``; params are (R', identity) and value is
+    (lhs, rhs)."""
+    odd = lattice.divisor_identity_check(R, d_odd)
+    comb = lattice.divisor_combination(R - R % 2, d_all)
+    for name, step, sides in (("odd-divisor", 1, odd), ("combination", 2, comb)):
+        for Rp, lhs, rhs in zip(range(step, R + 1, step), *sides):
+            yield Point((Rp, name), (lhs, rhs), *_outcome(lhs == rhs))
+
+
+def second_moment(form, C, grid):
+    """The smoothed second moment M(X) of ``form`` at each X in ``grid``
+    against C X^{3/2}; value is M(X), residual |M(X) / X^{3/2} / C - 1|."""
+    for X in grid:
+        val = cuspform.smoothed_second_moment(form, X)
+        yield Point((X,), val, abs(val / X**1.5 / C - 1.0), MOMENT_TOL)
+
+
+def growth_exponent(series, tol=SLOPE_TOL):
+    """One point: the log-log slope of ``series`` against EXPONENT +- tol."""
+    slope = fit.estimate_exponent(series)
+    yield Point((EXPONENT,), slope, abs(slope - EXPONENT), tol)
+
+
+def log_term(series_by_h, seed=0):
+    """The log-term verdict on each h's d = 3 hyperboloid count series:
+    "log" when h is a square, "no-log" otherwise.  params are
+    (h, expected verdict) and value is the ``fit.VerdictRecord``."""
+    for h, series in series_by_h.items():
+        record = fit.log_term_verdict(series, _WITH_LOG, _WITHOUT_LOG, seed=seed)
+        root = math.isqrt(h)
+        expected = "log" if root * root == h else "no-log"
+        yield Point((h, expected), record, *_outcome(record.verdict == expected))
+
+
+def bessel(radii, n_terms, table):
+    """The Bessel series of ``n_terms`` terms against the exact circle
+    discrepancy at each of ``radii``, from the r_2 ``table``; value is
+    (series, discrepancy)."""
+    series = lattice.hardy_identity(radii, n_terms, table).tolist()
+    for R, approx in zip(radii, series):
+        exact = lattice.discrepancy(2, R, table)
+        yield Point((R,), (approx, exact), abs(approx - exact), BESSEL_TOL)
+
+
+def sign_change_windows(series, grid, r=1.0):
+    """The sign changes of the partial sums ``series`` in each window
+    [X, X + X^r], X in ``grid``; value is the list of their positions, and
+    a window holds when it has one."""
+    for X in grid:
+        changes = cuspform.sign_changes(series, int(X), r)
+        yield Point((int(X),), changes, *_outcome(bool(changes)))

@@ -27,6 +27,7 @@ import math
 import os
 import re
 import sys
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -218,22 +219,22 @@ def cmd_tau(args):
 )
 def cmd_second_moment(args):
     form = _delta(args)
-    grid = parse_grid(args.grid)
     C, tail = cuspform.rankin_constant(form, args.table_size)
+    points = list(checks.second_moment(form, C, parse_grid(args.grid)))
     rows = []
-    for X in grid:
-        val = cuspform.smoothed_second_moment(form, X)
-        rows.append((X, val, val / X**1.5, val / X**1.5 / C - 1.0))
-    gap = abs(rows[-1][2] / C - 1.0)
-    ok = bool(gap <= 0.05)
+    for p in points:
+        (X,) = p.params
+        rows.append((X, p.value, p.value / X**1.5, p.value / X**1.5 / C - 1.0))
+    last = points[-1]  # the criterion reads the largest X only
+    ok = checks.holds(last)
     summary = {
         "constant": C,
         "constantTailBound": tail,
-        "relativeGapAtMaxX": gap,
-        "tolerance": 0.05,
+        "relativeGapAtMaxX": last.residual,
+        "tolerance": last.bound,
         "pass": ok,
     }
-    return rows, summary, None if ok else f"relative gap {gap:.4f} exceeds 5%"
+    return rows, summary, None if ok else f"relative gap {last.residual:.4f} exceeds {100 * last.bound:g}%"
 
 
 @subcommand(
@@ -247,12 +248,9 @@ def cmd_second_moment(args):
 )
 def cmd_sign_scan(args):
     series = cuspform.partial_sums(_delta(args), args.nu)
-    rows = []
-    all_nonempty = True
-    for X in parse_grid(args.grid):
-        changes = cuspform.sign_changes(series, int(X), args.r)
-        rows.append((int(X), len(changes), changes[0] if changes else -1))
-        all_nonempty = all_nonempty and bool(changes)
+    points = list(checks.sign_change_windows(series, parse_grid(args.grid), args.r))
+    rows = [(*p.params, len(p.value), p.value[0] if p.value else -1) for p in points]
+    all_nonempty = all(checks.holds(p) for p in points)
     summary = {"nu": args.nu, "r": args.r, "allWindowsNonempty": all_nonempty, "pass": all_nonempty}
     return rows, summary, None if all_nonempty else "a window produced no sign change"
 
@@ -305,11 +303,10 @@ def cmd_mean_square_p2(args):
     table = _r2(args)
     grid = parse_grid(args.grid)
     rows = [(X, lattice.mean_square_P2(X, table)) for X in grid]
-    series = lattice.count_series(grid, [r[1] for r in rows])
-    slope = fit.estimate_exponent(series)
-    ok = bool(abs(slope - 1.5) <= 0.05)
-    summary = {"slope": slope, "tolerance": 0.05, "pass": ok}
-    return rows, summary, None if ok else f"slope {slope:.4f} not 1.5 +- 0.05"
+    (p,) = checks.growth_exponent(lattice.count_series(grid, [r[1] for r in rows]))
+    ok = checks.holds(p)
+    summary = {"slope": p.value, "tolerance": p.bound, "pass": ok}
+    return rows, summary, None if ok else f"slope {p.value:.4f} not {p.params[0]:g} +- {p.bound:g}"
 
 
 @subcommand(
@@ -326,21 +323,12 @@ def cmd_hardy(args):
     # offsets stay in the middle band between integer shells, where the
     # truncated Bessel series is not Gibbs-limited by the count jumps
     radii = [float(rng.integers(10, 999)) + float(rng.uniform(0.3, 0.7)) for _ in range(args.count)]
-    series = lattice.hardy_identity(np.array(radii), args.terms, table).tolist()
-    rows = []
-    worst = 0.0
-    for R, approx in zip(radii, series):
-        exact = lattice.discrepancy(2, R, table)
-        err = abs(approx - exact)
-        worst = max(worst, err)
-        rows.append((R, approx, exact, err))
-    ok = bool(worst < 0.05)
-    summary = {"terms": args.terms, "maxAbsError": worst, "tolerance": 0.05, "pass": ok}
-    return rows, summary, None if ok else f"max |error| {worst:.4f} >= 0.05"
-
-
-_WITH_LOG = ((0.5, 1), (0.5, 0))
-_WITHOUT_LOG = ((0.5, 0),)
+    points = list(checks.bessel(radii, args.terms, table))
+    rows = [(*p.params, *p.value, p.residual) for p in points]
+    worst = max((p.residual for p in points), default=0.0)
+    ok = all(checks.holds(p) for p in points)
+    summary = {"terms": args.terms, "maxAbsError": worst, "tolerance": checks.BESSEL_TOL, "pass": ok}
+    return rows, summary, None if ok else f"max |error| {worst:.4f} > {checks.BESSEL_TOL:g}"
 
 
 def _hyperboloid_table(args, grid, reach, what):
@@ -372,10 +360,9 @@ def cmd_count_hyperboloid(args):
     if args.d != 3:
         return rows, summary, None
     series = lattice.count_series(grid, [r[1] for r in rows])
-    verdict = fit.log_term_verdict(series, _WITH_LOG, _WITHOUT_LOG, seed=args.seed)
-    root = math.isqrt(args.h)
-    expected = "log" if root * root == args.h else "no-log"
-    ok = verdict.verdict == expected
+    (p,) = checks.log_term({args.h: series}, seed=args.seed)
+    verdict, (_, expected) = p.value, p.params
+    ok = checks.holds(p)
     summary.update(
         {
             "verdict": verdict.verdict,
@@ -454,12 +441,9 @@ def cmd_short_hyperboloid(args):
     check=True,
 )
 def cmd_divisor_identity(args):
-    n_needed = args.R * args.R + 1
-    d_all, d_odd = arith.divisor_counts(n_needed)
-    odd = lattice.divisor_identity_check(args.R, d_odd)
-    comb = lattice.divisor_combination(args.R - args.R % 2, d_all)
-    rows = [(R, "odd-divisor", a, b, int(e)) for R, a, b, e in zip(range(1, args.R + 1), *odd)]
-    rows += [(R, "combination", a, b, int(e)) for R, a, b, e in zip(range(2, args.R + 1, 2), *comb)]
+    d_all, d_odd = arith.divisor_counts(args.R * args.R + 1)
+    points = checks.divisor_identities(args.R, d_all, d_odd)
+    rows = [(*p.params, *p.value, int(checks.holds(p))) for p in points]
     all_equal = all(row[4] for row in rows)
     summary = {"maxR": args.R, "allEqual": all_equal, "pass": all_equal}
     return rows, summary, None if all_equal else "an exact divisor identity failed"
@@ -482,14 +466,14 @@ _GAUSS_SUITES = (
 def cmd_gauss_sums(args):
     rows = []
     worst = {}
+    ok = True
     for name, suite in _GAUSS_SUITES:
         for p in suite():
             rows.append((*p.params, p.value.real, p.value.imag, name, p.residual))
             worst[name] = max(worst.get(name, 0.0), p.residual)
-    tol = checks.TOL
-    ok = bool(max(worst.values()) < tol)
-    summary = {"tolerance": tol, "worstResiduals": worst, "pass": ok}
-    return rows, summary, None if ok else "a Gauss-sum residual exceeded 1e-9"
+            ok = ok and checks.holds(p)
+    summary = {"tolerance": checks.TOL, "worstResiduals": worst, "pass": ok}
+    return rows, summary, None if ok else f"a Gauss-sum residual exceeded {checks.TOL:g}"
 
 
 @subcommand(
@@ -502,15 +486,17 @@ def cmd_gauss_sums(args):
 def cmd_eisenstein_check(args):
     rows = []
     worst_reduction = 0.0
+    reduction_ok = True
     for p in checks.reduction():
         h, c, k = p.params
         rows.append((h, c, k, 0.0, p.residual, "reduction"))
         worst_reduction = max(worst_reduction, p.residual / (4 * c))
+        reduction_ok = reduction_ok and checks.holds(p)
     fact_ok = True
     for p in checks.factorization(((2.0, args.terms), (1.75, args.terms))):
         rows.append((*p.params, p.residual, "factorization"))
-        fact_ok = fact_ok and p.residual <= p.bound
-    ok = bool(worst_reduction < checks.TOL and fact_ok)
+        fact_ok = fact_ok and checks.holds(p)
+    ok = reduction_ok and fact_ok
     summary = {
         "worstReductionResidualOver4c": worst_reduction,
         "factorizationWithinTails": fact_ok,
@@ -537,15 +523,14 @@ _KERNEL_SUITES = (
 def cmd_kernels_verify(args):
     rows = []
     worst = {}
-    within = True
+    ok = True
     for name, suite, label in _KERNEL_SUITES:
         for p in suite():
             rows.append((name, label.format(*p.params), p.residual, p.bound))
             # compact reports its residual in units of its 2/Y bound
             scaled = p.residual * p.params[0] / 2.0 if name == "compact" else p.residual
             worst[name] = max(worst.get(name, 0.0), scaled)
-            within = within and p.residual < p.bound
-    ok = bool(within)
+            ok = ok and checks.holds(p)
     summary = {"maxResidualPerKernel": worst, "pass": ok}
     return rows, summary, None if ok else "a kernel identity exceeded its tolerance"
 
@@ -558,7 +543,11 @@ def cmd_kernels_verify(args):
     _arg("--model", required=True, help="comma list of exponent:logpower terms"),
 )
 def cmd_fit(args):
-    data = np.loadtxt(args.data, delimiter=",", skiprows=1, ndmin=2)
+    with warnings.catch_warnings():  # numpy's empty-file warning; refused below
+        warnings.simplefilter("ignore", UserWarning)
+        data = np.loadtxt(args.data, delimiter=",", skiprows=1, ndmin=2)
+    if data.shape[0] == 0 or data.shape[1] < 2:
+        raise ValueError(f"{args.data}: needs data rows with X,value columns")
     grid, values = data[:, 0], data[:, 1]
     model = []
     for term in args.model.split(","):

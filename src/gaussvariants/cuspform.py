@@ -243,6 +243,8 @@ def short_interval_average(form, X):
         (1 / (X^{2/3} (log X)^{1/6})) sum_{|n - X| < X^{2/3} (log X)^{1/6}} S_f(n)^2.
     """
     X = int(X)
+    if X < 2:  # log X = 0 would leave an empty window
+        raise ValueError(f"the short-interval window needs X >= 2, got {X}")
     width = X ** (2.0 / 3.0) * math.log(X) ** (1.0 / 6.0)
     lo = max(1, int(math.floor(X - width)) + 1)
     hi = int(math.ceil(X + width)) - 1

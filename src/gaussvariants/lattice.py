@@ -175,6 +175,8 @@ def hardy_identity(R, n_terms, table):
     if np.any(radii == np.floor(radii)):
         raise ValueError("the Bessel series is evaluated at non-integer R only")
     n_terms = int(n_terms)
+    if n_terms < 0:
+        raise ValueError(f"the Bessel series needs n_terms >= 0, got {n_terms}")
     table.require(n_terms, f"Bessel series with {n_terms} terms")
     r2 = table.floats()[1 : n_terms + 1]
     mask = r2 != 0
@@ -352,25 +354,25 @@ def points_on_unit_hyperboloid(R, even_z=False):
 
 
 def divisor_identity_check(R, d_odd_table):
-    """Exact check, for every R' = 1..R: points on X^2+Y^2=Z^2+1 with
-    1 <= Z <= R' vs 4 sum_{n <= R'} d_o(n^2 + 1).
+    """Both sides of the exact identity, for every R' = 1..R: points on
+    X^2+Y^2=Z^2+1 with 1 <= Z <= R' and 4 sum_{n <= R'} d_o(n^2 + 1).
 
-    Returns lists (lhs, rhs, equal), entry R' - 1 for R'.
+    Returns lists (lhs, rhs), entry R' - 1 for R'.
     """
     R = int(R)
     d_odd_table.require(R * R + 1, "divisor identity")
     n = np.arange(1, R + 1, dtype=np.int64)
     lhs = np.cumsum(points_on_unit_hyperboloid(R)[1:])
     rhs = 4 * np.cumsum(d_odd_table.ints()[n * n + 1])
-    return lhs.tolist(), rhs.tolist(), (lhs == rhs).tolist()
+    return lhs.tolist(), rhs.tolist()
 
 
 def divisor_combination(R, d_table):
-    """Exact check of sum_{n <= R'} d(n^2 + 1) = N_1(R')/2 - N_2(R'/2)/4 for
+    """Both sides of sum_{n <= R'} d(n^2 + 1) = N_1(R')/2 - N_2(R'/2)/4 for
     every even R' = 2..R, with N_1, N_2 the enumerated counts on the two
     hyperboloids.  R must be even.
 
-    Returns lists (direct, combined, equal), entry R'/2 - 1 for R'; the
+    Returns lists (direct, combined), entry R'/2 - 1 for R'; the
     combination is integral (a float marks a failure).
     """
     R = int(R)
@@ -382,4 +384,4 @@ def divisor_combination(R, d_table):
     n1 = np.cumsum(points_on_unit_hyperboloid(R)[1:])[1::2]
     n2 = np.cumsum(points_on_unit_hyperboloid(R // 2, even_z=True)[1:])
     combined = [c // 4 if c % 4 == 0 else c / 4.0 for c in (2 * n1 - n2).tolist()]
-    return direct, combined, [a == c for a, c in zip(direct, combined)]
+    return direct, combined

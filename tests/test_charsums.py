@@ -93,26 +93,6 @@ class TestD2Sum:
             charsums.d2_sum(1, 1, 0.5)
 
 
-class TestEisensteinDFull:
-    def test_single_divisor_even_weight_cancels(self):
-        assert abs(charsums.eisenstein_D_full(1, 1.0, 2)) < 1e-15
-
-    def test_single_divisor_odd_weight(self):
-        assert charsums.eisenstein_D_full(1, 1.0, 1) == pytest.approx(1j / 8, abs=1e-15)
-
-    def test_two_divisor_sum_matches_reduction_route(self):
-        # sum over c | h of the closed form == sum over all c of the direct
-        # character sums (nonzero only at divisors), checked at w = 1
-        h, k = 2, 1
-        w = 1.0
-        direct = 0j
-        for c in range(1, 7):
-            g = charsums.gauss_sum_g(h, 4 * c, k)
-            direct += g * (4.0 * c) ** (-2 * w)
-        closed = charsums.eisenstein_D_full(h, w, k)
-        assert abs(direct - closed) < 1e-9
-
-
 class TestReductionCheck:
     def test_nondivisor_collapses_to_zero(self):
         assert charsums.reduction_check(3, 2, 1) < TOL

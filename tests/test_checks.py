@@ -1,6 +1,7 @@
-"""The check suites: how many points each grid holds."""
+"""The check suites: how many points each grid holds, and the residual and
+bound of a check that is not numeric."""
 
-from gaussvariants import charsums, checks, kernels
+from gaussvariants import arith, charsums, checks, cuspform, kernels, lattice
 
 POINT_COUNTS = dict(
     h_multiplicative=1848, h_prime_eval=188, h_vanishing=68, d2_vanishing=48, two_piece=480,
@@ -18,3 +19,26 @@ def test_point_counts(monkeypatch):
     assert counts == POINT_COUNTS
     for grid in (((2.0, 2000), (1.75, 2000)), ((1.75, 5000), (2.0, 2000))):
         assert sum(1 for _ in checks.factorization(grid)) == 20
+    # the suites that take their table and grid, on small ones
+    delta = cuspform.delta_form(1000)
+    grid = [2.0**e for e in range(4, 9)]
+    series = lattice.count_series(grid, [x**0.5 * (1.0 + x**0.25) for x in grid])
+    suites = (
+        (checks.divisor_identities(20, *arith.divisor_counts(20 * 20 + 1)), 30),
+        (checks.second_moment(delta, 1.0, (4.0, 8.0, 16.0)), 3),
+        (checks.growth_exponent(series), 1),
+        (checks.log_term({1: series, 2: series, 4: series}), 3),
+        (checks.bessel([10.5, 20.5], 100, arith.r_d_table(2, 200)), 2),
+        (checks.sign_change_windows(cuspform.partial_sums(delta, 0.0), (16.0, 32.0, 64.0)), 3),
+    )
+    assert [sum(1 for _ in points) for points, _ in suites] == [n for _, n in suites]
+
+
+def test_failing_window_has_residual_past_bound():
+    # massively over-normalized sums keep one sign on small windows
+    series = cuspform.partial_sums(cuspform.delta_form(200), 30)
+    points = list(checks.sign_change_windows(series, (16.0, 32.0)))
+    assert [p.value for p in points] == [[], []]
+    for p in points:
+        assert (p.residual, p.bound) == (1.0, 0.5)
+        assert p.residual > p.bound and not checks.holds(p)

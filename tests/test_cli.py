@@ -165,6 +165,23 @@ class TestExitCodes:
         assert code == cli.EXIT_CHECK_FAILED
         assert list(tmp_path.iterdir()) == []  # neither CSV nor JSON
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["short-interval", "--table-size", "3000", "--grid", "2^0..2^2"],  # log 1 = 0
+            ["hardy", "--table-size", "2000", "--terms", "-5", "--count", "2"],
+            ["eisenstein-check", "--terms", "0"],
+            ["fit", "--data", "header-only.csv", "--model", "1.5:0"],
+            ["fit", "--data", "one-column.csv", "--model", "1.5:0"],
+        ],
+    )
+    def test_degenerate_input_is_config_error(self, tmp_path, capsys, argv):
+        (tmp_path / "header-only.csv").write_text("X,value\n")
+        (tmp_path / "one-column.csv").write_text("X\n1\n2\n3\n4\n")
+        assert run(argv, tmp_path) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("gv: ") and "Traceback" not in err
+
     @pytest.mark.parametrize("argv", [["tau", "--check"], ["count-circle", "--seed", "1"]])
     def test_option_without_effect_is_config_error(self, tmp_path, argv):
         # tau has no criterion to check and count-circle nothing randomized
