@@ -282,9 +282,12 @@ def cmd_short_interval(args):
     table_size=10000,
 )
 def cmd_count_circle(args):
+    grid = parse_grid(args.grid)
+    if min(grid) <= 0:
+        raise ValueError(f"the discrepancy is normalized by sqrt(R): need R > 0, got {min(grid):g}")
     table = _r2(args)
     rows = []
-    for R in parse_grid(args.grid):
+    for R in grid:
         count = lattice.count_ball(2, R, table)
         vol = lattice.ball_volume(2, R)
         rows.append((R, count, vol, count - vol))

@@ -321,6 +321,8 @@ def hyperboloid_short_interval(d, h, X, table):
     """
     d, h = int(d), int(h)
     X = float(X)
+    if X <= 0:
+        raise ValueError(f"the short-interval window is normalized by a power of X > 0, got {X:g}")
     k = (d - 2) / 2.0
     lam = power_saving_exponent(d)
     width = X ** (1.0 - lam)

@@ -3,17 +3,15 @@
 ``sparse_power`` raises sum c_i q^{e_i} to the k-th power, truncated at
 q^N, exactly.  tau = q (eta^3)^8 and r_d = theta^d are both such powers.
 The first square enumerates exponent pairs; every further product is a
-float FFT (Pollard 1971), rounded directly when its coefficients are small
-and otherwise taken mod 31-bit primes in 11-bit limbs and joined by
-Garner's CRT (Garner 1959).  Every inverse transform checks its rounding
-margin and raises ``arith.RoundingMarginError`` rather than round a wrong
-value.
+float FFT over Z (Pollard 1971) in balanced signed limbs, as wide as keeps
+each output diagonal sum_{i+j=k} A_i B_j below 2^40: one rfft per limb,
+one irfft per diagonal, each checking its rounding margin and raising
+``arith.RoundingMarginError`` rather than round a wrong value.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -21,34 +19,14 @@ from .arith import RoundingMarginError
 
 _INT64 = np.iinfo(np.int64)
 
-# A product whose coefficients max|a| * max|b| * min(nnz) bounds below
-# _DIRECT_BOUND is rounded from one float64 FFT; a wider one runs mod enough
-# 31-bit primes, each as three balanced 11-bit limbs, for Garner's CRT.
-_DIRECT_BOUND = 1 << 40
-_LIMB_BITS = 11
+# Limbs are as wide as keeps every output diagonal, a sum of min(limb
+# counts) * min(nnz) limb products, below this bound.
+_DIAGONAL_BOUND = 1 << 40
+# One limb of 51 bits holds every |x| < 2^50, all _rint_checked accepts;
+# with 8-bit digits, every carry then stays below 2^57.
+_MAX_WIDTH = 51
+_DIGIT_BITS = 8  # a result that may pass int64 is held as int8 rows of balanced digits
 _PAIR_CHUNK = 1 << 17  # exponent pairs per bincount, on average, in a sparse square
-
-
-@dataclass
-class _Wide:
-    """Integers of absolute value <= bound, held as balanced mixed-radix
-    digits: x = v_0 + p_0 (v_1 + p_1 (v_2 + ...)) with |v_i| < p_i / 2."""
-
-    digits: list
-    primes: list
-    bound: int
-
-
-def _fft_primes(bound):
-    """The fewest of the largest primes below 2^31 whose product exceeds bound."""
-    primes = []
-    p = 1 << 31
-    while math.prod(primes) <= bound:
-        p -= 1
-        # a Fermat test screens out most composites before trial division proves p prime
-        if pow(2, p - 1, p) == 1 and np.all(p % np.arange(3, math.isqrt(p) + 1, 2)):
-            primes.append(p)
-    return primes
 
 
 def _smooth_length(n):
@@ -76,90 +54,110 @@ def _rint_checked(x):
 
 
 def _extent(x):
-    """(max |x|, nonzero count) as Python ints: a wide operand reports its bound."""
-    if isinstance(x, _Wide):
-        return x.bound, len(x.digits[0])
-    return max(int(x.max()), -int(x.min())), int(np.count_nonzero(x))
+    """(bound on |x|, nonzero count) as Python ints, for int64 x or digit rows."""
+    if x.ndim == 1:
+        return max(int(x.max()), -int(x.min())), int(np.count_nonzero(x))
+    bound = sum(max(int(row.max()), -int(row.min())) << _DIGIT_BITS * j for j, row in enumerate(x))
+    return bound, int(np.count_nonzero(x.any(axis=0)))
 
 
-def _residue(x, q):
-    """x mod q in [0, q) as int64, by Horner's rule over the digits of a wide x."""
-    if not isinstance(x, _Wide):
-        return x % q
-    t = 0
-    for v, p in zip(reversed(x.digits), reversed(x.primes)):
-        t = (t * p + v) % q  # t, p < 2^31 and |v| < 2^30: inside int64
-    return t
+def _limb_count(m, width):
+    """The fewest balanced width-bit limbs that hold every |x| <= m."""
+    count, top = 1, (1 << (width - 1)) - 1
+    while top < m:
+        count, top = count + 1, (top << width) + (1 << (width - 1)) - 1
+    return count
 
 
-def _limb_spectra(x, p, n_fft):
-    """Spectra of the three balanced 11-bit limbs of x mod p, in (-p/2, p/2)."""
-    r = _residue(x, p)
-    r -= p * (r > p // 2)
-    half = 1 << (_LIMB_BITS - 1)
-    spectra = []
-    for _ in range(3):
-        limb = ((r + half) & (2 * half - 1)) - half
-        spectra.append(np.fft.rfft(limb, n_fft))
-        r = (r - limb) >> _LIMB_BITS
-    return spectra
+def _limb_width(a_max, b_max, nnz):
+    """The widest limb whose output diagonals stay below _DIAGONAL_BOUND."""
+    for width in range(_MAX_WIDTH, 1, -1):
+        half = 1 << (width - 1)
+        terms = min(_limb_count(a_max, width), _limb_count(b_max, width))
+        if terms * min(a_max, half) * min(b_max, half) * nnz < _DIAGONAL_BOUND:
+            break
+    return width
 
 
-def _float_product(a, b, n_fft, n_max):
-    """a * b to q^n_max from one float64 FFT, rounded under the margin check."""
-    spec = np.fft.rfft(a, n_fft)
-    spec *= spec if b is a else np.fft.rfft(b, n_fft)
-    return _rint_checked(np.fft.irfft(spec, n_fft)[: n_max + 1])
+def _cut(acc, width):
+    """Cut the low balanced width-bit limb, in [-2^(width-1), 2^(width-1)), off
+    acc: returns it and leaves (acc - limb) / 2^width in acc, never leaving int64."""
+    half = 1 << (width - 1)
+    limb = acc & (2 * half - 1)
+    limb ^= half
+    limb -= half
+    acc >>= width
+    acc += limb < 0
+    return limb
 
 
-def _mod_product(a, b, p, n_fft, n_max):
-    """a * b mod p to q^n_max: five limb products, each rounded under the check."""
-    A = _limb_spectra(a, p, n_fft)
-    B = A if b is a else _limb_spectra(b, p, n_fft)
-    spec = np.empty_like(A[0])
-    term = np.empty_like(A[0])
-    out = np.zeros(n_max + 1, dtype=np.int64)
-    for k in range(5):
-        spec[:] = 0
-        for i in range(max(0, k - 2), min(k, 2) + 1):
-            spec += np.multiply(A[i], B[k - i], out=term)
-        c = _rint_checked(np.fft.irfft(spec, n_fft)[: n_max + 1])
-        out += c % p * pow(2, _LIMB_BITS * k, p) % p
-        out %= p
-    return out
+def _regroup(digits, src, dst, count):
+    """The first count balanced dst-bit digits of sum_j digits[j] 2^(src j),
+    low first, each as soon as it is final."""
+    acc, have = 0, 0
+    for d in digits:
+        acc += np.left_shift(d, have, dtype=np.int64)
+        del d  # not held while the next digit is made
+        have += src
+        while have >= dst and count:
+            yield _cut(acc, dst)
+            have, count = have - dst, count - 1
+    for _ in range(count):
+        yield _cut(acc, dst)
 
 
-def _garner(residues, primes, bound):
-    """The integers |x| <= bound with these residues (Garner 1959): the
-    balanced digits are found in int64, and summed in wrapping int64 when
-    bound < 2^63, which is then exact."""
-    digits = []
-    for i, (r, p) in enumerate(zip(residues, primes)):
-        t = _residue(_Wide(digits, primes[:i], 0), p) if digits else 0
-        v = (r - t) % p * pow(math.prod(primes[:i]), -1, p) % p
-        v -= p * (v > p // 2)
-        digits.append(v)
-    if bound > _INT64.max:
-        return _Wide(digits, list(primes), bound)
-    x = np.zeros(len(digits[0]), dtype=np.int64)
-    weight = 1
-    for v, p in zip(digits, primes):
-        x += v * np.int64((weight + (1 << 63)) % (1 << 64) - (1 << 63))
-        weight *= p
-    return x
+def _limbs(x, x_max, width):
+    """The balanced width-bit limbs of int64 x or of digit rows x, low first."""
+    count = _limb_count(x_max, width)
+    if x.ndim == 1 and count == 1:
+        return iter([x])  # its one limb is x itself
+    rows, bits = ([x], 64) if x.ndim == 1 else (x, _DIGIT_BITS)
+    return _regroup(rows, bits, width, count)
 
 
 def _product(a, b, n_max):
-    """a * b to q^n_max, exactly, by float FFT (Pollard 1971)."""
+    """a * b to q^n_max, exactly, for int64 a, b or digit rows; digit rows
+    come back when the result may pass int64."""
     (a_max, a_nnz), (b_max, b_nnz) = _extent(a), _extent(b)
-    bound = a_max * b_max * min(a_nnz, b_nnz)
-    if bound == 0:
-        return np.zeros(n_max + 1, dtype=np.int64)
+    nnz = min(a_nnz, b_nnz)
+    bound = a_max * b_max * nnz
+    width = _limb_width(a_max, b_max, nnz)
     n_fft = _smooth_length(2 * n_max + 1)
-    if bound < _DIRECT_BOUND:
-        return _float_product(a, b, n_fft, n_max)
-    primes = _fft_primes(2 * bound)
-    return _garner([_mod_product(a, b, p, n_fft, n_max) for p in primes], primes, bound)
+    square = b is a
+    la, lb = _limb_count(a_max, width), _limb_count(b_max, width)
+    # spectra are made when a diagonal first needs them and dropped after the last
+    limbs_a = _limbs(a, a_max, width)
+    limbs_b = limbs_a if square else _limbs(b, b_max, width)
+    A = []
+    B = A if square else []
+
+    def diagonal(k):
+        """sum_{i+j=k} a_i b_j from one inverse FFT, rounded under the check."""
+        for S, limbs in ((A, limbs_a), (B, limbs_b)):
+            S.extend(np.fft.rfft(limb, n_fft) for limb in islice(limbs, max(0, k + 1 - len(S))))
+        lo, hi = max(0, k - lb + 1), min(k, la - 1)
+        # A[lo] takes part in no diagonal past lo + lb - 1, so the sum takes its
+        # place; the spectra of b, in sparse_power the base, stay to the end
+        spec = np.multiply(A[lo], B[k - lo], out=A[lo] if k >= lb - 1 else None)
+        if square and lo < hi:
+            spec += spec  # the mirror term A[hi] A[lo]
+            hi -= 1
+        for i in range(lo + 1, hi + 1):
+            spec += A[i] * B[k - i]
+        if k >= lb - 1:
+            A[lo] = None
+        spec = np.fft.irfft(spec, n_fft)[: n_max + 1]  # the spectrum is freed before rounding
+        return _rint_checked(spec)
+
+    def diagonals(bits):  # those that reach the low bits of the product, one at a time
+        return map(diagonal, range(min(la + lb - 1, -(-bits // width))))
+
+    if bound <= _INT64.max:  # the sum wraps mod 2^64 but fits int64: exact
+        return sum(d << width * k for k, d in enumerate(diagonals(64)))
+    n_digits = _limb_count(bound, _DIGIT_BITS)
+    digits = _regroup(diagonals(_DIGIT_BITS * n_digits), width, _DIGIT_BITS, n_digits)
+    # rows are stacked at the end, when the spectra are gone
+    return np.array([digit.astype(np.int8) for digit in digits])
 
 
 def _dense(exps, coeffs, n_max):
@@ -220,14 +218,14 @@ def sparse_power(exps, coeffs, k, n_max):
             acc = _product(acc, _dense(exps, coeffs, n_max), n_max)
     if acc is None:
         return _dense(exps, coeffs, n_max)
-    if not isinstance(acc, _Wide):
+    if acc.ndim == 1:
         return acc
+    # Python ints from 56-bit words, one chunk at a time
+    words = list(_regroup(acc, _DIGIT_BITS, 56, _limb_count(_extent(acc)[0], 56)))
     out = np.empty(n_max + 1, dtype=object)
     for s in range(0, n_max + 1, 1 << 14):
-        x = 0
-        for v, p in zip(reversed(acc.digits), reversed(acc.primes)):
-            x = x * p + v[s : s + (1 << 14)].astype(object)
-        out[s : s + (1 << 14)] = x
+        chunk = slice(s, s + (1 << 14))
+        out[chunk] = sum(w[chunk].astype(object) << 56 * j for j, w in enumerate(words))
     if _INT64.min <= out.min() and out.max() <= _INT64.max:
         return out.astype(np.int64)
     return out

@@ -102,13 +102,19 @@ def power_cases(draw):
 
 def test_sparse_power_matches_naive_convolution_on_every_path(monkeypatch):
     seen = set()
-    for name in ("_float_product", "_mod_product"):
-        real = getattr(powers, name)
-        monkeypatch.setattr(powers, name, lambda *a, _real=real, _name=name: seen.add(_name) or _real(*a))
+    real = powers._limb_width
+
+    def limb_width(a_max, b_max, nnz):
+        width = real(a_max, b_max, nnz)
+        limbs = max(powers._limb_count(a_max, width), powers._limb_count(b_max, width))
+        seen.add("one limb" if limbs == 1 else "several limbs")
+        return width
+
+    monkeypatch.setattr(powers, "_limb_width", limb_width)
 
     # one draw per path, so each is reached whatever the random draws
-    @example(([0, 1, 3], [1, -2, 1], 3, 40))  # small: one float FFT
-    @example(([0, 2, 7], [4000, -3999, 17], 4, 60))  # past 2^40: mod primes
+    @example(([0, 1, 3], [1, -2, 1], 3, 40))  # small: one limb, one float FFT
+    @example(([0, 2, 7], [4000, -3999, 17], 4, 60))  # past 2^40: several limbs
     @example(([0, 1], [2**40, -(2**40) + 1], 3, 10))  # past int64: object
     @settings(database=None, deadline=None, max_examples=150)
     @given(power_cases())
@@ -122,7 +128,7 @@ def test_sparse_power_matches_naive_convolution_on_every_path(monkeypatch):
             seen.add("object")
 
     check()
-    assert seen == {"_float_product", "_mod_product", "object"}
+    assert seen == {"one limb", "several limbs", "object"}
 
 
 @settings(database=None, deadline=None, max_examples=40)

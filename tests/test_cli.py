@@ -173,6 +173,8 @@ class TestExitCodes:
             ["eisenstein-check", "--terms", "0"],
             ["fit", "--data", "header-only.csv", "--model", "1.5:0"],
             ["fit", "--data", "one-column.csv", "--model", "1.5:0"],
+            ["count-circle", "--grid", "0:2:1", "--table-size", "10"],  # R = 0 under sqrt(R)
+            ["short-hyperboloid", "--grid", "0:2:1", "--table-size", "100"],  # X = 0
         ],
     )
     def test_degenerate_input_is_config_error(self, tmp_path, capsys, argv):

@@ -1,6 +1,4 @@
-"""The exact sparse power: small cases, input checks, primes and the rounding guard."""
-
-import math
+"""The exact sparse power: small cases, input checks, int64 edges and the rounding guard."""
 
 import numpy as np
 import pytest
@@ -26,13 +24,25 @@ class TestSparsePower:
         with pytest.raises(ValueError):
             powers.sparse_power([0, 1], [1, 1], 0, 5)
 
-    def test_fft_primes_are_distinct_primes_below_2_31(self):
-        primes = powers._fft_primes(2**400)
-        assert math.prod(primes) > 2**400
-        assert len(set(primes)) == len(primes)
-        for p in primes:
-            assert p < 2**31
-            assert all(p % q for q in range(2, math.isqrt(p) + 1))
+    @pytest.mark.parametrize(
+        "exps, coeffs, k, n_max",
+        [
+            ([0, 1, 2], [-(2**63), 2**63 - 1, -(2**63)], 2, 4),  # square
+            ([0, 1], [2**63 - 1, -(2**63)], 3, 5),  # cube
+            ([0, 9, 40], [2**63 - 1, 3, -(2**63)], 2, 60),  # sparse square, sum |c|^2 >= 2^53
+        ],
+    )
+    def test_int64_edge_coefficients_match_naive_convolution(self, exps, coeffs, k, n_max):
+        # cutting a limb off 2^63 - 1 or -2^63 must not wrap int64
+        base = np.zeros(n_max + 1, dtype=object)
+        base[exps] = coeffs
+        want = base
+        for _ in range(k - 1):
+            want = np.convolve(want, base)[: n_max + 1]
+        out = powers.sparse_power(exps, coeffs, k, n_max)
+        assert out.tolist() == want.tolist()
+        fits = all(-(2**63) <= v < 2**63 for v in want)
+        assert out.dtype == (np.int64 if fits else object)
 
     def test_margin_check_refuses_a_quarter(self):
         assert powers._rint_checked(np.array([3.2, -1.9, 0.0])).tolist() == [3, -2, 0]
@@ -44,9 +54,10 @@ class TestSparsePower:
             powers._rint_checked(np.array([np.nan]))
 
     def test_rounding_guard_refuses_a_float_product_past_2_53(self, monkeypatch):
-        # With the direct-float threshold lifted, products wider than 2^53
-        # take one float64 FFT; the margin check must raise, not round.
-        monkeypatch.setattr(powers, "_DIRECT_BOUND", 1 << 200)
+        # With the diagonal bound lifted, every limb is as wide as it can be
+        # and products wider than 2^53 take one float64 FFT; the margin
+        # check must raise, not round.
+        monkeypatch.setattr(powers, "_DIAGONAL_BOUND", 1 << 200)
         with pytest.raises(arith.RoundingMarginError):
             powers.sparse_power([0, 1, 2], [2**30 + 1, 3 - 2**29, 2**30 - 7], 3, 20)
         with pytest.raises(arith.RoundingMarginError):
