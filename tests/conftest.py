@@ -1,10 +1,24 @@
-"""Shared session fixtures plus the acceptance-criteria summary table."""
+"""Shared session fixtures, the child-process guard and the acceptance-criteria
+summary table."""
+
+import os
 
 import pytest
 
 from gaussvariants import arith, cuspform
 
 ACCEPTANCE_REPORTS = []
+
+
+@pytest.fixture(autouse=True)
+def no_child_left_behind():
+    """Fail a test that leaves a child process running or unreaped."""
+    yield
+    try:
+        pid, _ = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:  # this process has no children
+        return
+    pytest.fail(f"the test left a child process behind ({'still running' if pid == 0 else pid})")
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -274,13 +274,6 @@ class TestHyperboloidBeyondInt64:
 
 
 class TestDivisorIdentities:
-    def test_full_range_exact(self, divisor_tables):
-        d_all, d_odd = divisor_tables
-        lhs, rhs = lattice.divisor_identity_check(200, d_odd)
-        assert len(lhs) == 200 and lhs == rhs
-        direct, combined = lattice.divisor_combination(200, d_all)
-        assert len(direct) == 100 and direct == combined
-
     def test_conventions_reported_small_R(self, divisor_tables):
         _, d_odd = divisor_tables
         lhs, rhs = lattice.divisor_identity_check(5, d_odd)

@@ -44,6 +44,18 @@ class TestSparsePower:
         fits = all(-(2**63) <= v < 2**63 for v in want)
         assert out.dtype == (np.int64 if fits else object)
 
+    def test_product_reaching_its_bound_fills_the_top_digit_row(self):
+        # (C + C q + C q^2 + C q^3)^2 has 4 C^2 at q^3, the bound
+        # a_max * b_max * nnz itself: the top digit row is nonzero, so a
+        # diagonal cutoff one limb short must show
+        c = 2**40 + 1
+        base = np.full(4, c, dtype=np.int64)
+        rows = powers._product(base, base, 3)
+        assert rows.ndim == 2 and rows[-1].any()
+        out = powers.sparse_power([0, 1, 2, 3], [c] * 4, 2, 3)
+        assert out.dtype == object
+        assert out.tolist() == [c * c, 2 * c * c, 3 * c * c, 4 * c * c]
+
     def test_margin_check_refuses_a_quarter(self):
         assert powers._rint_checked(np.array([3.2, -1.9, 0.0])).tolist() == [3, -2, 0]
         with pytest.raises(arith.RoundingMarginError):
