@@ -14,7 +14,9 @@ This module provides the primitives everything else is built on:
 * truncated Dirichlet L-series with removed Euler factors and an honest
   integral tail bound,
 * the little-endian binary cache format used to persist coefficient
-  tables between runs.
+  tables between runs.  Tables pass through it one block of ``_BLOCK``
+  entries at a time, in both directions, so a process that reads or
+  writes a table holds one copy of it plus one block.
 
 All tables hold exact integers in one ndarray: int64 while every entry
 fits, Python ints (dtype object) past that, so each exact path is one numpy
@@ -43,6 +45,11 @@ _INT64 = np.iinfo(np.int64)
 _INT64_SAFE = 1 << 62
 _LOW64 = (1 << 64) - 1
 
+# Entries per block wherever a whole table is streamed: through the cache
+# file, and in the long passes of ``lattice`` and ``cuspform``.  Blocks keep
+# the transient arrays small; they never change a result's bits.
+_BLOCK = 1 << 14
+
 # operator.index on every entry of an object array: exact, and TypeError on
 # a float or any other non-integer.
 _as_int = np.frompyfunc(operator.index, 1, 1)
@@ -69,7 +76,8 @@ class CoefficientTable:
     ``values`` is one read-only 1-D ndarray: int64 when every entry fits,
     and dtype object (Python ints) otherwise, so one numpy expression serves
     either.  Input may be any iterable or ndarray of integers; a non-integer
-    entry raises TypeError, and nothing is wrapped or truncated.  Tables are
+    entry raises TypeError, and nothing is wrapped or truncated.  An int64
+    ndarray is taken as it is, not copied, and made read-only.  Tables are
     immutable after construction and safe to share across threads.
     """
 
@@ -92,7 +100,7 @@ class CoefficientTable:
         elif arr.dtype.kind == "u" and arr.max(initial=0) > _INT64.max:
             arr = arr.astype(object)
         else:
-            arr = arr.astype(np.int64)
+            arr = arr.astype(np.int64, copy=False)
         arr.setflags(write=False)
         self.values = arr
         self.n_max = len(arr) - 1
@@ -346,7 +354,8 @@ def _enumerated_norm_counts(dim, n_max):
 
     Direct enumeration only; no coefficient tables involved.  Shared by the
     r_d, hyperboloid and divisor-identity oracles (dim up to 5); the grid
-    grows like n_max^{dim/2}, so callers keep n_max desk-scale.
+    grows like n_max^{dim/2}, so callers keep n_max desk-scale.  The last
+    coordinate is added to about ``_BLOCK`` points of the others at a time.
     """
     key = (dim, n_max)
     hit = _HALF_COUNT_CACHE.get(key)
@@ -355,12 +364,15 @@ def _enumerated_norm_counts(dim, n_max):
     root = math.isqrt(n_max)
     side = np.arange(-root, root + 1, dtype=np.int64)
     sq = side * side
-    norms = sq
+    norms = np.zeros(1, dtype=np.int64)  # the one point of Z^0
     for _ in range(dim - 1):
-        norms = norms[:, None] + sq[None, :]
-        norms = norms.ravel()
+        norms = (norms[:, None] + sq).ravel()
         norms = norms[norms <= n_max]
-    counts = np.bincount(norms, minlength=n_max + 1)
+    counts = np.zeros(n_max + 1, dtype=np.int64)
+    rows = max(1, _BLOCK // len(sq))
+    for s in range(0, len(norms), rows):
+        block = (norms[s : s + rows, None] + sq).ravel()
+        np.add.at(counts, block[block <= n_max], 1)
     _HALF_COUNT_CACHE[key] = counts
     return counts
 
@@ -498,20 +510,23 @@ def write_table_cache(path, table):
         + table.n_max.to_bytes(8, "little")
     )
     v = table.values
-    words = np.empty((len(v), 2), dtype="<i8")  # (low word, high word) per entry
-    if v.dtype == object:
-        words[:, 0] = (v & _LOW64).astype(np.uint64).view(np.int64)
-        words[:, 1] = (v >> 64).astype(np.int64)
-    else:
-        words[:, 0] = v
-        np.right_shift(v, 63, out=words[:, 1])
+    words = np.empty((min(len(v), _BLOCK), 2), dtype="<i8")  # (low word, high word) per entry
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".gvct-")
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.write(header)
-            fh.write(words)
+            for s in range(0, len(v), _BLOCK):
+                block = v[s : s + _BLOCK]
+                part = words[: len(block)]
+                if v.dtype == object:
+                    part[:, 0] = (block & _LOW64).astype(np.uint64).view(np.int64)
+                    part[:, 1] = (block >> 64).astype(np.int64)
+                else:
+                    part[:, 0] = block
+                    np.right_shift(block, 63, out=part[:, 1])
+                fh.write(part)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -532,7 +547,9 @@ def read_table_cache(path, n_max=None):
 
     Either way the magic, the version and the body length (against the
     file's size) are verified, so a truncated or over-long file is refused.
-    The prefix takes int64 when its entries fit, as a fresh build would.
+    The body is read one block at a time into the result, which is int64
+    while every entry read so far fits and takes Python ints from the first
+    block that does not: a prefix has the dtype a fresh build would give it.
     """
     with open(path, "rb") as fh:
         head = _read_exactly(fh, 8, path)
@@ -552,9 +569,21 @@ def read_table_cache(path, n_max=None):
             n_max = stored
         elif not 0 <= n_max <= stored:
             raise ValueError(f"{path}: holds n <= {stored}, cannot serve n <= {n_max}")
-        blob = _read_exactly(fh, 16 * (n_max + 1), path)
-    words = np.frombuffer(blob, dtype="<i8").reshape(n_max + 1, 2)
-    lo, hi = words[:, 0], words[:, 1]
-    if np.array_equal(hi, lo >> 63):  # every entry fits in int64
-        return CoefficientTable(label, lo)
-    return CoefficientTable(label, (hi.astype(object) << 64) + lo.view("<u8").astype(object))
+        n = n_max + 1
+        words = np.empty((min(n, _BLOCK), 2), dtype="<i8")  # (low word, high word) per entry
+        out = np.empty(n, dtype=np.int64)
+        for s in range(0, n, _BLOCK):
+            part = words[: min(_BLOCK, n - s)]
+            if fh.readinto(part) != part.nbytes:
+                raise ValueError(f"{path}: truncated cache file")
+            lo, hi = part[:, 0], part[:, 1]
+            if out.dtype != object and not np.array_equal(hi, lo >> 63):
+                # the first block past int64: Python ints from here on
+                wide = np.empty(n, dtype=object)
+                wide[:s] = out[:s]
+                out = wide
+            if out.dtype == object:
+                out[s : s + len(part)] = (hi.astype(object) << 64) + lo.view("<u8").astype(object)
+            else:
+                out[s : s + len(part)] = lo
+    return CoefficientTable(label, out)

@@ -55,11 +55,24 @@ def _roots_of_unity(modulus):
     return np.exp(2j * np.pi * np.arange(modulus, dtype=np.float64) / modulus)
 
 
+# OpenBLAS computes a complex dot longer than 10^4 on threads of its own,
+# and then its bits depend on the thread count, so longer dots are taken
+# in pieces of this length.  Two processes of such threads on the same CPUs
+# also stall each other (3000 moduli on two vCPUs: 3.6 s in one process,
+# 20.5 s split in two), so only the moduli 4c <= 10^4 of
+# ``gauss_sum_g_series`` are split across CPUs; the rest stay in this process.
+_SPLIT_MODULUS = 10_000
+
+
 def _roots_of_unity_dot(exponents, chi, phase):
     """sum_d chi(d) e(exponent_d/modulus): the integer multiplicity of each
-    root of unity first (exact in float64), then one dot with ``phase``."""
+    root of unity first (exact in float64), then one dot with ``phase``,
+    as consecutive dots of at most _SPLIT_MODULUS terms."""
     mult = np.bincount(exponents, weights=chi, minlength=len(phase))
-    return complex(np.dot(mult, phase))
+    dot = np.dot(mult[:_SPLIT_MODULUS], phase[:_SPLIT_MODULUS])
+    for s in range(_SPLIT_MODULUS, len(phase), _SPLIT_MODULUS):
+        dot += np.dot(mult[s : s + _SPLIT_MODULUS], phase[s : s + _SPLIT_MODULUS])
+    return complex(dot)
 
 
 def _half_integer_times_two(k):
@@ -141,20 +154,16 @@ def d2_sum(h, alpha, k):
     return _g_at_modulus((int(h),), 1 << alpha, (two_k,))[0][0]
 
 
-def reduction_check(h, c, k):
+def reduction_residuals(hs, c, ks):
     """|direct sum - closed form| for the full-integral character sum
 
         sum_{d mod 4c} (-4/d)^k e(hd/4c)
-            = [c | h] * c * (e^{pi i h/2c} + (-1)^k e^{3 pi i h/2c}).
+            = [c | h] * c * (e^{pi i h/2c} + (-1)^k e^{3 pi i h/2c}),
 
-    Contract: the residual stays below 1e-9 * (4c).
+    as rows [[residual at (h, c, k) for h in hs] for k in ks], from one build
+    of the characters and roots of unity mod 4c.  Contract: each residual
+    stays below 1e-9 * (4c).
     """
-    return reduction_residuals((h,), c, (k,))[0][0]
-
-
-def reduction_residuals(hs, c, ks):
-    """[[reduction_check(h, c, k) for h in hs] for k in ks], from one build
-    of the characters and roots of unity mod 4c."""
     hs, c, ks = [int(h) for h in hs], int(c), [int(k) for k in ks]
     if c < 1:
         raise ValueError("c must be positive")
@@ -221,11 +230,6 @@ def dtilde_half(h, w, k):
 
 
 _G_SERIES_CACHE = {}
-# OpenBLAS computes a complex dot longer than 10^4 on threads of its own,
-# and two processes of such threads on the same CPUs stall each other (3000
-# moduli on two vCPUs: 3.6 s in one process, 20.5 s split in two), so only
-# the moduli 4c <= 10^4 are split across CPUs; the rest stay in this process.
-_SPLIT_MODULUS = 10_000
 
 
 def gauss_sum_g_series(hs, ks, n_max):

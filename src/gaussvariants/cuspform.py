@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import arith
 from .arith import CoefficientTable, require_coverage
 
 # Deligne: |tau(n)| <= d(n) n^{11/2} < 2^120 for n <= 10^6, inside the 128
@@ -101,9 +102,18 @@ class CuspFormSeries:
         return self.coeffs.n_max
 
     def prefix_floats(self):
-        """S_f(0..N) as float64 (exact integer prefix sums, then rounded)."""
+        """S_f(0..N) as float64 (exact integer prefix sums, then rounded),
+        summed one block at a time with the exact sum carried across."""
         if self._prefix_floats is None:
-            self._prefix_floats = np.cumsum(self.coeffs.values, dtype=object).astype(np.float64)
+            a = self.coeffs.values
+            out = np.empty(len(a))
+            carry = 0
+            for s in range(0, len(a), arith._BLOCK):
+                exact = np.cumsum(a[s : s + arith._BLOCK], dtype=object)
+                exact += carry
+                carry = exact[-1]
+                out[s : s + len(exact)] = exact
+            self._prefix_floats = out
         return self._prefix_floats
 
 
@@ -185,10 +195,8 @@ def rankin_constant(form, n_trunc):
     if n_trunc < 1 or n_trunc > form.n_max:
         raise ValueError("n_trunc must lie within the tabulated range")
     k = form.weight
-    a = form.coeffs.tolist()[1 : n_trunc + 1]
-    series = math.fsum(
-        [float(c * c) / (float(n**k) * math.sqrt(n)) for n, c in enumerate(a, 1)]
-    )
+    a = form.coeffs.values[1 : n_trunc + 1].tolist()
+    series = math.fsum(float(c * c) / (float(n**k) * math.sqrt(n)) for n, c in enumerate(a, 1))
     front = math.sqrt(math.pi) / 2 / (4 * math.pi * math.pi)
     # Partial summation against sum_{n<=x} d(n)^2 ~ x log^3 x / pi^2, with a
     # 3x safety factor absorbing the positive lower-order average terms

@@ -85,20 +85,30 @@ def mean_square_P2(X, table):
 
     On [n, n+1) the count is the constant C_n and the area is pi r, so each
     piece has the closed antiderivative -(C_n - pi r)^3 / (3 pi); pieces are
-    combined with compensated summation.
+    combined with compensated summation, which is exact, so the pieces are
+    made one block of n at a time with the integer count carried across.
     """
     X = float(X)
     if X <= 0:
         raise ValueError("X must be positive")
     top = int(math.ceil(X))
     table.require(top - 1, f"mean square to X={X:g}")
-    counts = np.cumsum(table.ints()[:top]).astype(np.float64)
-    left = np.arange(top, dtype=np.float64)
-    right = np.minimum(left + 1.0, X)
-    piece = ((counts - math.pi * left) ** 3 - (counts - math.pi * right) ** 3) / (
-        3 * math.pi
-    )
-    return math.fsum(piece.tolist())
+    r2 = table.ints()[:top]
+
+    def pieces():
+        carry = 0
+        for s in range(0, top, arith._BLOCK):
+            exact = np.cumsum(r2[s : s + arith._BLOCK]) + carry
+            carry = int(exact[-1])
+            counts = exact.astype(np.float64)
+            left = np.arange(s, s + len(counts), dtype=np.float64)
+            right = np.minimum(left + 1.0, X)
+            piece = ((counts - math.pi * left) ** 3 - (counts - math.pi * right) ** 3) / (
+                3 * math.pi
+            )
+            yield from piece.tolist()
+
+    return math.fsum(pieces())
 
 
 # ---------------------------------------------------------------------------
@@ -165,7 +175,9 @@ def hardy_identity(R, n_terms, table):
     Converges (slowly, in mean) to the circle discrepancy at non-integer R;
     integer R is rejected since the boundary convention there is delicate.
     R is a float or a 1-D array of radii, as in ``bessel_J1``; the nonzero
-    terms of the table are gathered once for all of them.
+    terms of the table are gathered once for all of them.  Each radius's
+    terms are evaluated one block at a time into one vector, which is then
+    summed whole.
     """
     radii = np.asarray(R, dtype=np.float64)
     scalar = radii.ndim == 0
@@ -178,16 +190,19 @@ def hardy_identity(R, n_terms, table):
     if n_terms < 0:
         raise ValueError(f"the Bessel series needs n_terms >= 0, got {n_terms}")
     table.require(n_terms, f"Bessel series with {n_terms} terms")
-    r2 = table.floats()[1 : n_terms + 1]
-    mask = r2 != 0
-    n = np.arange(1, n_terms + 1, dtype=np.float64)[mask]
-    r2 = r2[mask]
+    values = table.values[1 : n_terms + 1]
+    n = np.flatnonzero(values)
+    r2 = values[n].astype(np.float64)
+    n = n + 1.0
     root_n = np.sqrt(n)
-    out = np.array([
-        math.sqrt(R) * float(np.sum(bessel_J1(2 * math.pi * np.sqrt(n * R)) * r2 / root_n))
-        for R in radii.tolist()
-    ])
-    return float(out[0]) if scalar else out
+    terms = np.empty(len(n))
+    out = []
+    for R in radii.tolist():
+        for s in range(0, len(n), arith._BLOCK):
+            b = slice(s, s + arith._BLOCK)
+            terms[b] = bessel_J1(2 * math.pi * np.sqrt(n[b] * R)) * r2[b] / root_n[b]
+        out.append(math.sqrt(R) * float(np.sum(terms)))
+    return out[0] if scalar else np.array(out)
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 import math
 import random
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -385,6 +386,25 @@ class TestCacheFile:
         assert prefix == arith.CoefficientTable("wide", values[:3])
         assert prefix.values.dtype == np.int64
         assert arith.read_table_cache(path, 3).values.dtype == object
+
+
+    def test_streams_one_copy_plus_one_block(self, tmp_path):
+        n = 10**6
+        values = np.arange(n, dtype=np.int64) * 9_000_000_000_000 - 4 * 10**18
+        table = arith.CoefficientTable("big", values)
+        bound = 1.25 * 8 * n + 16 * arith._BLOCK
+        path = tmp_path / "big.gvct"
+        tracemalloc.start()
+        try:
+            arith.write_table_cache(path, table)
+            _, wrote = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            back = arith.read_table_cache(path)
+            _, read = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert back == table
+        assert wrote <= bound and read <= bound, (wrote, read)
 
 
 class TestWideConvolutionPath:

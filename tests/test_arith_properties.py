@@ -59,10 +59,14 @@ def test_entries_past_128_bits_rejected(values, excess):
 
 
 @settings(database=None, deadline=None)
-@given(tables)
-def test_cache_round_trip(values):
+@given(tables, st.one_of(st.integers(1, 4), st.just(arith._BLOCK)))
+# int64 in the first two blocks of 3, then a wide entry; prefixes end on
+# either side of each block edge
+@example([1, -2, 3, INT64.max, INT64.min, 6, 2**64, 8], 3)
+def test_cache_round_trip(values, block):
     table = arith.CoefficientTable("prop", values)
-    with tempfile.TemporaryDirectory() as tmp:
+    with pytest.MonkeyPatch.context() as mp, tempfile.TemporaryDirectory() as tmp:
+        mp.setattr(arith, "_BLOCK", block)
         path = os.path.join(tmp, "prop.gvct")
         arith.write_table_cache(path, table)
         with open(path, "rb") as fh:

@@ -237,6 +237,11 @@ class TestSharpAverages:
 
 
 class TestCuspFormSeriesInvariants:
+    def test_prefix_floats_in_blocks_are_the_whole_cumsum(self, delta):
+        assert len(delta.coeffs) > 3 * arith._BLOCK
+        whole = np.cumsum(delta.coeffs.values, dtype=object).astype(np.float64)
+        assert delta.prefix_floats().tolist() == whole.tolist()
+
     def test_delta_normalization_enforced(self):
         bad = arith.CoefficientTable("tau", [0, 2, -48])
         with pytest.raises(ValueError):

@@ -2,6 +2,7 @@
 and the exact odd-divisor identities."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -62,6 +63,15 @@ class TestMeanSquare:
         ys = [lattice.mean_square_P2(x, r2_big) for x in xs]
         slope = np.polyfit(np.log(xs), np.log(ys), 1)[0]
         assert abs(slope - 1.5) < 0.05
+
+    @pytest.mark.parametrize("X", [2.0**18, 100_000.5, 3.25])
+    def test_blocks_give_the_whole_array_formula(self, r2_big, X):
+        top = math.ceil(X)
+        counts = np.cumsum(r2_big.ints()[:top]).astype(np.float64)
+        left = np.arange(top, dtype=np.float64)
+        right = np.minimum(left + 1.0, X)
+        piece = ((counts - math.pi * left) ** 3 - (counts - math.pi * right) ** 3) / (3 * math.pi)
+        assert lattice.mean_square_P2(X, r2_big) == math.fsum(piece.tolist())
 
 
 # J1 reference values, computed once with 30-digit arithmetic and frozen.
@@ -163,6 +173,31 @@ class TestHardyIdentity:
         assert isinstance(got, np.ndarray) and got.shape == radii.shape
         assert got.tolist() == [lattice.hardy_identity(R, 10**5, r2_big) for R in radii.tolist()]
         assert isinstance(lattice.hardy_identity(10.5, 100, r2_big), float)
+
+    @pytest.mark.parametrize("n_terms", [10**6, 54_321])
+    def test_blocks_give_the_whole_array_formula(self, r2_big, n_terms):
+        r2 = r2_big.floats()[1 : n_terms + 1]
+        mask = r2 != 0
+        n = np.arange(1, n_terms + 1, dtype=np.float64)[mask]
+        r2 = r2[mask]
+        radii = [10.5, 123.37, 998.6]
+        root_n = np.sqrt(n)
+        whole = [
+            math.sqrt(R) * float(np.sum(lattice.bessel_J1(2 * math.pi * np.sqrt(n * R)) * r2 / root_n))
+            for R in radii
+        ]
+        assert lattice.hardy_identity(np.array(radii), n_terms, r2_big).tolist() == whole
+
+    def test_holds_one_block_of_bessel_temporaries(self, r2_big):
+        # the 216 341 nonzero terms to 10^6 take about 8.7 MB as five vectors
+        radii = np.array([10.5, 500.25])
+        tracemalloc.start()
+        try:
+            lattice.hardy_identity(radii, 10**6, r2_big)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
 
 class TestHyperboloidCounts:
