@@ -22,9 +22,9 @@ roots of unity first and converts to floating complex exactly once, so the
 10^-9 residual tolerances hold independently of the modulus.  The characters
 live in ``arith`` only: arrays come from ``arith.kronecker_array`` and single
 values from ``arith.kronecker``; this module defines no character of its own.
-The loop of ``gauss_sum_g_series`` over its moduli 4c <= 10^4 is split
-across the available CPUs; its bits do not depend on their count, and no
-option controls the split.
+The loop of ``gauss_sum_g_series`` over its moduli is split across the
+available CPUs; its bits do not depend on their count, and no option
+controls the split.
 """
 
 from __future__ import annotations
@@ -57,21 +57,18 @@ def _roots_of_unity(modulus):
 
 # OpenBLAS computes a complex dot longer than 10^4 on threads of its own,
 # and then its bits depend on the thread count, so longer dots are taken
-# in pieces of this length.  Two processes of such threads on the same CPUs
-# also stall each other (3000 moduli on two vCPUs: 3.6 s in one process,
-# 20.5 s split in two), so only the moduli 4c <= 10^4 of
-# ``gauss_sum_g_series`` are split across CPUs; the rest stay in this process.
-_SPLIT_MODULUS = 10_000
+# in pieces of this length.
+_DOT_PIECE = 10_000
 
 
 def _roots_of_unity_dot(exponents, chi, phase):
     """sum_d chi(d) e(exponent_d/modulus): the integer multiplicity of each
     root of unity first (exact in float64), then one dot with ``phase``,
-    as consecutive dots of at most _SPLIT_MODULUS terms."""
+    as consecutive dots of at most _DOT_PIECE terms."""
     mult = np.bincount(exponents, weights=chi, minlength=len(phase))
-    dot = np.dot(mult[:_SPLIT_MODULUS], phase[:_SPLIT_MODULUS])
-    for s in range(_SPLIT_MODULUS, len(phase), _SPLIT_MODULUS):
-        dot += np.dot(mult[s : s + _SPLIT_MODULUS], phase[s : s + _SPLIT_MODULUS])
+    dot = np.dot(mult[:_DOT_PIECE], phase[:_DOT_PIECE])
+    for s in range(_DOT_PIECE, len(phase), _DOT_PIECE):
+        dot += np.dot(mult[s : s + _DOT_PIECE], phase[s : s + _DOT_PIECE])
     return complex(dot)
 
 
@@ -240,8 +237,8 @@ def gauss_sum_g_series(hs, ks, n_max):
     revisits the same series at several abscissae.  A request that misses
     a row builds all its rows in one pass over c, sharing each modulus's
     characters and roots of unity; each entry has gauss_sum_g's bits.
-    The moduli 4c <= 10^4 are split across the available CPUs, with the
-    same bits whatever their count; the cache stays in the calling process.
+    The moduli are split across the available CPUs, with the same bits
+    whatever their count; the cache stays in the calling process.
     n_max = 0 gives empty rows.
     """
     two_ks = [_half_integer_times_two(k) for k in ks]
@@ -251,12 +248,7 @@ def gauss_sum_g_series(hs, ks, n_max):
     hs = [int(h) for h in hs]
     if any(len(_G_SERIES_CACHE.get((h, t), ())) < n_max for h in hs for t in two_ks):
         new_hs, new_ts = list(dict.fromkeys(hs)), list(dict.fromkeys(two_ks))
-
-        def at(c):
-            return _g_at_modulus(new_hs, 4 * c, new_ts)
-
-        top = min(n_max, _SPLIT_MODULUS // 4)
-        rows = np.array(split_map(at, range(1, top + 1)) + [at(c) for c in range(top + 1, n_max + 1)])
+        rows = np.array(split_map(lambda c: _g_at_modulus(new_hs, 4 * c, new_ts), range(1, n_max + 1)))
         for i, t in enumerate(new_ts):
             for j, h in enumerate(new_hs):
                 if len(_G_SERIES_CACHE.get((h, t), ())) < n_max:

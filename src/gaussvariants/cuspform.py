@@ -7,15 +7,15 @@ coefficient cache format.  The module computes
 * tau(1..N) exactly, as the coefficients of q * (eta-cube series)^8 where
   the eta-cube series sum (-1)^m (2m+1) q^{m(m+1)/2} has sparse triangular
   support, so the eighth power is one ``powers.sparse_power``,
-* partial sums S^nu(n) = sum_{m <= n} a(m)/m^nu (exact integers at nu = 0,
-  compensated floating accumulation otherwise),
+* partial sums S^nu(n) = sum_{m <= n} a(m)/m^nu (exact integer sums, rounded
+  once, at nu = 0; compensated floating accumulation otherwise),
 * the exponentially smoothed second moment
   sum S(n)^2 / n^{k-1} e^{-n/X}, which grows like C X^{3/2} with
   C = Gamma(3/2)/(4 pi^2) * L(3/2, f x f~) / zeta(3); the zeta(3) in the
   Rankin-Selberg normalization cancels, leaving
   C = Gamma(3/2)/(4 pi^2) * sum a(n)^2 / n^{k + 1/2},
 * sign-change scans of S^nu over short windows,
-* sharp-sum averages over long ranges and short intervals.
+* sharp-sum averages over short intervals.
 """
 
 from __future__ import annotations
@@ -103,7 +103,8 @@ class CuspFormSeries:
 
     def prefix_floats(self):
         """S_f(0..N) as float64 (exact integer prefix sums, then rounded),
-        summed one block at a time with the exact sum carried across."""
+        summed one block at a time with the exact sum carried across.
+        The array is cached and shared, so it is read-only."""
         if self._prefix_floats is None:
             a = self.coeffs.values
             out = np.empty(len(a))
@@ -113,6 +114,7 @@ class CuspFormSeries:
                 exact += carry
                 carry = exact[-1]
                 out[s : s + len(exact)] = exact
+            out.setflags(write=False)
             self._prefix_floats = out
         return self._prefix_floats
 
@@ -124,12 +126,11 @@ def delta_form(n_max):
 
 @dataclass
 class PartialSumSeries:
-    """S^nu(n) = sum_{m <= n} a(m)/m^nu, with exact ints kept at nu = 0."""
+    """S^nu(n) = sum_{m <= n} a(m)/m^nu."""
 
     base: CuspFormSeries
     nu: float
     values: np.ndarray
-    exact_values: np.ndarray | None = None  # object array of Python ints
 
     @property
     def n_max(self):
@@ -137,14 +138,14 @@ class PartialSumSeries:
 
 
 def partial_sums(form, nu):
-    """Prefix sums of a(m)/m^nu; Kahan-compensated for nu > 0."""
+    """Prefix sums of a(m)/m^nu: the form's rounded exact prefix sums
+    (read-only) at nu = 0, Kahan-compensated for nu > 0."""
     nu = float(nu)
     if nu < 0:
         raise ValueError("nu must be nonnegative")
-    coeffs = form.coeffs
     if nu == 0.0:
-        exact = np.cumsum(coeffs.values, dtype=object)
-        return PartialSumSeries(form, 0.0, exact.astype(np.float64), exact_values=exact)
+        return PartialSumSeries(form, 0.0, form.prefix_floats())
+    coeffs = form.coeffs
     n = np.arange(len(coeffs), dtype=np.float64)
     n[0] = 1.0
     terms = coeffs.floats() * n ** (-nu)
@@ -234,15 +235,6 @@ def sign_changes(series, X, r):
         prev_sign = sign
         prev_n = n
     return changes
-
-
-def classical_average_ratio(form, X):
-    """sum_{n <= X} S_f(n)^2 / X^{k + 1/2}: the sharp-moment ratio that
-    stabilizes as X grows (its log-log slope against X is k + 1/2)."""
-    X = int(X)
-    require_coverage(form.label, form.n_max, X, f"the sharp second moment at X={X}")
-    S = form.prefix_floats()[1 : X + 1]
-    return float(np.sum(S * S)) / float(X) ** (form.weight + 0.5)
 
 
 def short_interval_average(form, X):

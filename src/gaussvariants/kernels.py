@@ -16,9 +16,9 @@ always on the coefficient side.  ``lattice.hyperboloid_smoothed`` and
 ``cuspform.smoothed_second_moment`` do not call it: they apply the
 exponential weight e^{-n/X} themselves, out to 40X.  The ``*_contour``
 functions exist to verify the identities by trapezoidal quadrature with
-explicit truncation-tail bounds.  Their trapezoid sums the leaf runs of its
-pairwise tree split across the available CPUs; its bits do not depend on
-their count, and no option controls the split.
+explicit truncation-tail bounds.  Their trapezoid sums its chunks of nodes
+split across the available CPUs; its bits do not depend on their count,
+and no option controls the split.
 """
 
 from __future__ import annotations
@@ -115,9 +115,9 @@ def _vertical_trapezoid(integrands, quad):
 
     Each chunk of _CHUNK nodes sums to np.sum over the whole chunk, bit for
     bit, and the chunk sums add in order.  The integrands see blocks of at
-    most _BLOCK nodes, so no array grows with the node count.  The leaf runs
-    are summed across the available CPUs and folded back through the same
-    trees in the same order, so no bit depends on the CPU count.
+    most _BLOCK nodes, so no array grows with the node count.  The chunks
+    are summed across the available CPUs and their sums added here in
+    chunk order, so no bit depends on the CPU count.
     """
     n = quad.steps + 1
 
@@ -135,13 +135,7 @@ def _vertical_trapezoid(integrands, quad):
         return np.array(sums)
 
     chunks = [(start, min(_CHUNK, n - start)) for start in range(0, n, _CHUNK)]
-    runs = []  # a dry pass over every chunk's tree lists its leaf runs in order
-    for start, m in chunks:
-        _pairwise_sum(start, m, lambda i, j: runs.append((i, j)) or 0)
-    sums = dict(zip(runs, split_map(lambda run: leaf(*run), runs)))
-    totals = 0j
-    for start, m in chunks:
-        totals = totals + _pairwise_sum(start, m, lambda i, j: sums[i, j])
+    totals = sum(split_map(lambda chunk: _pairwise_sum(*chunk, leaf), chunks), 0j)
     t0, t1 = _nodes(quad, 0, 2)
     return [total * (t1 - t0) / (2 * np.pi) for total in totals]
 

@@ -30,7 +30,7 @@ from gaussvariants import arith, checks, cuspform, lattice
 def report(num, name, ok, detail, t0, limit=math.inf):
     """Print and record the criterion's line; it passes when ``ok`` holds
     and it ran within ``limit`` seconds of ``t0``."""
-    elapsed = time.time() - t0
+    elapsed = time.perf_counter() - t0
     ok = ok and elapsed < limit
     line = f"criterion-{num:02d} {name}: {'PASS' if ok else 'FAIL'} ({detail}; {elapsed:.1f}s)"
     print(line)
@@ -39,7 +39,7 @@ def report(num, name, ok, detail, t0, limit=math.inf):
 
 
 def test_criterion_01_r_d_oracle_equivalence(r_small):
-    t0 = time.time()
+    t0 = time.perf_counter()
     mismatches = 0
     for d in range(1, 7):
         table = r_small[d]
@@ -51,7 +51,7 @@ def test_criterion_01_r_d_oracle_equivalence(r_small):
 
 
 def test_criterion_02_exact_divisor_identities(divisor_tables):
-    t0 = time.time()
+    t0 = time.perf_counter()
     points = list(checks.divisor_identities(200, *divisor_tables))
     bad = [p.params[0] for p in points if not checks.holds(p)]
     ok = not bad and len(points) == 300
@@ -59,7 +59,7 @@ def test_criterion_02_exact_divisor_identities(divisor_tables):
 
 
 def test_criterion_03_kernel_identities():
-    t0 = time.time()
+    t0 = time.perf_counter()
     points = {name: list(getattr(checks, name)()) for name in ("cesaro", "concentrating", "exponential")}
     ok = all(checks.holds(p) for suite in points.values() for p in suite)
     detail = ", ".join(f"{k} {max(p.residual for p in v):.2e}" for k, v in points.items())
@@ -67,7 +67,7 @@ def test_criterion_03_kernel_identities():
 
 
 def test_criterion_04_gauss_sum_lemma_suite():
-    t0 = time.time()
+    t0 = time.perf_counter()
     suites = (
         checks.h_multiplicative,
         checks.h_prime_eval,
@@ -83,7 +83,7 @@ def test_criterion_04_gauss_sum_lemma_suite():
 
 
 def test_criterion_05_half_integral_factorization():
-    t0 = time.time()
+    t0 = time.perf_counter()
     points = list(checks.factorization(((1.75, 5000), (2.0, 2000))))
     failures = [p.params[:1] + p.params[2:] for p in points if not checks.holds(p)]  # (h, k, w)
     worst_margin = max(p.residual / p.bound for p in points)
@@ -92,7 +92,7 @@ def test_criterion_05_half_integral_factorization():
 
 
 def test_criterion_06_smoothed_second_moment_constant(delta):
-    t0 = time.time()
+    t0 = time.perf_counter()
     C, _ = cuspform.rankin_constant(delta, delta.n_max)
     (p,) = checks.second_moment(delta, C, [2.0**12])
     ratio = p.value / p.params[0] ** 1.5
@@ -101,7 +101,7 @@ def test_criterion_06_smoothed_second_moment_constant(delta):
 
 
 def test_criterion_07_exponent_checks(r2_big, delta):
-    t0 = time.time()
+    t0 = time.perf_counter()
     grid = [2.0**e for e in range(10, 19)]
     (ms,) = checks.growth_exponent(
         lattice.count_series(grid, [lattice.mean_square_P2(x, r2_big) for x in grid])
@@ -118,7 +118,7 @@ def test_criterion_07_exponent_checks(r2_big, delta):
 
 
 def test_criterion_08_hyperboloid_dichotomy(r2_big):
-    t0 = time.time()
+    t0 = time.perf_counter()
     grid = [2.0**e for e in range(10, 21)]
     counts = {h: [lattice.hyperboloid_count(3, h, R, r2_big) for R in grid] for h in (1, 2)}
     points = list(checks.log_term({h: lattice.count_series(grid, v) for h, v in counts.items()}))
@@ -135,7 +135,7 @@ def test_criterion_08_hyperboloid_dichotomy(r2_big):
 
 
 def test_criterion_09_hyperboloid_oracle_equivalence(r2_big):
-    t0 = time.time()
+    t0 = time.perf_counter()
     tables = {3: r2_big, 4: arith.r_d_table(3, 300), 5: arith.r_d_table(4, 300)}
     mismatches = []
     for d in (3, 4, 5):
@@ -150,7 +150,7 @@ def test_criterion_09_hyperboloid_oracle_equivalence(r2_big):
 
 
 def test_criterion_10_hardy_identity_random_radii(r2_big):
-    t0 = time.time()
+    t0 = time.perf_counter()
     rng = np.random.default_rng(0)
     radii = []
     for _ in range(20):
@@ -179,7 +179,7 @@ def test_criterion_10_supplementary_true_contract(r2_big):
 
 
 def test_criterion_11_sign_changes(delta):
-    t0 = time.time()
+    t0 = time.perf_counter()
     nu = 11 / 2 + 1 / 6 - 0.01
     series = cuspform.partial_sums(delta, nu)
     points = checks.sign_change_windows(series, (10, 100, 1000, 10000))

@@ -36,18 +36,57 @@ def test_gauss_series_bits_do_not_depend_on_cpu_count(monkeypatch):
         set_cpus(monkeypatch, count)
         monkeypatch.setattr(charsums, "_G_SERIES_CACHE", {})
         rows = charsums.gauss_sum_g_series((1, 2, 3, 4, 9), (0.5, 1.5), 300)
-        bits.append(rows.view(np.uint64).tolist())
+        # past 4c = 10^4, where the dots are taken in pieces
+        long_row = charsums.gauss_sum_g_series((1,), (0.5,), 2510)
+        bits.append([rows.view(np.uint64).tolist(), long_row.view(np.uint64).tolist()])
     assert bits[0] == bits[1] == bits[2]
 
 
 def test_cesaro_contour_bits_do_not_depend_on_cpu_count(monkeypatch):
-    quad = kernels.Quadrature(0.5, 4000.0, 40_000)  # eight leaf runs
+    monkeypatch.setattr(kernels, "_CHUNK", 1 << 14)
+    quad = kernels.Quadrature(0.5, 4000.0, 40_000)  # three chunks
     bits = []
     for count in CPU_COUNTS:
         set_cpus(monkeypatch, count)
         rows = kernels.cesaro_contours((1.5, 2.0, 10.0), (1, 2, 3), quad)
         bits.append([[value.hex() for value in row] for row in rows])
     assert bits[0] == bits[1] == bits[2]
+
+
+@pytest.mark.parametrize("count", CPU_COUNTS)
+def test_trapezoid_adds_chunk_totals_in_chunk_order(monkeypatch, count):
+    set_cpus(monkeypatch, count)
+    monkeypatch.setattr(kernels, "_CHUNK", 1 << 14)
+    quad = kernels.Quadrature(0.5, 4000.0, 40_000)  # three chunks
+
+    def integrand(t):
+        # + - * / only: each value has the same bits in a block as in a whole array
+        vals = np.empty(len(t), dtype=complex)
+        vals.real = 1.0 / (1.0 + t * t)
+        vals.imag = t / (3.0 + t * t)
+        return vals
+
+    got = kernels._vertical_trapezoid(lambda s: [integrand(s.imag)], quad)[0]
+    t = np.linspace(-quad.T, quad.T, quad.steps + 1)
+    vals = integrand(t)
+    vals[[0, -1]] *= 0.5
+    total = 0j
+    for start in range(0, len(vals), 1 << 14):
+        total = total + np.sum(vals[start : start + (1 << 14)])
+    assert got == total * (t[1] - t[0]) / (2 * np.pi)
+
+
+@pytest.mark.parametrize("steps", [20_000, (1 << 20) - 1])
+def test_contour_of_one_chunk_does_not_fork(monkeypatch, steps):
+    set_cpus(monkeypatch, 2)
+
+    def no_fork():
+        raise AssertionError("a contour of at most one chunk forked")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    quad = kernels.Quadrature(30.0, 200.0, steps)
+    row = kernels.cesaro_contours((0.5,), (1, 2, 3), quad)[0]
+    assert all(abs(value) < 1e-6 for value in row)  # Y < 1: the kernel is 0
 
 
 @pytest.mark.parametrize("count", CPU_COUNTS)
