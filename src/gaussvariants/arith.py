@@ -16,7 +16,9 @@ This module provides the primitives everything else is built on:
 * the little-endian binary cache format used to persist coefficient
   tables between runs.  Tables pass through it one block of ``_BLOCK``
   entries at a time, in both directions, so a process that reads or
-  writes a table holds one copy of it plus one block.
+  writes a table holds one copy of it plus one block,
+* numpy's pairwise summation tree (``_pairwise_sum``), so that a long
+  float sum can be taken one run of values at a time with np.sum's bits.
 
 All tables hold exact integers in one ndarray: int64 while every entry
 fits, Python ints (dtype object) past that, so each exact path is one numpy
@@ -146,6 +148,25 @@ def require_coverage(label, n_max, n, what=""):
             f"table '{label}' covers n <= {n_max}, "
             f"but {what or 'the computation'} needs n <= {n}"
         )
+
+
+def _pairwise_sum(leaf, i, m, size, floats=1):
+    """np.sum of the m values from index i, bit for bit, given ``leaf(i, j)``,
+    the np.sum of values i..j-1 for a run of at most ``size`` values.
+
+    numpy sums pairwise (Higham 1993): it splits a run of n floats at
+    n // 2 - (n // 2) % 8 until a run holds at most 128 floats, and a
+    complex value counts as ``floats`` = 2 of them.  Split at the same
+    points down to runs of at most ``size`` values (size * floats >= 128),
+    the runs are the ones numpy sums whole, so the leaves give its bits.
+    """
+    if m <= size:
+        return leaf(i, i + m)
+    half = m * floats // 2
+    half = (half - half % 8) // floats
+    return _pairwise_sum(leaf, i, half, size, floats) + _pairwise_sum(
+        leaf, i + half, m - half, size, floats
+    )
 
 
 # ---------------------------------------------------------------------------

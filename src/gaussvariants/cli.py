@@ -121,10 +121,16 @@ def cached_table(args, label, builder, n_max):
     return table
 
 
+def _tau(args):
+    """The cached tau table of --table-size, whose size is checked first:
+    a cached table would serve any prefix, even an empty one."""
+    n_max = cuspform.tau_size(args.table_size)
+    return cached_table(args, "tau", cuspform.tau_table, n_max)
+
+
 def _delta(args):
     """The weight-12 form delta on the cached tau table of --table-size."""
-    table = cached_table(args, "tau", cuspform.tau_table, args.table_size)
-    return cuspform.CuspFormSeries(12, table, "delta")
+    return cuspform.CuspFormSeries(12, _tau(args), "delta")
 
 
 def _r2(args):
@@ -205,7 +211,7 @@ _HYPERBOLOID_ARGS = (_arg("--d", type=int, default=3), _arg("--h", type=int, def
 
 @subcommand("tau", "build (and cache) the tau coefficient table", ("n", "tau"), table_size=1000)
 def cmd_tau(args):
-    table = cached_table(args, "tau", cuspform.tau_table, args.table_size)
+    table = _tau(args)
     rows = [(n, table[n]) for n in range(1, table.n_max + 1)]
     return rows, {"label": "tau", "nMax": table.n_max, "csv": out_paths(args)[0]}, None
 

@@ -45,17 +45,24 @@ def _eta_cube_support(degree):
     return np.array(exps, dtype=np.int64), np.array(coeffs, dtype=np.int64)
 
 
+def tau_size(n_max):
+    """n_max as an int, if a tau table can reach it; ValueError otherwise.
+    ``cli`` checks a requested size with it before it looks in the cache."""
+    n_max = int(n_max)
+    if n_max < 1:
+        raise ValueError("need n_max >= 1")
+    if n_max > _TAU_N_LIMIT:
+        raise ValueError(f"tau table limited to N <= {_TAU_N_LIMIT}")
+    return n_max
+
+
 def tau_table(n_max):
     """Exact tau(n) for 1 <= n <= n_max (index 0 = 0).
 
     tau(n) is the coefficient of q^(n-1) in the eighth power of the
     eta-cube series, taken exactly by ``powers.sparse_power``.
     """
-    n_max = int(n_max)
-    if n_max < 1:
-        raise ValueError("need n_max >= 1")
-    if n_max > _TAU_N_LIMIT:
-        raise ValueError(f"tau table limited to N <= {_TAU_N_LIMIT}")
+    n_max = tau_size(n_max)
     from .powers import sparse_power  # on first use, as in arith.r_d_table
 
     exps, coeffs = _eta_cube_support(n_max - 1)
@@ -166,16 +173,24 @@ def smoothed_second_moment(form, X):
     """sum_{n <= 40X} S_f(n)^2 / n^{k-1} e^{-n/X}.
 
     The 40X truncation leaves exponential mass below 1e-17, invisible at
-    double precision; partial sums convert to float before squaring.
+    double precision; partial sums convert to float before squaring.  The
+    terms are made and summed one leaf of ``arith._pairwise_sum`` at a
+    time, so the sum has the bits of np.sum over the whole vector of
+    terms, which never exists.
     """
     X = float(X)
     if X <= 0:
         raise ValueError("X must be positive")
     top = int(math.ceil(40 * X))
     require_coverage(form.label, form.n_max, top, f"the smoothed second moment at X={X:g}")
-    S = form.prefix_floats()[1 : top + 1]
-    n = np.arange(1, top + 1, dtype=np.float64)
-    return float(np.sum(S * S * n ** (1 - form.weight) * np.exp(-n / X)))
+    prefix = form.prefix_floats()
+
+    def leaf(i, j):
+        S = prefix[i + 1 : j + 1]
+        n = np.arange(i + 1, j + 1, dtype=np.float64)
+        return np.sum(S * S * n ** (1 - form.weight) * np.exp(-n / X))
+
+    return float(arith._pairwise_sum(leaf, 0, top, arith._BLOCK))
 
 
 def rankin_constant(form, n_trunc):
@@ -196,8 +211,14 @@ def rankin_constant(form, n_trunc):
     if n_trunc < 1 or n_trunc > form.n_max:
         raise ValueError("n_trunc must lie within the tabulated range")
     k = form.weight
-    a = form.coeffs.values[1 : n_trunc + 1].tolist()
-    series = math.fsum(float(c * c) / (float(n**k) * math.sqrt(n)) for n, c in enumerate(a, 1))
+    a = form.coeffs.values
+
+    def terms():
+        for s in range(1, n_trunc + 1, arith._BLOCK):
+            block = a[s : min(s + arith._BLOCK, n_trunc + 1)].tolist()
+            yield from (float(c * c) / (float(n**k) * math.sqrt(n)) for n, c in enumerate(block, s))
+
+    series = math.fsum(terms())
     front = math.sqrt(math.pi) / 2 / (4 * math.pi * math.pi)
     # Partial summation against sum_{n<=x} d(n)^2 ~ x log^3 x / pi^2, with a
     # 3x safety factor absorbing the positive lower-order average terms

@@ -16,9 +16,11 @@ always on the coefficient side.  ``lattice.hyperboloid_smoothed`` and
 ``cuspform.smoothed_second_moment`` do not call it: they apply the
 exponential weight e^{-n/X} themselves, out to 40X.  The ``*_contour``
 functions exist to verify the identities by trapezoidal quadrature with
-explicit truncation-tail bounds.  Their trapezoid sums its chunks of nodes
-split across the available CPUs; its bits do not depend on their count,
-and no option controls the split.
+explicit truncation-tail bounds.  Their trapezoid sums each chunk of nodes
+block by block along numpy's pairwise tree (``arith._pairwise_sum``), so a
+chunk total has the bits of np.sum over the whole chunk.  The chunks are
+split across the available CPUs; no bit depends on their count, and no
+option controls the split.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._split import split_map
-from .arith import CoefficientTable
+from .arith import CoefficientTable, _pairwise_sum
 
 _WEIGHT_FLOOR = 1e-12  # kernel mass allowed beyond the end of a table
 
@@ -86,18 +88,7 @@ class KernelSpec:
 
 
 _BLOCK = 1 << 13  # nodes evaluated at once: 128 KiB per complex array
-_CHUNK = 1 << 20  # nodes summed pairwise as one np.sum
-
-
-def _pairwise_sum(i, m, leaf):
-    """np.sum of the m values from index i, given ``leaf(i, j)``, the np.sum
-    of values i..j-1 for a run of at most _BLOCK >= 64 values.  numpy sums m
-    complex values pairwise, splitting at (m - m % 8) // 2 until a run holds
-    at most 64 (Higham 1993); splitting at the same points gives its bits."""
-    if m <= _BLOCK:
-        return leaf(i, i + m)
-    half = (m - m % 8) // 2
-    return _pairwise_sum(i, half, leaf) + _pairwise_sum(i + half, m - half, leaf)
+_CHUNK = 1 << 20  # nodes summed pairwise as one np.sum, by arith._pairwise_sum
 
 
 def _nodes(quad, i, j):
@@ -114,10 +105,11 @@ def _vertical_trapezoid(integrands, quad):
     block of nodes s; one total per f.
 
     Each chunk of _CHUNK nodes sums to np.sum over the whole chunk, bit for
-    bit, and the chunk sums add in order.  The integrands see blocks of at
-    most _BLOCK nodes, so no array grows with the node count.  The chunks
-    are summed across the available CPUs and their sums added here in
-    chunk order, so no bit depends on the CPU count.
+    bit: ``arith._pairwise_sum`` follows numpy's pairwise tree over the
+    chunk's complex values down to blocks of at most _BLOCK nodes, and
+    np.sum of each block is numpy's own leaf, so no array grows with the
+    node count.  The chunks are summed across the available CPUs and their
+    sums added here in chunk order, so no bit depends on the CPU count.
     """
     n = quad.steps + 1
 
@@ -135,7 +127,7 @@ def _vertical_trapezoid(integrands, quad):
         return np.array(sums)
 
     chunks = [(start, min(_CHUNK, n - start)) for start in range(0, n, _CHUNK)]
-    totals = sum(split_map(lambda chunk: _pairwise_sum(*chunk, leaf), chunks), 0j)
+    totals = sum(split_map(lambda chunk: _pairwise_sum(leaf, *chunk, _BLOCK, 2), chunks), 0j)
     t0, t1 = _nodes(quad, 0, 2)
     return [total * (t1 - t0) / (2 * np.pi) for total in totals]
 

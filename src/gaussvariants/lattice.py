@@ -133,40 +133,61 @@ def bessel_J1(x):
 
     Absolute error stays below 1e-8 across [0, 1e5]; the tail keeps four
     correction terms on each of the cosine and sine parts because two are
-    not enough to hold 1e-8 at the switch point.
+    not enough to hold 1e-8 at the switch point.  An array with no argument
+    at or below the switch, as in every Bessel series at R > 36 / pi^2,
+    goes to the expansion whole, without masks or copies.
     """
     arr = np.asarray(x, dtype=np.float64)
     scalar = arr.ndim == 0
     arr = np.atleast_1d(arr)
-    if np.any(arr < 0):
+    lowest = arr.min(initial=np.inf)
+    if lowest < 0:
         raise ValueError("bessel_J1 is evaluated for x >= 0")
-    out = np.empty(arr.shape)
-
-    small = arr <= _J1_SWITCH
-    if np.any(small):
-        xs = arr[small]
-        half = xs / 2.0
+    if lowest > _J1_SWITCH:
+        out = _bessel_J1_large(arr)
+    else:
+        out = np.empty(arr.shape)
+        small = arr <= _J1_SWITCH
+        half = arr[small] / 2.0
         term = half.copy()
         acc = term.copy()
         for j in range(1, _J1_SERIES_TERMS):
             term = term * (-(half * half)) / (j * (j + 1))
             acc += term
         out[small] = acc
-    if np.any(~small):
-        xl = arr[~small]
-        inv2 = 1.0 / (xl * xl)
-        p = np.zeros_like(xl)
-        for c in reversed(_J1_P_COEFFS):
-            p = p * inv2 + c
-        q = np.zeros_like(xl)
-        for c in reversed(_J1_Q_COEFFS):
-            q = q * inv2 + c
-        q = q / xl
-        omega = xl - 0.75 * math.pi
-        out[~small] = np.sqrt(2.0 / (math.pi * xl)) * (
-            np.cos(omega) * p - np.sin(omega) * q
-        )
+        if not small.all():
+            out[~small] = _bessel_J1_large(arr[~small])
     return float(out[0]) if scalar else out
+
+
+def _bessel_J1_large(x):
+    """The asymptotic expansion of J_1 at x > _J1_SWITCH.  Each Horner sum
+    starts at its top coefficient (0 * y + c = c exactly) and runs in place,
+    with the rounding of p * y + c at every step."""
+    inv2 = 1.0 / (x * x)
+    p = np.full(x.shape, _J1_P_COEFFS[-1])
+    for c in reversed(_J1_P_COEFFS[:-1]):
+        p *= inv2
+        p += c
+    q = np.full(x.shape, _J1_Q_COEFFS[-1])
+    for c in reversed(_J1_Q_COEFFS[:-1]):
+        q *= inv2
+        q += c
+    q /= x
+    omega = x - 0.75 * math.pi
+    out = np.cos(omega)
+    out *= p
+    q *= np.sin(omega)
+    out -= q
+    scale = math.pi * x
+    np.divide(2.0, scale, out=scale)
+    out *= np.sqrt(scale, out=scale)
+    return out
+
+
+# Terms per leaf of the Bessel series: J_1 holds about a dozen temporaries of
+# this length at once, so the leaf sets what `gv hardy` needs beyond its table.
+_BESSEL_LEAF = 1 << 13
 
 
 def hardy_identity(R, n_terms, table):
@@ -174,10 +195,12 @@ def hardy_identity(R, n_terms, table):
 
     Converges (slowly, in mean) to the circle discrepancy at non-integer R;
     integer R is rejected since the boundary convention there is delicate.
-    R is a float or a 1-D array of radii, as in ``bessel_J1``; the nonzero
-    terms of the table are gathered once for all of them.  Each radius's
-    terms are evaluated one block at a time into one vector, which is then
-    summed whole.
+    R is a float or a 1-D array of radii, as in ``bessel_J1``.  The indices
+    of the nonzero table entries are gathered once, as int32, one block at
+    a time.  The terms J_1(2 pi sqrt(nR)) r_2(n) / sqrt(n) of every radius
+    are made and summed one leaf of ``arith._pairwise_sum`` at a time, so
+    each radius's sum has the bits of np.sum over its whole vector of
+    terms, which never exists.
     """
     radii = np.asarray(R, dtype=np.float64)
     scalar = radii.ndim == 0
@@ -191,17 +214,28 @@ def hardy_identity(R, n_terms, table):
         raise ValueError(f"the Bessel series needs n_terms >= 0, got {n_terms}")
     table.require(n_terms, f"Bessel series with {n_terms} terms")
     values = table.values[1 : n_terms + 1]
-    n = np.flatnonzero(values)
-    r2 = values[n].astype(np.float64)
-    n = n + 1.0
-    root_n = np.sqrt(n)
-    terms = np.empty(len(n))
-    out = []
-    for R in radii.tolist():
-        for s in range(0, len(n), arith._BLOCK):
-            b = slice(s, s + arith._BLOCK)
-            terms[b] = bessel_J1(2 * math.pi * np.sqrt(n[b] * R)) * r2[b] / root_n[b]
-        out.append(math.sqrt(R) * float(np.sum(terms)))
+    nonzero = np.empty(np.count_nonzero(values), dtype=np.int32 if n_terms < 2**31 else np.int64)
+    filled = 0
+    for s in range(0, n_terms, arith._BLOCK):
+        found = np.flatnonzero(values[s : s + arith._BLOCK])
+        found += s
+        nonzero[filled : filled + len(found)] = found
+        filled += len(found)
+
+    def leaf(i, j):
+        k = nonzero[i:j]
+        n = k + 1.0
+        r2 = values[k].astype(np.float64)
+        root_n = np.sqrt(n)
+        sums = []
+        for R in radii.tolist():
+            terms = bessel_J1(2 * math.pi * np.sqrt(n * R)) * r2
+            terms /= root_n
+            sums.append(np.sum(terms))
+        return np.array(sums)
+
+    totals = arith._pairwise_sum(leaf, 0, len(nonzero), _BESSEL_LEAF)
+    out = [math.sqrt(R) * float(total) for R, total in zip(radii.tolist(), totals)]
     return out[0] if scalar else np.array(out)
 
 

@@ -417,3 +417,22 @@ class TestWideConvolutionPath:
         half = arith.r_d_table(12, 120).tolist()
         conv = [sum(half[j] * half[n - j] for j in range(n + 1)) for n in range(121)]
         assert conv == t.tolist()
+
+
+class TestPairwiseSum:
+    # 128 floats is numpy's own leaf, the least leaf size allowed
+    @pytest.mark.parametrize("leaf", [128, arith._BLOCK])
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    @pytest.mark.parametrize(
+        "m", [1, 7, 8, 127, 128, 129, "leaf-1", "leaf", "leaf+1", 20_001, 216_341, 1 << 20]
+    )
+    def test_leaves_give_np_sum(self, m, dtype, leaf):
+        if isinstance(m, str):
+            m = leaf + {"leaf-1": -1, "leaf": 0, "leaf+1": 1}[m]
+        # magnitudes spanning 12 decades, so the rounding depends on the order
+        rng = np.random.default_rng(m)
+        x = rng.standard_normal(m) * 10.0 ** rng.integers(-6, 7, m)
+        floats = 1
+        if dtype == np.complex128:
+            x, floats = x + 1j * rng.standard_normal(m), 2
+        assert arith._pairwise_sum(lambda i, j: np.sum(x[i:j]), 0, m, leaf, floats) == np.sum(x)

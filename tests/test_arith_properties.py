@@ -1,5 +1,6 @@
 """Property tests of CoefficientTable storage, the version-1 cache file,
-the exact sparse power, the r_d tables and the Kronecker symbol."""
+the exact sparse power, the r_d tables, the Kronecker symbol and numpy's
+pairwise sum rebuilt leaf by leaf."""
 
 import os
 import tempfile
@@ -175,3 +176,21 @@ def test_kronecker_multiplicative_in_the_top(a, b, n):
     ns = np.array([n], dtype=np.int64)
     assert arith.kronecker_array(a * b, ns) == arith.kronecker_array(a, ns) * arith.kronecker_array(b, ns)
     assert arith.kronecker(a * b, n) == arith.kronecker(a, n) * arith.kronecker(b, n)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    m=st.integers(1, 4000),
+    leaf=st.integers(128, 520),
+    complex_values=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_pairwise_sum_is_np_sum(m, leaf, complex_values, seed):
+    # numpy's own leaf holds 128 floats: 128 real or 64 complex values
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(m) * 10.0 ** rng.integers(-6, 7, m)
+    floats = 1
+    if complex_values:
+        x = x + 1j * rng.standard_normal(m)
+        floats, leaf = 2, leaf // 2
+    assert arith._pairwise_sum(lambda i, j: np.sum(x[i:j]), 0, m, leaf, floats) == np.sum(x)

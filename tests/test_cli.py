@@ -184,6 +184,23 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("gv: ") and "Traceback" not in err
 
+    @pytest.mark.parametrize("subcommand", ["second-moment", "short-interval", "sign-scan", "tau"])
+    @pytest.mark.parametrize("cache", ["none", "empty", "tau-40"])
+    def test_zero_tau_table_is_config_error_whatever_is_cached(
+        self, tmp_path, monkeypatch, capsys, cache, subcommand
+    ):
+        # a cached table serves any prefix, so the size is checked before the cache
+        monkeypatch.delenv("GV_CACHE", raising=False)
+        argv = [subcommand, "--table-size", "0"]
+        if cache != "none":
+            (tmp_path / "cache").mkdir()
+            argv += ["--cache", str(tmp_path / "cache")]
+        if cache == "tau-40":
+            arith.write_table_cache(tmp_path / "cache" / "tau-40.gvct", cuspform.tau_table(40))
+        assert run(argv, tmp_path) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == "gv: need n_max >= 1\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ([] if cache == "none" else ["cache"])
+
     @pytest.mark.parametrize("argv", [["tau", "--check"], ["count-circle", "--seed", "1"]])
     def test_option_without_effect_is_config_error(self, tmp_path, argv):
         # tau has no criterion to check and count-circle nothing randomized

@@ -1,6 +1,7 @@
 """Tau engine, partial sums, moment statistics, sign scans."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -119,6 +120,16 @@ class TestRankinConstant:
         C_ref, _ = cuspform.rankin_constant(delta, 164_000)
         assert abs(C_ref - C_small) < tail
 
+    def test_reads_its_terms_one_block_at_a_time(self, delta):
+        # a list of all 164 000 wide entries would take 1.25 MB
+        tracemalloc.start()
+        try:
+            cuspform.rankin_constant(delta, 164_000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**19
+
 
 @pytest.mark.slow
 def test_rankin_regression_at_1e6(delta_1e6):
@@ -150,6 +161,27 @@ class TestSmoothedSecondMoment:
     def test_table_too_short(self, delta):
         with pytest.raises(arith.TableCoverageError):
             cuspform.smoothed_second_moment(delta, delta.n_max)
+
+    # X = 2^9 needs 20 480 terms, more than one leaf of 2^14
+    @pytest.mark.parametrize("X", [2.0**9, 100.5])
+    def test_leaves_give_the_whole_array_formula(self, X):
+        form = cuspform.delta_form(21_000)
+        top = math.ceil(40 * X)
+        S = form.prefix_floats()[1 : top + 1]
+        n = np.arange(1, top + 1, dtype=np.float64)
+        whole = float(np.sum(S * S * n ** (1 - form.weight) * np.exp(-n / X)))
+        assert cuspform.smoothed_second_moment(form, X) == whole
+
+    def test_holds_one_leaf_of_temporaries(self, delta):
+        # 163 840 terms; five whole vectors of them would take 6.25 MB
+        delta.prefix_floats()
+        tracemalloc.start()
+        try:
+            cuspform.smoothed_second_moment(delta, 4096.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
 
 class TestSignChanges:

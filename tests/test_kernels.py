@@ -98,7 +98,8 @@ def _leaves(n):
     """The runs the trapezoid hands to its integrands for n nodes, in order."""
     runs = []
     for start in range(0, n, 1 << 20):
-        kernels._pairwise_sum(start, min(1 << 20, n - start), lambda i, j: runs.append((i, j)) or 0)
+        m = min(1 << 20, n - start)
+        arith._pairwise_sum(lambda i, j: runs.append((i, j)) or 0, start, m, kernels._BLOCK, 2)
     return runs
 
 
@@ -109,7 +110,8 @@ class TestBlockedTrapezoid:
     def test_pairwise_join_is_np_sum(self, m):
         rng = np.random.default_rng(m)
         x = rng.standard_normal(m) * 10.0 ** rng.integers(-6, 7, m) + 1j * rng.standard_normal(m)
-        assert kernels._pairwise_sum(0, m, lambda i, j: np.sum(x[i:j])) == np.sum(x)
+        # the trapezoid's leaves: blocks of kernels._BLOCK complex values
+        assert arith._pairwise_sum(lambda i, j: np.sum(x[i:j]), 0, m, kernels._BLOCK, 2) == np.sum(x)
 
     def test_leaves_tile_the_nodes(self):
         runs = _leaves(4_000_001)
