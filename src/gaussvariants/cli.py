@@ -342,15 +342,18 @@ def cmd_hardy(args):
 
 def _hyperboloid_table(args, grid, reach, what):
     """The r_{d-1} table of a hyperboloid command, whose grid point X reads
-    the shells below reach(X) for ``what``; a --table-size that falls short
-    of one exits 3 before any table is built or cached."""
+    the shells below reach(X) for ``what``, read or built only as far as the
+    grid's shells reach; a --table-size that falls short of one exits 3
+    before any table is built or cached."""
     if args.d < 3 or args.h < 1:
         raise ValueError("need d >= 3 and h >= 1")
     label = f"r_{args.d - 1}"
+    top = 0
     for X in grid:
         need = lattice.hyperboloid_index(args.h, reach(X))
         arith.require_coverage(label, args.table_size, need, what.format(X=X, d=args.d, h=args.h))
-    return cached_table(args, label, lambda n: arith.r_d_table(args.d - 1, n), args.table_size)
+        top = max(top, need)
+    return cached_table(args, label, lambda n: arith.r_d_table(args.d - 1, n), top)
 
 
 @subcommand(
@@ -397,22 +400,10 @@ def cmd_count_hyperboloid(args):
 def cmd_smooth_hyperboloid(args):
     kernel = parse_kernel(args.kernel)
     grid = parse_grid(args.grid)
-    if kernel.kind == "exponential":
-        table = _hyperboloid_table(args, grid, lambda X: 40.0 * X, "smoothed hyperboloid at X={X:g}")
-    else:
-        table = _hyperboloid_table(
-            args, grid, lambda X: kernels.kernel_support(kernel, X), "hyperboloid shell table"
-        )
-    rows = []
-    for X in grid:
-        if kernel.kind == "exponential":
-            val = lattice.hyperboloid_smoothed(args.d, args.h, X, table)
-        else:
-            shell = lattice.hyperboloid_shell_table(
-                args.d, args.h, kernels.kernel_support(kernel, X), table
-            )
-            val = kernels.apply_kernel(shell, kernel, X)
-        rows.append((X, val))
+    table = _hyperboloid_table(
+        args, grid, lambda X: kernels.kernel_support(kernel, X), "smoothed hyperboloid at X={X:g}"
+    )
+    rows = [(X, lattice.hyperboloid_smoothed(args.d, args.h, X, table, kernel)) for X in grid]
     series = lattice.count_series(grid, [r[1] for r in rows])
     summary = {"d": args.d, "h": args.h, "kernel": args.kernel, "slope": fit.estimate_exponent(series)}
     return rows, summary, None

@@ -11,10 +11,12 @@ sum under each of these vertical-line transforms:
 * compact cutoff:   phi_Y smooth, 1 below 1, 0 above 1 + 1/Y, with Mellin
                     transform Phi_Y(s) = 1/s + O(1/Y).
 
-``apply_kernel`` weights a coefficient table by any of the four kernels,
-always on the coefficient side.  ``lattice.hyperboloid_smoothed`` and
-``cuspform.smoothed_second_moment`` do not call it: they apply the
-exponential weight e^{-n/X} themselves, out to 40X.  The ``*_contour``
+``apply_kernel`` weights the coefficients b at the points n it is given by
+any of the four kernels, always on the coefficient side, as one np.sum, so
+no bit depends on a BLAS library or its thread count.
+``lattice.hyperboloid_smoothed`` passes it the hyperboloid shells up to
+``kernel_support``; ``cuspform.smoothed_second_moment`` applies the
+exponential weight e^{-n/X} itself, out to 40X.  The ``*_contour
 functions exist to verify the identities by trapezoidal quadrature with
 explicit truncation-tail bounds.  Their trapezoid sums each chunk of nodes
 block by block along numpy's pairwise tree (``arith._pairwise_sum``), so a
@@ -31,9 +33,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._split import split_map
-from .arith import CoefficientTable, _pairwise_sum
+from .arith import _pairwise_sum
 
-_WEIGHT_FLOOR = 1e-12  # kernel mass allowed beyond the end of a table
+_WEIGHT_FLOOR = 1e-12  # the concentrating weight past kernel_support
 
 
 @dataclass(frozen=True)
@@ -59,14 +61,14 @@ class KernelSpec:
 
     def __post_init__(self):
         if self.kind == "cesaro":
-            if self.k is None or self.k < 1:
-                raise ValueError("cesaro kernel needs k >= 1")
+            if self.k is None or not 1 <= self.k <= 170:
+                raise ValueError("cesaro kernel needs 1 <= k <= 170 (k! must be a float)")
         elif self.kind == "concentrating":
-            if self.Y is None or self.Y <= 0:
-                raise ValueError("concentrating kernel needs Y > 0")
+            if self.Y is None or not 0 < self.Y < math.inf:
+                raise ValueError("concentrating kernel needs a finite Y > 0")
         elif self.kind == "compact":
-            if self.Y is None or self.Y < 2:
-                raise ValueError("compact kernel needs Y >= 2")
+            if self.Y is None or not 2 <= self.Y < math.inf:
+                raise ValueError("compact kernel needs a finite Y >= 2")
         elif self.kind != "exponential":
             raise ValueError(f"unknown kernel kind {self.kind!r}")
 
@@ -407,39 +409,34 @@ def kernel_weights(kernel, n, X):
 
 
 def kernel_support(kernel, X):
-    """Largest n at which the kernel weight still exceeds the 1e-12 floor."""
+    """Largest n whose kernel weight at scale X is summed: n <= 40X for the
+    exponential weight (about 4e-18 there), else the largest n at which
+    the weight still exceeds the 1e-12 floor.  A concentrating support past
+    2^63, which no table reaches, reads as 2^63."""
+    X = float(X)
+    if X <= 0:
+        raise ValueError("X must be positive")
     if kernel.kind == "exponential":
-        return int(math.ceil(-X * math.log(_WEIGHT_FLOOR)))
+        return int(40 * X)
     if kernel.kind == "cesaro":
         return int(math.floor(X))
     if kernel.kind == "concentrating":
-        spread = math.sqrt(-4 * math.pi * math.log(2 * math.pi * _WEIGHT_FLOOR))
-        return int(math.ceil(X * math.exp(spread / kernel.Y)))
+        spread = math.sqrt(-4 * math.pi * math.log(2 * math.pi * _WEIGHT_FLOOR)) / kernel.Y
+        if math.log(X) + spread >= 63 * math.log(2):
+            return 2**63
+        return int(math.ceil(X * math.exp(spread)))
     if kernel.kind == "compact":
         return int(math.ceil(X * (1.0 + 1.0 / kernel.Y)))
     raise ValueError(f"unknown kernel kind {kernel.kind!r}")
 
 
-def apply_kernel(coeffs, kernel, X, strict=True):
-    """sum_{n >= 1} a(n) w_kernel(n; X), on the coefficient side.
-
-    With ``strict`` (the default) the table must extend past the point
-    where the kernel weight drops below 1e-12.  ``strict=False`` evaluates
-    the truncated sum anyway; with nonnegative coefficients that truncation
-    only discards nonnegative mass, which is what positivity-domination
-    arguments need.
-    """
-    if not isinstance(coeffs, CoefficientTable):
-        raise TypeError("apply_kernel wants a CoefficientTable")
+def apply_kernel(n, b, kernel, X):
+    """sum b(n) w_kernel(n; X) over the points n given, on the coefficient
+    side: np.sum of the products, with no BLAS call, so no bit depends on
+    a BLAS library or its thread count.  Each b is rounded to float64 (b may
+    hold Python ints).  The caller sees that the points cover the kernel's
+    support, ``kernel_support``."""
     X = float(X)
     if X <= 0:
         raise ValueError("X must be positive")
-    needed = kernel_support(kernel, X)
-    if strict:
-        coeffs.require(needed, f"the {kernel.kind} kernel at X={X:g}")
-    top = min(coeffs.n_max, needed)
-    if top < 1:
-        return 0.0
-    n = np.arange(1, top + 1, dtype=np.float64)
-    a = coeffs.floats()[1 : top + 1]
-    return float(np.dot(a, kernel_weights(kernel, n, X)))
+    return float(np.sum(np.asarray(b, dtype=np.float64) * kernel_weights(kernel, n, X)))

@@ -9,7 +9,7 @@ comparisons are
 * the Bessel-series identity
   S_2(R) - pi R = sqrt(R) sum r_2(n) n^{-1/2} J_1(2 pi sqrt(nR)),
 * hyperboloid counts N_{d,h}(R) = sum_{2m^2 + h <= R} r_{d-1}(m^2 + h),
-  their exponentially smoothed and short-interval versions, and
+  their kernel-smoothed and short-interval versions, and
 * the exact odd-divisor identities tying integer points on
   X^2 + Y^2 = Z^2 + 1 to sums of d_o(n^2 + 1).
 
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import arith
+from . import arith, kernels
 
 # ---------------------------------------------------------------------------
 # CountSeries: the grid-of-evaluations record handed to the fit module
@@ -269,13 +269,13 @@ def _hyperboloid_shells(h, n_top, table, what):
     if h < 1:
         raise ValueError(f"need h >= 1, got {h}")
     m_top = _hyperboloid_m_range(h, n_top)
+    if m_top >= 0:
+        table.require(m_top * m_top + h, what)
     m = np.arange(m_top + 1, dtype=np.int64)
     n = 2 * m * m + h
     if m_top < 0:
         return n, m
-    idx = m * m + h
-    table.require(int(idx[-1]), what)
-    r = table.values[idx]
+    r = table.values[m * m + h]
     if r.dtype != object:
         worst = 2 * (m_top + 1) * max(int(r.max()), -int(r.min()))
         if worst > arith._INT64_SAFE:
@@ -344,14 +344,13 @@ def hyperboloid_shell_table(d, h, n_max, table):
     return arith.CoefficientTable(f"hyp_{d}_{h}", out)
 
 
-def hyperboloid_smoothed(d, h, X, table):
-    """sum_{m in Z} r_{d-1}(m^2 + h) e^{-(2m^2 + h)/X}, truncated once the
-    weight drops below 1e-15 (at 2m^2 + h = 40X the weight is ~4e-18)."""
-    X = float(X)
-    if X <= 0:
-        raise ValueError("X must be positive")
-    n, b = _hyperboloid_shells(int(h), 40.0 * X, table, f"smoothed hyperboloid at X={X:g}")
-    return float(np.sum(b.astype(np.float64) * np.exp(-n / X)))
+def hyperboloid_smoothed(d, h, X, table, kernel=kernels.KernelSpec.exponential()):
+    """sum_{m in Z} r_{d-1}(m^2 + h) w(2m^2 + h) for the kernel's weight w at
+    scale X (e^{-n/X} by default), over the shells 2m^2 + h up to
+    ``kernels.kernel_support``."""
+    top = kernels.kernel_support(kernel, X)
+    n, b = _hyperboloid_shells(int(h), top, table, f"smoothed hyperboloid at X={X:g}")
+    return kernels.apply_kernel(n, b, kernel, X)
 
 
 def power_saving_exponent(d):

@@ -88,6 +88,7 @@ class TestExitCodes:
             ["count-hyperboloid", "--d", "16", "--table-size", "5000"],
             ["smooth-hyperboloid", "--table-size", "1000"],
             ["smooth-hyperboloid", "--table-size", "1000", "--kernel", "compact:10"],
+            ["smooth-hyperboloid", "--kernel", "conc:1e-300"],  # a support past 2^63
             ["short-hyperboloid", "--table-size", "1000"],
         ],
     )
@@ -111,6 +112,10 @@ class TestExitCodes:
             ["count-hyperboloid", "--grid", "7..9"],
             ["short-hyperboloid", "--grid", "1:2"],
             ["smooth-hyperboloid", "--kernel", "box:1"],
+            ["smooth-hyperboloid", "--kernel", "cesaro:171"],  # 171! is past float range
+            ["smooth-hyperboloid", "--kernel", "conc:inf"],
+            ["smooth-hyperboloid", "--kernel", "conc:nan"],
+            ["smooth-hyperboloid", "--kernel", "compact:inf"],
             ["smooth-hyperboloid", "--h", "-5"],
             ["short-hyperboloid", "--d", "2"],
         ],
@@ -122,7 +127,8 @@ class TestExitCodes:
         assert list((tmp_path / "cache").iterdir()) == []
 
     def test_table_beyond_int128_is_config_error(self, tmp_path):
-        # r_29 leaves the signed 128-bit range while the table is built
+        # R = 2^12 reads r_29 to 45^2 + 1 = 2026, and r_29 leaves the signed
+        # 128-bit range at n = 1164, while the table is built
         code = run(
             [
                 "count-hyperboloid",
@@ -131,9 +137,9 @@ class TestExitCodes:
                 "--h",
                 "1",
                 "--table-size",
-                "2000",
+                "2100",
                 "--grid",
-                "2^6..2^8",
+                "2^6..2^12",
             ],
             tmp_path,
         )
@@ -287,6 +293,21 @@ class TestCache:
         assert table == cuspform.tau_table(50)
         assert table.values.dtype == np.int64
 
+    def test_hyperboloid_reads_only_what_its_shells_reach(self, tmp_path, monkeypatch):
+        # at X = 2^16 the compact:10 support is 72090, whose shells 2m^2 + 1
+        # read r_2 up to m = 189, index 189^2 + 1 = 35722, not --table-size
+        arith.write_table_cache(tmp_path / "r_2-40000.gvct", arith.r_d_table(2, 40000))
+        read, original = [], arith.read_table_cache
+
+        def recording(path, n_max=None):
+            read.append((os.path.basename(path), n_max))
+            return original(path, n_max)
+
+        monkeypatch.setattr(arith, "read_table_cache", recording)
+        args = ["smooth-hyperboloid", "--kernel", "compact:10", "--cache", str(tmp_path)]
+        assert run(args, tmp_path) == 0
+        assert read == [("r_2-40000.gvct", 35722)]
+
     def test_request_past_every_table_builds_its_own(self, tmp_path):
         for n in (100, 200):
             arith.write_table_cache(tmp_path / f"tau-{n}.gvct", cuspform.tau_table(n))
@@ -381,9 +402,12 @@ class TestSubcommandsEndToEnd:
             expected = sum((1 if m == 0 else 2) * r15[m * m + 1] for m in range(m_top + 1))
             assert int(count) == expected
 
-    def test_smooth_hyperboloid_sums_past_table_end(self, tmp_path):
-        # at X = 128 the conc:3 support (n <= 51700) passes the table's
-        # 40000, but its shells read r_3 only up to 160^2 + 2
+    @staticmethod
+    def smoothed_against_fsum(tmp_path, kernel_text):
+        """Runs smooth-hyperboloid at d = 4, h = 2 on a 40000-entry table over
+        X = 64, 96, 128 and checks each row against math.fsum over its shells
+        2m^2 + 2 up to the kernel's support; returns the last row's value,
+        fsum, support and the shells' n, b and w."""
         args = [
             "smooth-hyperboloid",
             "--d",
@@ -395,14 +419,14 @@ class TestSubcommandsEndToEnd:
             "--grid",
             "64:128:32",
             "--kernel",
-            "conc:3",
+            kernel_text,
             "--out",
-            "conc",
+            "sh",
         ]
         assert run(args, tmp_path) == 0
-        kernel = cli.parse_kernel("conc:3")
+        kernel = cli.parse_kernel(kernel_text)
         r3 = arith.r_d_table(3, 40000)
-        rows = (tmp_path / "conc.csv").read_text().splitlines()[1:]
+        rows = (tmp_path / "sh.csv").read_text().splitlines()[1:]
         assert len(rows) == 3
         for row in rows:
             X, value = (float(v) for v in row.split(","))
@@ -412,9 +436,19 @@ class TestSubcommandsEndToEnd:
             w = kernels.kernel_weights(kernel, n, X)
             full = math.fsum(bi * wi for bi, wi in zip(b, w))
             assert value == pytest.approx(full, rel=1e-12), X
+        return value, full, support, n, b, w
+
+    def test_smooth_hyperboloid_sums_past_table_end(self, tmp_path):
+        # at X = 128 the conc:3 support (n <= 51700) passes the table's
+        # 40000, but its shells read r_3 only up to 160^2 + 2
+        value, full, support, n, b, w = self.smoothed_against_fsum(tmp_path, "conc:3")
         cut = math.fsum(bi * wi for bi, wi, ni in zip(b, w, n) if ni <= 40000)
         assert support > 40000
         assert abs(value - cut) > 1e3 * abs(value - full)
+
+    @pytest.mark.parametrize("kernel", ["exp", "cesaro:1", "cesaro:3", "compact:10"])
+    def test_smooth_hyperboloid_is_the_fsum_of_its_shells(self, tmp_path, kernel):
+        self.smoothed_against_fsum(tmp_path, kernel)
 
     def test_mean_square_check(self, tmp_path):
         args = [

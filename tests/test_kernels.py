@@ -255,29 +255,23 @@ class TestCompact:
 
 class TestApplyKernel:
     def test_exponential_direct_sum(self, r2_big):
-        val = kernels.apply_kernel(
-            r2_big, kernels.KernelSpec.exponential(), 100.0
-        )
-        n = np.arange(1, int(100 * 27.7) + 1, dtype=np.float64)
+        n = np.arange(1, int(100 * 27.7) + 1)
+        val = kernels.apply_kernel(n, r2_big.ints()[n], kernels.KernelSpec.exponential(), 100.0)
         direct = float(np.sum(r2_big.floats()[1 : len(n) + 1] * np.exp(-n / 100.0)))
         assert val == pytest.approx(direct, rel=1e-12)
 
     def test_cesaro_hand_sum(self):
-        ones = arith.CoefficientTable("ones", [1] * 11)
-        val = kernels.apply_kernel(ones, kernels.KernelSpec.cesaro(1), 10.0)
+        val = kernels.apply_kernel(np.arange(1, 11), [1] * 10, kernels.KernelSpec.cesaro(1), 10.0)
         assert val == pytest.approx(4.5)
 
     def test_compact_reproduces_sharp_plus_band(self, r2_big):
         X, Y = 1000.0, 4.0
-        val = kernels.apply_kernel(r2_big, kernels.KernelSpec.compact(Y), X)
+        spec = kernels.KernelSpec.compact(Y)
+        n = np.arange(1, kernels.kernel_support(spec, X) + 1)
+        val = kernels.apply_kernel(n, r2_big.ints()[n], spec, X)
         sharp = float(np.sum(r2_big.floats()[1 : int(X) + 1]))
         band = float(np.sum(r2_big.floats()[int(X) + 1 : int(X * (1 + 1 / Y)) + 2]))
         assert sharp <= val <= sharp + band + 1e-9
-
-    def test_coverage_enforced(self):
-        short = arith.r_d_table(2, 100)
-        with pytest.raises(arith.TableCoverageError):
-            kernels.apply_kernel(short, kernels.KernelSpec.exponential(), 50.0)
 
     def test_concentrating_dominates_window_sums(self, r2_big):
         # positivity: the window sum times the minimum window weight is
@@ -286,8 +280,8 @@ class TestApplyKernel:
             X = 2.0**e
             Y = X ** (1.0 / 44.0)
             spec = kernels.KernelSpec.concentrating(Y)
-            shell = lattice.hyperboloid_shell_table(3, 1, int(40 * X), r2_big)
-            smoothed = kernels.apply_kernel(shell, spec, X, strict=False)
+            n, b = lattice._hyperboloid_shells(1, 40 * X, r2_big, "dominance")
+            smoothed = kernels.apply_kernel(n, b, spec, X)
             window, _ = lattice.hyperboloid_short_interval(3, 1, X, r2_big)
             lam = lattice.power_saving_exponent(3)
             edges = [X - X ** (1 - lam), X + X ** (1 - lam)]

@@ -295,6 +295,24 @@ class TestHyperboloidSmoothed:
     def test_vanishes_at_tiny_X(self, r2_big):
         assert lattice.hyperboloid_smoothed(3, 1, 1e-6, r2_big) == 0.0
 
+    @pytest.mark.parametrize("d, h", [(3, 1), (4, 2)])
+    def test_exponential_keeps_its_bits(self, r2_big, d, h):
+        # the e^{-n/X} sum over the shells 2m^2 + h <= 40X, written out
+        table = r2_big if d == 3 else arith.r_d_table(3, 20000)
+        for X in [2.0**e for e in range(4, 10)] + [100.0, 300.5, 512.25]:
+            m_top = math.isqrt((int(math.floor(40.0 * X)) - h) // 2)
+            m = np.arange(m_top + 1, dtype=np.int64)
+            r = table.values[m * m + h]
+            n, b = 2 * m * m + h, np.where(m == 0, r, 2 * r)
+            expected = float(np.sum(b.astype(np.float64) * np.exp(-n / X)))
+            assert lattice.hyperboloid_smoothed(d, h, X, table) == expected, X
+
+    def test_coverage_enforced(self):
+        # e^{-n/X} is summed to n = 40X = 2000, whose shells read r_2 to 31^2 + 1
+        short = arith.r_d_table(2, 100)
+        with pytest.raises(arith.TableCoverageError):
+            lattice.hyperboloid_smoothed(3, 1, 50.0, short)
+
     def test_short_interval_lambda(self):
         assert lattice.power_saving_exponent(3) == pytest.approx(1 / 44)
 
