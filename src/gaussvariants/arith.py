@@ -11,8 +11,9 @@ This module provides the primitives everything else is built on:
   (``kronecker_array``); every character array in the package, including
   the Gauss-sum characters of ``charsums``, is built here and nowhere else,
 * the Gauss-sum sign eps_d (1 for d = 1 mod 4, i for d = 3 mod 4),
-* truncated Dirichlet L-series with removed Euler factors and an honest
-  integral tail bound,
+* the values chi(0..N) of a real character, a Kronecker symbol with some
+  Euler factors removed (``character_values``), and the truncated
+  Dirichlet L-series over them with an honest integral tail bound,
 * the little-endian binary cache format used to persist coefficient
   tables between runs.  Tables pass through it one block of ``_BLOCK``
   entries at a time, in both directions, so a process that reads or
@@ -33,7 +34,6 @@ import math
 import operator
 import os
 import tempfile
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -453,56 +453,32 @@ def divisor_counts(n_max):
 # Characters and truncated L-series
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CharacterSpec:
-    """The real character n -> (top/n), a Kronecker symbol, with the Euler
-    factors at ``removed_primes`` deleted and chi(0) = 0; top = 1 is the
-    principal character."""
-
-    top: int = 1
-    removed_primes: frozenset = field(default_factory=frozenset)
-
-    def __post_init__(self):
-        object.__setattr__(self, "top", int(self.top))
-        object.__setattr__(self, "removed_primes", frozenset(int(p) for p in self.removed_primes))
-
-    def __call__(self, n):
-        n = int(n)
-        if n == 0 or any(n % p == 0 for p in self.removed_primes):
-            return 0
-        return kronecker(self.top, n)
-
-    def values(self, n_max):
-        """chi(0..n_max) as int8."""
-        tab = kronecker_array(self.top, np.arange(int(n_max) + 1, dtype=np.int64))
-        for p in self.removed_primes:
-            tab[::p] = 0
-        tab[0] = 0
-        return tab
+def character_values(top, n_max, removed_primes=()):
+    """chi(0..n_max) as int8 for the real character n -> (top/n), a
+    Kronecker symbol, with the Euler factors at ``removed_primes`` deleted
+    and chi(0) = 0; top = 1 is the principal character."""
+    chi = kronecker_array(top, np.arange(int(n_max) + 1, dtype=np.int64))
+    for p in removed_primes:
+        chi[:: int(p)] = 0
+    chi[0] = 0
+    return chi
 
 
-def principal_character(removed_primes=()):
-    return CharacterSpec(1, removed_primes)
-
-
-def kronecker_character(top, removed_primes=()):
-    return CharacterSpec(top, removed_primes)
-
-
-def truncated_L(s, chi, n_trunc):
-    """Partial Dirichlet series sum_{n <= N} chi(n) n^{-s} with a tail bound.
+def truncated_L(s, chi):
+    """Partial Dirichlet series sum_{n <= N} chi(n) n^{-s} with a tail bound,
+    for chi(0..N) as from ``character_values``.
 
     Only valid in the absolute-convergence half-plane Re(s) > 1; the tail
     bound is the integral estimate N^(1 - Re s) / (Re s - 1), which majorizes
     sum_{n > N} n^{-Re s} regardless of the character.
     """
     s = complex(s)
-    n_trunc = int(n_trunc)
+    n_trunc = len(chi) - 1
     if s.real <= 1:
         raise ValueError(f"truncated_L needs Re(s) > 1, got {s}")
     if n_trunc < 1:
         raise ValueError("need at least one term")
-    chi_vals = chi.values(n_trunc)[1:].astype(np.float64)
+    chi_vals = chi[1:].astype(np.float64)
     n = np.arange(1, n_trunc + 1, dtype=np.float64)
     if s.imag == 0.0:
         terms = chi_vals * n ** (-s.real)

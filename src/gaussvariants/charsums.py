@@ -24,7 +24,8 @@ live in ``arith`` only: arrays come from ``arith.kronecker_array`` and single
 values from ``arith.kronecker``; this module defines no character of its own.
 The loop of ``gauss_sum_g_series`` over its moduli is split across the
 available CPUs; its bits do not depend on their count, and no option
-controls the split.
+controls the split.  The module holds no state: the series is returned to
+the caller, which passes each row it sums to ``factorization_check``.
 """
 
 from __future__ import annotations
@@ -35,16 +36,7 @@ import math
 import numpy as np
 
 from ._split import split_map
-from .arith import (
-    epsilon,
-    factorize,
-    kronecker,
-    kronecker_array,
-    kronecker_character,
-    principal_character,
-    split_two,
-    truncated_L,
-)
+from .arith import character_values, epsilon, factorize, kronecker, kronecker_array, split_two, truncated_L
 
 # ---------------------------------------------------------------------------
 # Roots of unity and the exact character-exponential dot
@@ -109,8 +101,8 @@ def _g_at_modulus(hs, c4, two_ks):
         if two_k % 2 == 1:
             chi = half_chi
             twist = np.where(d % 4 == 1, 0, two_k % 4) * (c4 // 4)
-        else:  # (-4/d)^k
-            chi = np.where(d % 4 == 1, 1, -1 if two_k // 2 % 2 else 1).astype(np.int8)
+        else:  # (-4/d)^k, which is (1/d) = 1 for even k
+            chi = kronecker_array(-4 if two_k // 2 % 2 else 1, d)
             twist = 0
         rows.append([_roots_of_unity_dot((h * d + twist) % c4, chi, phase) for h in hs])
     return rows
@@ -226,41 +218,30 @@ def dtilde_half(h, w, k):
     return total
 
 
-_G_SERIES_CACHE = {}
-
-
 def gauss_sum_g_series(hs, ks, n_max):
-    """g_h(4c) for c = 1..n_max: an array of one row per h in ``hs`` for
-    each k in ``ks``, of shape (len(ks), len(hs), n_max).
+    """g_h(4c) for c = 1..n_max: a C-contiguous array of one row per h in
+    ``hs`` for each k in ``ks``, of shape (len(ks), len(hs), n_max).
 
-    Rows are cached per (h, 2k), since the two-sided factorization check
-    revisits the same series at several abscissae.  A request that misses
-    a row builds all its rows in one pass over c, sharing each modulus's
-    characters and roots of unity; each entry has gauss_sum_g's bits.
-    The moduli are split across the available CPUs, with the same bits
-    whatever their count; the cache stays in the calling process.
-    n_max = 0 gives empty rows.
+    One pass over c builds every row, sharing each modulus's characters
+    and roots of unity; each entry has gauss_sum_g's bits.  The moduli are
+    split across the available CPUs, with the same bits whatever their
+    count.  n_max = 0 gives empty rows.
     """
     two_ks = [_half_integer_times_two(k) for k in ks]
     n_max = int(n_max)
     if n_max < 0:
         raise ValueError(f"series length must be nonnegative, got {n_max}")
     hs = [int(h) for h in hs]
-    if any(len(_G_SERIES_CACHE.get((h, t), ())) < n_max for h in hs for t in two_ks):
-        new_hs, new_ts = list(dict.fromkeys(hs)), list(dict.fromkeys(two_ks))
-        rows = np.array(split_map(lambda c: _g_at_modulus(new_hs, 4 * c, new_ts), range(1, n_max + 1)))
-        for i, t in enumerate(new_ts):
-            for j, h in enumerate(new_hs):
-                if len(_G_SERIES_CACHE.get((h, t), ())) < n_max:
-                    _G_SERIES_CACHE[(h, t)] = rows[:, i, j].copy()
-    empty = np.zeros(0, dtype=complex)
-    return np.array([[_G_SERIES_CACHE.get((h, t), empty)[:n_max] for h in hs] for t in two_ks])
+    by_c = split_map(lambda c: _g_at_modulus(hs, 4 * c, two_ks), range(1, n_max + 1))
+    by_c = np.array(by_c, dtype=complex).reshape(n_max, len(two_ks), len(hs))
+    return np.ascontiguousarray(by_c.transpose(1, 2, 0))
 
 
-def factorization_check(h, w, k, n_trunc):
+def factorization_check(g, h, w, k):
     """Residual of the L-factorization of the Gauss-sum Dirichlet series.
 
-    Compares sum_{c <= N} g_h(4c) (4c)^{-2w} against
+    Compares sum_{c <= N} g_h(4c) (4c)^{-2w}, for the row g = g_h(4c),
+    c = 1..N, of ``gauss_sum_g_series``, against
     L^(2)(2w-1/2, chi_{k,h}) / zeta^(2h)(4w-1) * Dtilde(h,w), both sides
     truncated at N.  Returns (residual, combined_tail_bound); the identity
     holds iff residual <= bound.  Needs N >= 1, Re(2w - 1/2) > 1 and
@@ -268,7 +249,7 @@ def factorization_check(h, w, k, n_trunc):
     """
     h = int(h)
     w = complex(w)
-    n_trunc = int(n_trunc)
+    n_trunc = len(g)
     if n_trunc < 1:  # the c-tail bound divides by a power of N
         raise ValueError(f"the factorization check needs N >= 1, got {n_trunc}")
     two_k = _half_integer_times_two(k)
@@ -280,18 +261,17 @@ def factorization_check(h, w, k, n_trunc):
         raise ValueError("w outside the absolute-convergence region")
 
     c = np.arange(1, n_trunc + 1, dtype=np.float64)
-    lhs = complex(np.sum(gauss_sum_g_series((h,), (k,), n_trunc)[0, 0] * (4.0 * c) ** (-2 * w)))
+    lhs = complex(np.sum(g * (4.0 * c) ** (-2 * w)))
     # |g_h(4c)| <= 2c (only odd d contribute), so the c-tail is bounded by
     # 2 * 4^(-2 Re w) * N^(2 - 2 Re w) / (2 Re w - 2).
     sigma2 = 2 * w.real
     lhs_tail = 2.0 * 4.0 ** (-sigma2) * n_trunc ** (2.0 - sigma2) / (sigma2 - 2.0)
 
     mu = (-1) ** ((two_k - 1) // 2)  # (-1)^(k - 1/2)
-    chi_kh = kronecker_character(mu * h, removed_primes={2})
-    removed = frozenset(p for p, _ in factorize(2 * h))
-    zeta_2h = principal_character(removed_primes=removed)
-    L_val, L_tail = truncated_L(s_L, chi_kh, n_trunc)
-    Z_val, Z_tail = truncated_L(s_Z, zeta_2h, n_trunc)
+    chi_kh = character_values(mu * h, n_trunc, removed_primes=(2,))
+    zeta_2h = character_values(1, n_trunc, removed_primes=[p for p, _ in factorize(2 * h)])
+    L_val, L_tail = truncated_L(s_L, chi_kh)
+    Z_val, Z_tail = truncated_L(s_Z, zeta_2h)
     dt = dtilde_half(h, w, k)
     rhs = L_val / Z_val * dt
     # |L/Z - Lhat/Zhat| <= (dL |Zhat| + |Lhat| dZ) / (|Zhat| (|Zhat| - dZ))

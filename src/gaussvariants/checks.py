@@ -132,12 +132,12 @@ def factorization(terms_by_w):
     """The L-factorization of sum g_h(4c) (4c)^{-2w} at each (w, N) in
     ``terms_by_w``; params are (h, N, k, w), and the identity holds while
     the residual is <= the combined tail bound."""
-    # every series of both weights in one pass over c
-    charsums.gauss_sum_g_series(_SERIES_HS, _HALF, max(n for _, n in terms_by_w))
-    for h in _SERIES_HS:
-        for k in _HALF:
+    # every series of both weights in one pass over c, to the largest N
+    series = charsums.gauss_sum_g_series(_SERIES_HS, _HALF, max(n for _, n in terms_by_w))
+    for i, h in enumerate(_SERIES_HS):
+        for j, k in enumerate(_HALF):
             for w, n in terms_by_w:
-                res, bound = charsums.factorization_check(h, w, k, n)
+                res, bound = charsums.factorization_check(series[j, i, :n], h, w, k)
                 yield Point((h, n, k, w), None, res, bound)
 
 

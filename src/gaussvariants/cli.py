@@ -46,8 +46,16 @@ EXIT_CHECK_FAILED = 4
 # Small plumbing: grids, kernel specs, cache, output
 # ---------------------------------------------------------------------------
 
+_MAX_GRID_POINTS = 10**6
+
+
 def parse_grid(text):
-    """Grid syntax: '2^a..2^b' (geometric, step x2) or 'a:b:s' (arithmetic)."""
+    """Grid syntax: '2^a..2^b' (geometric, step x2) or 'a:b:s' (arithmetic).
+
+    A grid is finite and nonempty: 2^a..2^b needs -1074 <= a <= b <= 1023,
+    so that every 2^e is a nonzero float, and a:b:s needs finite a <= b and
+    s > 0, with each step advancing x and at most _MAX_GRID_POINTS points.
+    """
     text = text.strip()
     if ".." in text:
         lo, hi = text.split("..", 1)
@@ -56,14 +64,22 @@ def parse_grid(text):
         a, b = int(lo[2:]), int(hi[2:])
         if b < a:
             raise ValueError("empty grid")
+        if a < -1074 or b > 1023:
+            raise ValueError(f"grid {text!r}: 2^e is a nonzero float only for -1074 <= e <= 1023")
         return [float(2**e) for e in range(a, b + 1)]
     if text.count(":") == 2:
         a, b, s = (float(part) for part in text.split(":"))
+        if not all(map(math.isfinite, (a, b, s))):
+            raise ValueError(f"grid {text!r}: a, b and s must be finite")
         if s <= 0 or b < a:
             raise ValueError("bad arithmetic grid")
         out = []
         x = a
         while x <= b + 1e-9:
+            if len(out) == _MAX_GRID_POINTS:
+                raise ValueError(f"grid {text!r} holds more than {_MAX_GRID_POINTS} points")
+            if x + s == x:
+                raise ValueError(f"grid {text!r}: a step of {s:g} does not advance x = {x:g}")
             out.append(float(x))
             x += s
         return out
@@ -224,9 +240,10 @@ def cmd_tau(args):
     table_size=164000, check=True,
 )
 def cmd_second_moment(args):
+    grid = parse_grid(args.grid)
     form = _delta(args)
     C, tail = cuspform.rankin_constant(form, args.table_size)
-    points = list(checks.second_moment(form, C, parse_grid(args.grid)))
+    points = list(checks.second_moment(form, C, grid))
     rows = []
     for p in points:
         (X,) = p.params
@@ -253,8 +270,9 @@ def cmd_second_moment(args):
     table_size=21000, check=True,
 )
 def cmd_sign_scan(args):
+    grid = parse_grid(args.grid)
     series = cuspform.partial_sums(_delta(args), args.nu)
-    points = list(checks.sign_change_windows(series, parse_grid(args.grid), args.r))
+    points = list(checks.sign_change_windows(series, grid, args.r))
     rows = [(*p.params, len(p.value), p.value[0] if p.value else -1) for p in points]
     all_nonempty = all(checks.holds(p) for p in points)
     summary = {"nu": args.nu, "r": args.r, "allWindowsNonempty": all_nonempty, "pass": all_nonempty}
@@ -269,10 +287,11 @@ def cmd_sign_scan(args):
     table_size=70000,
 )
 def cmd_short_interval(args):
+    grid = parse_grid(args.grid)
     form = _delta(args)
     rows = []
     worst = 0.0
-    for X in parse_grid(args.grid):
+    for X in grid:
         val = cuspform.short_interval_average(form, int(X))
         norm = val / X ** (form.weight - 0.5)
         worst = max(worst, norm)
@@ -309,8 +328,8 @@ def cmd_count_circle(args):
     table_size=262200, check=True,
 )
 def cmd_mean_square_p2(args):
-    table = _r2(args)
     grid = parse_grid(args.grid)
+    table = _r2(args)
     rows = [(X, lattice.mean_square_P2(X, table)) for X in grid]
     (p,) = checks.growth_exponent(lattice.count_series(grid, [r[1] for r in rows]))
     ok = checks.holds(p)
@@ -327,6 +346,8 @@ def cmd_mean_square_p2(args):
     table_size=10**6, check=True, seed=True,
 )
 def cmd_hardy(args):
+    if args.count < 1:
+        raise ValueError(f"--count must be at least 1, got {args.count}")
     table = _r2(args)
     rng = np.random.default_rng(args.seed)
     # offsets stay in the middle band between integer shells, where the
@@ -553,8 +574,10 @@ def cmd_fit(args):
     for term in args.model.split(","):
         a, _, b = term.partition(":")
         model.append((float(a), int(b or 0)))
-    series = lattice.count_series(grid, values)
-    result = fit.fit_model(series, model)
+    try:
+        result = fit.fit_model(lattice.count_series(grid, values), model)
+    except ValueError as exc:  # LinAlgError too
+        raise ValueError(f"{args.data}: {exc}") from None
     rows = [(a, b, c) for (a, b), c in zip(result.model, result.coefficients)]
     summary = {
         "residualNorm": result.residual_norm,

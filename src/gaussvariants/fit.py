@@ -36,6 +36,13 @@ def _loglog_slope(grid, values):
     return float(np.polyfit(np.log(grid), np.log(values), 1)[0])
 
 
+def _require_positive(grid, values):
+    """Every fit takes logs of X and of the values: each must be finite and > 0."""
+    both = np.concatenate((grid, values))
+    if not np.all(np.isfinite(both) & (both > 0)):
+        raise ValueError("a fit needs finite positive X and values")
+
+
 def fit_model(series, model):
     """Ordinary least squares of a CountSeries onto {X^a (log X)^b} bases.
 
@@ -47,8 +54,7 @@ def fit_model(series, model):
     values = series.value_array
     if len(grid) < len(model) + 2:
         raise ValueError("grid must exceed the model size by at least 2")
-    if np.any(values <= 0):
-        raise ValueError("fit_model expects positive series values")
+    _require_positive(grid, values)
     A = _design_matrix(grid, model)
     # Column scaling keeps the conditioning of huge X^a columns honest.
     scale = np.linalg.norm(A, axis=0)
@@ -78,8 +84,7 @@ def estimate_exponent(series):
     values = series.value_array
     if len(grid) < 3:
         raise ValueError("need at least 3 grid points")
-    if np.any(values <= 0):
-        raise ValueError("estimate_exponent expects positive values")
+    _require_positive(grid, values)
     return _loglog_slope(grid, values)
 
 

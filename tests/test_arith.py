@@ -186,64 +186,71 @@ def test_catalan_alternating_oracle_value():
     assert abs(val - CATALAN_ALTERNATING) < 1e-12
 
 
+def character_oracle(top, removed_primes, n):
+    """chi(n) from the scalar Kronecker symbol: 0 at 0 and at multiples of
+    the removed primes, (top/n) elsewhere."""
+    if n == 0 or any(n % p == 0 for p in removed_primes):
+        return 0
+    return arith.kronecker(top, n)
+
+
 class TestTruncatedL:
     def test_zeta2_within_tail(self):
-        value, tail = arith.truncated_L(2.0, arith.principal_character(), 10**6)
+        value, tail = arith.truncated_L(2.0, arith.character_values(1, 10**6))
         assert abs(value - ZETA2_EULER_10K_PRIMES) < tail
 
     def test_single_term(self):
-        value, tail = arith.truncated_L(3.0, arith.principal_character(), 1)
+        value, tail = arith.truncated_L(3.0, arith.character_values(1, 1))
         assert value == 1.0
         assert tail == pytest.approx(0.5)
 
     def test_catalan_within_tail(self):
-        value, tail = arith.truncated_L(2.0, arith.kronecker_character(-4), 10**5)
+        value, tail = arith.truncated_L(2.0, arith.character_values(-4, 10**5))
         assert abs(value - CATALAN_ALTERNATING) < tail
 
     def test_rejects_left_of_one(self):
         with pytest.raises(ValueError):
-            arith.truncated_L(1.0, arith.principal_character(), 100)
+            arith.truncated_L(1.0, arith.character_values(1, 100))
+
+    def test_rejects_an_empty_series(self):
+        with pytest.raises(ValueError):
+            arith.truncated_L(2.0, arith.character_values(1, 0))
+
+    @pytest.mark.parametrize("s", [2 + 3j, 1.5 - 7j])
+    def test_complex_s_within_tail(self, s):
+        # the np.sum branch, against zeta and L(s, (-4/.)) from mpmath
+        mpmath = pytest.importorskip("mpmath")
+        for top, exact in ((1, mpmath.zeta(s)), (-4, mpmath.dirichlet(s, [0, 1, 0, -1]))):
+            value, tail = arith.truncated_L(s, arith.character_values(top, 10**5))
+            assert abs(value - complex(exact)) < tail, top
 
     def test_tail_bound_honest_under_doubling(self):
         rng = random.Random(3)
-        chis = [
-            arith.principal_character(),
-            arith.principal_character({2}),
-            arith.kronecker_character(-4),
-            arith.kronecker_character(5, {2}),
-            arith.kronecker_character(-8),
-        ]
+        chis = [(1, ()), (1, {2}), (-4, ()), (5, {2}), (-8, ())]
         for i in range(20):
             s = 1.5 + rng.random() * 2.5
-            chi = chis[i % len(chis)]
+            top, removed = chis[i % len(chis)]
             n = rng.randrange(500, 5000)
-            v1, tail1 = arith.truncated_L(s, chi, n)
-            v2, _ = arith.truncated_L(s, chi, 2 * n)
+            v1, tail1 = arith.truncated_L(s, arith.character_values(top, n, removed))
+            v2, _ = arith.truncated_L(s, arith.character_values(top, 2 * n, removed))
             assert abs(v2 - v1) < tail1
 
     def test_removed_primes_zero_out(self):
-        chi = arith.kronecker_character(5, removed_primes={2, 3})
-        assert chi(6) == 0 and chi(9) == 0 and chi(10) == 0
-        assert chi(7) == arith.kronecker(5, 7)
+        chi = arith.character_values(5, 10, removed_primes={2, 3})
+        assert chi[6] == 0 and chi[9] == 0 and chi[10] == 0
+        assert chi[7] == arith.kronecker(5, 7)
 
     def test_values_match_pointwise_at_every_index(self):
-        for chi in (
-            arith.principal_character(),
-            arith.principal_character({2, 3}),
-            arith.kronecker_character(-1),
-            arith.kronecker_character(-3, {5}),
-            arith.kronecker_character(8),
-            arith.kronecker_character(-20, {2, 7}),
-        ):
-            vals = chi.values(300)
+        for top, removed in ((1, ()), (1, {2, 3}), (-1, ()), (-3, {5}), (8, ()), (-20, {2, 7})):
+            vals = arith.character_values(top, 300, removed)
             assert vals.dtype == np.int8
-            assert vals.tolist() == [chi(n) for n in range(301)], chi
+            assert vals.tolist() == [character_oracle(top, removed, n) for n in range(301)], top
 
     def test_character_sieve_matches_pointwise(self):
-        for chi in (arith.kronecker_character(-4), arith.kronecker_character(12, {2})):
-            vals = chi.values(500)
+        for top, removed in ((-4, ()), (12, {2})):
+            vals = arith.character_values(top, 500, removed)
             for n in range(1, 501):
-                assert vals[n] == chi(n), n
+                assert vals[n] == character_oracle(top, removed, n), n
 
 
 # Entries that cross every word boundary of the signed 128-bit cache format.

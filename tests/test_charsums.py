@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from gaussvariants import arith, charsums, checks
@@ -190,18 +191,23 @@ class TestFactorization:
         "h,k,w,n", [(1, 0.5, 2.0, 2000), (4, 0.5, 2.0, 2000), (1, 1.5, 1.75, 5000)]
     )
     def test_examples(self, h, k, w, n):
-        residual, bound = charsums.factorization_check(h, w, k, n)
+        g = charsums.gauss_sum_g_series((h,), (k,), n)[0, 0]
+        residual, bound = charsums.factorization_check(g, h, w, k)
         assert residual <= bound
 
     def test_rejects_outside_convergence(self):
+        g = charsums.gauss_sum_g_series((1,), (0.5,), 100)[0, 0]
         with pytest.raises(ValueError):
-            charsums.factorization_check(1, 0.6, 0.5, 100)
+            charsums.factorization_check(g, 1, 0.6, 0.5)
+
+    def test_rejects_an_empty_row(self):
+        with pytest.raises(ValueError):
+            charsums.factorization_check(np.zeros(0, dtype=complex), 1, 2.0, 0.5)
 
 
 class TestBatchedSeries:
     @pytest.mark.parametrize("k", [0.5, 1.5, 1, 2])
-    def test_rows_are_the_single_sums(self, k, monkeypatch):
-        monkeypatch.setattr(charsums, "_G_SERIES_CACHE", {})
+    def test_rows_are_the_single_sums(self, k):
         hs = tuple(range(1, 10))
         rows = charsums.gauss_sum_g_series(hs, (k,), 300)
         assert rows.shape == (1, 9, 300)
@@ -209,8 +215,7 @@ class TestBatchedSeries:
             assert row.tolist() == [charsums.gauss_sum_g(h, 4 * c, k) for c in range(1, 301)]
 
     @pytest.mark.parametrize("ks", [(0.5, 1.5), (1, 2), (1.5, 2, 0.5)])
-    def test_weights_in_one_pass_are_the_single_sums(self, ks, monkeypatch):
-        monkeypatch.setattr(charsums, "_G_SERIES_CACHE", {})
+    def test_weights_in_one_pass_are_the_single_sums(self, ks):
         hs = (1, 2, 3, 4, 9)
         rows = charsums.gauss_sum_g_series(hs, ks, 200)
         assert rows.shape == (len(ks), 5, 200)
@@ -218,14 +223,16 @@ class TestBatchedSeries:
             for h, row in zip(hs, by_h):
                 assert row.tolist() == [charsums.gauss_sum_g(h, 4 * c, k) for c in range(1, 201)]
 
-    def test_cache_serves_repeats_and_prefixes(self, monkeypatch):
-        monkeypatch.setattr(charsums, "_G_SERIES_CACHE", {})
-        rows = charsums.gauss_sum_g_series((2, 5, 2), (0.5,), 40)[0]
-        assert rows[0].tolist() == rows[2].tolist()
-        assert charsums.gauss_sum_g_series((5,), (0.5,), 20)[0, 0].tolist() == rows[1][:20].tolist()
-        longer = charsums.gauss_sum_g_series((5, 7), (0.5,), 60)[0]
-        assert longer[0][:40].tolist() == rows[1].tolist()
-        assert longer[1].tolist() == [charsums.gauss_sum_g(7, 4 * c, 0.5) for c in range(1, 61)]
+    def test_duplicate_hs_give_identical_rows(self):
+        rows = charsums.gauss_sum_g_series((2, 5, 2), (0.5, 1.5), 40)
+        assert rows.flags.c_contiguous
+        for by_h in rows:
+            assert by_h[0].tolist() == by_h[2].tolist()
+            assert by_h[0].tolist() != by_h[1].tolist()
+
+    def test_no_moduli_give_empty_rows(self):
+        rows = charsums.gauss_sum_g_series((1, 2), (0.5,), 0)
+        assert rows.shape == (1, 2, 0) and rows.dtype == complex
 
     def test_long_rows_do_not_depend_on_blas_threads(self):
         # 4c > 10^4: a single complex dot this long runs on OpenBLAS's own

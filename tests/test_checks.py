@@ -1,6 +1,8 @@
 """The check suites: how many points each grid holds, and the residual and
 bound of a check that is not numeric."""
 
+import numpy as np
+
 from gaussvariants import arith, charsums, checks, cuspform, kernels, lattice
 
 POINT_COUNTS = dict(
@@ -12,8 +14,10 @@ POINT_COUNTS = dict(
 def test_point_counts(monkeypatch):
     # the Gauss-sum series and the 4M-node Cesaro contours are stubbed:
     # only their grids are counted here, their values are checked elsewhere
-    monkeypatch.setattr(charsums, "gauss_sum_g_series", lambda hs, ks, n: None)
-    monkeypatch.setattr(charsums, "factorization_check", lambda h, w, k, n: (0.0, 1.0))
+    monkeypatch.setattr(
+        charsums, "gauss_sum_g_series", lambda hs, ks, n: np.zeros((len(ks), len(hs), n), dtype=complex)
+    )
+    monkeypatch.setattr(charsums, "factorization_check", lambda g, h, w, k: (0.0, 1.0))
     monkeypatch.setattr(kernels, "cesaro_contours", lambda Ys, ks, quad: [[0.0] * len(ks) for _ in Ys])
     counts = {name: sum(1 for _ in getattr(checks, name)()) for name in POINT_COUNTS}
     assert counts == POINT_COUNTS

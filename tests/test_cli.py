@@ -4,6 +4,7 @@ import argparse
 import json
 import math
 import os
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -41,6 +42,13 @@ class TestParsing:
     def test_bad_grid(self):
         with pytest.raises(ValueError):
             cli.parse_grid("7..9")
+
+    def test_grid_edges(self):
+        assert cli.parse_grid("2^-1074..2^-1074") == [5e-324]
+        assert cli.parse_grid("2^1023..2^1023") == [2.0**1023]
+        assert len(cli.parse_grid("1:1000000:1")) == 10**6
+        with pytest.raises(ValueError, match="more than"):
+            cli.parse_grid("0:1000000:1")
 
     def test_kernels(self):
         assert cli.parse_kernel("exp").kind == "exponential"
@@ -181,6 +189,17 @@ class TestExitCodes:
             ["fit", "--data", "one-column.csv", "--model", "1.5:0"],
             ["count-circle", "--grid", "0:2:1", "--table-size", "10"],  # R = 0 under sqrt(R)
             ["short-hyperboloid", "--grid", "0:2:1", "--table-size", "100"],  # X = 0
+            ["count-circle", "--grid", "2^0..2^1100"],  # 2^1100 is no float
+            ["short-hyperboloid", "--grid", "2^1100..2^1100"],
+            ["count-circle", "--grid", "2^-1100..2^3"],  # 2^-1100 rounds to 0
+            ["count-circle", "--grid", "1:1e400:1"],  # b = inf
+            ["count-circle", "--grid", "1:inf:1e308"],
+            ["count-circle", "--grid", "0:1e7:1"],  # more than 10^6 points
+            ["mean-square-p2", "--grid", "1e300:1e300:1"],  # x + 1 == x
+            ["second-moment", "--grid", "nan:nan:1"],
+            ["sign-scan", "--grid", "nan:nan:1"],  # would pass over no window
+            ["short-interval", "--grid", "nan:nan:1"],
+            ["hardy", "--count", "0", "--check"],  # would pass over no radius
         ],
     )
     def test_degenerate_input_is_config_error(self, tmp_path, capsys, argv):
@@ -189,6 +208,18 @@ class TestExitCodes:
         assert run(argv, tmp_path) == cli.EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith("gv: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "0", "-4"])
+    @pytest.mark.parametrize("column", [0, 1])
+    def test_fit_refuses_data_it_cannot_take_logs_of(self, tmp_path, capsys, column, cell):
+        rows = [[2.0**e, 3.0 * 2.0**e] for e in range(4, 10)]
+        rows[-1 if cell == "inf" else 0][column] = cell  # X stays ascending
+        (tmp_path / "bad.csv").write_text("X,value\n" + "".join(f"{x},{v}\n" for x, v in rows))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy RuntimeWarning on the way
+            assert run(["fit", "--data", "bad.csv", "--model", "1:0"], tmp_path) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == "gv: bad.csv: a fit needs finite positive X and values\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.csv"]
 
     @pytest.mark.parametrize("subcommand", ["second-moment", "short-interval", "sign-scan", "tau"])
     @pytest.mark.parametrize("cache", ["none", "empty", "tau-40"])

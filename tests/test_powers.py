@@ -1,5 +1,7 @@
 """The exact sparse power: small cases, input checks, int64 edges and the rounding guard."""
 
+import random
+
 import numpy as np
 import pytest
 
@@ -55,6 +57,29 @@ class TestSparsePower:
         out = powers.sparse_power([0, 1, 2, 3], [c] * 4, 2, 3)
         assert out.dtype == object
         assert out.tolist() == [c * c, 2 * c * c, 3 * c * c, 4 * c * c]
+
+    def test_random_wide_products_match_exact_convolution(self):
+        # 20-63-bit coefficients give products past int64, which come back
+        # as digit rows; a digit path that stops its diagonals short of the
+        # product's bound drops the top of some of them
+        def coefficients(n):
+            return [rng.choice((-1, 1)) * rng.getrandbits(rng.randint(20, 63)) for _ in range(n)]
+
+        rng = random.Random(13)
+        wide = 0
+        for trial in range(1000):
+            n = rng.randint(1, 12)
+            a = coefficients(n)
+            b = a if trial % 2 else coefficients(n)  # odd trials take the square path
+            a_arr = np.array(a, dtype=np.int64)
+            got = powers._product(a_arr, a_arr if b is a else np.array(b, dtype=np.int64), n - 1)
+            if got.ndim == 2:
+                wide += 1
+                got = [sum(int(row[i]) << powers._DIGIT_BITS * j for j, row in enumerate(got)) for i in range(n)]
+            else:
+                got = got.tolist()
+            assert got == [sum(a[i] * b[k - i] for i in range(k + 1)) for k in range(n)], trial
+        assert wide > 900
 
     def test_margin_check_refuses_a_quarter(self):
         assert powers._rint_checked(np.array([3.2, -1.9, 0.0])).tolist() == [3, -2, 0]

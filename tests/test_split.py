@@ -34,7 +34,6 @@ def test_gauss_series_bits_do_not_depend_on_cpu_count(monkeypatch):
     bits = []
     for count in CPU_COUNTS:
         set_cpus(monkeypatch, count)
-        monkeypatch.setattr(charsums, "_G_SERIES_CACHE", {})
         rows = charsums.gauss_sum_g_series((1, 2, 3, 4, 9), (0.5, 1.5), 300)
         # past 4c = 10^4, where the dots are taken in pieces
         long_row = charsums.gauss_sum_g_series((1,), (0.5,), 2510)
