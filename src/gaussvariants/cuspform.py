@@ -148,8 +148,8 @@ def partial_sums(form, nu):
     """Prefix sums of a(m)/m^nu: the form's rounded exact prefix sums
     (read-only) at nu = 0, Kahan-compensated for nu > 0."""
     nu = float(nu)
-    if nu < 0:
-        raise ValueError("nu must be nonnegative")
+    if not 0 <= nu < math.inf:
+        raise ValueError(f"nu must be finite and nonnegative, got {nu}")
     if nu == 0.0:
         return PartialSumSeries(form, 0.0, form.prefix_floats())
     coeffs = form.coeffs

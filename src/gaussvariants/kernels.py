@@ -411,13 +411,13 @@ def kernel_weights(kernel, n, X):
 def kernel_support(kernel, X):
     """Largest n whose kernel weight at scale X is summed: n <= 40X for the
     exponential weight (about 4e-18 there), else the largest n at which
-    the weight still exceeds the 1e-12 floor.  A concentrating support past
-    2^63, which no table reaches, reads as 2^63."""
+    the weight still exceeds the 1e-12 floor.  An exponential or
+    concentrating support past 2^63, which no table reaches, reads as 2^63."""
     X = float(X)
     if X <= 0:
         raise ValueError("X must be positive")
     if kernel.kind == "exponential":
-        return int(40 * X)
+        return int(40 * X) if 40 * X < 2.0**63 else 2**63
     if kernel.kind == "cesaro":
         return int(math.floor(X))
     if kernel.kind == "concentrating":

@@ -116,10 +116,19 @@ def test_sparse_power_matches_naive_convolution_on_every_path(monkeypatch):
         return width
 
     monkeypatch.setattr(powers, "_limb_width", limb_width)
+    real_product = powers._product
+
+    def product(a, b, n_max):
+        if a.shape[-1] < n_max + 1:  # only the a0^2 of a split square is shorter than its result
+            seen.add("split square")
+        return real_product(a, b, n_max)
+
+    monkeypatch.setattr(powers, "_product", product)
+    monkeypatch.setattr(powers, "_SPLIT_LENGTH", 8)
 
     # one draw per path, so each is reached whatever the random draws
     @example(([0, 1, 3], [1, -2, 1], 3, 40))  # small: one limb, one float FFT
-    @example(([0, 2, 7], [4000, -3999, 17], 4, 60))  # past 2^40: several limbs
+    @example(([0, 2, 7], [4000, -3999, 17], 4, 60))  # past 2^40: several limbs, split square
     @example(([0, 1], [2**40, -(2**40) + 1], 3, 10))  # past int64: object
     @settings(database=None, deadline=None, max_examples=150)
     @given(power_cases())
@@ -133,7 +142,7 @@ def test_sparse_power_matches_naive_convolution_on_every_path(monkeypatch):
             seen.add("object")
 
     check()
-    assert seen == {"one limb", "several limbs", "object"}
+    assert seen == {"one limb", "several limbs", "object", "split square"}
 
 
 @settings(database=None, deadline=None, max_examples=40)

@@ -98,6 +98,7 @@ class TestExitCodes:
             ["smooth-hyperboloid", "--table-size", "1000", "--kernel", "compact:10"],
             ["smooth-hyperboloid", "--kernel", "conc:1e-300"],  # a support past 2^63
             ["short-hyperboloid", "--table-size", "1000"],
+            ["smooth-hyperboloid", "--grid", "2^1023..2^1023"],  # 40X is inf
         ],
     )
     def test_short_table_exits_before_it_is_built(self, tmp_path, argv):
@@ -200,6 +201,8 @@ class TestExitCodes:
             ["sign-scan", "--grid", "nan:nan:1"],  # would pass over no window
             ["short-interval", "--grid", "nan:nan:1"],
             ["hardy", "--count", "0", "--check"],  # would pass over no radius
+            ["sign-scan", "--nu", "nan", "--grid", "2^4..2^5", "--table-size", "200"],  # no JSON NaN
+            ["sign-scan", "--nu", "inf", "--grid", "2^4..2^5", "--table-size", "200"],
         ],
     )
     def test_degenerate_input_is_config_error(self, tmp_path, capsys, argv):

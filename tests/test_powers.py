@@ -99,3 +99,68 @@ class TestSparsePower:
             powers.sparse_power([0, 1, 2], [2**30 + 1, 3 - 2**29, 2**30 - 7], 3, 20)
         with pytest.raises(arith.RoundingMarginError):
             cuspform.tau_table(3000)  # tau(n) passes 2^53 below n = 3000
+
+
+def balanced_digit_rows(values, count):
+    """values as count int8 rows of balanced 8-bit digits, low first."""
+    rows = np.zeros((count, len(values)), dtype=np.int8)
+    for i, v in enumerate(values):
+        for j in range(count):
+            rows[j, i] = d = (v + 128) % 256 - 128
+            v = (v - d) >> 8
+        assert v == 0
+    return rows
+
+
+def value_of(x):
+    """int64 x or digit rows x as Python ints."""
+    if x.ndim == 1:
+        return x.tolist()
+    return [sum(int(row[i]) << powers._DIGIT_BITS * j for j, row in enumerate(x)) for i in range(x.shape[1])]
+
+
+class TestSplitSquare:
+    def test_split_squares_match_exact_convolution(self, monkeypatch):
+        # a0^2 + q^h ((a0 + a1)^2 - a0^2 - a1^2): dropping either correction
+        # leaves a wrong value at some q^k, k >= h
+        monkeypatch.setattr(powers, "_SPLIT_LENGTH", 2)
+        rng = random.Random(23)
+        seen = set()
+        for trial in range(400):
+            n = rng.randint(2, 17)  # odd and even lengths
+            bits = rng.choice([3, 24, 40, 62, 63, 100])
+            values = [rng.choice((-1, 1)) * rng.getrandbits(bits) if rng.random() < 0.8 else 0 for _ in range(n)]
+            if bits == 63 and rng.random() < 0.5:  # int64's own edges, where a0 + a1 leaves int64
+                values[rng.randrange(n)] = rng.choice([-(2**63), 2**63 - 1])
+            if bits <= 63 and trial % 3:
+                a = np.array(values, dtype=np.int64)
+            else:
+                count = powers._limb_count(max(map(abs, values)), powers._DIGIT_BITS) + rng.randint(0, 2)
+                a = balanced_digit_rows(values, count)
+            got = powers._square(a, n - 1)
+            assert value_of(got) == [sum(values[i] * values[k - i] for i in range(k + 1)) for k in range(n)], trial
+            whole = powers._product(a, a, n - 1)  # the same dtype, shape and bits
+            assert got.dtype == whole.dtype and np.array_equal(got, whole), trial
+            seen.add((a.ndim, got.ndim))
+        assert seen == {(1, 1), (1, 2), (2, 1), (2, 2)}
+
+    def test_squares_split_from_the_split_length(self, monkeypatch):
+        calls = []
+        real = powers._product
+        monkeypatch.setattr(powers, "_product", lambda a, b, n_max: calls.append(a.shape[-1]) or real(a, b, n_max))
+        monkeypatch.setattr(powers, "_SPLIT_LENGTH", 10)
+        a = np.arange(1, 10, dtype=np.int64)
+        assert powers._square(a, 8).tolist() == np.convolve(a, a)[:9].tolist()
+        assert calls == [9]
+        a = np.arange(1, 11, dtype=np.int64)
+        assert powers._square(a, 9).tolist() == np.convolve(a, a)[:10].tolist()
+        assert calls == [9, 5, 5, 5]  # a0^2, (a0 + a1)^2 and a1^2, each half as long
+
+    def test_tau_table_is_the_same_with_and_without_the_split(self, monkeypatch):
+        # tau to 140001 squares series of 140001 entries, which split
+        assert powers._SPLIT_LENGTH <= 140001
+        split = cuspform.tau_table(140001)
+        monkeypatch.setattr(powers, "_SPLIT_LENGTH", 1 << 18)
+        whole = cuspform.tau_table(140001)
+        assert split.values.dtype == whole.values.dtype == object
+        assert split == whole
