@@ -17,7 +17,9 @@ This module provides the primitives everything else is built on:
 * the little-endian binary cache format used to persist coefficient
   tables between runs.  Tables pass through it one block of ``_BLOCK``
   entries at a time, in both directions, so a process that reads or
-  writes a table holds one copy of it plus one block,
+  writes a table holds one copy of it plus one block.  A selected read
+  (``selection.TableSelection``) keeps from each block only the entries a
+  caller uses, and never holds the table,
 * numpy's pairwise summation tree (``_pairwise_sum``), so that a long
   float sum can be taken one run of values at a time with np.sum's bits.
 
@@ -136,6 +138,10 @@ class CoefficientTable:
         if self.values.dtype == object:
             raise TableOverflowError(f"table '{self.label}' does not fit in int64")
         return self.values
+
+    def at(self, n):
+        """a(n) for an int array of n <= n_max, as ``selection.TableEntries.at``."""
+        return self.values[n]
 
     def require(self, n, what=""):
         require_coverage(self.label, self.n_max, n, what)
@@ -539,15 +545,24 @@ def _read_exactly(fh, size, path):
 
 
 def read_table_cache(path, n_max=None):
-    """Load a table written by ``write_table_cache``, or with ``n_max`` only
-    its entries 0..n_max, which are then all of the body that is read.
+    """Load a table written by ``write_table_cache``: all of it, with an int
+    ``n_max`` only its entries 0..n_max, or with a selection (a
+    ``selection.TableSelection``) only the entries that it keeps of
+    0..selection.n_max, as ``selection.TableEntries``.  The entries up to
+    n_max are then all of the body that is read.
 
     Either way the magic, the version and the body length (against the
-    file's size) are verified, so a truncated or over-long file is refused.
-    The body is read one block at a time into the result, which is int64
-    while every entry read so far fits and takes Python ints from the first
-    block that does not: a prefix has the dtype a fresh build would give it.
+    file's size) are verified, so a truncated or over-long file is refused,
+    and so is an n_max past the stored table.  The body is read one block
+    at a time.  A whole or cut table is copied into the result, which is
+    int64 while every entry read so far fits and takes Python ints from the
+    first block that does not: a prefix has the dtype a fresh build would
+    give it.  A selected read keeps only what the selection picks from each
+    block and never holds the table.
     """
+    selection = n_max if hasattr(n_max, "keep") else None
+    if selection is not None:
+        n_max = selection.n_max
     with open(path, "rb") as fh:
         head = _read_exactly(fh, 8, path)
         if head[:4] != CACHE_MAGIC:
@@ -567,20 +582,31 @@ def read_table_cache(path, n_max=None):
         elif not 0 <= n_max <= stored:
             raise ValueError(f"{path}: holds n <= {stored}, cannot serve n <= {n_max}")
         n = n_max + 1
-        words = np.empty((min(n, _BLOCK), 2), dtype="<i8")  # (low word, high word) per entry
+        blocks = _body_blocks(fh, n, path)
+        if selection is not None:
+            return selection.keep(label, blocks)
         out = np.empty(n, dtype=np.int64)
-        for s in range(0, n, _BLOCK):
-            part = words[: min(_BLOCK, n - s)]
-            if fh.readinto(part) != part.nbytes:
-                raise ValueError(f"{path}: truncated cache file")
-            lo, hi = part[:, 0], part[:, 1]
-            if out.dtype != object and not np.array_equal(hi, lo >> 63):
+        for s, block in blocks:
+            if block.dtype == object and out.dtype != object:
                 # the first block past int64: Python ints from here on
                 wide = np.empty(n, dtype=object)
                 wide[:s] = out[:s]
                 out = wide
-            if out.dtype == object:
-                out[s : s + len(part)] = (hi.astype(object) << 64) + lo.view("<u8").astype(object)
-            else:
-                out[s : s + len(part)] = lo
+            out[s : s + len(block)] = block
     return CoefficientTable(label, out)
+
+
+def _body_blocks(fh, n, path):
+    """The first n entries of a cache body, as (start, block) pairs of
+    ``_BLOCK`` entries: an int64 block, a view that the next block
+    overwrites, when each of its entries fits, and Python ints otherwise."""
+    words = np.empty((min(n, _BLOCK), 2), dtype="<i8")  # (low word, high word) per entry
+    for s in range(0, n, _BLOCK):
+        part = words[: min(_BLOCK, n - s)]
+        if fh.readinto(part) != part.nbytes:
+            raise ValueError(f"{path}: truncated cache file")
+        lo, hi = part[:, 0], part[:, 1]
+        if np.array_equal(hi, lo >> 63):
+            yield s, lo
+        else:
+            yield s, (hi.astype(object) << 64) + lo.view("<u8").astype(object)

@@ -14,9 +14,10 @@ criterion fails) is taken by second-moment, sign-scan, mean-square-p2,
 hardy, count-hyperboloid, divisor-identity, gauss-sums, eisenstein-check
 and kernels-verify; --seed only by hardy and count-hyperboloid.
 
-Exit codes: 0 ok, 2 configuration error (or a table past 128 bits, or an
-FFT product whose rounding margin cannot certify an exact table),
-3 table-coverage error, 4 failed check under --check.
+Exit codes: 0 ok, 2 configuration error (or a table past 128 bits, an
+FFT product whose rounding margin cannot certify an exact table, or an
+allocation that fails), 3 table-coverage error, 4 failed check under
+--check.
 """
 
 from __future__ import annotations
@@ -120,21 +121,25 @@ def _smallest_cached(directory, label, n_max):
 def cached_table(args, label, builder, n_max):
     """Table ``label`` to exactly n_max: the first n_max + 1 entries of the
     smallest cached table of that label that reaches n_max, read from the
-    front of its file.  On a miss the table is built and cached as
-    ``label-<n_max>.gvct``; a cut is never written back.  A cached file
+    front of its file.  For a ``selection.TableSelection`` n_max, only the
+    entries it keeps of 0..n_max are read, as ``selection.TableEntries``.  On a
+    miss the whole table is built and cached as ``label-<n_max>.gvct``, and
+    then the same selection is applied to it, so a cold and a warm run go
+    on with the same entries; a cut is never written back.  A cached file
     whose header disagrees with its name raises ValueError naming it."""
+    chosen = n_max if hasattr(n_max, "keep") else None  # a TableSelection
+    top = n_max if chosen is None else chosen.n_max
     directory = cache_dir(args)
-    if not directory:
-        return builder(n_max)
-    path = _smallest_cached(directory, label, n_max)
+    path = _smallest_cached(directory, label, top) if directory else None
     if path is not None:
         table = arith.read_table_cache(path, n_max)
         if table.label != label:
             raise ValueError(f"{path}: holds table '{table.label}', not '{label}'")
         return table
-    table = builder(n_max)
-    arith.write_table_cache(os.path.join(directory, f"{label}-{n_max}.gvct"), table)
-    return table
+    table = builder(top)
+    if directory:
+        arith.write_table_cache(os.path.join(directory, f"{label}-{top}.gvct"), table)
+    return table if chosen is None else chosen.apply(table)
 
 
 def _tau(args):
@@ -149,9 +154,15 @@ def _delta(args):
     return cuspform.CuspFormSeries(12, _tau(args), "delta")
 
 
-def _r2(args):
-    """The cached r_2 table of --table-size."""
-    return cached_table(args, "r_2", lambda n: arith.r_d_table(2, n), args.table_size)
+def _r2(args, nonzero=False):
+    """The cached r_2 table of --table-size, or with ``nonzero`` only its
+    nonzero entries."""
+    size = args.table_size
+    if nonzero:
+        from .selection import TableSelection  # loaded only by the commands that select
+
+        size = TableSelection(size)
+    return cached_table(args, "r_2", lambda n: arith.r_d_table(2, n), size)
 
 
 def _fmt(v):
@@ -348,7 +359,7 @@ def cmd_mean_square_p2(args):
 def cmd_hardy(args):
     if args.count < 1:
         raise ValueError(f"--count must be at least 1, got {args.count}")
-    table = _r2(args)
+    table = _r2(args, nonzero=True)  # the series and the counts read no zero entry
     rng = np.random.default_rng(args.seed)
     # offsets stay in the middle band between integer shells, where the
     # truncated Bessel series is not Gibbs-limited by the count jumps
@@ -361,20 +372,25 @@ def cmd_hardy(args):
     return rows, summary, None if ok else f"max |error| {worst:.4f} > {checks.BESSEL_TOL:g}"
 
 
-def _hyperboloid_table(args, grid, reach, what):
-    """The r_{d-1} table of a hyperboloid command, whose grid point X reads
-    the shells below reach(X) for ``what``, read or built only as far as the
-    grid's shells reach; a --table-size that falls short of one exits 3
-    before any table is built or cached."""
+def _hyperboloid_entries(args, grid, reach, what):
+    """The entries r_{d-1}(m^2 + h) that a hyperboloid command reads, whose
+    grid point X sums the shells below reach(X) for ``what``: only those
+    are read, and a table is built only as far as the grid's shells reach.
+    A --table-size that falls short of one exits 3 before any table is
+    built or cached."""
     if args.d < 3 or args.h < 1:
         raise ValueError("need d >= 3 and h >= 1")
     label = f"r_{args.d - 1}"
-    top = 0
+    top, reach_top = 0, 0
     for X in grid:
-        need = lattice.hyperboloid_index(args.h, reach(X))
+        n_top = reach(X)
+        need = lattice.hyperboloid_index(args.h, n_top)
         arith.require_coverage(label, args.table_size, need, what.format(X=X, d=args.d, h=args.h))
-        top = max(top, need)
-    return cached_table(args, label, lambda n: arith.r_d_table(args.d - 1, n), top)
+        top, reach_top = max(top, need), max(reach_top, n_top)
+    from .selection import TableSelection  # loaded only by the commands that select
+
+    shells = TableSelection(top, lattice.hyperboloid_indices(args.h, reach_top))
+    return cached_table(args, label, lambda n: arith.r_d_table(args.d - 1, n), shells)
 
 
 @subcommand(
@@ -387,7 +403,7 @@ def _hyperboloid_table(args, grid, reach, what):
 )
 def cmd_count_hyperboloid(args):
     grid = parse_grid(args.grid)
-    table = _hyperboloid_table(args, grid, lambda R: R, "N_{{{d},{h}}}({X:g})")
+    table = _hyperboloid_entries(args, grid, lambda R: R, "N_{{{d},{h}}}({X:g})")
     rows = [(R, lattice.hyperboloid_count(args.d, args.h, R, table)) for R in grid]
     summary = {"d": args.d, "h": args.h}
     if args.d != 3:
@@ -421,7 +437,7 @@ def cmd_count_hyperboloid(args):
 def cmd_smooth_hyperboloid(args):
     kernel = parse_kernel(args.kernel)
     grid = parse_grid(args.grid)
-    table = _hyperboloid_table(
+    table = _hyperboloid_entries(
         args, grid, lambda X: kernels.kernel_support(kernel, X), "smoothed hyperboloid at X={X:g}"
     )
     rows = [(X, lattice.hyperboloid_smoothed(args.d, args.h, X, table, kernel)) for X in grid]
@@ -440,7 +456,7 @@ def cmd_smooth_hyperboloid(args):
 )
 def cmd_short_hyperboloid(args):
     grid = parse_grid(args.grid)
-    table = _hyperboloid_table(  # each window |n - X| < X^(1 - lambda)
+    table = _hyperboloid_entries(  # each window |n - X| < X^(1 - lambda)
         args, grid, lambda X: X + X ** (1.0 - lattice.power_saving_exponent(args.d)),
         "short-interval window at X={X:g}",
     )
@@ -636,6 +652,9 @@ def main(argv=None):
         return EXIT_COVERAGE
     except (ValueError, OSError, arith.TableOverflowError, arith.RoundingMarginError) as exc:
         print(f"gv: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except MemoryError as exc:  # a table or sieve too large for this machine
+        print(f"gv: out of memory: {str(exc) or 'an allocation failed'}", file=sys.stderr)
         return EXIT_CONFIG
 
 

@@ -15,6 +15,14 @@ comparisons are
 
 Counting convention: the boundary shell ||x||^2 = R is included, so sharp
 counts condition on n <= R over integer shells.
+
+Every function that reads an r_d table takes an ``arith.CoefficientTable``
+or the ``selection.TableEntries`` that a selected read kept of one.  The
+ball counts and the Bessel series use only the nonzero entries, so they
+take the entries of a nonzero selection (``TableSelection(n_max)``), which
+stand for the whole table; a hyperboloid sum uses only the entries
+r(m^2 + h), so it takes entries that keep at least those
+(``hyperboloid_indices``).  Either gives the bits of the whole table.
 """
 
 from __future__ import annotations
@@ -65,6 +73,28 @@ def ball_volume(d, R):
     return math.pi ** (d / 2) * float(R) ** (d / 2) / math.gamma(d / 2 + 1)
 
 
+def _nonzero(table, lo, hi):
+    """The nonzero entries lo <= n <= hi of ``table``: their indices n,
+    ascending, as int32 (int64 from 2^31), and ``take(i, j)``, the values at
+    n[i:j].  Of a whole table only the indices are gathered, one block at a
+    time, and ``take`` reads the table; TableEntries must have kept every
+    nonzero entry."""
+    if isinstance(table, arith.CoefficientTable):
+        values = table.values[lo : hi + 1]
+        index = np.empty(np.count_nonzero(values), dtype=np.int32 if hi < 2**31 else np.int64)
+        filled = 0
+        for s in range(0, len(values), arith._BLOCK):
+            found = np.flatnonzero(values[s : s + arith._BLOCK])
+            found += lo + s
+            index[filled : filled + len(found)] = found
+            filled += len(found)
+        return index, lambda i, j: table.values[index[i:j]]
+    if not table.complete:
+        raise ValueError(f"the entries read of table '{table.label}' leave out nonzero ones")
+    index, values = table.between(lo, hi)
+    return index, lambda i, j: values[i:j]
+
+
 def count_ball(d, R, table):
     """S_d(R): lattice points with ||x||^2 <= R, exactly (n = 0 included)."""
     R = float(R)
@@ -72,7 +102,8 @@ def count_ball(d, R, table):
         raise ValueError("R must be nonnegative")
     shell = int(math.floor(R))
     table.require(shell, f"S_{d}({R:g})")
-    return sum(table[0 : shell + 1])
+    index, take = _nonzero(table, 0, shell)
+    return sum(take(0, len(index)).tolist())
 
 
 def discrepancy(d, R, table):
@@ -195,12 +226,13 @@ def hardy_identity(R, n_terms, table):
 
     Converges (slowly, in mean) to the circle discrepancy at non-integer R;
     integer R is rejected since the boundary convention there is delicate.
-    R is a float or a 1-D array of radii, as in ``bessel_J1``.  The indices
-    of the nonzero table entries are gathered once, as int32, one block at
-    a time.  The terms J_1(2 pi sqrt(nR)) r_2(n) / sqrt(n) of every radius
-    are made and summed one leaf of ``arith._pairwise_sum`` at a time, so
-    each radius's sum has the bits of np.sum over its whole vector of
-    terms, which never exists.
+    R is a float or a 1-D array of radii, as in ``bessel_J1``.  The series
+    runs over the nonzero entries 1 <= n <= M only: those a nonzero
+    selection kept, or those whose int32 indices are gathered from a whole
+    table one block at a time.  The terms J_1(2 pi sqrt(nR)) r_2(n) / sqrt(n)
+    of every radius are made and summed one leaf of ``arith._pairwise_sum``
+    at a time, so each radius's sum has the bits of np.sum over its whole
+    vector of terms, which never exists.
     """
     radii = np.asarray(R, dtype=np.float64)
     scalar = radii.ndim == 0
@@ -213,19 +245,11 @@ def hardy_identity(R, n_terms, table):
     if n_terms < 0:
         raise ValueError(f"the Bessel series needs n_terms >= 0, got {n_terms}")
     table.require(n_terms, f"Bessel series with {n_terms} terms")
-    values = table.values[1 : n_terms + 1]
-    nonzero = np.empty(np.count_nonzero(values), dtype=np.int32 if n_terms < 2**31 else np.int64)
-    filled = 0
-    for s in range(0, n_terms, arith._BLOCK):
-        found = np.flatnonzero(values[s : s + arith._BLOCK])
-        found += s
-        nonzero[filled : filled + len(found)] = found
-        filled += len(found)
+    index, take = _nonzero(table, 1, n_terms)
 
     def leaf(i, j):
-        k = nonzero[i:j]
-        n = k + 1.0
-        r2 = values[k].astype(np.float64)
+        n = index[i:j].astype(np.float64)
+        r2 = take(i, j).astype(np.float64)
         root_n = np.sqrt(n)
         sums = []
         for R in radii.tolist():
@@ -234,7 +258,7 @@ def hardy_identity(R, n_terms, table):
             sums.append(np.sum(terms))
         return np.array(sums)
 
-    totals = arith._pairwise_sum(leaf, 0, len(nonzero), _BESSEL_LEAF)
+    totals = arith._pairwise_sum(leaf, 0, len(index), _BESSEL_LEAF)
     out = [math.sqrt(R) * float(total) for R, total in zip(radii.tolist(), totals)]
     return out[0] if scalar else np.array(out)
 
@@ -256,9 +280,17 @@ def hyperboloid_index(h, n_top):
     return m_top * m_top + h if m_top >= 0 else -1
 
 
+def hyperboloid_indices(h, n_top):
+    """The r-table indices m^2 + h, m = 0..m_top, of the shells
+    2m^2 + h <= n_top: all that a hyperboloid sum up to n_top reads."""
+    m = np.arange(_hyperboloid_m_range(h, n_top) + 1, dtype=np.int64)
+    return m * m + h
+
+
 def _hyperboloid_shells(h, n_top, table, what):
     """Shells n = 2m^2 + h <= n_top (m = 0..m_top) and their exact weights
-    b = (1 if m = 0 else 2) r(m^2 + h), with r read from ``table``.
+    b = (1 if m = 0 else 2) r(m^2 + h), with r read from ``table`` at the
+    indices ``hyperboloid_indices`` gives, and nowhere else.
 
     Every hyperboloid sum is a sum over these shells.  b is int64 when the
     table fits and no partial sum can pass 2 (m_top + 1) max|r| <= 2^62,
@@ -275,7 +307,7 @@ def _hyperboloid_shells(h, n_top, table, what):
     n = 2 * m * m + h
     if m_top < 0:
         return n, m
-    r = table.values[m * m + h]
+    r = table.at(m * m + h)
     if r.dtype != object:
         worst = 2 * (m_top + 1) * max(int(r.max()), -int(r.min()))
         if worst > arith._INT64_SAFE:

@@ -1,9 +1,12 @@
 """CLI: determinism, cache round-trips, exit codes, grid/kernel parsing."""
 
 import argparse
+import hashlib
+import importlib.util
 import json
 import math
 import os
+import sys
 import warnings
 from pathlib import Path
 
@@ -11,6 +14,7 @@ import numpy as np
 import pytest
 
 from gaussvariants import arith, cli, cuspform, kernels
+from gaussvariants.selection import TableEntries
 
 
 def run(argv, cwd):
@@ -162,6 +166,17 @@ class TestExitCodes:
         assert run(["tau", "--table-size", "100"], tmp_path) == cli.EXIT_CONFIG
         assert capsys.readouterr().err == "gv: FFT product rounding margin 0.5\n"
 
+    def test_failed_allocation_is_config_error(self, tmp_path, monkeypatch, capsys):
+        def too_large(d, n_max):
+            raise MemoryError("Unable to allocate 745. GiB")
+
+        monkeypatch.setattr(arith, "r_d_table", too_large)
+        (tmp_path / "cache").mkdir()
+        args = ["hardy", "--count", "1", "--terms", "5", "--cache", "cache"]
+        assert run(args, tmp_path) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == "gv: out of memory: Unable to allocate 745. GiB\n"
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["cache"]
+
     def test_check_failure_exits_4(self, tmp_path):
         # massively over-normalized sums keep one sign on small windows
         code = run(
@@ -203,6 +218,8 @@ class TestExitCodes:
             ["hardy", "--count", "0", "--check"],  # would pass over no radius
             ["sign-scan", "--nu", "nan", "--grid", "2^4..2^5", "--table-size", "200"],  # no JSON NaN
             ["sign-scan", "--nu", "inf", "--grid", "2^4..2^5", "--table-size", "200"],
+            # the divisor sieve to R^2 + 1 = 10^16 + 1 asks for 71 PiB at once
+            ["divisor-identity", "--R", "100000000"],
         ],
     )
     def test_degenerate_input_is_config_error(self, tmp_path, capsys, argv):
@@ -329,18 +346,25 @@ class TestCache:
 
     def test_hyperboloid_reads_only_what_its_shells_reach(self, tmp_path, monkeypatch):
         # at X = 2^16 the compact:10 support is 72090, whose shells 2m^2 + 1
-        # read r_2 up to m = 189, index 189^2 + 1 = 35722, not --table-size
-        arith.write_table_cache(tmp_path / "r_2-40000.gvct", arith.r_d_table(2, 40000))
-        read, original = [], arith.read_table_cache
+        # read r_2 up to m = 189, index 189^2 + 1 = 35722, not --table-size,
+        # and keep only the entries r_2(m^2 + 1) of m = 0..189
+        table = arith.r_d_table(2, 40000)
+        arith.write_table_cache(tmp_path / "r_2-40000.gvct", table)
+        read, kept, original = [], [], arith.read_table_cache
 
         def recording(path, n_max=None):
-            read.append((os.path.basename(path), n_max))
-            return original(path, n_max)
+            read.append((os.path.basename(path), n_max.n_max))
+            entries = original(path, n_max)
+            kept.append(entries)
+            return entries
 
         monkeypatch.setattr(arith, "read_table_cache", recording)
         args = ["smooth-hyperboloid", "--kernel", "compact:10", "--cache", str(tmp_path)]
         assert run(args, tmp_path) == 0
         assert read == [("r_2-40000.gvct", 35722)]
+        shells = np.arange(190) ** 2 + 1
+        assert kept[0].index.tolist() == shells.tolist()
+        assert kept[0].values.tolist() == table.values[shells].tolist()
 
     def test_request_past_every_table_builds_its_own(self, tmp_path):
         for n in (100, 200):
@@ -388,6 +412,111 @@ class TestCache:
         args = ["tau", "--table-size", "30", "--cache", str(tmp_path), "--out", "t"]
         assert run(args, tmp_path) == cli.EXIT_CONFIG
         assert str(path) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("damage", ["magic", "truncated", "label", "short"])
+    @pytest.mark.parametrize(
+        "argv", [["hardy", "--count", "1", "--terms", "50"], ["count-hyperboloid", "--grid", "2^4..2^9"]]
+    )
+    def test_refused_selected_read_exits_2_with_its_path(self, tmp_path, capsys, argv, damage):
+        path = tmp_path / "r_2-600.gvct"
+        if damage == "label":
+            arith.write_table_cache(path, arith.CoefficientTable("tau", range(601)))
+        elif damage == "short":  # the header holds less than the name promises
+            arith.write_table_cache(path, arith.r_d_table(2, 100))
+        else:
+            arith.write_table_cache(path, arith.r_d_table(2, 600))
+            blob = path.read_bytes()
+            path.write_bytes(b"NOPE" + blob[4:] if damage == "magic" else blob[:-1])
+        before = path.read_bytes()
+        args = argv + ["--table-size", "600", "--cache", str(tmp_path), "--out", "t"]
+        assert run(args, tmp_path) == cli.EXIT_CONFIG
+        assert str(path) in capsys.readouterr().err
+        assert path.read_bytes() == before
+        assert not (tmp_path / "t.csv").exists()
+
+
+def load_workloads():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses resolves annotations through it
+    spec.loader.exec_module(module)
+    return module
+
+
+workloads = load_workloads()
+CLI_OPS = {op.name: op for op in workloads.CLI_OPS}
+
+# sha256 of the CSV and JSON that each benchmark invocation wrote while every
+# command read its whole table, at the seed given
+WHOLE_READ_DIGESTS = {
+    ("hardy", 1): (
+        "1438d13752ae8966af76d2b616c5d7856000ab14a85e40150264ebad77d4757d",
+        "6ccbea9eddc345c4e5fe8c61a2d22f53de491f13865047370b10ea0472ef6ebc",
+    ),
+    ("hardy", 2): (
+        "793c75fbe958727cf342c16eb85bfa7020f9c7c20c9a6854241bc65a32d01634",
+        "a0cba9112be3fc4287e3ab626c8b078060885995f6dca107c9260a1aabbdae5d",
+    ),
+    ("count-hyperboloid", 1): (
+        "1b989b04e0da5cf1a0fbb51b90b19dbd1afa64cf63788427295a7d89bd69e8df",
+        "d4f494755c4e71b88447830937df177a3c9205a83035880d8f14fcb00c2162ea",
+    ),
+    ("smooth-hyperboloid", 1): (
+        "c5dd271d56dc5ee12a8c7d8f56bfb0922340519292270c9d255b71c43f737a71",
+        "e39d142f991a5eb758ba19b797daee6b5b493b9d667481eb7d6729b9863a835a",
+    ),
+    ("smooth-hyperboloid-compact", 1): (
+        "938526488b8918779a5d0196e298110fde6a6d9df0f1c5cade150716f30f85db",
+        "5e1e255ca03a98edf59471f825ec4072713988d34e773c0162dbd1d02e6e6a2d",
+    ),
+    ("short-hyperboloid", 1): (
+        "6d80303962892f75da669b4f738b1aaccb343d9cc8514370b0b657768c417eb1",
+        "db1fcf27f2586fd8be04b1701481e488af276236c5b0b2db396d025cc2ad58c4",
+    ),
+}
+
+# m_top + 1 of each hyperboloid invocation: its largest grid point sums the
+# shells 2m^2 + 1, m = 0..m_top, below 2^20, 40 * 2^16, 72 090 (compact:10
+# at 2^16) and 2^14 + 2^(14 * 43/44)
+SHELLS_KEPT = {
+    "count-hyperboloid": 725,
+    "smooth-hyperboloid": 1145,
+    "smooth-hyperboloid-compact": 190,
+    "short-hyperboloid": 122,
+}
+
+
+class TestSelectedReads:
+    @pytest.mark.parametrize("name, seed", sorted(WHOLE_READ_DIGESTS))
+    def test_cold_and_warm_runs_write_the_whole_read_bytes(self, tmp_path, monkeypatch, name, seed):
+        cache = tmp_path / "cache"
+        received, original = [], arith.read_table_cache
+
+        def recording(path, n_max=None):
+            entries = original(path, n_max)
+            received.append(entries)
+            return entries
+
+        monkeypatch.setattr(arith, "read_table_cache", recording)
+        outputs = []
+        for run_name in ("cold", "warm"):
+            out = tmp_path / run_name
+            out.mkdir()
+            assert run(workloads.op_argv(CLI_OPS[name], seed, str(cache), name), out) == 0
+            outputs.append([(out / (name + ext)).read_bytes() for ext in (".csv", ".json")])
+            if run_name == "cold":
+                assert received == []
+                (written,) = cache.iterdir()
+        assert outputs[0] == outputs[1]
+        assert tuple(hashlib.sha256(b).hexdigest() for b in outputs[0]) == WHOLE_READ_DIGESTS[name, seed]
+        # the warm run received only the entries it keeps, not a table
+        (entries,) = received
+        assert isinstance(entries, TableEntries)
+        if name == "hardy":
+            assert len(entries) == np.count_nonzero(original(written).values) == 216_342
+        else:
+            assert len(entries) == SHELLS_KEPT[name]
 
 
 class TestSubcommandsEndToEnd:

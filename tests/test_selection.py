@@ -1,0 +1,207 @@
+"""Selected reads: the kept entries of a cache file or a built table."""
+
+import re
+
+import numpy as np
+import pytest
+
+from gaussvariants import arith, lattice
+from gaussvariants.selection import TableEntries, TableSelection
+
+B = arith._BLOCK
+
+
+@pytest.fixture(scope="module")
+def r2_table():
+    return arith.r_d_table(2, 3 * B + 17)
+
+
+def wide_table():
+    """int32, int64 and wider-than-int64 entries, zeros between them, over
+    three blocks; the first wide entry is in the second block."""
+    values = [0] * (2 * B + 9)
+    values[1], values[B - 1], values[B] = 5, -(1 << 40), 1 << 90
+    values[B + 3], values[2 * B] = -(1 << 100) + 7, 2**31
+    values[-1] = -3
+    return arith.CoefficientTable("wide", values)
+
+
+def expected(table, selection):
+    """The pairs of ``selection`` taken from the whole table by hand."""
+    v = table.values[: selection.n_max + 1]
+    index = np.flatnonzero(v) if selection.index is None else selection.index
+    return index.tolist(), [int(x) for x in v[index]]
+
+
+def read_both(tmp_path, table, selection, name="t.gvct"):
+    path = tmp_path / name
+    arith.write_table_cache(path, table)
+    return arith.read_table_cache(path, selection), selection.apply(table)
+
+
+SELECTIONS = {
+    "nonzero, whole": lambda n: TableSelection(n),
+    "nonzero, to 0": lambda n: TableSelection(0),
+    "nonzero, to block - 1": lambda n: TableSelection(B - 1),
+    "nonzero, to block": lambda n: TableSelection(B),
+    "index at the block edges": lambda n: TableSelection(n, [0, B - 1, B, n]),
+    "index, empty": lambda n: TableSelection(n, []),
+    "index, one past a prefix": lambda n: TableSelection(B + 3, [2, B + 3]),
+    "shells": lambda n: TableSelection(n, lattice.hyperboloid_indices(1, 2 * n - 1)),
+}
+
+
+class TestSelectedRead:
+    @pytest.mark.parametrize("case", SELECTIONS)
+    @pytest.mark.parametrize("kind", ["int64", "wide"])
+    def test_pairs_are_the_selection_of_the_whole_read(self, tmp_path, r2_table, kind, case):
+        table = r2_table if kind == "int64" else wide_table()
+        selection = SELECTIONS[case](table.n_max)
+        read, built = read_both(tmp_path, table, selection)
+        whole = arith.read_table_cache(tmp_path / "t.gvct")
+        index, values = expected(whole, selection)
+        for got in (read, built):
+            assert isinstance(got, TableEntries)
+            assert (got.label, got.n_max) == (table.label, selection.n_max)
+            assert got.index.tolist() == index
+            assert got.values.tolist() == values
+            assert got.complete == (selection.index is None)
+        # a cold (built) and a warm (read) run go on with the same arrays
+        assert read.index.dtype == built.index.dtype == np.int32
+        assert read.values.dtype == built.values.dtype
+
+    def test_values_take_the_narrowest_width(self, tmp_path):
+        table = wide_table()
+        for n_max, dtype in ((B - 2, np.int32), (B - 1, np.int64), (B, object), (2 * B + 8, object)):
+            read, built = read_both(tmp_path, table, TableSelection(n_max))
+            assert read.values.dtype == built.values.dtype == dtype, n_max
+        # the kept entries of a wide stretch decide, not the blocks they lie in
+        read, built = read_both(tmp_path, table, TableSelection(2 * B + 8, [1, B + 5, 2 * B + 8]))
+        assert read.values.dtype == built.values.dtype == np.int32
+        assert read.values.tolist() == [5, 0, -3]
+
+    def test_prefix_of_a_larger_file(self, tmp_path, r2_table):
+        path = tmp_path / "r_2.gvct"
+        arith.write_table_cache(path, r2_table)
+        for n_max in (0, B - 1, B, B + 1, 2 * B + 5):
+            got = arith.read_table_cache(path, TableSelection(n_max))
+            cut = arith.CoefficientTable("r_2", r2_table.values[: n_max + 1])
+            assert got.index.tolist() == np.flatnonzero(cut.values).tolist()
+            assert got.values.tolist() == cut.values[cut.values != 0].tolist()
+            assert got.n_max == n_max
+
+    def test_holds_no_table(self, tmp_path):
+        # 2^20 entries of which every 64th is kept: the kept arrays are what
+        # is left, with nothing of the table's 8 MB beside them
+        values = np.zeros(1 << 20, dtype=np.int64)
+        values[::64] = np.arange(1 << 14) + 1
+        path = tmp_path / "sparse.gvct"
+        arith.write_table_cache(path, arith.CoefficientTable("s", values))
+        got = arith.read_table_cache(path, TableSelection(len(values) - 1))
+        assert len(got) == 1 << 14
+        assert got.index.nbytes + got.values.nbytes == 8 * (1 << 14)
+        assert got.index.base is None and got.values.base is None
+
+
+class TestSelectedReadRefusals:
+    @pytest.fixture
+    def path(self, tmp_path):
+        path = tmp_path / "r2.gvct"
+        arith.write_table_cache(path, arith.r_d_table(2, 20))
+        return path
+
+    def test_bad_magic(self, path):
+        path.write_bytes(b"NOPE" + path.read_bytes()[4:])
+        with pytest.raises(ValueError, match="magic"):
+            arith.read_table_cache(path, TableSelection(5))
+
+    def test_bad_version(self, path):
+        blob = bytearray(path.read_bytes())
+        blob[4] = 99
+        path.write_bytes(bytes(blob))
+        with pytest.raises(ValueError, match="version"):
+            arith.read_table_cache(path, TableSelection(5, [1, 2]))
+
+    @pytest.mark.parametrize("damage", ["truncated", "trailing"])
+    def test_wrong_body_length(self, path, damage):
+        blob = path.read_bytes()
+        path.write_bytes(blob[:-1] if damage == "truncated" else blob + b"\x00")
+        with pytest.raises(ValueError, match=re.escape(str(path))):
+            arith.read_table_cache(path, TableSelection(3))
+
+    def test_past_the_stored_table(self, path):
+        with pytest.raises(ValueError, match="n <= 20"):
+            arith.read_table_cache(path, TableSelection(21, [21]))
+
+    def test_past_a_built_table(self):
+        with pytest.raises(arith.TableCoverageError):
+            TableSelection(21).apply(arith.r_d_table(2, 20))
+
+
+class TestSelection:
+    @pytest.mark.parametrize("index", [[3, 2], [1, 1], [-1, 2], [0, 21], [[1, 2]]])
+    def test_index_is_ascending_distinct_and_in_range(self, index):
+        with pytest.raises(ValueError, match="ascending"):
+            TableSelection(20, index)
+
+    def test_negative_reach(self):
+        with pytest.raises(ValueError, match="n_max"):
+            TableSelection(-1)
+
+    def test_at_and_between(self):
+        table = arith.r_d_table(2, 50)
+        nonzero = TableSelection(50).apply(table)
+        n = np.arange(51)
+        assert nonzero.at(n).tolist() == table.values.tolist()
+        assert nonzero.at(n).dtype == np.int64
+        index, values = nonzero.between(3, 10)
+        assert index.tolist() == [4, 5, 8, 9, 10]
+        assert values.tolist() == table.values[[4, 5, 8, 9, 10]].tolist()
+        some = TableSelection(50, [2, 5, 26]).apply(table)
+        assert some.at(np.array([2, 26])).tolist() == [table[2], table[26]]
+        with pytest.raises(ValueError, match="entry 3 of table 'r_2' was not read"):
+            some.at(np.array([2, 3]))
+
+
+class TestLatticeOnEntries:
+    """Every lattice sum gives the same bits from the entries it keeps."""
+
+    @pytest.fixture(scope="class")
+    def r2(self):
+        return arith.r_d_table(2, 200_000)
+
+    def test_ball_counts_and_bessel_series(self, r2):
+        entries = TableSelection(r2.n_max).apply(r2)
+        radii = np.array([10.5, 123.37, 998.6])
+        assert lattice.hardy_identity(radii, r2.n_max, entries).tolist() == (
+            lattice.hardy_identity(radii, r2.n_max, r2).tolist()
+        )
+        for R in (0, 0.5, 1, 17.25, 998.6, 200_000):
+            assert lattice.count_ball(2, R, entries) == lattice.count_ball(2, R, r2)
+            assert lattice.discrepancy(2, R, entries) == lattice.discrepancy(2, R, r2)
+
+    def test_series_and_counts_need_every_nonzero_entry(self, r2):
+        shells = TableSelection(r2.n_max, lattice.hyperboloid_indices(1, 2 * r2.n_max)).apply(r2)
+        with pytest.raises(ValueError, match="leave out nonzero"):
+            lattice.count_ball(2, 10, shells)
+        with pytest.raises(ValueError, match="leave out nonzero"):
+            lattice.hardy_identity(10.5, 100, shells)
+
+    @pytest.mark.parametrize("kind", ["shells", "nonzero"])
+    def test_hyperboloid_sums(self, r2, kind):
+        top = 399_999  # shells 2m^2 + 1 up to it read r_2 to 447^2 + 1
+        if kind == "shells":
+            entries = TableSelection(447**2 + 1, lattice.hyperboloid_indices(1, top)).apply(r2)
+            assert len(entries) == 448
+        else:
+            entries = TableSelection(r2.n_max).apply(r2)
+        for R in (0.5, 1, 1000, top):
+            assert lattice.hyperboloid_count(3, 1, R, entries) == lattice.hyperboloid_count(3, 1, R, r2)
+        for X in (2.0**8, 2.0**13):
+            assert lattice.hyperboloid_smoothed(3, 1, X, entries) == lattice.hyperboloid_smoothed(3, 1, X, r2)
+            assert lattice.hyperboloid_short_interval(3, 1, X, entries) == (
+                lattice.hyperboloid_short_interval(3, 1, X, r2)
+            )
+        assert lattice.hyperboloid_shell_table(3, 1, 5000, entries) == (
+            lattice.hyperboloid_shell_table(3, 1, 5000, r2)
+        )
