@@ -1,0 +1,46 @@
+"""The in-memory layout of a wide coefficient table: its cache body.
+
+A table whose entries do not all fit int64 is held as one (N+1, 2) array of
+little-endian int64 words, low word first, a(n) = high * 2^64 + (low mod
+2^64): the body of its cache file, read and written as it is.  An exact
+power past 128 bits (``powers.sparse_power``) takes a third word or more,
+which no table accepts.  ``exact`` is the one place where entries become
+Python ints, and its callers give it one block of ``arith._BLOCK``
+entries or fewer at a time, so no table is ever held as Python ints.
+
+The helpers live apart from ``arith`` so that its compile, which every
+`gv` process does from source, stays small.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+
+def exact(x):
+    """The entries of x, int64 entries or words, as Python ints in an object array."""
+    if x.ndim == 1:
+        return x.astype(object)
+    out = x[:, -1].astype(object)
+    for j in range(x.shape[1] - 2, -1, -1):
+        out = (out << 64) + x[:, j].view(np.uint64).astype(object)
+    return out
+
+
+def narrow(words):
+    """int64 ``words`` less each top word that only repeats the sign of the
+    one below it: int64 entries when every entry fits int64."""
+    while words.shape[1] > 1 and np.array_equal(words[:, -1], words[:, -2] >> 63):
+        words = words[:, :-1]
+    return words[:, 0].copy() if words.shape[1] == 1 else np.ascontiguousarray(words, dtype="<i8")
+
+
+def put(out, x):
+    """Write x, integer entries or words, into ``out`` of the same layout,
+    or entries into (low, high) words: the high word of an entry that fits
+    int64 is its sign."""
+    if x.ndim == out.ndim:
+        out[...] = x
+    else:
+        out[:, 0] = x
+        np.right_shift(x, 63, out=out[:, 1], dtype=np.int64)

@@ -24,10 +24,12 @@ This module provides the primitives everything else is built on:
   float sum can be taken one run of values at a time with np.sum's bits.
 
 All tables hold exact integers in one ndarray: int64 while every entry
-fits, Python ints (dtype object) past that, so each exact path is one numpy
-expression on either dtype.  Entries are checked against the signed 128-bit
-range at construction time so that a silent wraparound can never poison a
-downstream identity check.
+fits, and past that the cache body itself, one (low word, high word) pair
+of little-endian int64 per entry.  An exact fold over a wide table turns
+one block of it at a time into Python ints, through ``_words.exact``, so
+no table is ever held as Python ints.  Entries are checked against the
+signed 128-bit range at construction time so that a silent wraparound can
+never poison a downstream identity check.
 """
 
 from __future__ import annotations
@@ -38,6 +40,8 @@ import os
 import tempfile
 
 import numpy as np
+
+from . import _words
 
 INT128_MAX = (1 << 127) - 1
 INT128_MIN = -(1 << 127)
@@ -77,12 +81,14 @@ class RoundingMarginError(ArithmeticError):
 class CoefficientTable:
     """Exact integer sequence a(0..N) with 128-bit-bounded entries.
 
-    ``values`` is one read-only 1-D ndarray: int64 when every entry fits,
-    and dtype object (Python ints) otherwise, so one numpy expression serves
-    either.  Input may be any iterable or ndarray of integers; a non-integer
-    entry raises TypeError, and nothing is wrapped or truncated.  An int64
-    ndarray is taken as it is, not copied, and made read-only.  Tables are
-    immutable after construction and safe to share across threads.
+    ``values`` is one read-only ndarray: 1-D int64 when every entry fits,
+    and otherwise the cache body, (N+1, 2) little-endian int64 words with
+    a(n) = high * 2^64 + (low mod 2^64).  Input may be any iterable or 1-D
+    ndarray of integers, or such words; a non-integer entry raises
+    TypeError, and nothing is wrapped or truncated.  An int64 ndarray is
+    taken as it is, not copied, and made read-only; words that all fit
+    become int64.  Entries leave as Python ints one block at a time
+    (``_words.exact``).  Tables are immutable and safe to share across threads.
     """
 
     __slots__ = ("label", "n_max", "values")
@@ -90,21 +96,22 @@ class CoefficientTable:
     def __init__(self, label, values):
         self.label = str(label)
         arr = values if isinstance(values, np.ndarray) else np.fromiter(values, dtype=object)
+        too_wide = f"table '{label}' has an entry outside the signed 128-bit range"
         if arr.dtype == object:
             arr = _as_int(arr)
-            lo, hi = arr.min(initial=0), arr.max(initial=0)
-            if lo < INT128_MIN or hi > INT128_MAX:
-                raise TableOverflowError(
-                    f"table '{label}' has an entry outside the signed 128-bit range"
-                )
-            if _INT64.min <= lo and hi <= _INT64.max:
-                arr = arr.astype(np.int64)
+            if arr.min(initial=0) < INT128_MIN or arr.max(initial=0) > INT128_MAX:
+                raise TableOverflowError(too_wide)
+            low = (arr & _LOW64).astype(np.uint64).view(np.int64)
+            arr = np.stack((low, (arr >> 64).astype(np.int64)), axis=1)
         elif not np.issubdtype(arr.dtype, np.integer):
             raise TypeError("coefficient tables hold integers")
         elif arr.dtype.kind == "u" and arr.max(initial=0) > _INT64.max:
-            arr = arr.astype(object)
-        else:
-            arr = arr.astype(np.int64, copy=False)
+            arr = np.stack((arr.view(np.int64), np.zeros(len(arr), dtype=np.int64)), axis=1)
+        arr = arr.astype(np.int64, copy=False)
+        if arr.ndim == 2:  # words, low first
+            arr = _words.narrow(arr)
+            if arr.ndim == 2 and arr.shape[1] > 2:
+                raise TableOverflowError(too_wide)
         arr.setflags(write=False)
         self.values = arr
         self.n_max = len(arr) - 1
@@ -116,7 +123,9 @@ class CoefficientTable:
 
     def __getitem__(self, n):
         v = self.values[n]
-        return v.tolist() if isinstance(n, slice) else int(v)
+        if isinstance(n, slice):
+            return _exact_list(v)
+        return int(v) if v.ndim == 0 else int(_words.exact(v[None])[0])
 
     def __eq__(self, other):
         if not isinstance(other, CoefficientTable):
@@ -127,24 +136,39 @@ class CoefficientTable:
         return f"CoefficientTable(label={self.label!r}, n_max={self.n_max})"
 
     def tolist(self):
-        return self.values.tolist()
+        return _exact_list(self.values)
 
     def floats(self):
         """Entries as float64, each correctly rounded (lossy beyond 2^53)."""
-        return self.values.astype(np.float64)
+        v = self.values
+        if v.ndim == 1:
+            return v.astype(np.float64)
+        out = np.empty(len(v))
+        for s in range(0, len(v), _BLOCK):
+            out[s : s + _BLOCK] = _words.exact(v[s : s + _BLOCK])
+        return out
 
     def ints(self):
         """Entries as an int64 numpy array; raises if any entry is too wide."""
-        if self.values.dtype == object:
+        if self.values.ndim == 2:
             raise TableOverflowError(f"table '{self.label}' does not fit in int64")
         return self.values
 
     def at(self, n):
-        """a(n) for an int array of n <= n_max, as ``selection.TableEntries.at``."""
-        return self.values[n]
+        """a(n) for an int array of n <= n_max, as int64 or Python ints, as
+        ``selection.TableEntries.at``."""
+        v = self.values[n]
+        return v if self.values.ndim == 1 else _words.exact(v)
 
     def require(self, n, what=""):
         require_coverage(self.label, self.n_max, n, what)
+
+
+def _exact_list(x):
+    """The entries of x, int64 entries or words, as a list of Python ints."""
+    if x.ndim == 1:
+        return x.tolist()
+    return [a for s in range(0, len(x), _BLOCK) for a in _words.exact(x[s : s + _BLOCK]).tolist()]
 
 
 def require_coverage(label, n_max, n, what=""):
@@ -513,7 +537,8 @@ def write_table_cache(path, table):
         + table.n_max.to_bytes(8, "little")
     )
     v = table.values
-    words = np.empty((min(len(v), _BLOCK), 2), dtype="<i8")  # (low word, high word) per entry
+    if v.ndim == 1:
+        words = np.empty((min(len(v), _BLOCK), 2), dtype="<i8")  # (low word, high word) per entry
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".gvct-")
@@ -521,15 +546,11 @@ def write_table_cache(path, table):
         with os.fdopen(fd, "wb") as fh:
             fh.write(header)
             for s in range(0, len(v), _BLOCK):
-                block = v[s : s + _BLOCK]
-                part = words[: len(block)]
-                if v.dtype == object:
-                    part[:, 0] = (block & _LOW64).astype(np.uint64).view(np.int64)
-                    part[:, 1] = (block >> 64).astype(np.int64)
-                else:
-                    part[:, 0] = block
-                    np.right_shift(block, 63, out=part[:, 1])
-                fh.write(part)
+                block = v[s : s + _BLOCK]  # words are written as they are
+                if v.ndim == 1:
+                    _words.put(words[: len(block)], block)
+                    block = words[: len(block)]
+                fh.write(block.astype("<i8", copy=False))
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -555,10 +576,10 @@ def read_table_cache(path, n_max=None):
     file's size) are verified, so a truncated or over-long file is refused,
     and so is an n_max past the stored table.  The body is read one block
     at a time.  A whole or cut table is copied into the result, which is
-    int64 while every entry read so far fits and takes Python ints from the
-    first block that does not: a prefix has the dtype a fresh build would
-    give it.  A selected read keeps only what the selection picks from each
-    block and never holds the table.
+    int64 while every entry read so far fits and the body's own words from
+    the first block that does not, converting nothing: a prefix has the
+    layout a fresh build would give it.  A selected read keeps only what
+    the selection picks from each block and never holds the table.
     """
     selection = n_max if hasattr(n_max, "keep") else None
     if selection is not None:
@@ -585,28 +606,26 @@ def read_table_cache(path, n_max=None):
         blocks = _body_blocks(fh, n, path)
         if selection is not None:
             return selection.keep(label, blocks)
-        out = np.empty(n, dtype=np.int64)
+        out = None
         for s, block in blocks:
-            if block.dtype == object and out.dtype != object:
-                # the first block past int64: Python ints from here on
-                wide = np.empty(n, dtype=object)
-                wide[:s] = out[:s]
+            if out is None or block.ndim > out.ndim:  # the first block, or the first wide one
+                wide = np.empty((n,) + block.shape[1:], dtype="<i8")
+                if s:
+                    _words.put(wide[:s], out[:s])
                 out = wide
-            out[s : s + len(block)] = block
+            _words.put(out[s : s + len(block)], block)
     return CoefficientTable(label, out)
 
 
 def _body_blocks(fh, n, path):
     """The first n entries of a cache body, as (start, block) pairs of
-    ``_BLOCK`` entries: an int64 block, a view that the next block
-    overwrites, when each of its entries fits, and Python ints otherwise."""
+    ``_BLOCK`` entries: the low words (int64) when each entry of the block
+    fits int64, and the (low, high) words otherwise; either is a view that
+    the next block overwrites."""
     words = np.empty((min(n, _BLOCK), 2), dtype="<i8")  # (low word, high word) per entry
     for s in range(0, n, _BLOCK):
         part = words[: min(_BLOCK, n - s)]
         if fh.readinto(part) != part.nbytes:
             raise ValueError(f"{path}: truncated cache file")
-        lo, hi = part[:, 0], part[:, 1]
-        if np.array_equal(hi, lo >> 63):
-            yield s, lo
-        else:
-            yield s, (hi.astype(object) << 64) + lo.view("<u8").astype(object)
+        lo = part[:, 0]
+        yield s, lo if np.array_equal(part[:, 1], lo >> 63) else part

@@ -239,7 +239,7 @@ _HYPERBOLOID_ARGS = (_arg("--d", type=int, default=3), _arg("--h", type=int, def
 @subcommand("tau", "build (and cache) the tau coefficient table", ("n", "tau"), table_size=1000)
 def cmd_tau(args):
     table = _tau(args)
-    rows = [(n, table[n]) for n in range(1, table.n_max + 1)]
+    rows = list(enumerate(table.tolist()))[1:]
     return rows, {"label": "tau", "nMax": table.n_max, "csv": out_paths(args)[0]}, None
 
 
@@ -252,6 +252,9 @@ def cmd_tau(args):
 )
 def cmd_second_moment(args):
     grid = parse_grid(args.grid)
+    low = min(grid)
+    if not (low > 0 and low**1.5 > 0):  # each moment is divided by X^(3/2)
+        raise ValueError(f"second-moment needs X^(3/2) > 0, got X = {low!r}")
     form = _delta(args)
     C, tail = cuspform.rankin_constant(form, args.table_size)
     points = list(checks.second_moment(form, C, grid))

@@ -26,11 +26,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import arith
+from ._words import exact
 from .arith import CoefficientTable, require_coverage
 
 # Deligne: |tau(n)| <= d(n) n^{11/2} < 2^120 for n <= 10^6, inside the 128
 # bits a coefficient table holds.
 _TAU_N_LIMIT = 10**6
+# Terms of the Rankin sum made at once: their Python ints a(n), a(n)^2 and
+# n^k take about 250 B per term.
+_RANKIN_PIECE = 1 << 10
 
 
 def _eta_cube_support(degree):
@@ -67,7 +71,7 @@ def tau_table(n_max):
 
     exps, coeffs = _eta_cube_support(n_max - 1)
     power = sparse_power(exps, coeffs, 8, n_max - 1)
-    return CoefficientTable("tau", np.concatenate((np.zeros(1, dtype=power.dtype), power)))
+    return CoefficientTable("tau", np.concatenate((np.zeros_like(power[:1]), power)))
 
 
 def tau_bruteforce(n_max):
@@ -117,10 +121,10 @@ class CuspFormSeries:
             out = np.empty(len(a))
             carry = 0
             for s in range(0, len(a), arith._BLOCK):
-                exact = np.cumsum(a[s : s + arith._BLOCK], dtype=object)
-                exact += carry
-                carry = exact[-1]
-                out[s : s + len(exact)] = exact
+                sums = np.cumsum(exact(a[s : s + arith._BLOCK]))
+                sums += carry
+                carry = sums[-1]
+                out[s : s + len(sums)] = sums
             out.setflags(write=False)
             self._prefix_floats = out
         return self._prefix_floats
@@ -202,8 +206,9 @@ def rankin_constant(form, n_trunc):
     by partial summation (a calibrated overestimate, decreasing in N).
 
     C is computed with correctly rounded operations only: each term is
-    float(a(n)^2) / (float(n^k) * sqrt(n)) from exact integers, math.fsum
-    rounds the exact sum of the terms once, and Gamma(3/2) = sqrt(pi)/2.
+    float(a(n)^2) / (float(n^k) * sqrt(n)) from exact integers, made for a
+    piece of n at a time, math.fsum rounds the exact sum of the terms once,
+    and Gamma(3/2) = sqrt(pi)/2.
     So C has the same bits on every IEEE-754 platform.  The tail bound goes
     through libm (log) and carries no such promise.
     """
@@ -214,9 +219,11 @@ def rankin_constant(form, n_trunc):
     a = form.coeffs.values
 
     def terms():
-        for s in range(1, n_trunc + 1, arith._BLOCK):
-            block = a[s : min(s + arith._BLOCK, n_trunc + 1)].tolist()
-            yield from (float(c * c) / (float(n**k) * math.sqrt(n)) for n, c in enumerate(block, s))
+        for s in range(1, n_trunc + 1, _RANKIN_PIECE):
+            c = exact(a[s : min(s + _RANKIN_PIECE, n_trunc + 1)])
+            n = np.arange(s, s + len(c))
+            nk = (exact(n) ** k).astype(np.float64)
+            yield from ((c * c).astype(np.float64) / (nk * np.sqrt(n))).tolist()
 
     series = math.fsum(terms())
     front = math.sqrt(math.pi) / 2 / (4 * math.pi * math.pi)

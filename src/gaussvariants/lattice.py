@@ -33,6 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import arith, kernels
+from ._words import exact
 
 # ---------------------------------------------------------------------------
 # CountSeries: the grid-of-evaluations record handed to the fit module
@@ -78,9 +79,11 @@ def _nonzero(table, lo, hi):
     ascending, as int32 (int64 from 2^31), and ``take(i, j)``, the values at
     n[i:j].  Of a whole table only the indices are gathered, one block at a
     time, and ``take`` reads the table; TableEntries must have kept every
-    nonzero entry."""
+    nonzero entry.  ``take`` gives int64 or, from a wide table, Python ints."""
     if isinstance(table, arith.CoefficientTable):
         values = table.values[lo : hi + 1]
+        if values.ndim == 2:  # (low, high) words: nonzero where either word is
+            values = values.any(axis=1)
         index = np.empty(np.count_nonzero(values), dtype=np.int32 if hi < 2**31 else np.int64)
         filled = 0
         for s in range(0, len(values), arith._BLOCK):
@@ -88,11 +91,11 @@ def _nonzero(table, lo, hi):
             found += lo + s
             index[filled : filled + len(found)] = found
             filled += len(found)
-        return index, lambda i, j: table.values[index[i:j]]
+        return index, lambda i, j: table.at(index[i:j])
     if not table.complete:
         raise ValueError(f"the entries read of table '{table.label}' leave out nonzero ones")
     index, values = table.between(lo, hi)
-    return index, lambda i, j: values[i:j]
+    return index, lambda i, j: values[i:j] if values.ndim == 1 else exact(values[i:j])
 
 
 def count_ball(d, R, table):
@@ -103,7 +106,7 @@ def count_ball(d, R, table):
     shell = int(math.floor(R))
     table.require(shell, f"S_{d}({R:g})")
     index, take = _nonzero(table, 0, shell)
-    return sum(take(0, len(index)).tolist())
+    return sum(sum(take(i, i + arith._BLOCK).tolist()) for i in range(0, len(index), arith._BLOCK))
 
 
 def discrepancy(d, R, table):
@@ -311,7 +314,7 @@ def _hyperboloid_shells(h, n_top, table, what):
     if r.dtype != object:
         worst = 2 * (m_top + 1) * max(int(r.max()), -int(r.min()))
         if worst > arith._INT64_SAFE:
-            r = r.astype(object)
+            r = exact(r)
     return n, np.where(m == 0, r, 2 * r)
 
 

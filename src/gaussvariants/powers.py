@@ -23,6 +23,7 @@ from itertools import islice
 
 import numpy as np
 
+from ._words import narrow
 from .arith import RoundingMarginError
 
 _INT64 = np.iinfo(np.int64)
@@ -269,9 +270,11 @@ def sparse_power(exps, coeffs, k, n_max):
     """(sum_i c_i q^{e_i})^k truncated at q^n_max, exactly.
 
     ``exps`` strictly increasing nonnegative, ``coeffs`` int64.  Returns an
-    int64 array of length n_max + 1, or an object array of Python ints when
-    an entry is wider than int64.  Powers left to right in binary; raises
+    int64 array of length n_max + 1, or when an entry is wider than int64
+    the (n_max + 1, 2) (low, high) int64 words of the cache body, taken
+    straight from the digit rows.  Powers left to right in binary; raises
     RoundingMarginError if an FFT product cannot be rounded with certainty.
+    An entry past 128 bits takes more words, which no table accepts.
     """
     exps = np.asarray(exps, dtype=np.int64)
     coeffs = np.asarray(coeffs, dtype=np.int64)
@@ -290,14 +293,26 @@ def sparse_power(exps, coeffs, k, n_max):
             acc = _product(acc, _dense(exps, coeffs, n_max), n_max)
     if acc is None:
         return _dense(exps, coeffs, n_max)
-    if acc.ndim == 1:
-        return acc
-    # Python ints from 56-bit words, one chunk at a time
-    words = list(_regroup(acc, _DIGIT_BITS, 56, _limb_count(_extent(acc)[0], 56)))
-    out = np.empty(n_max + 1, dtype=object)
-    for s in range(0, n_max + 1, 1 << 14):
-        chunk = slice(s, s + (1 << 14))
-        out[chunk] = sum(w[chunk].astype(object) << 56 * j for j, w in enumerate(words))
-    if _INT64.min <= out.min() and out.max() <= _INT64.max:
-        return out.astype(np.int64)
-    return out
+    return acc if acc.ndim == 1 else _to_words(acc)
+
+
+def _to_words(rows):
+    """Digit rows as int64 words, low first and the last one signed: the
+    cache's (low, high) pairs while every entry fits 128 bits, and int64
+    when every entry fits int64.
+
+    One carry pass makes the digits standard, u_j in [0, 2^8), eight to a
+    word; the bits above the last row are those of the final carry, -1 or 0."""
+    count = len(rows)
+    words = np.zeros((rows.shape[1], max(2, count // 8 + 1)), dtype=np.uint64)
+    carry = np.zeros(rows.shape[1], dtype=np.int16)
+    for j, row in enumerate(rows):
+        carry += row
+        digit = carry & 0xFF
+        carry -= digit
+        carry >>= _DIGIT_BITS
+        words[:, j // 8] |= digit.astype(np.uint64) << 8 * (j % 8)
+    sign = carry.astype(np.int64).view(np.uint64)
+    words[:, count // 8] |= sign << 8 * (count % 8)
+    words[:, count // 8 + 1 :] = sign[:, None]
+    return narrow(words.view(np.int64))

@@ -24,6 +24,7 @@ import operator
 import numpy as np
 
 from . import arith
+from ._words import exact, narrow, put
 
 
 class TableSelection:
@@ -52,8 +53,8 @@ class TableSelection:
     def pick(self, start, block):
         """Positions in ``block``, the entries a(start..start + len(block) - 1),
         of the entries kept."""
-        if self.index is None:
-            return np.flatnonzero(block != 0)  # twice as fast as on the integers
+        if self.index is None:  # != 0 is twice as fast as on the integers
+            return np.flatnonzero(block != 0 if block.ndim == 1 else block.any(axis=1))
         lo, hi = np.searchsorted(self.index, (start, start + len(block)))
         return self.index[lo:hi] - start
 
@@ -61,14 +62,15 @@ class TableSelection:
         """The TableEntries of table ``label`` that this selection keeps from
         ``blocks``: (start, block) pairs, block holding a(start..), that
         cover 0..n_max in order.  A block may be overwritten once the next
-        one is drawn; nothing kept refers to it.
+        one is drawn; nothing kept refers to it.  A block holds int64
+        entries, or (low, high) words as in the cache body.
 
         The pairs are written into arrays with ``room`` for them, by default
         for every entry the selection could keep (all n_max + 1 for the
         nonzero selection); the arrays are cut to the kept length at the
         end, so only the part written is ever touched.  The values are
         int32 up to the first kept entry that does not fit, then int64 up
-        to the first that does not fit that, then Python ints.
+        to the first that does not fit that, then words.
         """
         if room is None:
             room = self.n_max + 1 if self.index is None else len(self.index)
@@ -77,21 +79,17 @@ class TableSelection:
         kept = 0
         for start, block in blocks:
             pos = self.pick(start, block)
-            got = block[pos]
-            dtype = np.promote_types(values.dtype, _width(got))
-            if dtype != values.dtype:
-                wider = np.empty(room, dtype=dtype)
-                wider[:kept] = values[:kept]
+            got = _width(block[pos])
+            if (got.ndim, got.dtype.itemsize) > (values.ndim, values.dtype.itemsize):
+                wider = np.empty((room,) + got.shape[1:], dtype=got.dtype)
+                put(wider[:kept], values[:kept])
                 values = wider
-            values[kept : kept + len(pos)] = got
+            put(values[kept : kept + len(pos)], got)
             pos += start
             index[kept : kept + len(pos)] = pos
             kept += len(pos)
         index.resize(kept, refcheck=False)  # shrinks the allocation in place
-        if values.dtype == object:
-            values = values[:kept].copy()
-        else:
-            values.resize(kept, refcheck=False)
+        values.resize((kept,) + values.shape[1:], refcheck=False)
         return TableEntries(label, self.n_max, index, values, self.index is None)
 
     def apply(self, table):
@@ -100,19 +98,24 @@ class TableSelection:
         of the kept length."""
         table.require(self.n_max, "the selection")
         v = table.values[: self.n_max + 1]
-        room = np.count_nonzero(v) if self.index is None else len(self.index)
+        if self.index is None:
+            room = np.count_nonzero(v if v.ndim == 1 else v.any(axis=1))
+        else:
+            room = len(self.index)
         blocks = ((s, v[s : s + arith._BLOCK]) for s in range(0, len(v), arith._BLOCK))
         return self.keep(table.label, blocks, room)
 
 
 def _width(values):
-    """The narrowest of int32, int64 and Python ints that holds ``values``."""
-    lo, hi = values.min(initial=0), values.max(initial=0)
-    for dtype in (np.int32, np.int64):
-        info = np.iinfo(dtype)
-        if info.min <= lo and hi <= info.max:
-            return np.dtype(dtype)
-    return np.dtype(object)
+    """``values``, int64 entries or words, in the narrowest of int32, int64
+    and (low, high) words that holds them."""
+    if values.ndim == 2:
+        values = narrow(values)
+        if values.ndim == 2:
+            return values
+    info = np.iinfo(np.int32)
+    fits = info.min <= values.min(initial=0) and values.max(initial=0) <= info.max
+    return values.astype(np.int32 if fits else np.int64, copy=False)
 
 
 class TableEntries:
@@ -120,10 +123,10 @@ class TableEntries:
     ``TableSelection`` kept.
 
     ``index`` is ascending, int32 while n_max < 2^31, and ``values`` holds
-    the a(n) exactly, in the narrowest of int32, int64 and Python ints that
-    holds every kept entry.  ``complete`` says that every nonzero entry was
-    kept, so an entry not listed is 0 and the entries stand for the whole
-    table.  Both arrays are read-only.
+    the a(n) exactly, in the narrowest of int32, int64 and the cache body's
+    (low, high) int64 words that holds every kept entry.  ``complete`` says
+    that every nonzero entry was kept, so an entry not listed is 0 and the
+    entries stand for the whole table.  Both arrays are read-only.
     """
 
     __slots__ = ("label", "n_max", "index", "values", "complete")
@@ -133,11 +136,10 @@ class TableEntries:
         self.n_max = int(n_max)
         self.index = np.asarray(index)
         self.index.setflags(write=False)
-        values = np.asarray(values)
-        self.values = values.astype(_width(values), copy=False)
+        self.values = _width(np.asarray(values))
         self.values.setflags(write=False)
         self.complete = bool(complete)
-        if self.index.shape != self.values.shape:
+        if self.index.shape != self.values.shape[:1]:
             raise ValueError(f"entries of table '{self.label}' need one value per index")
 
     def __len__(self):
@@ -156,9 +158,9 @@ class TableEntries:
         hit[hit] = self.index[pos[hit]] == n[hit]
         if not (self.complete or hit.all()):
             raise ValueError(f"entry {int(n[~hit][0])} of table '{self.label}' was not read")
-        out = np.zeros(n.shape, dtype=object if self.values.dtype == object else np.int64)
+        out = np.zeros(n.shape + self.values.shape[1:], dtype=np.int64)
         out[hit] = self.values[pos[hit]]
-        return out
+        return out if self.values.ndim == 1 else exact(out)
 
     def between(self, lo, hi):
         """(index, values) of the entries kept with lo <= n <= hi, as views."""

@@ -23,6 +23,13 @@ entry = st.one_of(
     st.integers(-(2**65), 2**65),
     st.integers(-1000, 1000),
     st.sampled_from([INT64.min, INT64.max, 2**63, 2**64 - 1, 2**64, arith.INT128_MIN]),
+    # +-2^e + d across the 2^63, 2^64 and 2^127 edges
+    st.builds(
+        lambda sign, e, d: sign * 2**e + d,
+        st.sampled_from([1, -1]),
+        st.sampled_from([63, 64, 127]),
+        st.integers(-2, 2),
+    ).filter(lambda v: arith.INT128_MIN <= v <= arith.INT128_MAX),
 )
 tables = st.lists(entry, min_size=1, max_size=40)
 
@@ -45,7 +52,9 @@ def reference_file(label, values):
 def test_dtype_is_int64_exactly_when_every_entry_fits(values):
     t = arith.CoefficientTable("t", values)
     fits = all(INT64.min <= v <= INT64.max for v in values)
-    assert t.values.dtype == (np.int64 if fits else object)
+    # int64 entries, or the (low, high) int64 words of the cache body
+    assert t.values.dtype == np.int64
+    assert t.values.shape == ((len(values),) if fits else (len(values), 2))
     assert t.tolist() == values
     assert [t[n] for n in range(len(t))] == values
     assert arith.CoefficientTable("t", np.array(values, dtype=object)) == t
@@ -78,9 +87,19 @@ def test_cache_round_trip(values, block):
         cut = arith.CoefficientTable("prop", values[: n + 1])
         assert prefix == cut
         assert prefix.values.dtype == cut.values.dtype
+        assert prefix.values.shape == cut.values.shape
     assert back == table
     assert back.values.dtype == table.values.dtype
     assert back.tolist() == values
+    # in memory, a wide table is its cache body: the same (low, high) words
+    body = reference_file("prop", values)[-16 * len(values) :]
+    words = np.frombuffer(body, dtype="<i8").reshape(-1, 2)
+    for t in (table, back, *prefixes):
+        if t.values.ndim == 2:
+            assert t.values.tobytes() == body[: t.values.nbytes]
+        else:  # int64 entries are the low words, the high words their signs
+            assert np.array_equal(t.values, words[: len(t), 0])
+            assert np.array_equal(words[: len(t), 1], t.values >> 63)
 
 
 def naive_power(exps, coeffs, k, n_max):
@@ -129,20 +148,21 @@ def test_sparse_power_matches_naive_convolution_on_every_path(monkeypatch):
     # one draw per path, so each is reached whatever the random draws
     @example(([0, 1, 3], [1, -2, 1], 3, 40))  # small: one limb, one float FFT
     @example(([0, 2, 7], [4000, -3999, 17], 4, 60))  # past 2^40: several limbs, split square
-    @example(([0, 1], [2**40, -(2**40) + 1], 3, 10))  # past int64: object
+    @example(([0, 1], [2**40, -(2**40) + 1], 3, 10))  # past int64: words
     @settings(database=None, deadline=None, max_examples=150)
     @given(power_cases())
     def check(case):
         out = powers.sparse_power(*case)
         want = naive_power(*case)
-        assert out.tolist() == want
-        fits = all(INT64.min <= v <= INT64.max for v in want)
-        assert out.dtype == (np.int64 if fits else object)
-        if not fits:
-            seen.add("object")
+        assert arith._exact_list(out) == want
+        # int64 entries, or the fewest int64 words, low first, that hold each
+        words = min(w for w in range(1, 9) if all(-(2 ** (64 * w - 1)) <= v < 2 ** (64 * w - 1) for v in want))
+        assert out.dtype == np.int64 and out.shape == (len(want),) + ((words,) if words > 1 else ())
+        if words > 1:
+            seen.add("words")
 
     check()
-    assert seen == {"one limb", "several limbs", "object", "split square"}
+    assert seen == {"one limb", "several limbs", "words", "split square"}
 
 
 @settings(database=None, deadline=None, max_examples=40)

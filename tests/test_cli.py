@@ -177,6 +177,15 @@ class TestExitCodes:
         assert capsys.readouterr().err == "gv: out of memory: Unable to allocate 745. GiB\n"
         assert sorted(p.name for p in tmp_path.rglob("*")) == ["cache"]
 
+    def test_moment_grid_where_X_to_the_three_halves_is_0(self, tmp_path, capsys):
+        # 2^-1074 is a float, but its 3/2 power underflows to 0, and each
+        # moment is divided by it
+        (tmp_path / "cache").mkdir()
+        args = ["second-moment", "--grid", "2^-1074..2^-1074", "--table-size", "3000", "--cache", "cache"]
+        assert run(args, tmp_path) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == "gv: second-moment needs X^(3/2) > 0, got X = 5e-324\n"
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["cache"]
+
     def test_check_failure_exits_4(self, tmp_path):
         # massively over-normalized sums keep one sign on small windows
         code = run(

@@ -1,5 +1,6 @@
 """Tau engine, partial sums, moment statistics, sign scans."""
 
+import itertools
 import math
 import tracemalloc
 
@@ -119,6 +120,15 @@ class TestRankinConstant:
         C_small, tail = cuspform.rankin_constant(delta, 10**4)
         C_ref, _ = cuspform.rankin_constant(delta, 164_000)
         assert abs(C_ref - C_small) < tail
+
+    @pytest.mark.parametrize("n_trunc", [1, 7, 1024, 1025, 16384, 16385, 100_000, 163_999, 164_000])
+    def test_terms_are_those_of_the_per_term_formula(self, delta, n_trunc):
+        # the terms one at a time from Python ints, as a generator: each is
+        # correctly rounded and fsum is order-free, so the bits are equal
+        tau = delta.coeffs.tolist()
+        terms = (float(c * c) / (float(n**12) * math.sqrt(n)) for n, c in enumerate(tau[1 : n_trunc + 1], 1))
+        C, _ = cuspform.rankin_constant(delta, n_trunc)
+        assert C == math.sqrt(math.pi) / 2 / (4 * math.pi * math.pi) * math.fsum(terms)
 
     def test_reads_its_terms_one_block_at_a_time(self, delta):
         # a list of all 164 000 wide entries would take 1.25 MB
@@ -259,8 +269,8 @@ class TestSharpAverages:
 class TestCuspFormSeriesInvariants:
     def test_prefix_floats_in_blocks_are_the_whole_cumsum(self, delta):
         assert len(delta.coeffs) > 3 * arith._BLOCK
-        whole = np.cumsum(delta.coeffs.values, dtype=object).astype(np.float64)
-        assert delta.prefix_floats().tolist() == whole.tolist()
+        whole = [float(s) for s in itertools.accumulate(delta.coeffs.tolist())]
+        assert delta.prefix_floats().tolist() == whole
 
     def test_delta_normalization_enforced(self):
         bad = arith.CoefficientTable("tau", [0, 2, -48])
@@ -281,6 +291,28 @@ class TestCuspFormSeriesInvariants:
         ) == cuspform.smoothed_second_moment(delta, 64.0)
 
 
+def test_wide_table_is_held_as_its_cache_body(tmp_path, delta):
+    # a warm second-moment: the table read from its file as (low, high) words
+    # and two exact folds over it, converted to Python ints a block at a time
+    path = tmp_path / "tau-164000.gvct"
+    arith.write_table_cache(path, delta.coeffs)
+    tracemalloc.start()
+    try:
+        form = cuspform.CuspFormSeries(12, arith.read_table_cache(path), "delta")
+        C, _ = cuspform.rankin_constant(form, 164_000)
+        M = cuspform.smoothed_second_moment(form, 4096.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    n = len(delta.coeffs)
+    assert form.coeffs.values.shape == (n, 2) and form.coeffs.values.dtype == np.int64
+    assert (C, M) == (RANKIN_C_AT_164000, cuspform.smoothed_second_moment(delta, 4096.0))
+    # 16 B an entry for the words, 8 for the float prefix sums, and one block
+    # of Python ints with their prefix sums and temporaries, 256 B an entry;
+    # the table as Python ints alone would take about 52 B an entry
+    assert peak <= 24 * n + 256 * arith._BLOCK, peak
+
+
 def test_smoothed_second_moment_vanishes_at_tiny_X(delta):
     assert cuspform.smoothed_second_moment(delta, 1e-4) == pytest.approx(0.0, abs=1e-300)
 
@@ -293,5 +325,5 @@ def test_ramanujan_congruence_mod_691(delta):
     sigma = np.zeros(n_max + 1, dtype=np.int64)
     for d in range(1, n_max + 1):
         sigma[d::d] += pow(d, 11, 691)
-    tau = (delta.coeffs.values % 691).astype(np.int64)
+    tau = np.array([t % 691 for t in delta.coeffs.tolist()])
     assert np.array_equal(tau[1:], sigma[1:] % 691)

@@ -42,9 +42,11 @@ class TestSparsePower:
         for _ in range(k - 1):
             want = np.convolve(want, base)[: n_max + 1]
         out = powers.sparse_power(exps, coeffs, k, n_max)
-        assert out.tolist() == want.tolist()
-        fits = all(-(2**63) <= v < 2**63 for v in want)
-        assert out.dtype == (np.int64 if fits else object)
+        assert arith._exact_list(out) == want.tolist()
+        # int64 entries, or the fewest int64 words, low first, that hold each:
+        # (low, high) pairs, as in the cache body, up to 128 bits
+        words = min(w for w in range(1, 9) if all(-(2 ** (64 * w - 1)) <= v < 2 ** (64 * w - 1) for v in want))
+        assert out.dtype == np.int64 and out.shape == (n_max + 1,) + ((words,) if words > 1 else ())
 
     def test_product_reaching_its_bound_fills_the_top_digit_row(self):
         # (C + C q + C q^2 + C q^3)^2 has 4 C^2 at q^3, the bound
@@ -55,8 +57,8 @@ class TestSparsePower:
         rows = powers._product(base, base, 3)
         assert rows.ndim == 2 and rows[-1].any()
         out = powers.sparse_power([0, 1, 2, 3], [c] * 4, 2, 3)
-        assert out.dtype == object
-        assert out.tolist() == [c * c, 2 * c * c, 3 * c * c, 4 * c * c]
+        assert out.dtype == np.int64 and out.shape == (4, 2)
+        assert arith._exact_list(out) == [c * c, 2 * c * c, 3 * c * c, 4 * c * c]
 
     def test_random_wide_products_match_exact_convolution(self):
         # 20-63-bit coefficients give products past int64, which come back
@@ -162,5 +164,5 @@ class TestSplitSquare:
         split = cuspform.tau_table(140001)
         monkeypatch.setattr(powers, "_SPLIT_LENGTH", 1 << 18)
         whole = cuspform.tau_table(140001)
-        assert split.values.dtype == whole.values.dtype == object
+        assert split.values.shape == whole.values.shape == (140002, 2)
         assert split == whole
