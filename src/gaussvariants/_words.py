@@ -29,8 +29,15 @@ def exact(x):
 
 def narrow(words):
     """int64 ``words`` less each top word that only repeats the sign of the
-    one below it: int64 entries when every entry fits int64."""
-    while words.shape[1] > 1 and np.array_equal(words[:, -1], words[:, -2] >> 63):
+    one below it: int64 entries when every entry fits int64.  A top word is
+    compared one block of ``arith._BLOCK`` entries at a time, up to the
+    first block where it does not repeat the sign."""
+    from .arith import _BLOCK  # arith imports this module
+
+    while words.shape[1] > 1 and all(
+        np.array_equal(words[s : s + _BLOCK, -1], words[s : s + _BLOCK, -2] >> 63)
+        for s in range(0, len(words), _BLOCK)
+    ):
         words = words[:, :-1]
     return words[:, 0].copy() if words.shape[1] == 1 else np.ascontiguousarray(words, dtype="<i8")
 

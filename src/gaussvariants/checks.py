@@ -219,8 +219,8 @@ def log_term(series_by_h, seed=0):
 
 def bessel(radii, n_terms, table):
     """The Bessel series of ``n_terms`` terms against the exact circle
-    discrepancy at each of ``radii``, from the r_2 ``table``; value is
-    (series, discrepancy)."""
+    discrepancy at each of ``radii``, from ``table``, the complete entries
+    of a nonzero selection of r_2; value is (series, discrepancy)."""
     series = lattice.hardy_identity(radii, n_terms, table).tolist()
     for R, approx in zip(radii, series):
         exact = lattice.discrepancy(2, R, table)

@@ -122,11 +122,13 @@ def cached_table(args, label, builder, n_max):
     """Table ``label`` to exactly n_max: the first n_max + 1 entries of the
     smallest cached table of that label that reaches n_max, read from the
     front of its file.  For a ``selection.TableSelection`` n_max, only the
-    entries it keeps of 0..n_max are read, as ``selection.TableEntries``.  On a
-    miss the whole table is built and cached as ``label-<n_max>.gvct``, and
-    then the same selection is applied to it, so a cold and a warm run go
-    on with the same entries; a cut is never written back.  A cached file
-    whose header disagrees with its name raises ValueError naming it."""
+    entries it keeps of 0..n_max are read, as ``selection.TableEntries``:
+    every r_d read selects (the nonzero r_2 entries or the hyperboloid
+    shells), and only tau is read whole.  On a miss the whole table is built
+    and cached as ``label-<n_max>.gvct``, and then the same selection is
+    applied to it, so a cold and a warm run go on with the same entries; a
+    cut is never written back.  A cached file whose header disagrees with
+    its name raises ValueError naming it."""
     chosen = n_max if hasattr(n_max, "keep") else None  # a TableSelection
     top = n_max if chosen is None else chosen.n_max
     directory = cache_dir(args)
@@ -154,15 +156,12 @@ def _delta(args):
     return cuspform.CuspFormSeries(12, _tau(args), "delta")
 
 
-def _r2(args, nonzero=False):
-    """The cached r_2 table of --table-size, or with ``nonzero`` only its
-    nonzero entries."""
-    size = args.table_size
-    if nonzero:
-        from .selection import TableSelection  # loaded only by the commands that select
+def _r2(args):
+    """The nonzero entries of the cached r_2 table of --table-size: all that
+    the circle commands read, as they sum no zero entry."""
+    from .selection import TableSelection  # loaded only by the commands that select
 
-        size = TableSelection(size)
-    return cached_table(args, "r_2", lambda n: arith.r_d_table(2, n), size)
+    return cached_table(args, "r_2", lambda n: arith.r_d_table(2, n), TableSelection(args.table_size))
 
 
 def _fmt(v):
@@ -362,7 +361,7 @@ def cmd_mean_square_p2(args):
 def cmd_hardy(args):
     if args.count < 1:
         raise ValueError(f"--count must be at least 1, got {args.count}")
-    table = _r2(args, nonzero=True)  # the series and the counts read no zero entry
+    table = _r2(args)
     rng = np.random.default_rng(args.seed)
     # offsets stay in the middle band between integer shells, where the
     # truncated Bessel series is not Gibbs-limited by the count jumps

@@ -16,12 +16,11 @@ comparisons are
 Counting convention: the boundary shell ||x||^2 = R is included, so sharp
 counts condition on n <= R over integer shells.
 
-Every function that reads an r_d table takes an ``arith.CoefficientTable``
-or the ``selection.TableEntries`` that a selected read kept of one.  The
-ball counts and the Bessel series use only the nonzero entries, so they
-take the entries of a nonzero selection (``TableSelection(n_max)``), which
-stand for the whole table; a hyperboloid sum uses only the entries
-r(m^2 + h), so it takes entries that keep at least those
+The circle functions (the ball counts, the mean square and the Bessel
+series) use only the nonzero entries of r_2, so they take only the complete
+``selection.TableEntries`` of a nonzero selection (``TableSelection(n_max)``),
+which stand for the whole table.  A hyperboloid sum uses only the entries
+r(m^2 + h), so it takes a whole table or entries that keep at least those
 (``hyperboloid_indices``).  Either gives the bits of the whole table.
 """
 
@@ -75,23 +74,9 @@ def ball_volume(d, R):
 
 
 def _nonzero(table, lo, hi):
-    """The nonzero entries lo <= n <= hi of ``table``: their indices n,
-    ascending, as int32 (int64 from 2^31), and ``take(i, j)``, the values at
-    n[i:j].  Of a whole table only the indices are gathered, one block at a
-    time, and ``take`` reads the table; TableEntries must have kept every
-    nonzero entry.  ``take`` gives int64 or, from a wide table, Python ints."""
-    if isinstance(table, arith.CoefficientTable):
-        values = table.values[lo : hi + 1]
-        if values.ndim == 2:  # (low, high) words: nonzero where either word is
-            values = values.any(axis=1)
-        index = np.empty(np.count_nonzero(values), dtype=np.int32 if hi < 2**31 else np.int64)
-        filled = 0
-        for s in range(0, len(values), arith._BLOCK):
-            found = np.flatnonzero(values[s : s + arith._BLOCK])
-            found += lo + s
-            index[filled : filled + len(found)] = found
-            filled += len(found)
-        return index, lambda i, j: table.at(index[i:j])
+    """The entries lo <= n <= hi of ``table``, the complete TableEntries of a
+    nonzero selection: their indices n, ascending, and ``take(i, j)``, the
+    values at n[i:j] as int32, int64 or, from words, Python ints."""
     if not table.complete:
         raise ValueError(f"the entries read of table '{table.label}' leave out nonzero ones")
     index, values = table.between(lo, hi)
@@ -119,23 +104,27 @@ def mean_square_P2(X, table):
 
     On [n, n+1) the count is the constant C_n and the area is pi r, so each
     piece has the closed antiderivative -(C_n - pi r)^3 / (3 pi); pieces are
-    combined with compensated summation, which is exact, so the pieces are
-    made one block of n at a time with the integer count carried across.
+    combined with compensated summation, which is exact, so they are made
+    one block of n at a time.  C_n is read from the exact int64 cumulative
+    sum of the nonzero entries n' <= n; a table that does not fit int64 is
+    refused.
     """
     X = float(X)
     if X <= 0:
         raise ValueError("X must be positive")
     top = int(math.ceil(X))
     table.require(top - 1, f"mean square to X={X:g}")
-    r2 = table.ints()[:top]
+    index, take = _nonzero(table, 0, top - 1)
+    if table.values.ndim == 2:
+        raise arith.TableOverflowError(f"table '{table.label}' does not fit in int64")
+    exact_counts = np.zeros(len(index) + 1, dtype=np.int64)  # [k]: the first k kept, summed
+    np.cumsum(take(0, len(index)), dtype=np.int64, out=exact_counts[1:])
 
     def pieces():
-        carry = 0
         for s in range(0, top, arith._BLOCK):
-            exact = np.cumsum(r2[s : s + arith._BLOCK]) + carry
-            carry = int(exact[-1])
-            counts = exact.astype(np.float64)
-            left = np.arange(s, s + len(counts), dtype=np.float64)
+            n = np.arange(s, min(s + arith._BLOCK, top), dtype=index.dtype)
+            counts = exact_counts[np.searchsorted(index, n, side="right")].astype(np.float64)
+            left = n.astype(np.float64)
             right = np.minimum(left + 1.0, X)
             piece = ((counts - math.pi * left) ** 3 - (counts - math.pi * right) ** 3) / (
                 3 * math.pi
@@ -230,9 +219,8 @@ def hardy_identity(R, n_terms, table):
     Converges (slowly, in mean) to the circle discrepancy at non-integer R;
     integer R is rejected since the boundary convention there is delicate.
     R is a float or a 1-D array of radii, as in ``bessel_J1``.  The series
-    runs over the nonzero entries 1 <= n <= M only: those a nonzero
-    selection kept, or those whose int32 indices are gathered from a whole
-    table one block at a time.  The terms J_1(2 pi sqrt(nR)) r_2(n) / sqrt(n)
+    runs over the nonzero entries 1 <= n <= M only, those a nonzero
+    selection kept.  The terms J_1(2 pi sqrt(nR)) r_2(n) / sqrt(n)
     of every radius are made and summed one leaf of ``arith._pairwise_sum``
     at a time, so each radius's sum has the bits of np.sum over its whole
     vector of terms, which never exists.

@@ -1,8 +1,8 @@
 """Selected reads: only the entries of a coefficient table that a sum uses.
 
 Both lattice problems read a small part of the r_d table they would load.
-The circle's Bessel series and ball counts need only the nonzero entries
-of r_2 (about a fifth of them to 10^6), and a hyperboloid sum
+The circle's ball counts, mean square and Bessel series need only the
+nonzero entries of r_2 (about a fifth of them to 10^6), and a hyperboloid sum
 sum_m r_{d-1}(m^2 + h) needs only the entries at m^2 + h (1 145 of the
 1 308 737 that the default `smooth-hyperboloid` reaches).
 
@@ -163,6 +163,9 @@ class TableEntries:
         return out if self.values.ndim == 1 else exact(out)
 
     def between(self, lo, hi):
-        """(index, values) of the entries kept with lo <= n <= hi, as views."""
-        a, b = np.searchsorted(self.index, (lo, hi + 1))
+        """(index, values) of the entries kept with lo <= n <= hi, as views.
+        The bounds are searched for as the index's dtype: numpy would copy
+        an int32 index to int64 to search it for a Python int."""
+        lo, hi = np.array((lo, hi), dtype=self.index.dtype)
+        a, b = np.searchsorted(self.index, lo), np.searchsorted(self.index, hi, side="right")
         return self.index[a:b], self.values[a:b]

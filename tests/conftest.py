@@ -6,6 +6,7 @@ import os
 import pytest
 
 from gaussvariants import arith, cuspform
+from gaussvariants.selection import TableSelection
 
 ACCEPTANCE_REPORTS = []
 
@@ -33,6 +34,12 @@ def r2_big():
     # covers: Bessel series (1e6 terms), mean square to 2^18, sharp
     # hyperboloid counts to R = 2^20, smoothed hyperboloids to X = 2^16
     return arith.r_d_table(2, 1_400_000)
+
+
+@pytest.fixture(scope="session")
+def r2_nonzero(r2_big):
+    # the nonzero entries of r2_big: what the circle functions take
+    return TableSelection(1_400_000).apply(r2_big)
 
 
 @pytest.fixture(scope="session")

@@ -100,11 +100,11 @@ def test_criterion_06_smoothed_second_moment_constant(delta):
     assert report(6, "smoothed second moment vs explicit constant", checks.holds(p), detail, t0, 300.0)
 
 
-def test_criterion_07_exponent_checks(r2_big, delta):
+def test_criterion_07_exponent_checks(r2_nonzero, delta):
     t0 = time.perf_counter()
     grid = [2.0**e for e in range(10, 19)]
     (ms,) = checks.growth_exponent(
-        lattice.count_series(grid, [lattice.mean_square_P2(x, r2_big) for x in grid])
+        lattice.count_series(grid, [lattice.mean_square_P2(x, r2_nonzero) for x in grid])
     )
     grid2 = [2.0**e for e in range(8, 13)]
     (sm,) = checks.growth_exponent(
@@ -149,7 +149,7 @@ def test_criterion_09_hyperboloid_oracle_equivalence(r2_big):
     assert report(9, "hyperboloid count vs enumeration oracle", not mismatches, detail, t0, 60.0)
 
 
-def test_criterion_10_hardy_identity_random_radii(r2_big):
+def test_criterion_10_hardy_identity_random_radii(r2_nonzero):
     t0 = time.perf_counter()
     rng = np.random.default_rng(0)
     radii = []
@@ -158,7 +158,7 @@ def test_criterion_10_hardy_identity_random_radii(r2_big):
         if R == math.floor(R):  # almost surely not; the identity needs R off Z
             R += 0.5
         radii.append(R)
-    points = list(checks.bessel(radii, 10**6, r2_big))
+    points = list(checks.bessel(radii, 10**6, r2_nonzero))
     detail = (
         f"max |error| {max(p.residual for p in points):.4f} (tol {points[0].bound:g}); "
         f"truncation scale at M=1e6 is ~R^(1/2)M^(-1/2), see the module docstring"
@@ -167,15 +167,15 @@ def test_criterion_10_hardy_identity_random_radii(r2_big):
     assert report(10, "Bessel-series identity at random radii", ok, detail, t0, 120.0)
 
 
-def test_criterion_10_supplementary_true_contract(r2_big):
+def test_criterion_10_supplementary_true_contract(r2_nonzero):
     # What does hold at M = 1e6: sub-tolerance agreement over (10, 300) with
     # margin, and a sub-0.02 median over the whole range (mid-band draws).
     rng = np.random.default_rng(2026)
     small = [float(rng.integers(10, 299)) + float(rng.uniform(0.3, 0.7)) for _ in range(20)]
     full = [float(rng.integers(10, 999)) + float(rng.uniform(0.3, 0.7)) for _ in range(40)]
-    for p in checks.bessel(small, 10**6, r2_big):
+    for p in checks.bessel(small, 10**6, r2_nonzero):
         assert checks.holds(p), p.params
-    assert float(np.median([p.residual for p in checks.bessel(full, 10**6, r2_big)])) < 0.02
+    assert float(np.median([p.residual for p in checks.bessel(full, 10**6, r2_nonzero)])) < 0.02
 
 
 def test_criterion_11_sign_changes(delta):

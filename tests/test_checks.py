@@ -4,6 +4,7 @@ bound of a check that is not numeric."""
 import numpy as np
 
 from gaussvariants import arith, charsums, checks, cuspform, kernels, lattice
+from gaussvariants.selection import TableSelection
 
 POINT_COUNTS = dict(
     h_multiplicative=1848, h_prime_eval=188, h_vanishing=68, d2_vanishing=48, two_piece=480,
@@ -32,7 +33,7 @@ def test_point_counts(monkeypatch):
         (checks.second_moment(delta, 1.0, (4.0, 8.0, 16.0)), 3),
         (checks.growth_exponent(series), 1),
         (checks.log_term({1: series, 2: series, 4: series}), 3),
-        (checks.bessel([10.5, 20.5], 100, arith.r_d_table(2, 200)), 2),
+        (checks.bessel([10.5, 20.5], 100, TableSelection(200).apply(arith.r_d_table(2, 200))), 2),
         (checks.sign_change_windows(cuspform.partial_sums(delta, 0.0), (16.0, 32.0, 64.0)), 3),
     )
     assert [sum(1 for _ in points) for points, _ in suites] == [n for _, n in suites]

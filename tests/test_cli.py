@@ -483,7 +483,18 @@ WHOLE_READ_DIGESTS = {
         "6d80303962892f75da669b4f738b1aaccb343d9cc8514370b0b657768c417eb1",
         "db1fcf27f2586fd8be04b1701481e488af276236c5b0b2db396d025cc2ad58c4",
     ),
+    ("count-circle", 1): (
+        "95d1f20a614fc88f530c31fa17265c2f99dc34aae2db86bb5ac3c30290196aaa",
+        "f3da2110c31c715695baad66b6c70f1d9c32f570e301f3b0a37330b2cc9303de",
+    ),
+    ("mean-square-p2", 1): (
+        "fac63bd3724e61cbe9abc5e7556003c733e36b2f283585266563e2a468c127b0",
+        "710e5d631a19a9e5f4879d16cbf104c22772a5089a4e33539901797fb4846276",
+    ),
 }
+
+# the nonzero r_2 entries each circle command keeps, to its --table-size
+NONZERO_KEPT = {"hardy": 216_342, "mean-square-p2": 60_121, "count-circle": 2_750}
 
 # m_top + 1 of each hyperboloid invocation: its largest grid point sums the
 # shells 2m^2 + 1, m = 0..m_top, below 2^20, 40 * 2^16, 72 090 (compact:10
@@ -522,10 +533,20 @@ class TestSelectedReads:
         # the warm run received only the entries it keeps, not a table
         (entries,) = received
         assert isinstance(entries, TableEntries)
-        if name == "hardy":
-            assert len(entries) == np.count_nonzero(original(written).values) == 216_342
+        if name in NONZERO_KEPT:
+            assert entries.complete
+            assert len(entries) == np.count_nonzero(original(written).values) == NONZERO_KEPT[name]
         else:
             assert len(entries) == SHELLS_KEPT[name]
+
+    def test_wide_r2_entries_exit_2_from_the_mean_square(self, tmp_path, capsys):
+        # the exact counts of the mean square are int64, as the whole read's were
+        wide = arith.CoefficientTable("r_2", [1, 4] + [0] * 58 + [1 << 70])
+        arith.write_table_cache(tmp_path / "r_2-60.gvct", wide)
+        args = ["mean-square-p2", "--grid", "2^2..2^5", "--table-size", "60", "--cache", str(tmp_path)]
+        assert run(args + ["--out", "t"], tmp_path) == cli.EXIT_CONFIG
+        assert "table 'r_2' does not fit in int64" in capsys.readouterr().err
+        assert not (tmp_path / "t.csv").exists()
 
 
 class TestSubcommandsEndToEnd:

@@ -313,6 +313,21 @@ def test_wide_table_is_held_as_its_cache_body(tmp_path, delta):
     assert peak <= 24 * n + 256 * arith._BLOCK, peak
 
 
+def test_wide_cache_read_holds_its_words_and_little_more(tmp_path, delta):
+    # the read makes the words, then the table checks whether they fit int64
+    # only up to the first block that does not, with no array-sized temporary
+    path = tmp_path / "tau-164000.gvct"
+    arith.write_table_cache(path, delta.coeffs)
+    tracemalloc.start()
+    try:
+        table = arith.read_table_cache(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert table == delta.coeffs and table.values.ndim == 2
+    assert peak < table.values.nbytes + 2**20, (peak, table.values.nbytes)
+
+
 def test_smoothed_second_moment_vanishes_at_tiny_X(delta):
     assert cuspform.smoothed_second_moment(delta, 1e-4) == pytest.approx(0.0, abs=1e-300)
 

@@ -8,18 +8,24 @@ import numpy as np
 import pytest
 
 from gaussvariants import arith, lattice
+from gaussvariants.selection import TableSelection
+
+
+def nonzero_r(d, n_max):
+    """The nonzero entries of r_d to n_max: what the circle functions take."""
+    return TableSelection(n_max).apply(arith.r_d_table(d, n_max))
 
 
 class TestCountBall:
     def test_examples(self):
-        r2 = arith.r_d_table(2, 10)
-        r3 = arith.r_d_table(3, 10)
+        r2 = nonzero_r(2, 10)
+        r3 = nonzero_r(3, 10)
         assert lattice.count_ball(2, 1.0, r2) == 5
         assert lattice.count_ball(2, 0.5, r2) == 1
         assert lattice.count_ball(3, 2.0, r3) == 19
 
-    def test_monotone_nondecreasing(self, r2_big):
-        counts = [lattice.count_ball(2, R, r2_big) for R in range(1, 400)]
+    def test_monotone_nondecreasing(self, r2_nonzero):
+        counts = [lattice.count_ball(2, R, r2_nonzero) for R in range(1, 400)]
         assert all(b >= a for a, b in zip(counts, counts[1:]))
 
     def test_matches_direct_pair_enumeration(self, r2_big):
@@ -33,45 +39,59 @@ class TestCountBall:
         assert np.array_equal(enumerated, table_route)
 
     def test_coverage_error(self):
-        r2 = arith.r_d_table(2, 10)
+        r2 = nonzero_r(2, 10)
         with pytest.raises(arith.TableCoverageError):
             lattice.count_ball(2, 11.0, r2)
 
 
 class TestDiscrepancy:
     def test_unit_circle(self):
-        r2 = arith.r_d_table(2, 2)
+        r2 = nonzero_r(2, 2)
         assert lattice.discrepancy(2, 1.0, r2) == pytest.approx(5 - math.pi)
 
     def test_small_radius_limit(self):
-        r2 = arith.r_d_table(2, 2)
+        r2 = nonzero_r(2, 2)
         assert lattice.discrepancy(2, 1e-9, r2) == pytest.approx(1.0, abs=1e-8)
 
 
 class TestMeanSquare:
     def test_single_piece_antiderivative(self):
-        r2 = arith.r_d_table(2, 2)
+        r2 = nonzero_r(2, 2)
         expected = 1 - math.pi + math.pi**2 / 3
         assert lattice.mean_square_P2(1.0, r2) == pytest.approx(expected, rel=1e-14)
 
     def test_vanishes_at_zero_plus(self):
-        r2 = arith.r_d_table(2, 2)
+        r2 = nonzero_r(2, 2)
         assert lattice.mean_square_P2(1e-12, r2) == pytest.approx(0.0, abs=1e-11)
 
-    def test_loglog_slope_three_halves(self, r2_big):
+    def test_loglog_slope_three_halves(self, r2_nonzero):
         xs = [2.0**e for e in range(10, 19)]
-        ys = [lattice.mean_square_P2(x, r2_big) for x in xs]
+        ys = [lattice.mean_square_P2(x, r2_nonzero) for x in xs]
         slope = np.polyfit(np.log(xs), np.log(ys), 1)[0]
         assert abs(slope - 1.5) < 0.05
 
-    @pytest.mark.parametrize("X", [2.0**18, 100_000.5, 3.25])
-    def test_blocks_give_the_whole_array_formula(self, r2_big, X):
+    # 16384 = arith._BLOCK: the grid ends at, just past and one past two blocks
+    @pytest.mark.parametrize("X", [2.0**18, 100_000.5, 3.25, 16384.0, 16384.5, 32769.0])
+    def test_blocks_give_the_whole_array_formula(self, r2_big, r2_nonzero, X):
         top = math.ceil(X)
         counts = np.cumsum(r2_big.ints()[:top]).astype(np.float64)
         left = np.arange(top, dtype=np.float64)
         right = np.minimum(left + 1.0, X)
         piece = ((counts - math.pi * left) ** 3 - (counts - math.pi * right) ** 3) / (3 * math.pi)
-        assert lattice.mean_square_P2(X, r2_big) == math.fsum(piece.tolist())
+        assert lattice.mean_square_P2(X, r2_nonzero) == math.fsum(piece.tolist())
+
+    def test_needs_every_nonzero_entry(self):
+        r2 = arith.r_d_table(2, 100)
+        shells = TableSelection(100, lattice.hyperboloid_indices(1, 199)).apply(r2)
+        with pytest.raises(ValueError, match="leave out nonzero"):
+            lattice.mean_square_P2(50.5, shells)
+
+    def test_wide_table_refused(self):
+        wide = arith.CoefficientTable("r_2", [1, 4, 0, 1 << 70])
+        entries = TableSelection(3).apply(wide)
+        assert entries.values.ndim == 2
+        with pytest.raises(arith.TableOverflowError, match="does not fit in int64"):
+            lattice.mean_square_P2(2.5, entries)
 
 
 # J1 reference values, computed once with 30-digit arithmetic and frozen.
@@ -177,28 +197,28 @@ class TestBesselJ1:
 
 
 class TestHardyIdentity:
-    def test_modest_radius(self, r2_big):
+    def test_modest_radius(self, r2_nonzero):
         err = abs(
-            lattice.hardy_identity(10.5, 10**5, r2_big)
-            - lattice.discrepancy(2, 10.5, r2_big)
+            lattice.hardy_identity(10.5, 10**5, r2_nonzero)
+            - lattice.discrepancy(2, 10.5, r2_nonzero)
         )
         assert err < 0.05
 
-    def test_tiny_radius(self, r2_big):
-        val = lattice.hardy_identity(0.5, 10**4, r2_big)
+    def test_tiny_radius(self, r2_nonzero):
+        val = lattice.hardy_identity(0.5, 10**4, r2_nonzero)
         assert abs(val - (1 - math.pi / 2)) < 0.05
 
-    def test_error_trend_in_cesaro_mean(self, r2_big):
+    def test_error_trend_in_cesaro_mean(self, r2_nonzero):
         # non-monotone pointwise, decreasing in windowed mean as M grows 10x
         R = 500.25
-        exact = lattice.discrepancy(2, R, r2_big)
+        exact = lattice.discrepancy(2, R, r2_nonzero)
 
         def window_mean(M):
             samples = np.linspace(M, 1.1 * M, 12)
             return float(
                 np.mean(
                     [
-                        abs(lattice.hardy_identity(R, int(m), r2_big) - exact)
+                        abs(lattice.hardy_identity(R, int(m), r2_nonzero) - exact)
                         for m in samples
                     ]
                 )
@@ -206,21 +226,21 @@ class TestHardyIdentity:
 
         assert window_mean(10**6) < window_mean(10**5)
 
-    def test_rejects_integer_radius(self, r2_big):
+    def test_rejects_integer_radius(self, r2_nonzero):
         with pytest.raises(ValueError):
-            lattice.hardy_identity(10.0, 100, r2_big)
+            lattice.hardy_identity(10.0, 100, r2_nonzero)
         with pytest.raises(ValueError):
-            lattice.hardy_identity(np.array([10.5, 11.0]), 100, r2_big)
+            lattice.hardy_identity(np.array([10.5, 11.0]), 100, r2_nonzero)
 
-    def test_array_of_radii_is_the_scalar_calls(self, r2_big):
+    def test_array_of_radii_is_the_scalar_calls(self, r2_nonzero):
         radii = np.array([0.5, 10.5, 123.37, 998.6])
-        got = lattice.hardy_identity(radii, 10**5, r2_big)
+        got = lattice.hardy_identity(radii, 10**5, r2_nonzero)
         assert isinstance(got, np.ndarray) and got.shape == radii.shape
-        assert got.tolist() == [lattice.hardy_identity(R, 10**5, r2_big) for R in radii.tolist()]
-        assert isinstance(lattice.hardy_identity(10.5, 100, r2_big), float)
+        assert got.tolist() == [lattice.hardy_identity(R, 10**5, r2_nonzero) for R in radii.tolist()]
+        assert isinstance(lattice.hardy_identity(10.5, 100, r2_nonzero), float)
 
     @pytest.mark.parametrize("n_terms", [10**6, 54_321])
-    def test_blocks_give_the_whole_array_formula(self, r2_big, n_terms):
+    def test_blocks_give_the_whole_array_formula(self, r2_big, r2_nonzero, n_terms):
         r2 = r2_big.floats()[1 : n_terms + 1]
         mask = r2 != 0
         n = np.arange(1, n_terms + 1, dtype=np.float64)[mask]
@@ -231,15 +251,15 @@ class TestHardyIdentity:
             math.sqrt(R) * float(np.sum(lattice.bessel_J1(2 * math.pi * np.sqrt(n * R)) * r2 / root_n))
             for R in radii
         ]
-        assert lattice.hardy_identity(np.array(radii), n_terms, r2_big).tolist() == whole
+        assert lattice.hardy_identity(np.array(radii), n_terms, r2_nonzero).tolist() == whole
 
-    def test_holds_one_block_of_bessel_temporaries(self, r2_big):
+    def test_holds_one_block_of_bessel_temporaries(self, r2_nonzero):
         # the 216 341 nonzero terms to 10^6 take about 8.7 MB as five vectors;
-        # the int32 index of them takes 0.87 MB, and each leaf 2^13 terms
+        # each leaf makes 2^13 terms at a time
         radii = np.array([10.5, 500.25])
         tracemalloc.start()
         try:
-            lattice.hardy_identity(radii, 10**6, r2_big)
+            lattice.hardy_identity(radii, 10**6, r2_nonzero)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

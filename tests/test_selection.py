@@ -1,6 +1,8 @@
 """Selected reads: the kept entries of a cache file or a built table."""
 
+import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -167,6 +169,21 @@ class TestSelection:
         with pytest.raises(ValueError, match="entry 3 of table 'r_2' was not read"):
             some.at(np.array([2, 3]))
 
+    def test_between_copies_no_index(self, r2_table):
+        # an int32 index searched for int64 bounds would be copied whole to int64
+        entries = TableSelection(r2_table.n_max).apply(r2_table)
+        assert entries.index.dtype == np.int32 and len(entries) > 10_000
+        tracemalloc.start()
+        try:
+            index, values = entries.between(1, r2_table.n_max)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4096, peak
+        assert index.tolist() == entries.index[1:].tolist()
+        assert values.tolist() == entries.values[1:].tolist()
+        assert entries.between(5, 3)[0].size == entries.between(-5, -1)[0].size == 0
+
 
 class TestLatticeOnEntries:
     """Every lattice sum gives the same bits from the entries it keeps."""
@@ -176,14 +193,23 @@ class TestLatticeOnEntries:
         return arith.r_d_table(2, 200_000)
 
     def test_ball_counts_and_bessel_series(self, r2):
+        # the circle functions take only these entries; they give the sums
+        # over the whole table: its cumulative sum, and the series over its
+        # nonzero terms as one vector
         entries = TableSelection(r2.n_max).apply(r2)
-        radii = np.array([10.5, 123.37, 998.6])
-        assert lattice.hardy_identity(radii, r2.n_max, entries).tolist() == (
-            lattice.hardy_identity(radii, r2.n_max, r2).tolist()
-        )
+        counts = np.cumsum(r2.ints())
         for R in (0, 0.5, 1, 17.25, 998.6, 200_000):
-            assert lattice.count_ball(2, R, entries) == lattice.count_ball(2, R, r2)
-            assert lattice.discrepancy(2, R, entries) == lattice.discrepancy(2, R, r2)
+            count = int(counts[int(R)])
+            assert lattice.count_ball(2, R, entries) == count
+            assert lattice.discrepancy(2, R, entries) == float(count) - lattice.ball_volume(2, R)
+        n = np.flatnonzero(r2.ints()[1:]) + 1.0
+        r = r2.floats()[n.astype(np.int64)]
+        radii = np.array([10.5, 123.37, 998.6])
+        whole = [
+            math.sqrt(R) * float(np.sum(lattice.bessel_J1(2 * math.pi * np.sqrt(n * R)) * r / np.sqrt(n)))
+            for R in radii.tolist()
+        ]
+        assert lattice.hardy_identity(radii, r2.n_max, entries).tolist() == whole
 
     def test_series_and_counts_need_every_nonzero_entry(self, r2):
         shells = TableSelection(r2.n_max, lattice.hyperboloid_indices(1, 2 * r2.n_max)).apply(r2)
