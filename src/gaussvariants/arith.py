@@ -154,12 +154,6 @@ class CoefficientTable:
             raise TableOverflowError(f"table '{self.label}' does not fit in int64")
         return self.values
 
-    def at(self, n):
-        """a(n) for an int array of n <= n_max, as int64 or Python ints, as
-        ``selection.TableEntries.at``."""
-        v = self.values[n]
-        return v if self.values.ndim == 1 else _words.exact(v)
-
     def require(self, n, what=""):
         require_coverage(self.label, self.n_max, n, what)
 

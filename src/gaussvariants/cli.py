@@ -582,18 +582,17 @@ def cmd_kernels_verify(args):
     _arg("--model", required=True, help="comma list of exponent:logpower terms"),
 )
 def cmd_fit(args):
-    with warnings.catch_warnings():  # numpy's empty-file warning; refused below
-        warnings.simplefilter("ignore", UserWarning)
-        data = np.loadtxt(args.data, delimiter=",", skiprows=1, ndmin=2)
-    if data.shape[0] == 0 or data.shape[1] < 2:
-        raise ValueError(f"{args.data}: needs data rows with X,value columns")
-    grid, values = data[:, 0], data[:, 1]
     model = []
     for term in args.model.split(","):
         a, _, b = term.partition(":")
         model.append((float(a), int(b or 0)))
-    try:
-        result = fit.fit_model(lattice.count_series(grid, values), model)
+    try:  # each refusal of the data names its file
+        with warnings.catch_warnings():  # numpy's empty-file warning; refused below
+            warnings.simplefilter("ignore", UserWarning)
+            data = np.loadtxt(args.data, delimiter=",", skiprows=1, ndmin=2)
+        if data.shape[0] == 0 or data.shape[1] < 2:
+            raise ValueError("needs data rows with X,value columns")
+        result = fit.fit_model(lattice.count_series(data[:, 0], data[:, 1]), model)
     except ValueError as exc:  # LinAlgError too
         raise ValueError(f"{args.data}: {exc}") from None
     rows = [(a, b, c) for (a, b), c in zip(result.model, result.coefficients)]

@@ -20,8 +20,9 @@ The circle functions (the ball counts, the mean square and the Bessel
 series) use only the nonzero entries of r_2, so they take only the complete
 ``selection.TableEntries`` of a nonzero selection (``TableSelection(n_max)``),
 which stand for the whole table.  A hyperboloid sum uses only the entries
-r(m^2 + h), so it takes a whole table or entries that keep at least those
-(``hyperboloid_indices``).  Either gives the bits of the whole table.
+r(m^2 + h), so it takes only the TableEntries of a shell selection
+(``TableSelection(top, hyperboloid_indices(h, reach))``) and reads r(m^2 + h)
+at position m.  Both give the bits of the whole table.
 """
 
 from __future__ import annotations
@@ -278,27 +279,32 @@ def hyperboloid_indices(h, n_top):
     return m * m + h
 
 
-def _hyperboloid_shells(h, n_top, table, what):
+def _hyperboloid_shells(h, n_top, entries, what):
     """Shells n = 2m^2 + h <= n_top (m = 0..m_top) and their exact weights
-    b = (1 if m = 0 else 2) r(m^2 + h), with r read from ``table`` at the
-    indices ``hyperboloid_indices`` gives, and nowhere else.
+    b = (1 if m = 0 else 2) r(m^2 + h), with r the first m_top + 1 values of
+    ``entries``, the TableEntries of a shell selection (``hyperboloid_indices``)
+    that reaches n_top, read by position.
 
     Every hyperboloid sum is a sum over these shells.  b is int64 when the
     table fits and no partial sum can pass 2 (m_top + 1) max|r| <= 2^62,
     and an object array of Python ints otherwise, so sums of b are exact.
     Both arrays are empty (int64) when no shell lies below n_top.  Raises
-    ValueError for h < 1, where m^2 + h would index the table from its end.
+    ValueError for h < 1, and for entries whose first m_top + 1 indices are
+    not the m^2 + h.
     """
     if h < 1:
         raise ValueError(f"need h >= 1, got {h}")
     m_top = _hyperboloid_m_range(h, n_top)
     if m_top >= 0:
-        table.require(m_top * m_top + h, what)
+        entries.require(m_top * m_top + h, what)
     m = np.arange(m_top + 1, dtype=np.int64)
     n = 2 * m * m + h
     if m_top < 0:
         return n, m
-    r = table.at(m * m + h)
+    index, r = entries.index[: m_top + 1], entries.values[: m_top + 1]
+    if len(index) <= m_top or np.any(index != m * m + h):
+        raise ValueError(f"entries of table '{entries.label}' are not the shells m^2 + {h} to m = {m_top}")
+    r = r.astype(np.int64) if r.ndim == 1 else exact(r)
     if r.dtype != object:
         worst = 2 * (m_top + 1) * max(int(r.max()), -int(r.min()))
         if worst > arith._INT64_SAFE:
@@ -309,8 +315,8 @@ def _hyperboloid_shells(h, n_top, table, what):
 def hyperboloid_count(d, h, R, table):
     """N_{d,h}(R) = sum over m in Z with 2m^2 + h <= R of r_{d-1}(m^2 + h).
 
-    m = 0 is counted once and +-m separately; ``table`` must be the
-    r_{d-1} table and cover m_max^2 + h.
+    m = 0 is counted once and +-m separately; ``table`` holds the shell
+    entries of the r_{d-1} table to at least m_max^2 + h.
     """
     d, h = int(d), int(h)
     R = float(R)

@@ -10,7 +10,10 @@ A ``TableSelection`` names the entries to keep.  It is applied one block
 of ``arith._BLOCK`` entries at a time, in the same way to a cache file as
 it streams (``arith.read_table_cache``) and to a table just built
 (``TableSelection.apply``), so both give the same ``TableEntries``: the
-kept (n, a(n)) pairs, exactly, without a copy of the table.
+kept (n, a(n)) pairs, exactly, without a copy of the table.  The sums read
+them in order, not by value: a circle sum takes the complete entries of a
+nonzero selection, and a hyperboloid sum the entries of a shell selection,
+r(m^2 + h) at position m.
 
 The module is imported by the commands that select, when they select: a
 `gv` process without cached bytecode compiles every module it imports,
@@ -24,7 +27,7 @@ import operator
 import numpy as np
 
 from . import arith
-from ._words import exact, narrow, put
+from ._words import narrow, put
 
 
 class TableSelection:
@@ -126,7 +129,8 @@ class TableEntries:
     the a(n) exactly, in the narrowest of int32, int64 and the cache body's
     (low, high) int64 words that holds every kept entry.  ``complete`` says
     that every nonzero entry was kept, so an entry not listed is 0 and the
-    entries stand for the whole table.  Both arrays are read-only.
+    entries stand for the whole table.  Both arrays are read-only.  There
+    is no lookup by n: the sums read ``between`` two bounds, or by position.
     """
 
     __slots__ = ("label", "n_max", "index", "values", "complete")
@@ -147,20 +151,6 @@ class TableEntries:
 
     def require(self, n, what=""):
         arith.require_coverage(self.label, self.n_max, n, what)
-
-    def at(self, n):
-        """a(n) for an int array of n <= n_max, as int64 or Python ints.  An
-        entry that was not kept is 0 when the entries are ``complete``;
-        otherwise it raises ValueError."""
-        n = np.asarray(n)
-        pos = np.searchsorted(self.index, n)
-        hit = pos < len(self.index)
-        hit[hit] = self.index[pos[hit]] == n[hit]
-        if not (self.complete or hit.all()):
-            raise ValueError(f"entry {int(n[~hit][0])} of table '{self.label}' was not read")
-        out = np.zeros(n.shape + self.values.shape[1:], dtype=np.int64)
-        out[hit] = self.values[pos[hit]]
-        return out if self.values.ndim == 1 else exact(out)
 
     def between(self, lo, hi):
         """(index, values) of the entries kept with lo <= n <= hi, as views.

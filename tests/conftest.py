@@ -5,7 +5,7 @@ import os
 
 import pytest
 
-from gaussvariants import arith, cuspform
+from gaussvariants import arith, cuspform, lattice
 from gaussvariants.selection import TableSelection
 
 ACCEPTANCE_REPORTS = []
@@ -20,6 +20,12 @@ def no_child_left_behind():
     except ChildProcessError:  # this process has no children
         return
     pytest.fail(f"the test left a child process behind ({'still running' if pid == 0 else pid})")
+
+
+def shell_entries(table, h, n_top):
+    """The entries r(m^2 + h) of ``table`` that the hyperboloid sums over the
+    shells 2m^2 + h <= n_top read: what those sums take."""
+    return TableSelection(lattice.hyperboloid_index(h, n_top), lattice.hyperboloid_indices(h, n_top)).apply(table)
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

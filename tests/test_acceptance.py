@@ -22,7 +22,7 @@ import math
 import time
 
 import numpy as np
-from conftest import ACCEPTANCE_REPORTS
+from conftest import ACCEPTANCE_REPORTS, shell_entries
 
 from gaussvariants import arith, checks, cuspform, lattice
 
@@ -120,10 +120,11 @@ def test_criterion_07_exponent_checks(r2_nonzero, delta):
 def test_criterion_08_hyperboloid_dichotomy(r2_big):
     t0 = time.perf_counter()
     grid = [2.0**e for e in range(10, 21)]
-    counts = {h: [lattice.hyperboloid_count(3, h, R, r2_big) for R in grid] for h in (1, 2)}
+    shells = {h: shell_entries(r2_big, h, grid[-1]) for h in (1, 2)}
+    counts = {h: [lattice.hyperboloid_count(3, h, R, shells[h]) for R in grid] for h in (1, 2)}
     points = list(checks.log_term({h: lattice.count_series(grid, v) for h, v in counts.items()}))
     norm = {
-        R: lattice.hyperboloid_count(3, 1, float(R), r2_big)
+        R: lattice.hyperboloid_count(3, 1, float(R), shells[1])
         / (math.sqrt(R) * math.log(R))
         for R in (10**4, 10**5, 10**6)
     }
@@ -140,8 +141,9 @@ def test_criterion_09_hyperboloid_oracle_equivalence(r2_big):
     mismatches = []
     for d in (3, 4, 5):
         for h in range(1, 6):
+            shells = shell_entries(tables[d], h, 200)
             for R in range(h, 201):
-                if lattice.hyperboloid_count(d, h, float(R), tables[d]) != (
+                if lattice.hyperboloid_count(d, h, float(R), shells) != (
                     lattice.hyperboloid_bruteforce(d, h, float(R))
                 ):
                     mismatches.append((d, h, R))

@@ -250,6 +250,13 @@ class TestExitCodes:
         assert capsys.readouterr().err == "gv: bad.csv: a fit needs finite positive X and values\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.csv"]
 
+    @pytest.mark.parametrize("rows", ["1,2\n2,abc\n", "1,2\n2,3,4\n"], ids=["non-numeric", "ragged"])
+    def test_fit_names_the_file_it_cannot_read(self, tmp_path, capsys, rows):
+        (tmp_path / "bad.csv").write_text("X,value\n" + rows)
+        assert run(["fit", "--data", "bad.csv", "--model", "1:0"], tmp_path) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("gv: bad.csv: ")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.csv"]
+
     @pytest.mark.parametrize("subcommand", ["second-moment", "short-interval", "sign-scan", "tau"])
     @pytest.mark.parametrize("cache", ["none", "empty", "tau-40"])
     def test_zero_tau_table_is_config_error_whatever_is_cached(

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from conftest import shell_entries
 
 from gaussvariants import fit, lattice
 
@@ -28,7 +29,8 @@ class TestFitModel:
 
     def test_smoothed_hyperboloid_leading_log_positive(self, r2_big):
         grid = [2.0**e for e in range(8, 17)]
-        vals = [lattice.hyperboloid_smoothed(3, 1, X, r2_big) for X in grid]
+        shells = shell_entries(r2_big, 1, 40 * grid[-1])
+        vals = [lattice.hyperboloid_smoothed(3, 1, X, shells) for X in grid]
         s = lattice.count_series(grid, vals)
         f = fit.fit_model(s, [(0.5, 1), (0.5, 0)])
         assert f.coefficients[0] > 0
@@ -97,14 +99,16 @@ class TestLogTermVerdict:
     def test_hyperboloid_dichotomy(self, r2_big):
         grid = [2.0**e for e in range(10, 21)]
         for h, expected in ((1, "log"), (2, "no-log")):
-            vals = [lattice.hyperboloid_count(3, h, R, r2_big) for R in grid]
+            shells = shell_entries(r2_big, h, grid[-1])
+            vals = [lattice.hyperboloid_count(3, h, R, shells) for R in grid]
             s = lattice.count_series(grid, vals)
             v = fit.log_term_verdict(s, WITH_LOG, WITHOUT_LOG)
             assert v.verdict == expected, (h, v)
 
     def test_verdict_deterministic_under_seed(self, r2_big):
         grid = [2.0**e for e in range(10, 21)]
-        vals = [lattice.hyperboloid_count(3, 1, R, r2_big) for R in grid]
+        shells = shell_entries(r2_big, 1, grid[-1])
+        vals = [lattice.hyperboloid_count(3, 1, R, shells) for R in grid]
         s = lattice.count_series(grid, vals)
         a = fit.log_term_verdict(s, WITH_LOG, WITHOUT_LOG, seed=11)
         b = fit.log_term_verdict(s, WITH_LOG, WITHOUT_LOG, seed=11)

@@ -7,6 +7,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from gaussvariants import arith, cuspform
 
 PACKAGE_ROOT = Path(arith.__file__).resolve().parents[1]
@@ -50,10 +52,17 @@ def test_warm_tau_loads_neither_the_powers_nor_the_selection(tmp_path):
     assert not modules & {"powers", "selection"}, modules
 
 
-def test_warm_count_circle_selects_without_the_powers(tmp_path):
+@pytest.mark.parametrize(
+    "argv",
+    [["count-circle"], ["count-hyperboloid", "--grid", "2^10..2^13", "--table-size", "10000"]],
+    ids=["count-circle", "count-hyperboloid"],
+)
+def test_warm_count_circle_selects_without_the_powers(tmp_path, argv):
+    # both read the cached r_2-10000 and build nothing
     warm(tmp_path)
-    modules = loaded(tmp_path, "count-circle")
+    modules = loaded(tmp_path, *argv)
     assert "selection" in modules and "powers" not in modules, modules
+    assert sorted(p.name for p in (tmp_path / "cache").iterdir()) == ["r_2-10000.gvct", "tau-1000.gvct"]
 
 
 def test_cold_tau_loads_the_powers(tmp_path):

@@ -5,6 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from conftest import shell_entries
 
 from gaussvariants import arith, kernels, lattice
 
@@ -276,13 +277,14 @@ class TestApplyKernel:
     def test_concentrating_dominates_window_sums(self, r2_big):
         # positivity: the window sum times the minimum window weight is
         # bounded by the (truncated) smoothed sum
+        shells = shell_entries(r2_big, 1, 40 * 2.0**14)
         for e in (10, 12, 14):
             X = 2.0**e
             Y = X ** (1.0 / 44.0)
             spec = kernels.KernelSpec.concentrating(Y)
-            n, b = lattice._hyperboloid_shells(1, 40 * X, r2_big, "dominance")
+            n, b = lattice._hyperboloid_shells(1, 40 * X, shells, "dominance")
             smoothed = kernels.apply_kernel(n, b, spec, X)
-            window, _ = lattice.hyperboloid_short_interval(3, 1, X, r2_big)
+            window, _ = lattice.hyperboloid_short_interval(3, 1, X, shells)
             lam = lattice.power_saving_exponent(3)
             edges = [X - X ** (1 - lam), X + X ** (1 - lam)]
             w_min = float(np.min(kernels.kernel_weights(spec, edges, X)))

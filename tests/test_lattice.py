@@ -6,6 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from conftest import shell_entries
 
 from gaussvariants import arith, lattice
 from gaussvariants.selection import TableSelection
@@ -268,13 +269,14 @@ class TestHardyIdentity:
 
 class TestHyperboloidCounts:
     def test_examples(self, r2_big):
-        assert lattice.hyperboloid_count(3, 1, 1.0, r2_big) == 4
-        assert lattice.hyperboloid_count(3, 1, 0.5, r2_big) == 0
+        shells = shell_entries(r2_big, 1, 1)
+        assert lattice.hyperboloid_count(3, 1, 1.0, shells) == 4
+        assert lattice.hyperboloid_count(3, 1, 0.5, shells) == 0
 
-    def test_oracle_equivalence_spot(self, r2_big):
-        r3 = arith.r_d_table(3, 300)
+    def test_oracle_equivalence_spot(self):
+        r3 = shell_entries(arith.r_d_table(3, 300), 2, 20)
         assert lattice.hyperboloid_count(4, 2, 20.0, r3) == lattice.hyperboloid_bruteforce(4, 2, 20.0)
-        r4 = arith.r_d_table(4, 300)
+        r4 = shell_entries(arith.r_d_table(4, 300), 1, 30)
         assert lattice.hyperboloid_count(5, 1, 30.0, r4) == lattice.hyperboloid_bruteforce(5, 1, 30.0)
 
     def test_below_shift_is_empty(self):
@@ -285,17 +287,19 @@ class TestHyperboloidCounts:
             lattice.hyperboloid_bruteforce(3, 1, 2000.0)
 
     def test_shell_table_marginals(self, r2_big):
-        shell = lattice.hyperboloid_shell_table(3, 1, 1000, r2_big)
+        shells = shell_entries(r2_big, 1, 1000)
+        shell = lattice.hyperboloid_shell_table(3, 1, 1000, shells)
         vals = shell.ints()
         # b(2m^2+1) carries r_2(m^2+1) once at m=0 and twice otherwise
         assert vals[1] == r2_big[1]
         assert vals[3] == 2 * r2_big[2]
         assert vals[9] == 2 * r2_big[5]
-        assert int(vals.sum()) == lattice.hyperboloid_count(3, 1, 1000.0, r2_big)
+        assert int(vals.sum()) == lattice.hyperboloid_count(3, 1, 1000.0, shells)
 
     def test_oh_shah_band(self, r2_big):
+        shells = shell_entries(r2_big, 1, 10**6)
         norm = {
-            R: lattice.hyperboloid_count(3, 1, float(R), r2_big)
+            R: lattice.hyperboloid_count(3, 1, float(R), shells)
             / (math.sqrt(R) * math.log(R))
             for R in (10**4, 10**5, 10**6)
         }
@@ -305,31 +309,33 @@ class TestHyperboloidCounts:
 
 class TestHyperboloidSmoothed:
     def test_square_shift_log_normalization_stabilizes(self, r2_big):
+        shells = shell_entries(r2_big, 1, 40 * 2.0**16)  # e^{-n/X} is summed to n = 40X
         vals = [
-            lattice.hyperboloid_smoothed(3, 1, 2.0**e, r2_big)
+            lattice.hyperboloid_smoothed(3, 1, 2.0**e, shells)
             / (2.0 ** (e / 2) * (e * math.log(2)))
             for e in range(8, 17)
         ]
         assert max(vals) / min(vals) < 1.2
 
     def test_vanishes_at_tiny_X(self, r2_big):
-        assert lattice.hyperboloid_smoothed(3, 1, 1e-6, r2_big) == 0.0
+        assert lattice.hyperboloid_smoothed(3, 1, 1e-6, shell_entries(r2_big, 1, 1)) == 0.0
 
     @pytest.mark.parametrize("d, h", [(3, 1), (4, 2)])
     def test_exponential_keeps_its_bits(self, r2_big, d, h):
         # the e^{-n/X} sum over the shells 2m^2 + h <= 40X, written out
         table = r2_big if d == 3 else arith.r_d_table(3, 20000)
+        shells = shell_entries(table, h, 40 * 512.25)
         for X in [2.0**e for e in range(4, 10)] + [100.0, 300.5, 512.25]:
             m_top = math.isqrt((int(math.floor(40.0 * X)) - h) // 2)
             m = np.arange(m_top + 1, dtype=np.int64)
             r = table.values[m * m + h]
             n, b = 2 * m * m + h, np.where(m == 0, r, 2 * r)
             expected = float(np.sum(b.astype(np.float64) * np.exp(-n / X)))
-            assert lattice.hyperboloid_smoothed(d, h, X, table) == expected, X
+            assert lattice.hyperboloid_smoothed(d, h, X, shells) == expected, X
 
     def test_coverage_enforced(self):
         # e^{-n/X} is summed to n = 40X = 2000, whose shells read r_2 to 31^2 + 1
-        short = arith.r_d_table(2, 100)
+        short = shell_entries(arith.r_d_table(2, 100), 1, 200)  # to 9^2 + 1
         with pytest.raises(arith.TableCoverageError):
             lattice.hyperboloid_smoothed(3, 1, 50.0, short)
 
@@ -337,15 +343,17 @@ class TestHyperboloidSmoothed:
         assert lattice.power_saving_exponent(3) == pytest.approx(1 / 44)
 
     def test_short_interval_normalized_recorded_ceiling(self, r2_big):
-        r3 = arith.r_d_table(3, 40000)
+        # each window |n - 2^14| < 2^14 (1 - lambda) ends below 2^15
+        r2 = shell_entries(r2_big, 1, 2**15)
+        r3 = shell_entries(arith.r_d_table(3, 40000), 1, 2**15)
         for e in (10, 12, 14):
-            _, norm3 = lattice.hyperboloid_short_interval(3, 1, 2.0**e, r2_big)
+            _, norm3 = lattice.hyperboloid_short_interval(3, 1, 2.0**e, r2)
             assert norm3 < 40.0  # recorded ceiling from this computation
             _, norm4 = lattice.hyperboloid_short_interval(4, 1, 2.0**e, r3)
             assert norm4 < 12.0
 
     def test_empty_window(self, r2_big):
-        assert lattice.hyperboloid_short_interval(3, 1, 0.25, r2_big) == (0, 0.0)
+        assert lattice.hyperboloid_short_interval(3, 1, 0.25, shell_entries(r2_big, 1, 1)) == (0, 0.0)
 
 
 class TestHyperboloidInputs:
@@ -353,7 +361,7 @@ class TestHyperboloidInputs:
 
     @pytest.mark.parametrize("h", [0, -5])
     def test_every_hyperboloid_sum_rejects_h_below_one(self, h):
-        r2 = arith.r_d_table(2, 200)
+        r2 = shell_entries(arith.r_d_table(2, 200), 1, 200)
         with pytest.raises(ValueError):
             lattice.hyperboloid_count(3, h, 64.0, r2)
         with pytest.raises(ValueError):
@@ -364,9 +372,39 @@ class TestHyperboloidInputs:
             lattice.hyperboloid_shell_table(3, h, 50, r2)
 
     def test_short_interval_rejects_dimension_two(self):
-        r1 = arith.r_d_table(1, 200)
+        r1 = shell_entries(arith.r_d_table(1, 200), 1, 200)
         with pytest.raises(ValueError):
             lattice.hyperboloid_short_interval(2, 1, 64.0, r1)
+
+    @pytest.mark.parametrize(
+        "selection",
+        [
+            TableSelection(2000),  # every nonzero entry, from r_2(0)
+            TableSelection(2000, lattice.hyperboloid_indices(2, 4000)),  # the shells of h = 2
+            TableSelection(2000, lattice.hyperboloid_indices(1, 1000)),  # stops at 22^2 + 1
+        ],
+        ids=["nonzero", "other h", "short index"],
+    )
+    def test_every_hyperboloid_sum_refuses_other_entries(self, selection):
+        # the sums to 2000 read r_2(m^2 + 1) at positions m = 0..31
+        entries = selection.apply(arith.r_d_table(2, 2000))
+        with pytest.raises(ValueError, match=r"table 'r_2' are not the shells m\^2 \+ 1 to m = 31"):
+            lattice.hyperboloid_count(3, 1, 2000.0, entries)
+        with pytest.raises(ValueError, match="table 'r_2'"):
+            lattice.hyperboloid_smoothed(3, 1, 50.0, entries)
+        with pytest.raises(ValueError, match="table 'r_2'"):
+            lattice.hyperboloid_short_interval(3, 1, 1000.0, entries)
+        with pytest.raises(ValueError, match="table 'r_2'"):
+            lattice.hyperboloid_shell_table(3, 1, 2000, entries)
+
+    def test_every_hyperboloid_sum_refuses_a_short_table(self):
+        short = shell_entries(arith.r_d_table(2, 2000), 1, 1000)  # to 22^2 + 1
+        with pytest.raises(arith.TableCoverageError, match="r_2"):
+            lattice.hyperboloid_count(3, 1, 2000.0, short)
+        with pytest.raises(arith.TableCoverageError, match="r_2"):
+            lattice.hyperboloid_short_interval(3, 1, 1000.0, short)
+        with pytest.raises(arith.TableCoverageError, match="r_2"):
+            lattice.hyperboloid_shell_table(3, 1, 2000, short)
 
 
 class TestHyperboloidBeyondInt64:
@@ -383,12 +421,13 @@ class TestHyperboloidBeyondInt64:
 
     def test_count_and_window_exact(self):
         r12 = arith.r_d_table(12, 3970)
+        shells = shell_entries(r12, 1, 7939)
         expected = self.python_int_sum(r12, 1, -math.inf, 7940)
         assert expected == 100180679812738477896 > 2**63
-        assert lattice.hyperboloid_count(13, 1, 7939.0, r12) == expected
+        assert lattice.hyperboloid_count(13, 1, 7939.0, shells) == expected
         X = 4500.0
         width = X ** (1.0 - lattice.power_saving_exponent(13))
-        total, _ = lattice.hyperboloid_short_interval(13, 1, X, r12)
+        total, _ = lattice.hyperboloid_short_interval(13, 1, X, shells)
         assert total == self.python_int_sum(r12, 1, X - width, X + width) > 2**63
 
 
@@ -419,7 +458,8 @@ class TestCountSeries:
 
     def test_sharp_counts_nondecreasing_invariant(self, r2_big):
         grid = [2.0**e for e in range(10, 17)]
-        vals = [lattice.hyperboloid_count(3, 1, R, r2_big) for R in grid]
+        shells = shell_entries(r2_big, 1, grid[-1])
+        vals = [lattice.hyperboloid_count(3, 1, R, shells) for R in grid]
         series = lattice.count_series(grid, vals)
         arr = series.value_array
         assert np.all(np.diff(arr) >= 0)
@@ -428,7 +468,8 @@ class TestCountSeries:
 class TestSmoothedSeriesInvariant:
     def test_positive_and_increasing_in_X(self, r2_big):
         grid = [2.0**e for e in range(8, 17)]
-        vals = [lattice.hyperboloid_smoothed(3, 2, X, r2_big) for X in grid]
+        shells = shell_entries(r2_big, 2, 40 * grid[-1])
+        vals = [lattice.hyperboloid_smoothed(3, 2, X, shells) for X in grid]
         series = lattice.count_series(grid, vals)
         arr = series.value_array
         assert np.all(arr > 0)

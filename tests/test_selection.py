@@ -155,19 +155,12 @@ class TestSelection:
         with pytest.raises(ValueError, match="n_max"):
             TableSelection(-1)
 
-    def test_at_and_between(self):
+    def test_between(self):
         table = arith.r_d_table(2, 50)
         nonzero = TableSelection(50).apply(table)
-        n = np.arange(51)
-        assert nonzero.at(n).tolist() == table.values.tolist()
-        assert nonzero.at(n).dtype == np.int64
         index, values = nonzero.between(3, 10)
         assert index.tolist() == [4, 5, 8, 9, 10]
         assert values.tolist() == table.values[[4, 5, 8, 9, 10]].tolist()
-        some = TableSelection(50, [2, 5, 26]).apply(table)
-        assert some.at(np.array([2, 26])).tolist() == [table[2], table[26]]
-        with pytest.raises(ValueError, match="entry 3 of table 'r_2' was not read"):
-            some.at(np.array([2, 3]))
 
     def test_between_copies_no_index(self, r2_table):
         # an int32 index searched for int64 bounds would be copied whole to int64
@@ -218,21 +211,34 @@ class TestLatticeOnEntries:
         with pytest.raises(ValueError, match="leave out nonzero"):
             lattice.hardy_identity(10.5, 100, shells)
 
-    @pytest.mark.parametrize("kind", ["shells", "nonzero"])
-    def test_hyperboloid_sums(self, r2, kind):
+    def test_hyperboloid_sums(self, r2):
+        # the hyperboloid functions take only these entries; they give the
+        # sums over the shells n = 2m^2 + 1 of the whole table, written out
         top = 399_999  # shells 2m^2 + 1 up to it read r_2 to 447^2 + 1
-        if kind == "shells":
-            entries = TableSelection(447**2 + 1, lattice.hyperboloid_indices(1, top)).apply(r2)
-            assert len(entries) == 448
-        else:
-            entries = TableSelection(r2.n_max).apply(r2)
+        entries = TableSelection(447**2 + 1, lattice.hyperboloid_indices(1, top)).apply(r2)
+        assert len(entries) == 448
+        m = np.arange(448)
+        r = r2.ints()[m * m + 1]
+        n, b = 2 * m * m + 1, np.where(m == 0, r, 2 * r)
         for R in (0.5, 1, 1000, top):
-            assert lattice.hyperboloid_count(3, 1, R, entries) == lattice.hyperboloid_count(3, 1, R, r2)
+            assert lattice.hyperboloid_count(3, 1, R, entries) == int(b[n <= R].sum())
+        lam = lattice.power_saving_exponent(3)
         for X in (2.0**8, 2.0**13):
-            assert lattice.hyperboloid_smoothed(3, 1, X, entries) == lattice.hyperboloid_smoothed(3, 1, X, r2)
-            assert lattice.hyperboloid_short_interval(3, 1, X, entries) == (
-                lattice.hyperboloid_short_interval(3, 1, X, r2)
-            )
-        assert lattice.hyperboloid_shell_table(3, 1, 5000, entries) == (
-            lattice.hyperboloid_shell_table(3, 1, 5000, r2)
-        )
+            near = n <= 40 * X
+            smoothed = float(np.sum(b[near].astype(np.float64) * np.exp(-n[near] / X)))
+            assert lattice.hyperboloid_smoothed(3, 1, X, entries) == smoothed
+            width = X ** (1.0 - lam)
+            window = int(b[(X - width < n) & (n < X + width)].sum())
+            assert lattice.hyperboloid_short_interval(3, 1, X, entries) == (window, window / X ** (0.5 - lam))
+        shell = np.zeros(5001, dtype=np.int64)
+        shell[n[n <= 5000]] = b[n <= 5000]
+        assert lattice.hyperboloid_shell_table(3, 1, 5000, entries) == arith.CoefficientTable("hyp_3_1", shell)
+
+    def test_int32_entries_double_exactly(self):
+        # shell entries of 2^31 - 1 are kept as int32; doubled as int32 they
+        # would wrap to -2
+        table = arith.CoefficientTable("r_2", [2**31 - 1] * 101)
+        entries = TableSelection(82, lattice.hyperboloid_indices(1, 163)).apply(table)
+        assert entries.values.dtype == np.int32
+        # m = 0 once and m = +-1..+-9 twice each
+        assert lattice.hyperboloid_count(3, 1, 163.0, entries) == 19 * (2**31 - 1)
