@@ -20,16 +20,17 @@ This module provides the primitives everything else is built on:
   writes a table holds one copy of it plus one block.  A selected read
   (``selection.TableSelection``) keeps from each block only the entries a
   caller uses, and never holds the table,
+* the exact folds over stored entries, ``exact_ints`` and ``prefix_blocks``,
 * numpy's pairwise summation tree (``_pairwise_sum``), so that a long
   float sum can be taken one run of values at a time with np.sum's bits.
 
 All tables hold exact integers in one ndarray: int64 while every entry
 fits, and past that the cache body itself, one (low word, high word) pair
-of little-endian int64 per entry.  An exact fold over a wide table turns
-one block of it at a time into Python ints, through ``_words.exact``, so
-no table is ever held as Python ints.  Entries are checked against the
-signed 128-bit range at construction time so that a silent wraparound can
-never poison a downstream identity check.
+of little-endian int64 per entry.  An exact fold takes one block at a time
+through ``exact_ints``, int64 where no sum can wrap and Python ints
+otherwise, so no table is ever held as Python ints.  Entries are checked
+against the signed 128-bit range at construction time so that a silent
+wraparound can never poison a downstream identity check.
 """
 
 from __future__ import annotations
@@ -48,8 +49,7 @@ INT128_MIN = -(1 << 127)
 
 _INT64 = np.iinfo(np.int64)
 
-# Largest accumulation allowed on the int64 path; sums whose worst-case
-# partial sums could exceed this run on Python ints (dtype object).
+# Largest |sum| that ``exact_ints`` lets int64 carry; past it, Python ints.
 _INT64_SAFE = 1 << 62
 _LOW64 = (1 << 64) - 1
 
@@ -88,7 +88,7 @@ class CoefficientTable:
     TypeError, and nothing is wrapped or truncated.  An int64 ndarray is
     taken as it is, not copied, and made read-only; words that all fit
     become int64.  Entries leave as Python ints one block at a time
-    (``_words.exact``).  Tables are immutable and safe to share across threads.
+    (``exact_ints``).  Tables are immutable and safe to share across threads.
     """
 
     __slots__ = ("label", "n_max", "values")
@@ -123,9 +123,7 @@ class CoefficientTable:
 
     def __getitem__(self, n):
         v = self.values[n]
-        if isinstance(n, slice):
-            return _exact_list(v)
-        return int(v) if v.ndim == 0 else int(_words.exact(v[None])[0])
+        return _exact_list(v) if isinstance(n, slice) else _exact_list(v[None])[0]
 
     def __eq__(self, other):
         if not isinstance(other, CoefficientTable):
@@ -140,12 +138,9 @@ class CoefficientTable:
 
     def floats(self):
         """Entries as float64, each correctly rounded (lossy beyond 2^53)."""
-        v = self.values
-        if v.ndim == 1:
-            return v.astype(np.float64)
-        out = np.empty(len(v))
-        for s in range(0, len(v), _BLOCK):
-            out[s : s + _BLOCK] = _words.exact(v[s : s + _BLOCK])
+        out = np.empty(len(self))
+        for s in range(0, len(out), _BLOCK):
+            out[s : s + _BLOCK] = exact_ints(self.values[s : s + _BLOCK], 1)
         return out
 
     def ints(self):
@@ -160,9 +155,28 @@ class CoefficientTable:
 
 def _exact_list(x):
     """The entries of x, int64 entries or words, as a list of Python ints."""
-    if x.ndim == 1:
-        return x.tolist()
-    return [a for s in range(0, len(x), _BLOCK) for a in _words.exact(x[s : s + _BLOCK]).tolist()]
+    return [a for s in range(0, len(x), _BLOCK) for a in exact_ints(x[s : s + _BLOCK], 1).tolist()]
+
+
+def exact_ints(values, count):
+    """Stored entries (int32, int64 or words) as int64 if no sum of ``count``
+    of them can pass _INT64_SAFE, and as Python ints otherwise."""
+    if values.ndim == 2 or count * max(int(values.max(initial=0)), -int(values.min(initial=0))) > _INT64_SAFE:
+        return _words.exact(values)
+    return values.astype(np.int64, copy=False)
+
+
+def prefix_blocks(values):
+    """The exact running sums of the stored entries ``values``, as (start,
+    sums) pairs of ``_BLOCK`` sums from ``exact_ints``: Python ints where the
+    carry has reached _INT64_SAFE or the block does not fit int64."""
+    carry = 0
+    for s in range(0, len(values), _BLOCK):
+        block = values[s : s + _BLOCK]
+        sums = np.cumsum(_words.exact(block) if abs(carry) >= _INT64_SAFE else exact_ints(block, len(block)))
+        sums += carry
+        carry = int(sums[-1])
+        yield s, sums
 
 
 def require_coverage(label, n_max, n, what=""):

@@ -156,12 +156,17 @@ def _delta(args):
     return cuspform.CuspFormSeries(12, _tau(args), "delta")
 
 
-def _r2(args):
+def _r2(args, needs):
     """The nonzero entries of the cached r_2 table of --table-size: all that
-    the circle commands read, as they sum no zero entry."""
+    the circle commands read, as they sum no zero entry.  Each (n, what) of
+    ``needs``, in order, is checked against --table-size first, so a short
+    table exits 3 before any table is read or built."""
     from .selection import TableSelection  # loaded only by the commands that select
 
-    return cached_table(args, "r_2", lambda n: arith.r_d_table(2, n), TableSelection(args.table_size))
+    nonzero = TableSelection(args.table_size)  # first: a negative --table-size exits 2, not 3
+    for n, what in needs:
+        arith.require_coverage("r_2", args.table_size, n, what)
+    return cached_table(args, "r_2", lambda n: arith.r_d_table(2, n), nonzero)
 
 
 def _fmt(v):
@@ -323,7 +328,7 @@ def cmd_count_circle(args):
     grid = parse_grid(args.grid)
     if min(grid) <= 0:
         raise ValueError(f"the discrepancy is normalized by sqrt(R): need R > 0, got {min(grid):g}")
-    table = _r2(args)
+    table = _r2(args, ((math.floor(R), f"S_2({R:g})") for R in grid))
     rows = []
     for R in grid:
         count = lattice.count_ball(2, R, table)
@@ -342,7 +347,9 @@ def cmd_count_circle(args):
 )
 def cmd_mean_square_p2(args):
     grid = parse_grid(args.grid)
-    table = _r2(args)
+    if min(grid) <= 0:  # mean_square_P2's own check, made before the reach of any X
+        raise ValueError("X must be positive")
+    table = _r2(args, ((math.ceil(X) - 1, f"mean square to X={X:g}") for X in grid))
     rows = [(X, lattice.mean_square_P2(X, table)) for X in grid]
     (p,) = checks.growth_exponent(lattice.count_series(grid, [r[1] for r in rows]))
     ok = checks.holds(p)
@@ -361,7 +368,9 @@ def cmd_mean_square_p2(args):
 def cmd_hardy(args):
     if args.count < 1:
         raise ValueError(f"--count must be at least 1, got {args.count}")
-    table = _r2(args)
+    # the radii are drawn after the read: numpy.random would add its
+    # megabytes to a cold build's peak
+    table = _r2(args, [(args.terms, f"Bessel series with {args.terms} terms")])
     rng = np.random.default_rng(args.seed)
     # offsets stay in the middle band between integer shells, where the
     # truncated Bessel series is not Gibbs-limited by the count jumps

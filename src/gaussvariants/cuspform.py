@@ -113,17 +113,12 @@ class CuspFormSeries:
         return self.coeffs.n_max
 
     def prefix_floats(self):
-        """S_f(0..N) as float64 (exact integer prefix sums, then rounded),
-        summed one block at a time with the exact sum carried across.
-        The array is cached and shared, so it is read-only."""
+        """S_f(0..N) as float64: the exact prefix sums of
+        ``arith.prefix_blocks``, each rounded once.  The array is cached and
+        shared, so it is read-only."""
         if self._prefix_floats is None:
-            a = self.coeffs.values
-            out = np.empty(len(a))
-            carry = 0
-            for s in range(0, len(a), arith._BLOCK):
-                sums = np.cumsum(exact(a[s : s + arith._BLOCK]))
-                sums += carry
-                carry = sums[-1]
+            out = np.empty(len(self.coeffs))
+            for s, sums in arith.prefix_blocks(self.coeffs.values):
                 out[s : s + len(sums)] = sums
             out.setflags(write=False)
             self._prefix_floats = out

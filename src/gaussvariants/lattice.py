@@ -33,7 +33,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import arith, kernels
-from ._words import exact
 
 # ---------------------------------------------------------------------------
 # CountSeries: the grid-of-evaluations record handed to the fit module
@@ -75,13 +74,11 @@ def ball_volume(d, R):
 
 
 def _nonzero(table, lo, hi):
-    """The entries lo <= n <= hi of ``table``, the complete TableEntries of a
-    nonzero selection: their indices n, ascending, and ``take(i, j)``, the
-    values at n[i:j] as int32, int64 or, from words, Python ints."""
+    """(index, values) of the entries lo <= n <= hi of ``table``, the complete
+    TableEntries of a nonzero selection, as stored."""
     if not table.complete:
         raise ValueError(f"the entries read of table '{table.label}' leave out nonzero ones")
-    index, values = table.between(lo, hi)
-    return index, lambda i, j: values[i:j] if values.ndim == 1 else exact(values[i:j])
+    return table.between(lo, hi)
 
 
 def count_ball(d, R, table):
@@ -91,8 +88,9 @@ def count_ball(d, R, table):
         raise ValueError("R must be nonnegative")
     shell = int(math.floor(R))
     table.require(shell, f"S_{d}({R:g})")
-    index, take = _nonzero(table, 0, shell)
-    return sum(sum(take(i, i + arith._BLOCK).tolist()) for i in range(0, len(index), arith._BLOCK))
+    _, values = _nonzero(table, 0, shell)
+    blocks = (values[i : i + arith._BLOCK] for i in range(0, len(values), arith._BLOCK))
+    return sum(int(arith.exact_ints(block, len(block)).sum()) for block in blocks)
 
 
 def discrepancy(d, R, table):
@@ -106,25 +104,23 @@ def mean_square_P2(X, table):
     On [n, n+1) the count is the constant C_n and the area is pi r, so each
     piece has the closed antiderivative -(C_n - pi r)^3 / (3 pi); pieces are
     combined with compensated summation, which is exact, so they are made
-    one block of n at a time.  C_n is read from the exact int64 cumulative
-    sum of the nonzero entries n' <= n; a table that does not fit int64 is
-    refused.
+    one block of n at a time.  C_n is the exact running sum
+    (``arith.prefix_blocks``) of the nonzero entries n' <= n, rounded once.
     """
     X = float(X)
     if X <= 0:
         raise ValueError("X must be positive")
     top = int(math.ceil(X))
     table.require(top - 1, f"mean square to X={X:g}")
-    index, take = _nonzero(table, 0, top - 1)
-    if table.values.ndim == 2:
-        raise arith.TableOverflowError(f"table '{table.label}' does not fit in int64")
-    exact_counts = np.zeros(len(index) + 1, dtype=np.int64)  # [k]: the first k kept, summed
-    np.cumsum(take(0, len(index)), dtype=np.int64, out=exact_counts[1:])
+    index, values = _nonzero(table, 0, top - 1)
+    kept_counts = np.zeros(len(index) + 1)  # [k]: the first k kept, summed, rounded
+    for s, sums in arith.prefix_blocks(values):
+        kept_counts[s + 1 : s + 1 + len(sums)] = sums
 
     def pieces():
         for s in range(0, top, arith._BLOCK):
             n = np.arange(s, min(s + arith._BLOCK, top), dtype=index.dtype)
-            counts = exact_counts[np.searchsorted(index, n, side="right")].astype(np.float64)
+            counts = kept_counts[np.searchsorted(index, n, side="right")]
             left = n.astype(np.float64)
             right = np.minimum(left + 1.0, X)
             piece = ((counts - math.pi * left) ** 3 - (counts - math.pi * right) ** 3) / (
@@ -237,11 +233,11 @@ def hardy_identity(R, n_terms, table):
     if n_terms < 0:
         raise ValueError(f"the Bessel series needs n_terms >= 0, got {n_terms}")
     table.require(n_terms, f"Bessel series with {n_terms} terms")
-    index, take = _nonzero(table, 1, n_terms)
+    index, values = _nonzero(table, 1, n_terms)
 
     def leaf(i, j):
         n = index[i:j].astype(np.float64)
-        r2 = take(i, j).astype(np.float64)
+        r2 = arith.exact_ints(values[i:j], 1).astype(np.float64)
         root_n = np.sqrt(n)
         sums = []
         for R in radii.tolist():
@@ -285,9 +281,8 @@ def _hyperboloid_shells(h, n_top, entries, what):
     ``entries``, the TableEntries of a shell selection (``hyperboloid_indices``)
     that reaches n_top, read by position.
 
-    Every hyperboloid sum is a sum over these shells.  b is int64 when the
-    table fits and no partial sum can pass 2 (m_top + 1) max|r| <= 2^62,
-    and an object array of Python ints otherwise, so sums of b are exact.
+    Every hyperboloid sum is a sum over these shells, and b holds r through
+    ``arith.exact_ints`` for 2 (m_top + 1) terms, so sums of b are exact.
     Both arrays are empty (int64) when no shell lies below n_top.  Raises
     ValueError for h < 1, and for entries whose first m_top + 1 indices are
     not the m^2 + h.
@@ -304,11 +299,7 @@ def _hyperboloid_shells(h, n_top, entries, what):
     index, r = entries.index[: m_top + 1], entries.values[: m_top + 1]
     if len(index) <= m_top or np.any(index != m * m + h):
         raise ValueError(f"entries of table '{entries.label}' are not the shells m^2 + {h} to m = {m_top}")
-    r = r.astype(np.int64) if r.ndim == 1 else exact(r)
-    if r.dtype != object:
-        worst = 2 * (m_top + 1) * max(int(r.max()), -int(r.min()))
-        if worst > arith._INT64_SAFE:
-            r = exact(r)
+    r = arith.exact_ints(r, 2 * (m_top + 1))
     return n, np.where(m == 0, r, 2 * r)
 
 

@@ -1,8 +1,11 @@
 """Shared session fixtures, the child-process guard and the acceptance-criteria
 summary table."""
 
+import itertools
+import math
 import os
 
+import numpy as np
 import pytest
 
 from gaussvariants import arith, cuspform, lattice
@@ -26,6 +29,18 @@ def shell_entries(table, h, n_top):
     """The entries r(m^2 + h) of ``table`` that the hyperboloid sums over the
     shells 2m^2 + h <= n_top read: what those sums take."""
     return TableSelection(lattice.hyperboloid_index(h, n_top), lattice.hyperboloid_indices(h, n_top)).apply(table)
+
+
+def exact_count_integral(values, X):
+    """int_0^X (C_n - pi r)^2 dr by the piece formula of ``mean_square_P2``,
+    with C_n the running sums of the r_2 entries ``values`` taken as Python
+    ints and each rounded once."""
+    top = math.ceil(X)
+    counts = np.array([float(c) for c in itertools.accumulate(values[:top])])
+    left = np.arange(top, dtype=np.float64)
+    right = np.minimum(left + 1.0, X)
+    piece = ((counts - math.pi * left) ** 3 - (counts - math.pi * right) ** 3) / (3 * math.pi)
+    return math.fsum(piece.tolist())
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -1,5 +1,6 @@
 """Exact arithmetic: representation counts, symbols, divisors, L-series."""
 
+import itertools
 import math
 import random
 import re
@@ -424,6 +425,72 @@ class TestWideConvolutionPath:
         half = arith.r_d_table(12, 120).tolist()
         conv = [sum(half[j] * half[n - j] for j in range(n + 1)) for n in range(121)]
         assert conv == t.tolist()
+
+
+def stored(values, layout):
+    """``values`` as a table stores them: int32 or int64 entries, or the
+    cache body's (low, high) int64 words."""
+    if layout != "words":
+        return np.array(values, dtype=layout)
+    low = np.array([v & (2**64 - 1) for v in values], dtype=np.uint64).view(np.int64)
+    return np.stack((low, np.array([v >> 64 for v in values], dtype=np.int64)), axis=1)
+
+
+def certified(values, count, layout):
+    """Whether no sum of ``count`` of the entries can pass 2^62."""
+    return layout != "words" and count * max(map(abs, values), default=0) <= 2**62
+
+
+FOLDS = {
+    "empty": [],
+    "small": [1, -2, 3, 0, 2**31 - 1, -(2**31)],
+    # with blocks of 3 the carry is 3 * 2^60 < 2^62 after one block and
+    # 6 * 2^60 >= 2^62 after two, and the sums pass 2^63
+    "carry past 2^62": [2**60] * 9,
+    # the carry reaches 2^62 and comes back below it
+    "carry back": [2**61, 2**61, -(2**61), -(2**61), 1, 1, 2, 3],
+    "int64 edges": [2**63 - 1, -(2**63), 5, -(2**63), 2**63 - 1, -7],
+    "past 2^127": [2**127 - 1] * 4 + [-(2**127)] * 3,
+}
+
+
+def layouts(values):
+    if any(abs(v) >= 2**63 for v in values):
+        return ["words"]
+    return ["int64", "words"] + (["int32"] if all(abs(v) < 2**31 for v in values) else [])
+
+
+class TestExactFolds:
+    @pytest.mark.parametrize("layout, name", [(lay, n) for n, v in FOLDS.items() for lay in layouts(v)])
+    @pytest.mark.parametrize("block", [1, 2, 3, arith._BLOCK])
+    def test_prefix_blocks_are_the_exact_running_sums(self, monkeypatch, name, layout, block):
+        values = FOLDS[name]
+        monkeypatch.setattr(arith, "_BLOCK", block)
+        pairs = list(arith.prefix_blocks(stored(values, layout)))
+        assert [s for s, _ in pairs] == list(range(0, len(values), block))
+        assert [v for _, sums in pairs for v in sums.tolist()] == list(itertools.accumulate(values))
+        carry = 0
+        for s, sums in pairs:
+            part = values[s : s + block]
+            int64 = abs(carry) < 2**62 and certified(part, len(part), layout)
+            assert sums.dtype == (np.int64 if int64 else object), s
+            carry += sum(part)
+
+    @pytest.mark.parametrize("layout, name", [(lay, n) for n, v in FOLDS.items() for lay in layouts(v)])
+    @pytest.mark.parametrize("count", [1, 2, 4, 2**40])
+    def test_exact_ints_is_int64_exactly_when_certified(self, name, layout, count):
+        values = FOLDS[name]
+        got = arith.exact_ints(stored(values, layout), count)
+        assert got.tolist() == values
+        assert got.dtype == (np.int64 if certified(values, count, layout) else object)
+        if got.dtype == object:
+            assert {type(v) for v in got.tolist()} <= {int}
+
+    def test_the_bound_is_2_62(self):
+        # 2^63 - 1 and -2^63 pass 2^62, so not even one of them is certified
+        assert arith.exact_ints(stored([2**62, -(2**62)], "int64"), 1).dtype == np.int64
+        assert arith.exact_ints(stored([2**62 + 1], "int64"), 1).dtype == object
+        assert arith.exact_ints(stored([-(2**63)], "int64"), 1).tolist() == [-(2**63)]
 
 
 class TestPairwiseSum:

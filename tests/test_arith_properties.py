@@ -1,7 +1,8 @@
 """Property tests of CoefficientTable storage, the version-1 cache file,
-the exact sparse power, the r_d tables, the Kronecker symbol and numpy's
-pairwise sum rebuilt leaf by leaf."""
+the exact folds over stored entries, the exact sparse power, the r_d
+tables, the Kronecker symbol and numpy's pairwise sum rebuilt leaf by leaf."""
 
+import itertools
 import os
 import tempfile
 
@@ -100,6 +101,31 @@ def test_cache_round_trip(values, block):
         else:  # int64 entries are the low words, the high words their signs
             assert np.array_equal(t.values, words[: len(t), 0])
             assert np.array_equal(words[: len(t), 1], t.values >> 63)
+
+
+@settings(database=None, deadline=None)
+@given(st.lists(entry, max_size=40), st.integers(1, 5), st.booleans(), st.integers(1, 2**63))
+# the carry passes 2^62 after the second block of 3 and comes back below it
+@example([2**61] * 6 + [-(2**62)] * 3 + [1, 2], 3, False, 3)
+def test_exact_folds_are_the_python_int_sums(values, block, narrow, count):
+    # the entries as a table or a selection stores them: int64, or words past
+    # int64, and int32 (a selection's narrowest) where they fit
+    stored = arith.CoefficientTable("t", [0] + values).values[1:]
+    if narrow and all(-(2**31) <= v < 2**31 for v in values):
+        stored = stored.astype(np.int32)
+    widest = max(map(abs, values), default=0)
+    got = arith.exact_ints(stored, count)
+    assert got.tolist() == values
+    assert got.dtype == (np.int64 if stored.ndim == 1 and count * widest <= 2**62 else object)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(arith, "_BLOCK", block)
+        pairs = list(arith.prefix_blocks(stored))
+    assert [s for s, _ in pairs] == list(range(0, len(values), block))
+    assert [v for _, sums in pairs for v in sums.tolist()] == list(itertools.accumulate(values))
+    for s, sums in pairs:  # int64 only where neither the carry nor the block can wrap
+        carry, part = sum(values[:s]), values[s : s + block]
+        int64 = stored.ndim == 1 and abs(carry) < 2**62 and len(part) * max(map(abs, part)) <= 2**62
+        assert sums.dtype == (np.int64 if int64 else object)
 
 
 def naive_power(exps, coeffs, k, n_max):

@@ -12,6 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import exact_count_integral
 
 from gaussvariants import arith, cli, cuspform, kernels
 from gaussvariants.selection import TableEntries
@@ -103,6 +104,9 @@ class TestExitCodes:
             ["smooth-hyperboloid", "--kernel", "conc:1e-300"],  # a support past 2^63
             ["short-hyperboloid", "--table-size", "1000"],
             ["smooth-hyperboloid", "--grid", "2^1023..2^1023"],  # 40X is inf
+            ["count-circle", "--table-size", "1000"],
+            ["mean-square-p2", "--table-size", "1000"],
+            ["hardy", "--table-size", "1000"],
         ],
     )
     def test_short_table_exits_before_it_is_built(self, tmp_path, argv):
@@ -118,6 +122,19 @@ class TestExitCodes:
             "gv: table coverage: table 'r_15' covers n <= 5000, "
             "but N_{16,1}(16384) needs n <= 8101\n"
         )
+
+    @pytest.mark.parametrize(
+        "name, need",
+        [
+            ("count-circle", "S_2(1024) needs n <= 1024"),  # the default grid 2^4..2^13
+            ("mean-square-p2", "mean square to X=1024 needs n <= 1023"),  # 2^10..2^18
+            ("hardy", "Bessel series with 1000000 terms needs n <= 1000000"),
+        ],
+    )
+    def test_short_circle_table_message(self, tmp_path, capsys, name, need):
+        # the message the circle function itself gives, before r_2 is built
+        assert run([name, "--table-size", "1000"], tmp_path) == cli.EXIT_COVERAGE
+        assert capsys.readouterr().err == f"gv: table coverage: table 'r_2' covers n <= 1000, but {need}\n"
 
     @pytest.mark.parametrize(
         "argv",
@@ -546,14 +563,38 @@ class TestSelectedReads:
         else:
             assert len(entries) == SHELLS_KEPT[name]
 
-    def test_wide_r2_entries_exit_2_from_the_mean_square(self, tmp_path, capsys):
-        # the exact counts of the mean square are int64, as the whole read's were
-        wide = arith.CoefficientTable("r_2", [1, 4] + [0] * 58 + [1 << 70])
-        arith.write_table_cache(tmp_path / "r_2-60.gvct", wide)
+    def test_wide_r2_entries_take_exact_counts_in_the_mean_square(self, tmp_path):
+        # kept as words, the entries still give the integrals of the exact counts
+        values = [1, 4] + [0] * 8 + [1 << 70, -(1 << 70)] + [0] * 48 + [1 << 70]
+        arith.write_table_cache(tmp_path / "r_2-60.gvct", arith.CoefficientTable("r_2", values))
         args = ["mean-square-p2", "--grid", "2^2..2^5", "--table-size", "60", "--cache", str(tmp_path)]
-        assert run(args + ["--out", "t"], tmp_path) == cli.EXIT_CONFIG
-        assert "table 'r_2' does not fit in int64" in capsys.readouterr().err
-        assert not (tmp_path / "t.csv").exists()
+        assert run(args + ["--out", "t"], tmp_path) == cli.EXIT_OK
+        rows = [line.split(",") for line in (tmp_path / "t.csv").read_text().splitlines()[1:]]
+        assert rows == [[repr(X), repr(exact_count_integral(values, X))] for X in (4.0, 8.0, 16.0, 32.0)]
+
+
+@pytest.fixture(scope="module")
+def reference_cache(tmp_path_factory, r2_big, delta):
+    """A cache of the session's r_2 and tau tables, which reach the default
+    size of every command that reads them."""
+    cache = tmp_path_factory.mktemp("reference-cache")
+    arith.write_table_cache(cache / "r_2-1400000.gvct", r2_big)
+    arith.write_table_cache(cache / "tau-164000.gvct", delta.coeffs)
+    return cache
+
+
+class TestReferenceBytes:
+    # second-moment and smooth-hyperboloid-compact now differ from their
+    # stored references in the last digits of a few cells; hardy and
+    # count-hyperboloid are pinned by digest above
+    @pytest.mark.parametrize(
+        "name", ["count-circle", "mean-square-p2", "short-interval", "smooth-hyperboloid", "short-hyperboloid"]
+    )
+    def test_default_run_writes_the_reference(self, tmp_path, reference_cache, name):
+        files = {path.name: path.stat().st_mtime_ns for path in reference_cache.iterdir()}
+        assert run(workloads.op_argv(CLI_OPS[name], 1, str(reference_cache), name), tmp_path) == 0
+        assert_matches_reference(tmp_path, name, name)
+        assert {path.name: path.stat().st_mtime_ns for path in reference_cache.iterdir()} == files  # only read
 
 
 class TestSubcommandsEndToEnd:

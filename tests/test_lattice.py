@@ -6,7 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import shell_entries
+from conftest import exact_count_integral, shell_entries
 
 from gaussvariants import arith, lattice
 from gaussvariants.selection import TableSelection
@@ -87,12 +87,20 @@ class TestMeanSquare:
         with pytest.raises(ValueError, match="leave out nonzero"):
             lattice.mean_square_P2(50.5, shells)
 
-    def test_wide_table_refused(self):
-        wide = arith.CoefficientTable("r_2", [1, 4, 0, 1 << 70])
-        entries = TableSelection(3).apply(wide)
+    def test_wide_entries_take_the_exact_counts(self):
+        # words entries: the counts pass 2^70 and come back to 13
+        values = [1, 4, 0, 1 << 70, -(1 << 70), 8]
+        entries = TableSelection(5).apply(arith.CoefficientTable("r_2", values))
         assert entries.values.ndim == 2
-        with pytest.raises(arith.TableOverflowError, match="does not fit in int64"):
-            lattice.mean_square_P2(2.5, entries)
+        assert lattice.mean_square_P2(5.5, entries) == exact_count_integral(values, 5.5)
+
+    def test_counts_past_int64_do_not_wrap(self):
+        # int64 entries whose counts reach 9 + 9 * 2^61 > 2^63: wrapped, the
+        # count 9 + 2^64 on [10, 11) would read 9
+        values = [1, 4, 4] + [1 << 61] * 9
+        entries = TableSelection(11).apply(arith.CoefficientTable("r_2", values))
+        assert entries.values.dtype == np.int64
+        assert lattice.mean_square_P2(12.0, entries) == exact_count_integral(values, 12.0)
 
 
 # J1 reference values, computed once with 30-digit arithmetic and frozen.

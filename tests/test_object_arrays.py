@@ -1,6 +1,7 @@
 """No coefficient table is held as Python ints: under src/, an array of
 dtype object is made only by the one block converter, ``_words.exact``, and
-by the input path of the CoefficientTable constructor."""
+by the input path of the CoefficientTable constructor.  Whether an exact
+fold runs on int64 or on Python ints is decided in ``arith`` alone."""
 
 import ast
 from pathlib import Path
@@ -70,3 +71,18 @@ def test_the_scan_sees_each_form(tmp_path):
         "    a.astype(np.int64)\n"
     )
     assert [line for _, line, _ in object_arrays(path)] == [2, 3, 4, 5, 6]
+
+
+def test_only_arith_chooses_int64_or_python_ints():
+    readers, lattice_imports = set(), []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            field = {ast.Name: "id", ast.Attribute: "attr", ast.alias: "name"}.get(type(node))
+            if field and getattr(node, field) == "_INT64_SAFE":  # read, or imported by name
+                readers.add(path.name)
+            if path.name == "lattice.py" and isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = [a.name for a in node.names] + [getattr(node, "module", None) or ""]
+                lattice_imports += [name for name in names if name.split(".")[-1] == "_words"]
+    assert readers == {"arith.py"}
+    assert lattice_imports == []
