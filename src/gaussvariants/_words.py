@@ -5,8 +5,9 @@ little-endian int64 words, low word first, a(n) = high * 2^64 + (low mod
 2^64): the body of its cache file, read and written as it is.  An exact
 power past 128 bits (``powers.sparse_power``) takes a third word or more,
 which no table accepts.  ``exact`` is the one place where entries become
-Python ints, and its callers give it one block of ``arith._BLOCK``
-entries or fewer at a time, so no table is ever held as Python ints.
+Python ints.  The folds over a table give it at most one piece of
+``arith._PIECE`` entries at a time, so no table is ever held as Python ints
+and a fold holds one piece of them with its temporaries.
 
 The helpers live apart from ``arith`` so that its compile, which every
 `gv` process does from source, stays small.

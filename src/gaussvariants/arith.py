@@ -28,9 +28,11 @@ All tables hold exact integers in one ndarray: int64 while every entry
 fits, and past that the cache body itself, one (low word, high word) pair
 of little-endian int64 per entry.  An exact fold takes one block at a time
 through ``exact_ints``, int64 where no sum can wrap and Python ints
-otherwise, so no table is ever held as Python ints.  Entries are checked
-against the signed 128-bit range at construction time so that a silent
-wraparound can never poison a downstream identity check.
+otherwise.  Entries that must become Python ints do so one piece of
+``_PIECE`` entries at a time, so no table is ever held as Python ints, and
+a fold holds at most one piece of them beside what it yields.  Entries are
+checked against the signed 128-bit range at construction time so that a
+silent wraparound can never poison a downstream identity check.
 """
 
 from __future__ import annotations
@@ -57,6 +59,10 @@ _LOW64 = (1 << 64) - 1
 # file, and in the long passes of ``lattice`` and ``cuspform``.  Blocks keep
 # the transient arrays small; they never change a result's bits.
 _BLOCK = 1 << 14
+# Stored entries made Python ints at once wherever a whole table is folded:
+# each such int with its temporaries takes about 250 B, against 8 or 16 B
+# stored, so a piece is a sixteenth of a block.
+_PIECE = 1 << 10
 
 # operator.index on every entry of an object array: exact, and TypeError on
 # a float or any other non-integer.
@@ -87,8 +93,9 @@ class CoefficientTable:
     ndarray of integers, or such words; a non-integer entry raises
     TypeError, and nothing is wrapped or truncated.  An int64 ndarray is
     taken as it is, not copied, and made read-only; words that all fit
-    become int64.  Entries leave as Python ints one block at a time
-    (``exact_ints``).  Tables are immutable and safe to share across threads.
+    become int64.  Entries leave as Python ints one piece of ``_PIECE``
+    entries at a time (``exact_ints``).  Tables are immutable and safe to
+    share across threads.
     """
 
     __slots__ = ("label", "n_max", "values")
@@ -139,8 +146,8 @@ class CoefficientTable:
     def floats(self):
         """Entries as float64, each correctly rounded (lossy beyond 2^53)."""
         out = np.empty(len(self))
-        for s in range(0, len(out), _BLOCK):
-            out[s : s + _BLOCK] = exact_ints(self.values[s : s + _BLOCK], 1)
+        for s in range(0, len(out), _PIECE):
+            out[s : s + _PIECE] = exact_ints(self.values[s : s + _PIECE], 1)
         return out
 
     def ints(self):
@@ -155,26 +162,43 @@ class CoefficientTable:
 
 def _exact_list(x):
     """The entries of x, int64 entries or words, as a list of Python ints."""
-    return [a for s in range(0, len(x), _BLOCK) for a in exact_ints(x[s : s + _BLOCK], 1).tolist()]
+    return [a for s in range(0, len(x), _PIECE) for a in exact_ints(x[s : s + _PIECE], 1).tolist()]
+
+
+def _fits(values, count):
+    """Whether no sum of ``count`` of the stored entries ``values`` can pass
+    _INT64_SAFE, so that int64 carries them."""
+    if values.ndim == 2:
+        return False
+    return count * max(int(values.max(initial=0)), -int(values.min(initial=0))) <= _INT64_SAFE
 
 
 def exact_ints(values, count):
     """Stored entries (int32, int64 or words) as int64 if no sum of ``count``
     of them can pass _INT64_SAFE, and as Python ints otherwise."""
-    if values.ndim == 2 or count * max(int(values.max(initial=0)), -int(values.min(initial=0))) > _INT64_SAFE:
-        return _words.exact(values)
-    return values.astype(np.int64, copy=False)
+    return values.astype(np.int64, copy=False) if _fits(values, count) else _words.exact(values)
 
 
 def prefix_blocks(values):
     """The exact running sums of the stored entries ``values``, as (start,
-    sums) pairs of ``_BLOCK`` sums from ``exact_ints``: Python ints where the
-    carry has reached _INT64_SAFE or the block does not fit int64."""
+    sums) pairs of ``_BLOCK`` sums: int64 where the carry is below
+    _INT64_SAFE and the block fits int64 (``exact_ints``), and Python ints
+    otherwise.  Such a block is folded into its sums one ``_PIECE`` of
+    entries at a time, so beside the block's sums only one piece of Python
+    ints and its temporaries is held."""
     carry = 0
     for s in range(0, len(values), _BLOCK):
         block = values[s : s + _BLOCK]
-        sums = np.cumsum(_words.exact(block) if abs(carry) >= _INT64_SAFE else exact_ints(block, len(block)))
-        sums += carry
+        if abs(carry) < _INT64_SAFE and _fits(block, len(block)):
+            sums = np.cumsum(block, dtype=np.int64)
+            sums += carry
+        else:
+            parts = []
+            for p in range(0, len(block), _PIECE):
+                parts.append(np.cumsum(_words.exact(block[p : p + _PIECE])))
+                parts[-1] += carry
+                carry = parts[-1][-1]
+            sums = np.concatenate(parts)
         carry = int(sums[-1])
         yield s, sums
 

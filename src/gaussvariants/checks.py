@@ -26,9 +26,11 @@ over each:
 * ``sign_change_windows``: `sign-scan`, criterion 11.
 
 The Gauss-sum and kernel suites carry their own grids; the others take
-their table and grid as arguments, since each caller picks its own.  Layer
-functions are called through their modules, so a wrapper rebound on a
-module sees every call.
+their table and grid as arguments, since each caller picks its own.  Each
+suite imports the layer modules it calls, when it first runs, so a process
+loads only the layers of the suites it runs; the `gv` commands import the
+same modules first, before they read a table.  Layer functions are called
+through their modules, so a wrapper rebound on a module sees every call.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
-from . import arith, charsums, cuspform, fit, kernels, lattice
+from . import arith
 
 TOL = 1e-9  # the Gauss-sum identities; the reduction bound is TOL * 4c
 MOMENT_TOL = 0.05  # relative gap of the smoothed second moment to C X^{3/2}
@@ -67,6 +69,8 @@ def _outcome(ok):
 
 def h_multiplicative():
     """H_h(n1 n2) = H_h(n1) H_h(n2) for coprime odd 3 <= n1 < n2 < 50."""
+    from . import charsums
+
     for h in _HS:
         H = {n: charsums.gauss_sum_H(h, n) for n in _ODD}
         for i, n1 in enumerate(_ODD):
@@ -80,6 +84,8 @@ def h_multiplicative():
 
 def h_prime_eval():
     """H_h(p) = (-h/p) sqrt(p) for odd primes p < 100 not dividing h."""
+    from . import charsums
+
     for p in _PRIMES:
         for h in _HS:
             if h % p:
@@ -90,6 +96,8 @@ def h_prime_eval():
 
 def h_vanishing():
     """H_h(p^j) = 0 for p in 3, 5, 7 and 2 <= j <= 4 unless p^(j-1) | h."""
+    from . import charsums
+
     for h in _HS:
         for p in (3, 5, 7):
             for j in range(2, 5):
@@ -100,6 +108,8 @@ def h_vanishing():
 
 def d2_vanishing():
     """The 2-adic block vanishes at alpha = v2(h) + 4 and v2(h) + 5."""
+    from . import charsums
+
     for h in _HS:
         v2, _ = arith.split_two(h)
         for k in (0.5, 1.5, 2.5):
@@ -110,6 +120,8 @@ def d2_vanishing():
 
 def two_piece():
     """g_h(4c) = chi_k(c') d2 H_h(c') for c <= 30."""
+    from . import charsums
+
     for h in _HS:
         for c in range(1, 31):
             for k in _HALF:
@@ -120,6 +132,8 @@ def two_piece():
 
 def reduction():
     """The full-integral character sum mod 4c against its closed form."""
+    from . import charsums
+
     hs, ks = range(1, 21), (1, 2)
     by_c = {c: charsums.reduction_residuals(hs, c, ks) for c in range(1, 51)}
     for h in hs:
@@ -132,6 +146,8 @@ def factorization(terms_by_w):
     """The L-factorization of sum g_h(4c) (4c)^{-2w} at each (w, N) in
     ``terms_by_w``; params are (h, N, k, w), and the identity holds while
     the residual is <= the combined tail bound."""
+    from . import charsums
+
     # every series of both weights in one pass over c, to the largest N
     series = charsums.gauss_sum_g_series(_SERIES_HS, _HALF, max(n for _, n in terms_by_w))
     for i, h in enumerate(_SERIES_HS):
@@ -143,6 +159,8 @@ def factorization(terms_by_w):
 
 def cesaro():
     """Cesaro contours of orders 1-3 against (1/k!) (1 - 1/Y)^k."""
+    from . import kernels
+
     ks = (1, 2, 3)
     for Ys, quad in (
         ((0.5,), kernels.Quadrature(30.0, 200.0, 20000)),
@@ -155,6 +173,8 @@ def cesaro():
 
 def concentrating():
     """The Gaussian kernel's contour against its closed form."""
+    from . import kernels
+
     for X in (1.0, math.e, 3.0, 10.0):
         for Y in (1.0, 2.0, 4.0):
             quad = kernels.Quadrature(2.0, 15.0 * Y, max(600, int(300 * Y)))
@@ -164,6 +184,8 @@ def concentrating():
 
 def exponential():
     """The Gamma-kernel contour against e^{-x}."""
+    from . import kernels
+
     for x in (0.1, 1.0, 5.0, 20.0, 50.0):
         val = kernels.exp_contour(x, kernels.Quadrature(2.0, 40.0, 4000))
         yield Point((x,), val, abs(val - math.exp(-x)), 1e-6)
@@ -171,6 +193,8 @@ def exponential():
 
 def compact():
     """|Phi_Y(s) - 1/s| <= 2/Y at real s with |s| <= Y/2."""
+    from . import kernels
+
     for Y in (10.0, 100.0):
         for sig in (0.5, 1.0, 2.0):
             s = complex(sig, 0.0)
@@ -185,6 +209,8 @@ def divisor_identities(R, d_all, d_odd):
     combination at every even R' <= R, exactly, from the divisor-count
     tables ``d_all`` and ``d_odd``; params are (R', identity) and value is
     (lhs, rhs)."""
+    from . import lattice
+
     odd = lattice.divisor_identity_check(R, d_odd)
     comb = lattice.divisor_combination(R - R % 2, d_all)
     for name, step, sides in (("odd-divisor", 1, odd), ("combination", 2, comb)):
@@ -195,6 +221,8 @@ def divisor_identities(R, d_all, d_odd):
 def second_moment(form, C, grid):
     """The smoothed second moment M(X) of ``form`` at each X in ``grid``
     against C X^{3/2}; value is M(X), residual |M(X) / X^{3/2} / C - 1|."""
+    from . import cuspform
+
     for X in grid:
         val = cuspform.smoothed_second_moment(form, X)
         yield Point((X,), val, abs(val / X**1.5 / C - 1.0), MOMENT_TOL)
@@ -202,6 +230,8 @@ def second_moment(form, C, grid):
 
 def growth_exponent(series, tol=SLOPE_TOL):
     """One point: the log-log slope of ``series`` against EXPONENT +- tol."""
+    from . import fit
+
     slope = fit.estimate_exponent(series)
     yield Point((EXPONENT,), slope, abs(slope - EXPONENT), tol)
 
@@ -210,6 +240,8 @@ def log_term(series_by_h, seed=0):
     """The log-term verdict on each h's d = 3 hyperboloid count series:
     "log" when h is a square, "no-log" otherwise.  params are
     (h, expected verdict) and value is the ``fit.VerdictRecord``."""
+    from . import fit
+
     for h, series in series_by_h.items():
         record = fit.log_term_verdict(series, _WITH_LOG, _WITHOUT_LOG, seed=seed)
         root = math.isqrt(h)
@@ -221,6 +253,8 @@ def bessel(radii, n_terms, table):
     """The Bessel series of ``n_terms`` terms against the exact circle
     discrepancy at each of ``radii``, from ``table``, the complete entries
     of a nonzero selection of r_2; value is (series, discrepancy)."""
+    from . import lattice
+
     series = lattice.hardy_identity(radii, n_terms, table).tolist()
     for R, approx in zip(radii, series):
         exact = lattice.discrepancy(2, R, table)
@@ -231,6 +265,8 @@ def sign_change_windows(series, grid, r=1.0):
     """The sign changes of the partial sums ``series`` in each window
     [X, X + X^r], X in ``grid``; value is the list of their positions, and
     a window holds when it has one."""
+    from . import cuspform
+
     for X in grid:
         changes = cuspform.sign_changes(series, int(X), r)
         yield Point((int(X),), changes, *_outcome(bool(changes)))

@@ -14,6 +14,11 @@ criterion fails) is taken by second-moment, sign-scan, mean-square-p2,
 hardy, count-hyperboloid, divisor-identity, gauss-sums, eisenstein-check
 and kernels-verify; --seed only by hardy and count-hyperboloid.
 
+Each subcommand imports the package modules it uses as its first
+statement, before it reads a table or draws a random number, so a process
+loads only what its subcommand runs; of the package, this module itself
+loads only ``arith``.
+
 Exit codes: 0 ok, 2 configuration error (or a table past 128 bits, an
 FFT product whose rounding margin cannot certify an exact table, or an
 allocation that fails), 3 table-coverage error, 4 failed check under
@@ -33,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import arith, checks, cuspform, fit, kernels, lattice
+from . import arith
 
 SCHEMA_VERSION = 1
 
@@ -89,6 +94,8 @@ def parse_grid(text):
 
 def parse_kernel(text):
     """Kernel syntax: exp | cesaro:k | conc:Y | compact:Y."""
+    from . import kernels
+
     name, _, arg = text.partition(":")
     if name == "exp":
         return kernels.KernelSpec.exponential()
@@ -147,12 +154,22 @@ def cached_table(args, label, builder, n_max):
 def _tau(args):
     """The cached tau table of --table-size, whose size is checked first:
     a cached table would serve any prefix, even an empty one."""
+    from . import cuspform
+
     n_max = cuspform.tau_size(args.table_size)
     return cached_table(args, "tau", cuspform.tau_table, n_max)
 
 
-def _delta(args):
-    """The weight-12 form delta on the cached tau table of --table-size."""
+def _delta(args, needs):
+    """The weight-12 form delta on the cached tau table of --table-size.
+    Each (n, what) of ``needs``, in order, is checked against --table-size
+    first, as in ``_r2``, so a short table exits 3 with the message of the
+    form's own function before any table is read or built."""
+    from . import cuspform
+
+    n_max = cuspform.tau_size(args.table_size)  # first: a bad --table-size exits 2, not 3
+    for n, what in needs:
+        arith.require_coverage("delta", n_max, n, what)
     return cuspform.CuspFormSeries(12, _tau(args), "delta")
 
 
@@ -255,11 +272,13 @@ def cmd_tau(args):
     table_size=164000, check=True,
 )
 def cmd_second_moment(args):
+    from . import checks, cuspform
+
     grid = parse_grid(args.grid)
     low = min(grid)
     if not (low > 0 and low**1.5 > 0):  # each moment is divided by X^(3/2)
         raise ValueError(f"second-moment needs X^(3/2) > 0, got X = {low!r}")
-    form = _delta(args)
+    form = _delta(args, map(cuspform.second_moment_reach, grid))
     C, tail = cuspform.rankin_constant(form, args.table_size)
     points = list(checks.second_moment(form, C, grid))
     rows = []
@@ -288,8 +307,13 @@ def cmd_second_moment(args):
     table_size=21000, check=True,
 )
 def cmd_sign_scan(args):
+    from . import checks, cuspform
+
     grid = parse_grid(args.grid)
-    series = cuspform.partial_sums(_delta(args), args.nu)
+    if not 0 <= args.nu < math.inf:  # partial_sums's own check, made before the read
+        raise ValueError(f"nu must be finite and nonnegative, got {args.nu}")
+    form = _delta(args, (cuspform.sign_scan_reach(X, args.r) for X in grid))
+    series = cuspform.partial_sums(form, args.nu)
     points = list(checks.sign_change_windows(series, grid, args.r))
     rows = [(*p.params, len(p.value), p.value[0] if p.value else -1) for p in points]
     all_nonempty = all(checks.holds(p) for p in points)
@@ -305,8 +329,10 @@ def cmd_sign_scan(args):
     table_size=70000,
 )
 def cmd_short_interval(args):
+    from . import cuspform
+
     grid = parse_grid(args.grid)
-    form = _delta(args)
+    form = _delta(args, map(cuspform.short_interval_reach, grid))
     rows = []
     worst = 0.0
     for X in grid:
@@ -325,6 +351,8 @@ def cmd_short_interval(args):
     table_size=10000,
 )
 def cmd_count_circle(args):
+    from . import lattice
+
     grid = parse_grid(args.grid)
     if min(grid) <= 0:
         raise ValueError(f"the discrepancy is normalized by sqrt(R): need R > 0, got {min(grid):g}")
@@ -346,6 +374,8 @@ def cmd_count_circle(args):
     table_size=262200, check=True,
 )
 def cmd_mean_square_p2(args):
+    from . import checks, fit, lattice  # fit: for checks.growth_exponent
+
     grid = parse_grid(args.grid)
     if min(grid) <= 0:  # mean_square_P2's own check, made before the reach of any X
         raise ValueError("X must be positive")
@@ -366,8 +396,12 @@ def cmd_mean_square_p2(args):
     table_size=10**6, check=True, seed=True,
 )
 def cmd_hardy(args):
+    from . import checks, lattice  # lattice: for checks.bessel
+
     if args.count < 1:
         raise ValueError(f"--count must be at least 1, got {args.count}")
+    if args.terms < 0:  # hardy_identity's own check, made before the read
+        raise ValueError(f"the Bessel series needs n_terms >= 0, got {args.terms}")
     # the radii are drawn after the read: numpy.random would add its
     # megabytes to a cold build's peak
     table = _r2(args, [(args.terms, f"Bessel series with {args.terms} terms")])
@@ -389,6 +423,8 @@ def _hyperboloid_entries(args, grid, reach, what):
     are read, and a table is built only as far as the grid's shells reach.
     A --table-size that falls short of one exits 3 before any table is
     built or cached."""
+    from . import lattice
+
     if args.d < 3 or args.h < 1:
         raise ValueError("need d >= 3 and h >= 1")
     label = f"r_{args.d - 1}"
@@ -413,6 +449,8 @@ def _hyperboloid_entries(args, grid, reach, what):
     table_size=530000, check=True, seed=True,
 )
 def cmd_count_hyperboloid(args):
+    from . import checks, fit, lattice  # fit: for checks.log_term
+
     grid = parse_grid(args.grid)
     table = _hyperboloid_entries(args, grid, lambda R: R, "N_{{{d},{h}}}({X:g})")
     rows = [(R, lattice.hyperboloid_count(args.d, args.h, R, table)) for R in grid]
@@ -446,6 +484,8 @@ def cmd_count_hyperboloid(args):
     table_size=1_400_000,
 )
 def cmd_smooth_hyperboloid(args):
+    from . import fit, kernels, lattice
+
     kernel = parse_kernel(args.kernel)
     grid = parse_grid(args.grid)
     table = _hyperboloid_entries(
@@ -466,6 +506,8 @@ def cmd_smooth_hyperboloid(args):
     table_size=600000,
 )
 def cmd_short_hyperboloid(args):
+    from . import lattice
+
     grid = parse_grid(args.grid)
     table = _hyperboloid_entries(  # each window |n - X| < X^(1 - lambda)
         args, grid, lambda X: X + X ** (1.0 - lattice.power_saving_exponent(args.d)),
@@ -489,20 +531,14 @@ def cmd_short_hyperboloid(args):
     check=True,
 )
 def cmd_divisor_identity(args):
+    from . import checks, lattice  # lattice: for checks.divisor_identities
+
     d_all, d_odd = arith.divisor_counts(args.R * args.R + 1)
     points = checks.divisor_identities(args.R, d_all, d_odd)
     rows = [(*p.params, *p.value, int(checks.holds(p))) for p in points]
     all_equal = all(row[4] for row in rows)
     summary = {"maxR": args.R, "allEqual": all_equal, "pass": all_equal}
     return rows, summary, None if all_equal else "an exact divisor identity failed"
-
-
-_GAUSS_SUITES = (
-    ("H-multiplicative", checks.h_multiplicative),
-    ("H-prime-eval", checks.h_prime_eval),
-    ("H-vanishing", checks.h_vanishing),
-    ("two-piece", checks.two_piece),
-)
 
 
 @subcommand(
@@ -512,10 +548,17 @@ _GAUSS_SUITES = (
     check=True,
 )
 def cmd_gauss_sums(args):
+    from . import charsums, checks  # charsums: for the suites
+
     rows = []
     worst = {}
     ok = True
-    for name, suite in _GAUSS_SUITES:
+    for name, suite in (
+        ("H-multiplicative", checks.h_multiplicative),
+        ("H-prime-eval", checks.h_prime_eval),
+        ("H-vanishing", checks.h_vanishing),
+        ("two-piece", checks.two_piece),
+    ):
         for p in suite():
             rows.append((*p.params, p.value.real, p.value.imag, name, p.residual))
             worst[name] = max(worst.get(name, 0.0), p.residual)
@@ -532,6 +575,8 @@ def cmd_gauss_sums(args):
     check=True,
 )
 def cmd_eisenstein_check(args):
+    from . import charsums, checks  # charsums: for the suites
+
     rows = []
     worst_reduction = 0.0
     reduction_ok = True
@@ -553,15 +598,6 @@ def cmd_eisenstein_check(args):
     return rows, summary, None if ok else "an Eisenstein-coefficient identity failed"
 
 
-# suite name, its points and the format of its CSV params column
-_KERNEL_SUITES = (
-    ("cesaro", checks.cesaro, "Y={};k={}"),
-    ("concentrating", checks.concentrating, "X={:g};Y={:g}"),
-    ("exponential", checks.exponential, "x={:g}"),
-    ("compact", checks.compact, "Y={:g};s={:g}"),
-)
-
-
 @subcommand(
     "kernels-verify",
     "contour quadrature vs closed forms for all kernels",
@@ -569,10 +605,18 @@ _KERNEL_SUITES = (
     check=True,
 )
 def cmd_kernels_verify(args):
+    from . import checks, kernels  # kernels: for the suites
+
     rows = []
     worst = {}
     ok = True
-    for name, suite, label in _KERNEL_SUITES:
+    # suite name, its points and the format of its CSV params column
+    for name, suite, label in (
+        ("cesaro", checks.cesaro, "Y={};k={}"),
+        ("concentrating", checks.concentrating, "X={:g};Y={:g}"),
+        ("exponential", checks.exponential, "x={:g}"),
+        ("compact", checks.compact, "Y={:g};s={:g}"),
+    ):
         for p in suite():
             rows.append((name, label.format(*p.params), p.residual, p.bound))
             # compact reports its residual in units of its 2/Y bound
@@ -591,6 +635,8 @@ def cmd_kernels_verify(args):
     _arg("--model", required=True, help="comma list of exponent:logpower terms"),
 )
 def cmd_fit(args):
+    from . import fit, lattice
+
     model = []
     for term in args.model.split(","):
         a, _, b = term.partition(":")

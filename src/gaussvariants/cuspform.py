@@ -32,9 +32,6 @@ from .arith import CoefficientTable, require_coverage
 # Deligne: |tau(n)| <= d(n) n^{11/2} < 2^120 for n <= 10^6, inside the 128
 # bits a coefficient table holds.
 _TAU_N_LIMIT = 10**6
-# Terms of the Rankin sum made at once: their Python ints a(n), a(n)^2 and
-# n^k take about 250 B per term.
-_RANKIN_PIECE = 1 << 10
 
 
 def _eta_cube_support(degree):
@@ -168,6 +165,16 @@ def partial_sums(form, nu):
     return PartialSumSeries(form, nu, values)
 
 
+def second_moment_reach(X):
+    """(n, what): the last n that the smoothed second moment at X reads, 40X
+    rounded up, and what reads it.  ``cli`` checks a --table-size with it
+    before it reads the table."""
+    X = float(X)
+    if X <= 0:
+        raise ValueError("X must be positive")
+    return int(math.ceil(40 * X)), f"the smoothed second moment at X={X:g}"
+
+
 def smoothed_second_moment(form, X):
     """sum_{n <= 40X} S_f(n)^2 / n^{k-1} e^{-n/X}.
 
@@ -178,10 +185,8 @@ def smoothed_second_moment(form, X):
     terms, which never exists.
     """
     X = float(X)
-    if X <= 0:
-        raise ValueError("X must be positive")
-    top = int(math.ceil(40 * X))
-    require_coverage(form.label, form.n_max, top, f"the smoothed second moment at X={X:g}")
+    top, what = second_moment_reach(X)
+    require_coverage(form.label, form.n_max, top, what)
     prefix = form.prefix_floats()
 
     def leaf(i, j):
@@ -201,9 +206,9 @@ def rankin_constant(form, n_trunc):
     by partial summation (a calibrated overestimate, decreasing in N).
 
     C is computed with correctly rounded operations only: each term is
-    float(a(n)^2) / (float(n^k) * sqrt(n)) from exact integers, made for a
-    piece of n at a time, math.fsum rounds the exact sum of the terms once,
-    and Gamma(3/2) = sqrt(pi)/2.
+    float(a(n)^2) / (float(n^k) * sqrt(n)) from exact integers, made for
+    one piece of ``arith._PIECE`` n at a time, math.fsum rounds the exact
+    sum of the terms once, and Gamma(3/2) = sqrt(pi)/2.
     So C has the same bits on every IEEE-754 platform.  The tail bound goes
     through libm (log) and carries no such promise.
     """
@@ -214,8 +219,8 @@ def rankin_constant(form, n_trunc):
     a = form.coeffs.values
 
     def terms():
-        for s in range(1, n_trunc + 1, _RANKIN_PIECE):
-            c = exact(a[s : min(s + _RANKIN_PIECE, n_trunc + 1)])
+        for s in range(1, n_trunc + 1, arith._PIECE):
+            c = exact(a[s : min(s + arith._PIECE, n_trunc + 1)])
             n = np.arange(s, s + len(c))
             nk = (exact(n) ** k).astype(np.float64)
             yield from ((c * c).astype(np.float64) / (nk * np.sqrt(n))).tolist()
@@ -231,6 +236,17 @@ def rankin_constant(form, n_trunc):
     return front * series, tail
 
 
+def sign_scan_reach(X, r):
+    """(n, what): the end X + floor(X^r) of the sign-scan window at X, for
+    0 < r <= 1, and what reads it; as ``second_moment_reach``."""
+    X = int(X)
+    r = float(r)
+    if not 0 < r <= 1:
+        raise ValueError("r must lie in (0, 1]")
+    hi = X + int(math.floor(X**r))
+    return hi, f"the sign scan window [{X}, {hi}]"
+
+
 def sign_changes(series, X, r):
     """Positions n in [X, X + X^r] where S^nu changes sign.
 
@@ -238,12 +254,8 @@ def sign_changes(series, X, r):
     last nonzero sign, so an exact zero never counts as two changes.
     """
     X = int(X)
-    r = float(r)
-    if not 0 < r <= 1:
-        raise ValueError("r must lie in (0, 1]")
-    window = int(math.floor(X**r))
-    hi = X + window
-    require_coverage(series.base.label, series.n_max, hi, f"the sign scan window [{X}, {hi}]")
+    hi, what = sign_scan_reach(X, r)
+    require_coverage(series.base.label, series.n_max, hi, what)
     vals = series.values
     changes = []
     prev_sign = 0
@@ -265,12 +277,22 @@ def short_interval_average(form, X):
 
         (1 / (X^{2/3} (log X)^{1/6})) sum_{|n - X| < X^{2/3} (log X)^{1/6}} S_f(n)^2.
     """
+    lo, hi, width = _short_interval_window(X)
+    require_coverage(form.label, form.n_max, *short_interval_reach(X))
+    S = form.prefix_floats()[lo : hi + 1]
+    return float(np.sum(S * S)) / width
+
+
+def _short_interval_window(X):
+    """(lo, hi, width) of the window |n - X| < width at an integer X >= 2."""
     X = int(X)
     if X < 2:  # log X = 0 would leave an empty window
         raise ValueError(f"the short-interval window needs X >= 2, got {X}")
     width = X ** (2.0 / 3.0) * math.log(X) ** (1.0 / 6.0)
-    lo = max(1, int(math.floor(X - width)) + 1)
-    hi = int(math.ceil(X + width)) - 1
-    require_coverage(form.label, form.n_max, hi, f"the short-interval window at X={X}")
-    S = form.prefix_floats()[lo : hi + 1]
-    return float(np.sum(S * S)) / width
+    return max(1, int(math.floor(X - width)) + 1), int(math.ceil(X + width)) - 1, width
+
+
+def short_interval_reach(X):
+    """(n, what): the last n of the short-interval window at X, and what
+    reads it; as ``second_moment_reach``."""
+    return _short_interval_window(X)[1], f"the short-interval window at X={int(X)}"

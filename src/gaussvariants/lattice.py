@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import arith, kernels
+from . import arith
 
 # ---------------------------------------------------------------------------
 # CountSeries: the grid-of-evaluations record handed to the fit module
@@ -89,8 +89,8 @@ def count_ball(d, R, table):
     shell = int(math.floor(R))
     table.require(shell, f"S_{d}({R:g})")
     _, values = _nonzero(table, 0, shell)
-    blocks = (values[i : i + arith._BLOCK] for i in range(0, len(values), arith._BLOCK))
-    return sum(int(arith.exact_ints(block, len(block)).sum()) for block in blocks)
+    pieces = (values[i : i + arith._PIECE] for i in range(0, len(values), arith._PIECE))
+    return sum(int(arith.exact_ints(piece, len(piece)).sum()) for piece in pieces)
 
 
 def discrepancy(d, R, table):
@@ -118,15 +118,19 @@ def mean_square_P2(X, table):
         kept_counts[s + 1 : s + 1 + len(sums)] = sums
 
     def pieces():
+        a = 0  # the kept entries below the block
         for s in range(0, top, arith._BLOCK):
-            n = np.arange(s, min(s + arith._BLOCK, top), dtype=index.dtype)
-            counts = kept_counts[np.searchsorted(index, n, side="right")]
-            left = n.astype(np.float64)
+            e = min(s + arith._BLOCK, top)
+            b = int(np.searchsorted(index, e))
+            # C_n is kept_counts[k] from the k-th kept index (or s) to the next
+            counts = np.repeat(kept_counts[a : b + 1], np.diff(index[a:b], prepend=s, append=e))
+            left = np.arange(s, e, dtype=np.float64)
             right = np.minimum(left + 1.0, X)
             piece = ((counts - math.pi * left) ** 3 - (counts - math.pi * right) ** 3) / (
                 3 * math.pi
             )
             yield from piece.tolist()
+            a = b
 
     return math.fsum(pieces())
 
@@ -364,10 +368,14 @@ def hyperboloid_shell_table(d, h, n_max, table):
     return arith.CoefficientTable(f"hyp_{d}_{h}", out)
 
 
-def hyperboloid_smoothed(d, h, X, table, kernel=kernels.KernelSpec.exponential()):
+def hyperboloid_smoothed(d, h, X, table, kernel=None):
     """sum_{m in Z} r_{d-1}(m^2 + h) w(2m^2 + h) for the kernel's weight w at
     scale X (e^{-n/X} by default), over the shells 2m^2 + h up to
     ``kernels.kernel_support``."""
+    from . import kernels  # loaded only by the smoothed sums
+
+    if kernel is None:
+        kernel = kernels.KernelSpec.exponential()
     top = kernels.kernel_support(kernel, X)
     n, b = _hyperboloid_shells(int(h), top, table, f"smoothed hyperboloid at X={X:g}")
     return kernels.apply_kernel(n, b, kernel, X)

@@ -1,9 +1,12 @@
 """Shared session fixtures, the child-process guard and the acceptance-criteria
 summary table."""
 
+import importlib.util
 import itertools
 import math
 import os
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +15,19 @@ from gaussvariants import arith, cuspform, lattice
 from gaussvariants.selection import TableSelection
 
 ACCEPTANCE_REPORTS = []
+
+WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+
+
+def load_workloads():
+    """`perfbench/workloads.py`, the operations of the benchmark, loaded from
+    its file without changing it; loading it runs no package code."""
+    spec = importlib.util.spec_from_file_location("workloads", WORKLOADS)
+    module = importlib.util.module_from_spec(spec)
+    # dataclasses resolves the module's annotations through sys.modules
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture(autouse=True)

@@ -107,6 +107,9 @@ class TestExitCodes:
             ["count-circle", "--table-size", "1000"],
             ["mean-square-p2", "--table-size", "1000"],
             ["hardy", "--table-size", "1000"],
+            ["second-moment", "--table-size", "3000"],
+            ["sign-scan", "--table-size", "3000"],
+            ["short-interval", "--table-size", "3000"],
         ],
     )
     def test_short_table_exits_before_it_is_built(self, tmp_path, argv):
@@ -137,6 +140,19 @@ class TestExitCodes:
         assert capsys.readouterr().err == f"gv: table coverage: table 'r_2' covers n <= 1000, but {need}\n"
 
     @pytest.mark.parametrize(
+        "name, need",
+        [
+            ("second-moment", "the smoothed second moment at X=256 needs n <= 10240"),  # 40X, 2^8..2^12
+            ("sign-scan", "the sign scan window [2048, 4096] needs n <= 4096"),  # X + X^r, 2^4..2^13
+            ("short-interval", "the short-interval window at X=4096 needs n <= 4460"),  # 2^10..2^16
+        ],
+    )
+    def test_short_tau_table_message(self, tmp_path, capsys, name, need):
+        # the message the form's function itself gives, before tau is built
+        assert run([name, "--table-size", "3000"], tmp_path) == cli.EXIT_COVERAGE
+        assert capsys.readouterr().err == f"gv: table coverage: table 'delta' covers n <= 3000, but {need}\n"
+
+    @pytest.mark.parametrize(
         "argv",
         [
             ["count-hyperboloid", "--grid", "7..9"],
@@ -148,6 +164,10 @@ class TestExitCodes:
             ["smooth-hyperboloid", "--kernel", "compact:inf"],
             ["smooth-hyperboloid", "--h", "-5"],
             ["short-hyperboloid", "--d", "2"],
+            ["hardy", "--terms", "-3"],
+            ["sign-scan", "--r", "2"],
+            ["sign-scan", "--nu", "-1"],
+            ["short-interval", "--grid", "1:3:1"],  # the window needs X >= 2
         ],
     )
     def test_bad_configuration_exits_before_a_table_is_built(self, tmp_path, argv):

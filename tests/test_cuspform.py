@@ -67,6 +67,23 @@ class TestPartialSums:
             term = tau[n] / n**nu
             assert s.values[n] - s.values[n - 1] == pytest.approx(term, rel=1e-12)
 
+    def test_exact_prefix_holds_one_block_of_sums_and_one_piece(self, delta):
+        # the sums of the wide tau(164 000) table: one block of them as Python
+        # ints, 48 B a sum with its pointer, and one piece of entries as
+        # Python ints with their temporaries, 256 B an entry; a whole block of
+        # such temporaries would take about 4 MB
+        form = cuspform.CuspFormSeries(12, delta.coeffs, "delta")  # its prefix not made yet
+        tracemalloc.start()
+        try:
+            prefix = form.prefix_floats()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert form.coeffs.values.ndim == 2
+        assert prefix.tobytes() == delta.prefix_floats().tobytes()
+        bound = form.coeffs.values.nbytes + prefix.nbytes + 48 * arith._BLOCK + 256 * arith._PIECE
+        assert peak < bound, (peak, bound)
+
 
 # The correctly rounded doubles of the exact truncated sum
 # Gamma(3/2)/(4 pi^2) sum_{n <= N} tau(n)^2 / n^{12.5}, cross-checked against

@@ -1,5 +1,6 @@
 """A `gv` process imports only what its command uses: the FFT powers only to
-build a table, and the selected reads only in the commands that select."""
+build a table, the selected reads only in the commands that select, and
+each layer module only in the commands that run it."""
 
 import json
 import os
@@ -8,33 +9,39 @@ import sys
 from pathlib import Path
 
 import pytest
+from conftest import load_workloads
 
 from gaussvariants import arith, cuspform
 
 PACKAGE_ROOT = Path(arith.__file__).resolve().parents[1]
 
 # runs gv with the arguments given, then prints its exit code and the
-# package modules the process holds
+# package modules the process holds, with numpy.ma if it was loaded
 LOADED = """
 import json, sys
 from gaussvariants import cli
 code = cli.main(sys.argv[1:])
-print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("gaussvariants."))]))
+print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("gaussvariants.") or m == "numpy.ma")]))
 """
+
+
+def run_gv(cwd, argv):
+    """The package modules (and numpy.ma) that a fresh `gv argv` process
+    loaded, run in cwd."""
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE_ROOT))
+    env.pop("GV_CACHE", None)
+    done = subprocess.run(
+        [sys.executable, "-c", LOADED, *argv], cwd=cwd, env=env, capture_output=True, text=True, check=True
+    )
+    code, modules = json.loads(done.stdout)
+    assert code == 0, done.stderr
+    return {m if m == "numpy.ma" else m.rpartition(".")[2] for m in modules}
 
 
 def loaded(tmp_path, *argv):
     """The package modules that a fresh `gv argv` process loaded, on the
     cache dir tmp_path/cache."""
-    env = dict(os.environ, PYTHONPATH=str(PACKAGE_ROOT))
-    env.pop("GV_CACHE", None)
-    argv = [*argv, "--cache", str(tmp_path / "cache"), "--out", "out"]
-    done = subprocess.run(
-        [sys.executable, "-c", LOADED, *argv], cwd=tmp_path, env=env, capture_output=True, text=True, check=True
-    )
-    code, modules = json.loads(done.stdout)
-    assert code == 0, done.stderr
-    return {m.rpartition(".")[2] for m in modules}
+    return run_gv(tmp_path, [*argv, "--cache", str(tmp_path / "cache"), "--out", "out"])
 
 
 def warm(tmp_path):
@@ -68,3 +75,58 @@ def test_warm_count_circle_selects_without_the_powers(tmp_path, argv):
 def test_cold_tau_loads_the_powers(tmp_path):
     # the build is what loads them, so the guards above can see a stray import
     assert "powers" in loaded(tmp_path, "tau")
+
+
+workloads = load_workloads()
+OPS = workloads.CLI_OPS + workloads.CHECK_OPS
+
+# every gv process loads these: the entry point and the arithmetic it keeps
+# at module level
+BASE = {"cli", "arith", "_words"}
+# what else each benchmark operation loads on a warm cache; kernels and
+# charsums bring _split, their worker pool
+ALSO_LOADS = {
+    "second-moment": {"cuspform", "checks"},
+    "short-interval": {"cuspform"},
+    "sign-scan": {"cuspform", "checks"},
+    "tau": {"cuspform"},
+    "hardy": {"checks", "lattice", "selection"},
+    "smooth-hyperboloid": {"fit", "kernels", "_split", "lattice", "selection"},
+    "smooth-hyperboloid-compact": {"fit", "kernels", "_split", "lattice", "selection"},
+    "count-hyperboloid": {"checks", "fit", "lattice", "selection"},
+    "fit": {"fit", "lattice"},
+    "short-hyperboloid": {"lattice", "selection"},
+    "mean-square-p2": {"checks", "fit", "lattice", "selection"},
+    "count-circle": {"lattice", "selection"},
+    "eisenstein-check": {"charsums", "checks", "_split"},
+    "kernels-verify": {"checks", "kernels", "_split"},
+    "gauss-sums": {"charsums", "checks", "_split"},
+    "divisor-identity": {"checks", "lattice"},
+}
+
+
+@pytest.fixture(scope="module")
+def warm_ops(tmp_path_factory, delta, r2_big):
+    """The modules each benchmark operation loads, run in the benchmark's
+    order (`fit` reads the CSV of `count-hyperboloid`) on a cache whose
+    tau-164000 and r_2-1400000 serve every table they read."""
+    cwd = tmp_path_factory.mktemp("warm-ops")
+    cache = cwd / "cache"
+    cache.mkdir()
+    arith.write_table_cache(cache / "tau-164000.gvct", delta.coeffs)
+    arith.write_table_cache(cache / "r_2-1400000.gvct", r2_big)
+    modules = {op.name: run_gv(cwd, workloads.op_argv(op, 1, str(cache), op.name)) for op in OPS}
+    assert sorted(p.name for p in cache.iterdir()) == ["r_2-1400000.gvct", "tau-164000.gvct"]
+    return modules
+
+
+def test_every_benchmark_op_is_listed():
+    assert [op.name for op in OPS] == list(ALSO_LOADS)
+
+
+@pytest.mark.parametrize("name", list(ALSO_LOADS))
+def test_warm_op_loads_only_its_modules(warm_ops, name):
+    # numpy 2.4's np.unique loads numpy.ma when it is asked for no return_*
+    # array, as the bootstrap of count-hyperboloid's log-term verdict was
+    assert "numpy.ma" not in warm_ops[name]
+    assert warm_ops[name] == BASE | ALSO_LOADS[name]

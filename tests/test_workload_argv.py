@@ -6,25 +6,10 @@ that drops or renames an option the benchmark passes fails here first, not
 in a benchmark run.  Loading the file runs no package code.
 """
 
-import importlib.util
-import sys
-from pathlib import Path
-
 import pytest
+from conftest import load_workloads
 
 from gaussvariants import cli
-
-WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
-
-
-def load_workloads():
-    spec = importlib.util.spec_from_file_location("workloads", WORKLOADS)
-    module = importlib.util.module_from_spec(spec)
-    # dataclasses resolves the module's annotations through sys.modules
-    sys.modules[spec.name] = module
-    spec.loader.exec_module(module)
-    return module
-
 
 workloads = load_workloads()
 OPS = {op.name: op for w in workloads.WORKLOADS.values() for op in w.ops}
