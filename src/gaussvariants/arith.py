@@ -185,7 +185,8 @@ def prefix_blocks(values):
     _INT64_SAFE and the block fits int64 (``exact_ints``), and Python ints
     otherwise.  Such a block is folded into its sums one ``_PIECE`` of
     entries at a time, so beside the block's sums only one piece of Python
-    ints and its temporaries is held."""
+    ints and its temporaries is held.  A block yielded is released before
+    the next is folded, so a consumer that drops it too holds one block."""
     carry = 0
     for s in range(0, len(values), _BLOCK):
         block = values[s : s + _BLOCK]
@@ -201,6 +202,7 @@ def prefix_blocks(values):
             sums = np.concatenate(parts)
         carry = int(sums[-1])
         yield s, sums
+        del sums  # not held while the next block is folded
 
 
 def require_coverage(label, n_max, n, what=""):

@@ -113,17 +113,23 @@ def gauss_sum_H(h, c):
 
     H_h(1) = 1 (the multiplicative identity; the d mod 1 sum is degenerate).
     """
+    return _H_at_modulus((int(h),), c)[0]
+
+
+def _H_at_modulus(hs, c):
+    """[H_h(c) for h in hs]: d, the character and the roots of unity depend
+    on c only, so each is built once for every h."""
     c = int(c)
-    h = int(h)
     if c <= 0 or c % 2 == 0:
         raise ValueError(f"H_h needs an odd positive modulus, got {c}")
     if c == 1:
-        return complex(1, 0)
+        return [complex(1, 0) for _ in hs]
     # (d/c) = (c*/d) with c* = (-1)^((c-1)/2) c, and the odd d < 2c run
     # over the residues mod c once each
     d = np.arange(1, 2 * c, 2, dtype=np.int64)
     chi = kronecker_array(c if c % 4 == 1 else -c, d)
-    return epsilon(c) * _roots_of_unity_dot((h * d) % c, chi, _roots_of_unity(c))
+    eps, phase = epsilon(c), _roots_of_unity(c)
+    return [eps * _roots_of_unity_dot((h * d) % c, chi, phase) for h in hs]
 
 
 def d2_sum(h, alpha, k):
@@ -173,16 +179,24 @@ def _reduction_closed(h, c, k):
 def two_piece_product(h, c4, k):
     """g_h(4c) reassembled from its decoupled pieces:
     chi_k(c') * d2block(alpha) * H_h(c'), where 4c = 2^alpha c'."""
+    return _two_piece_at_modulus((int(h),), c4, (_half_integer_times_two(k),))[0][0]
+
+
+def _two_piece_at_modulus(hs, c4, two_ks):
+    """[[two_piece_product(h, c4, k) for h in hs] for 2k in two_ks]: each
+    piece's modulus is built once for every h and weight."""
     c4 = int(c4)
     if c4 % 4:
         raise ValueError("modulus must be a multiple of 4")
-    two_k = _half_integer_times_two(k)
-    if two_k % 2 == 0:
+    if any(two_k % 2 == 0 for two_k in two_ks):
         raise ValueError("two-piece form applies to half-integral k")
     alpha, c_odd = split_two(c4)
-    mu = (-1) ** ((two_k + 1) // 2)  # (-1)^(k + 1/2)
-    chi_k_val = kronecker(mu, c_odd)
-    return chi_k_val * d2_sum(h, alpha, k) * gauss_sum_H(h, c_odd)
+    H = _H_at_modulus(hs, c_odd)
+    rows = []
+    for two_k, d2_row in zip(two_ks, _g_at_modulus(hs, 1 << alpha, two_ks)):
+        chi_k_val = kronecker((-1) ** ((two_k + 1) // 2), c_odd)  # mu = (-1)^(k + 1/2)
+        rows.append([chi_k_val * d2 * H_h for d2, H_h in zip(d2_row, H)])
+    return rows
 
 
 def dtilde_half(h, w, k):

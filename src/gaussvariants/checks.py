@@ -71,15 +71,14 @@ def h_multiplicative():
     """H_h(n1 n2) = H_h(n1) H_h(n2) for coprime odd 3 <= n1 < n2 < 50."""
     from . import charsums
 
-    for h in _HS:
-        H = {n: charsums.gauss_sum_H(h, n) for n in _ODD}
-        for i, n1 in enumerate(_ODD):
-            for n2 in _ODD[i + 1 :]:
-                if math.gcd(n1, n2) != 1:
-                    continue
-                prod = charsums.gauss_sum_H(h, n1 * n2)
-                res = abs(prod - H[n1] * H[n2])
-                yield Point((h, n1 * n2, 0.5), prod, res, TOL)
+    pairs = [(n1, n2) for i, n1 in enumerate(_ODD) for n2 in _ODD[i + 1 :] if math.gcd(n1, n2) == 1]
+    # each modulus's characters and roots of unity are built once for every h
+    H = {n: charsums._H_at_modulus(_HS, n) for n in {*_ODD, *(n1 * n2 for n1, n2 in pairs)}}
+    for i, h in enumerate(_HS):
+        for n1, n2 in pairs:
+            prod = H[n1 * n2][i]
+            res = abs(prod - H[n1][i] * H[n2][i])
+            yield Point((h, n1 * n2, 0.5), prod, res, TOL)
 
 
 def h_prime_eval():
@@ -122,12 +121,16 @@ def two_piece():
     """g_h(4c) = chi_k(c') d2 H_h(c') for c <= 30."""
     from . import charsums
 
-    for h in _HS:
-        for c in range(1, 31):
-            for k in _HALF:
-                g = charsums.gauss_sum_g(h, 4 * c, k)
-                res = abs(g - charsums.two_piece_product(h, 4 * c, k))
-                yield Point((h, 4 * c, k), g, res, TOL)
+    two_ks = [round(2 * k) for k in _HALF]
+    # both sides of each modulus, for every h and weight at once
+    by_c = {
+        c: (charsums._g_at_modulus(_HS, 4 * c, two_ks), charsums._two_piece_at_modulus(_HS, 4 * c, two_ks))
+        for c in range(1, 31)
+    }
+    for i, h in enumerate(_HS):
+        for c, (g_rows, piece_rows) in by_c.items():
+            for k, g_row, piece_row in zip(_HALF, g_rows, piece_rows):
+                yield Point((h, 4 * c, k), g_row[i], abs(g_row[i] - piece_row[i]), TOL)
 
 
 def reduction():

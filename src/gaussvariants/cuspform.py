@@ -117,6 +117,7 @@ class CuspFormSeries:
             out = np.empty(len(self.coeffs))
             for s, sums in arith.prefix_blocks(self.coeffs.values):
                 out[s : s + len(sums)] = sums
+                del sums  # not held while the next block is folded
             out.setflags(write=False)
             self._prefix_floats = out
         return self._prefix_floats

@@ -116,6 +116,7 @@ def mean_square_P2(X, table):
     kept_counts = np.zeros(len(index) + 1)  # [k]: the first k kept, summed, rounded
     for s, sums in arith.prefix_blocks(values):
         kept_counts[s + 1 : s + 1 + len(sums)] = sums
+        del sums  # not held while the next block is folded
 
     def pieces():
         a = 0  # the kept entries below the block

@@ -47,3 +47,23 @@ def test_failing_window_has_residual_past_bound():
     for p in points:
         assert (p.residual, p.bound) == (1.0, 0.5)
         assert p.residual > p.bound and not checks.holds(p)
+
+
+def test_gauss_suites_build_each_modulus_once_for_every_h(monkeypatch):
+    # each modulus's roots of unity, built beside its characters, are made
+    # once for all eight h; the values stay those of the one-sum functions
+    built = []
+    real = charsums._roots_of_unity
+    monkeypatch.setattr(charsums, "_roots_of_unity", lambda m: built.append(m) or real(m))
+    points = list(checks.h_multiplicative())
+    assert len(built) == len(set(built)) == len({p.params[1] for p in points} | set(range(3, 50, 2)))
+    for p in points[::97]:
+        h, n, _ = p.params
+        assert p.value == charsums.gauss_sum_H(h, n)
+    built.clear()
+    points = list(checks.two_piece())
+    assert len(built) <= 3 * 30  # 4c, 2^alpha and the odd part c' of each c <= 30
+    for p in points[::37]:
+        h, c4, k = p.params
+        assert p.value == charsums.gauss_sum_g(h, c4, k)
+        assert p.residual == abs(p.value - charsums.two_piece_product(h, c4, k))

@@ -71,7 +71,8 @@ class TestPartialSums:
         # the sums of the wide tau(164 000) table: one block of them as Python
         # ints, 48 B a sum with its pointer, and one piece of entries as
         # Python ints with their temporaries, 256 B an entry; a whole block of
-        # such temporaries would take about 4 MB
+        # such temporaries would take about 4 MB.  The table is made before
+        # tracing starts; a second block held, 0.8 MB more, exceeds the bound
         form = cuspform.CuspFormSeries(12, delta.coeffs, "delta")  # its prefix not made yet
         tracemalloc.start()
         try:
@@ -81,7 +82,7 @@ class TestPartialSums:
             tracemalloc.stop()
         assert form.coeffs.values.ndim == 2
         assert prefix.tobytes() == delta.prefix_floats().tobytes()
-        bound = form.coeffs.values.nbytes + prefix.nbytes + 48 * arith._BLOCK + 256 * arith._PIECE
+        bound = prefix.nbytes + 48 * arith._BLOCK + 256 * arith._PIECE
         assert peak < bound, (peak, bound)
 
 

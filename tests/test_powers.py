@@ -1,6 +1,7 @@
 """The exact sparse power: small cases, input checks, int64 edges and the rounding guard."""
 
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -123,13 +124,18 @@ def value_of(x):
 
 class TestSplitSquare:
     def test_split_squares_match_exact_convolution(self, monkeypatch):
-        # a0^2 + q^h ((a0 + a1)^2 - a0^2 - a1^2): dropping either correction
-        # leaves a wrong value at some q^k, k >= h
+        # a0^2 + q^h ((a0 + a1)^2 - a0^2 - a1^2) + q^2h a1^2, one and two
+        # levels deep: dropping any term leaves a wrong value at some q^k,
+        # k >= h.  A full square (fewer than n_max + 1 entries) needs the
+        # last term; a truncated one does not reach it
         monkeypatch.setattr(powers, "_SPLIT_LENGTH", 2)
         rng = random.Random(23)
         seen = set()
         for trial in range(400):
+            levels = 1 + trial % 2
+            monkeypatch.setattr(powers, "_SPLIT_LEVELS", levels)
             n = rng.randint(2, 17)  # odd and even lengths
+            n_max = n - 1 if trial % 4 < 2 else rng.randint(n, 2 * n + 1)
             bits = rng.choice([3, 24, 40, 62, 63, 100])
             values = [rng.choice((-1, 1)) * rng.getrandbits(bits) if rng.random() < 0.8 else 0 for _ in range(n)]
             if bits == 63 and rng.random() < 0.5:  # int64's own edges, where a0 + a1 leaves int64
@@ -139,12 +145,13 @@ class TestSplitSquare:
             else:
                 count = powers._limb_count(max(map(abs, values)), powers._DIGIT_BITS) + rng.randint(0, 2)
                 a = balanced_digit_rows(values, count)
-            got = powers._square(a, n - 1)
-            assert value_of(got) == [sum(values[i] * values[k - i] for i in range(k + 1)) for k in range(n)], trial
-            whole = powers._product(a, a, n - 1)  # the same dtype, shape and bits
+            got = powers._square(a, n_max)
+            terms = [range(max(0, k - n + 1), min(k, n - 1) + 1) for k in range(n_max + 1)]
+            assert value_of(got) == [sum(values[i] * values[k - i] for i in r) for k, r in enumerate(terms)], trial
+            whole = powers._product(a, a, n_max)  # the same dtype, shape and bits
             assert got.dtype == whole.dtype and np.array_equal(got, whole), trial
-            seen.add((a.ndim, got.ndim))
-        assert seen == {(1, 1), (1, 2), (2, 1), (2, 2)}
+            seen.add((levels, n_max >= n, a.ndim, got.ndim))
+        assert seen == {(levels, full, a, b) for levels in (1, 2) for full in (0, 1) for a in (1, 2) for b in (1, 2)}
 
     def test_squares_split_from_the_split_length(self, monkeypatch):
         calls = []
@@ -156,7 +163,29 @@ class TestSplitSquare:
         assert calls == [9]
         a = np.arange(1, 11, dtype=np.int64)
         assert powers._square(a, 9).tolist() == np.convolve(a, a)[:10].tolist()
-        assert calls == [9, 5, 5, 5]  # a0^2, (a0 + a1)^2 and a1^2, each half as long
+        # a0^2 (a full square of 5 entries), (a0 + a1)^2 and a1^2 (truncated,
+        # 5 entries each), each split once more into three of 2 or 3 entries
+        assert calls == [9, 3, 3, 2, 3, 2, 2, 3, 2, 2]
+
+    def test_tau_build_makes_no_transform_longer_than_the_split_length(self, monkeypatch):
+        # tau(164000) squares series of 164000 entries: one level deep its
+        # longest transform has 164025 points, two levels deep 82944
+        lengths = []
+        real = np.fft.rfft
+        monkeypatch.setattr(np.fft, "rfft", lambda x, n=None: lengths.append(n) or real(x, n))
+        cuspform.tau_table(164000)
+        assert 0 < max(lengths) <= powers._SPLIT_LENGTH, max(lengths)
+
+    def test_tau_build_holds_one_square_per_level(self):
+        # measured peaks: 15.9 MB one level deep, 11.3 MB two levels deep
+        # with each square folded into its level's result as it is made
+        tracemalloc.start()
+        try:
+            cuspform.tau_table(164000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 13e6, peak
 
     def test_tau_table_is_the_same_with_and_without_the_split(self, monkeypatch):
         # tau to 140001 squares series of 140001 entries, which split
