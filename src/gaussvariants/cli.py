@@ -396,19 +396,19 @@ def cmd_mean_square_p2(args):
     table_size=10**6, check=True, seed=True,
 )
 def cmd_hardy(args):
-    from . import checks, lattice  # lattice: for checks.bessel
+    from . import _draws, checks, lattice  # lattice: for checks.bessel
 
     if args.count < 1:
         raise ValueError(f"--count must be at least 1, got {args.count}")
     if args.terms < 0:  # hardy_identity's own check, made before the read
         raise ValueError(f"the Bessel series needs n_terms >= 0, got {args.terms}")
-    # the radii are drawn after the read: numpy.random would add its
-    # megabytes to a cold build's peak
-    table = _r2(args, [(args.terms, f"Bessel series with {args.terms} terms")])
-    rng = np.random.default_rng(args.seed)
+    if args.seed < 0:
+        raise ValueError(f"--seed must be at least 0, got {args.seed}")
+    rng = _draws.Generator(args.seed)
     # offsets stay in the middle band between integer shells, where the
     # truncated Bessel series is not Gibbs-limited by the count jumps
     radii = [float(rng.integers(10, 999)) + float(rng.uniform(0.3, 0.7)) for _ in range(args.count)]
+    table = _r2(args, [(args.terms, f"Bessel series with {args.terms} terms")])
     points = list(checks.bessel(radii, args.terms, table))
     rows = [(*p.params, *p.value, p.residual) for p in points]
     worst = max((p.residual for p in points), default=0.0)
@@ -452,6 +452,8 @@ def cmd_count_hyperboloid(args):
     from . import checks, fit, lattice  # fit: for checks.log_term
 
     grid = parse_grid(args.grid)
+    if args.seed < 0:
+        raise ValueError(f"--seed must be at least 0, got {args.seed}")
     table = _hyperboloid_entries(args, grid, lambda R: R, "N_{{{d},{h}}}({X:g})")
     rows = [(R, lattice.hyperboloid_count(args.d, args.h, R, table)) for R in grid]
     summary = {"d": args.d, "h": args.h}

@@ -118,9 +118,13 @@ def log_term_verdict(series, model_with_log, model_without_log, *, seed=0):
                standard errors;
     "no-log" : the log coefficient is within COEF_SIGMA of zero;
     anything else is "inconclusive".  The bootstrap refits the with-log
-    model on BOOTSTRAP_DRAWS random grid subsets (deterministic under
-    ``seed``).
+    model on BOOTSTRAP_DRAWS resamples of the grid rows, drawn with
+    replacement by ``_draws``: the rows of ``np.random.default_rng(seed)``'s
+    ``choice``, bit for bit, without importing ``numpy.random``.  ``seed``
+    is an int >= 0.
     """
+    from . import _draws  # loaded only by the commands that bootstrap
+
     fit_with = fit_model(series, model_with_log)
     fit_without = fit_model(series, model_without_log)
     idx = _leading_log_index(fit_with.model)
@@ -129,12 +133,12 @@ def log_term_verdict(series, model_with_log, model_without_log, *, seed=0):
     grid = series.grid_array
     values = series.value_array
     n = len(grid)
-    rng = np.random.default_rng(seed)
+    rng = _draws.Generator(seed)
     A = _design_matrix(grid, fit_with.model)
     scale = np.linalg.norm(A, axis=0)
     samples = []
     for _ in range(BOOTSTRAP_DRAWS):
-        rows = rng.choice(n, size=n, replace=True)
+        rows = rng.integers(0, n, size=n)
         # the distinct rows, counted without np.unique, which loads numpy.ma
         if np.count_nonzero(np.bincount(rows, minlength=n)) < len(fit_with.model) + 1:
             continue

@@ -18,6 +18,14 @@ from gaussvariants import arith, cli, cuspform, kernels
 from gaussvariants.selection import TableEntries
 
 
+# a negative seed, in commands whose tables fit in --table-size 100, so
+# that only the seed can stop them
+NEGATIVE_SEED = [
+    ["hardy", "--terms", "50", "--seed", "-1"],
+    ["count-hyperboloid", "--check", "--grid", "1:9:1", "--seed", "-1"],
+]
+
+
 def run(argv, cwd):
     here = os.getcwd()
     os.chdir(cwd)
@@ -168,6 +176,8 @@ class TestExitCodes:
             ["sign-scan", "--r", "2"],
             ["sign-scan", "--nu", "-1"],
             ["short-interval", "--grid", "1:3:1"],  # the window needs X >= 2
+            NEGATIVE_SEED[0],
+            NEGATIVE_SEED[1],
         ],
     )
     def test_bad_configuration_exits_before_a_table_is_built(self, tmp_path, argv):
@@ -175,6 +185,11 @@ class TestExitCodes:
         args = argv + ["--table-size", "100", "--cache", "cache"]
         assert run(args, tmp_path) == cli.EXIT_CONFIG
         assert list((tmp_path / "cache").iterdir()) == []
+
+    @pytest.mark.parametrize("argv", NEGATIVE_SEED, ids=["hardy", "count-hyperboloid"])
+    def test_negative_seed_names_the_option(self, tmp_path, capsys, argv):
+        assert run(argv + ["--table-size", "100"], tmp_path) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == "gv: --seed must be at least 0, got -1\n"
 
     def test_table_beyond_int128_is_config_error(self, tmp_path):
         # R = 2^12 reads r_29 to 45^2 + 1 = 2026, and r_29 leaves the signed

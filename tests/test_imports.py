@@ -1,7 +1,9 @@
 """A `gv` process imports only what its command uses: the FFT powers only to
 build a table, the selected reads only in the commands that select, and
-each layer module only in the commands that run it."""
+each layer module only in the commands that run it, and no command loads
+numpy.random."""
 
+import ast
 import json
 import os
 import subprocess
@@ -15,19 +17,23 @@ from gaussvariants import arith, cuspform
 
 PACKAGE_ROOT = Path(arith.__file__).resolve().parents[1]
 
+# the numpy modules a gv process must not load, though numpy can load them
+# behind a call: numpy.ma (1.6 MB of RSS) and numpy.random (5.6 MB)
+NUMPY_TRAPS = ("numpy.ma", "numpy.random")
+
 # runs gv with the arguments given, then prints its exit code and the
-# package modules the process holds, with numpy.ma if it was loaded
-LOADED = """
+# package modules the process holds, with any of NUMPY_TRAPS it loaded
+LOADED = f"""
 import json, sys
 from gaussvariants import cli
 code = cli.main(sys.argv[1:])
-print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("gaussvariants.") or m == "numpy.ma")]))
+print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("gaussvariants.") or m in {NUMPY_TRAPS})]))
 """
 
 
 def run_gv(cwd, argv):
-    """The package modules (and numpy.ma) that a fresh `gv argv` process
-    loaded, run in cwd."""
+    """The package modules (and any of NUMPY_TRAPS) that a fresh `gv argv`
+    process loaded, run in cwd."""
     env = dict(os.environ, PYTHONPATH=str(PACKAGE_ROOT))
     env.pop("GV_CACHE", None)
     done = subprocess.run(
@@ -35,7 +41,7 @@ def run_gv(cwd, argv):
     )
     code, modules = json.loads(done.stdout)
     assert code == 0, done.stderr
-    return {m if m == "numpy.ma" else m.rpartition(".")[2] for m in modules}
+    return {m if m in NUMPY_TRAPS else m.rpartition(".")[2] for m in modules}
 
 
 def loaded(tmp_path, *argv):
@@ -90,10 +96,10 @@ ALSO_LOADS = {
     "short-interval": {"cuspform"},
     "sign-scan": {"cuspform", "checks"},
     "tau": {"cuspform"},
-    "hardy": {"checks", "lattice", "selection"},
+    "hardy": {"_draws", "checks", "lattice", "selection"},
     "smooth-hyperboloid": {"fit", "kernels", "_split", "lattice", "selection"},
     "smooth-hyperboloid-compact": {"fit", "kernels", "_split", "lattice", "selection"},
-    "count-hyperboloid": {"checks", "fit", "lattice", "selection"},
+    "count-hyperboloid": {"_draws", "checks", "fit", "lattice", "selection"},
     "fit": {"fit", "lattice"},
     "short-hyperboloid": {"lattice", "selection"},
     "mean-square-p2": {"checks", "fit", "lattice", "selection"},
@@ -127,6 +133,49 @@ def test_every_benchmark_op_is_listed():
 @pytest.mark.parametrize("name", list(ALSO_LOADS))
 def test_warm_op_loads_only_its_modules(warm_ops, name):
     # numpy 2.4's np.unique loads numpy.ma when it is asked for no return_*
-    # array, as the bootstrap of count-hyperboloid's log-term verdict was
-    assert "numpy.ma" not in warm_ops[name]
+    # array, as the bootstrap of count-hyperboloid's log-term verdict was;
+    # hardy and that bootstrap draw from _draws, not numpy.random
+    assert not warm_ops[name] & set(NUMPY_TRAPS)
     assert warm_ops[name] == BASE | ALSO_LOADS[name]
+
+
+# the prefixes of a name that is numpy.random or lies inside it
+RANDOM = ("numpy.random.", "np.random.")
+
+
+def numpy_random_uses(source):
+    """(line, code) of each import of numpy.random, and each read of a
+    ``random`` attribute of ``np`` or ``numpy``, in the source."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [f"{node.module}.{a.name}" for a in node.names]
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            names = [f"{node.value.id}.{node.attr}"]
+        else:
+            continue
+        if any(f"{n}.".startswith(RANDOM) for n in names):
+            found.append((node.lineno, ast.unparse(node)))
+    return found
+
+
+def test_no_module_names_numpy_random():
+    # covers the code paths that no benchmark operation runs
+    package = PACKAGE_ROOT / "gaussvariants"
+    found = {
+        path.name: numpy_random_uses(path.read_text(encoding="utf-8"))
+        for path in sorted(package.glob("*.py"))
+    }
+    assert {name: uses for name, uses in found.items() if uses} == {}
+    # the scan does see each way in
+    for source in [
+        "import numpy.random",
+        "import numpy.random as npr",
+        "from numpy import random",
+        "from numpy.random import default_rng",
+        "rng = np.random.default_rng(0)",
+        "numpy.random.seed(1)",
+    ]:
+        assert numpy_random_uses(source), source
