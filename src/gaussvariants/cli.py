@@ -19,10 +19,10 @@ statement, before it reads a table or draws a random number, so a process
 loads only what its subcommand runs; of the package, this module itself
 loads only ``arith``.
 
-Exit codes: 0 ok, 2 configuration error (or a table past 128 bits, an
-FFT product whose rounding margin cannot certify an exact table, or an
-allocation that fails), 3 table-coverage error, 4 failed check under
---check.
+Exit codes: 0 ok, 2 configuration error (or an input that overflows, a
+table past 128 bits among them, an FFT product whose rounding margin
+cannot certify an exact table, or an allocation that fails), 3
+table-coverage error, 4 failed check under --check.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ EXIT_CHECK_FAILED = 4
 
 
 # ---------------------------------------------------------------------------
-# Small plumbing: grids, kernel specs, cache, output
+# Small plumbing: grids, cache, output
 # ---------------------------------------------------------------------------
 
 _MAX_GRID_POINTS = 10**6
@@ -90,22 +90,6 @@ def parse_grid(text):
             x += s
         return out
     raise ValueError(f"cannot parse grid {text!r}")
-
-
-def parse_kernel(text):
-    """Kernel syntax: exp | cesaro:k | conc:Y | compact:Y."""
-    from . import kernels
-
-    name, _, arg = text.partition(":")
-    if name == "exp":
-        return kernels.KernelSpec.exponential()
-    if name == "cesaro":
-        return kernels.KernelSpec.cesaro(int(arg))
-    if name == "conc":
-        return kernels.KernelSpec.concentrating(float(arg))
-    if name == "compact":
-        return kernels.KernelSpec.compact(float(arg))
-    raise ValueError(f"unknown kernel {text!r}")
 
 
 def cache_dir(args):
@@ -151,39 +135,20 @@ def cached_table(args, label, builder, n_max):
     return table if chosen is None else chosen.apply(table)
 
 
-def _tau(args):
-    """The cached tau table of --table-size, whose size is checked first:
-    a cached table would serve any prefix, even an empty one."""
-    from . import cuspform
-
-    n_max = cuspform.tau_size(args.table_size)
-    return cached_table(args, "tau", cuspform.tau_table, n_max)
-
-
-def _delta(args, needs):
-    """The weight-12 form delta on the cached tau table of --table-size.
-    Each (n, what) of ``needs``, in order, is checked against --table-size
-    first, as in ``_r2``, so a short table exits 3 with the message of the
-    form's own function before any table is read or built."""
-    from . import cuspform
-
-    n_max = cuspform.tau_size(args.table_size)  # first: a bad --table-size exits 2, not 3
+def _read_table(args, label, builder, size, needs=(), named=None):
+    """Table ``label`` as ``cached_table`` reads it to ``size``, once each
+    (n, what) of ``needs``, from the ``cuspform`` or ``lattice`` function that
+    reads it, is checked against --table-size in order, as table ``named``:
+    a short table exits 3 with that function's message before any table is
+    read or built.  tau is read whole to --table-size, and r_2 by its nonzero
+    entries; their size is made first, so a bad --table-size exits 2, not 3.
+    The shells of a hyperboloid sum are read to the last need: ``size`` makes
+    their selection from it."""
+    top = 0
     for n, what in needs:
-        arith.require_coverage("delta", n_max, n, what)
-    return cuspform.CuspFormSeries(12, _tau(args), "delta")
-
-
-def _r2(args, needs):
-    """The nonzero entries of the cached r_2 table of --table-size: all that
-    the circle commands read, as they sum no zero entry.  Each (n, what) of
-    ``needs``, in order, is checked against --table-size first, so a short
-    table exits 3 before any table is read or built."""
-    from .selection import TableSelection  # loaded only by the commands that select
-
-    nonzero = TableSelection(args.table_size)  # first: a negative --table-size exits 2, not 3
-    for n, what in needs:
-        arith.require_coverage("r_2", args.table_size, n, what)
-    return cached_table(args, "r_2", lambda n: arith.r_d_table(2, n), nonzero)
+        arith.require_coverage(named or label, args.table_size, n, what)
+        top = max(top, n)
+    return cached_table(args, label, builder, size(top) if callable(size) else size)
 
 
 def _fmt(v):
@@ -259,7 +224,9 @@ _HYPERBOLOID_ARGS = (_arg("--d", type=int, default=3), _arg("--h", type=int, def
 
 @subcommand("tau", "build (and cache) the tau coefficient table", ("n", "tau"), table_size=1000)
 def cmd_tau(args):
-    table = _tau(args)
+    from . import cuspform
+
+    table = _read_table(args, "tau", cuspform.tau_table, cuspform.tau_size(args.table_size))
     rows = list(enumerate(table.tolist()))[1:]
     return rows, {"label": "tau", "nMax": table.n_max, "csv": out_paths(args)[0]}, None
 
@@ -278,7 +245,9 @@ def cmd_second_moment(args):
     low = min(grid)
     if not (low > 0 and low**1.5 > 0):  # each moment is divided by X^(3/2)
         raise ValueError(f"second-moment needs X^(3/2) > 0, got X = {low!r}")
-    form = _delta(args, map(cuspform.second_moment_reach, grid))
+    needs = map(cuspform.second_moment_reach, grid)
+    tau = _read_table(args, "tau", cuspform.tau_table, cuspform.tau_size(args.table_size), needs, "delta")
+    form = cuspform.CuspFormSeries(12, tau, "delta")
     C, tail = cuspform.rankin_constant(form, args.table_size)
     points = list(checks.second_moment(form, C, grid))
     rows = []
@@ -310,10 +279,10 @@ def cmd_sign_scan(args):
     from . import checks, cuspform
 
     grid = parse_grid(args.grid)
-    if not 0 <= args.nu < math.inf:  # partial_sums's own check, made before the read
-        raise ValueError(f"nu must be finite and nonnegative, got {args.nu}")
-    form = _delta(args, (cuspform.sign_scan_reach(X, args.r) for X in grid))
-    series = cuspform.partial_sums(form, args.nu)
+    cuspform.partial_sum_order(args.nu)  # before the read
+    needs = (cuspform.sign_scan_reach(X, args.r) for X in grid)
+    tau = _read_table(args, "tau", cuspform.tau_table, cuspform.tau_size(args.table_size), needs, "delta")
+    series = cuspform.partial_sums(cuspform.CuspFormSeries(12, tau, "delta"), args.nu)
     points = list(checks.sign_change_windows(series, grid, args.r))
     rows = [(*p.params, len(p.value), p.value[0] if p.value else -1) for p in points]
     all_nonempty = all(checks.holds(p) for p in points)
@@ -332,7 +301,9 @@ def cmd_short_interval(args):
     from . import cuspform
 
     grid = parse_grid(args.grid)
-    form = _delta(args, map(cuspform.short_interval_reach, grid))
+    needs = map(cuspform.short_interval_reach, grid)
+    tau = _read_table(args, "tau", cuspform.tau_table, cuspform.tau_size(args.table_size), needs, "delta")
+    form = cuspform.CuspFormSeries(12, tau, "delta")
     rows = []
     worst = 0.0
     for X in grid:
@@ -352,11 +323,13 @@ def cmd_short_interval(args):
 )
 def cmd_count_circle(args):
     from . import lattice
+    from .selection import TableSelection
 
     grid = parse_grid(args.grid)
     if min(grid) <= 0:
         raise ValueError(f"the discrepancy is normalized by sqrt(R): need R > 0, got {min(grid):g}")
-    table = _r2(args, ((math.floor(R), f"S_2({R:g})") for R in grid))
+    needs = (lattice.count_ball_reach(2, R) for R in grid)
+    table = _read_table(args, "r_2", lambda n: arith.r_d_table(2, n), TableSelection(args.table_size), needs)
     rows = []
     for R in grid:
         count = lattice.count_ball(2, R, table)
@@ -375,11 +348,11 @@ def cmd_count_circle(args):
 )
 def cmd_mean_square_p2(args):
     from . import checks, fit, lattice  # fit: for checks.growth_exponent
+    from .selection import TableSelection
 
     grid = parse_grid(args.grid)
-    if min(grid) <= 0:  # mean_square_P2's own check, made before the reach of any X
-        raise ValueError("X must be positive")
-    table = _r2(args, ((math.ceil(X) - 1, f"mean square to X={X:g}") for X in grid))
+    needs = map(lattice.mean_square_reach, grid)
+    table = _read_table(args, "r_2", lambda n: arith.r_d_table(2, n), TableSelection(args.table_size), needs)
     rows = [(X, lattice.mean_square_P2(X, table)) for X in grid]
     (p,) = checks.growth_exponent(lattice.count_series(grid, [r[1] for r in rows]))
     ok = checks.holds(p)
@@ -397,18 +370,19 @@ def cmd_mean_square_p2(args):
 )
 def cmd_hardy(args):
     from . import _draws, checks, lattice  # lattice: for checks.bessel
+    from .selection import TableSelection
 
     if args.count < 1:
         raise ValueError(f"--count must be at least 1, got {args.count}")
-    if args.terms < 0:  # hardy_identity's own check, made before the read
-        raise ValueError(f"the Bessel series needs n_terms >= 0, got {args.terms}")
     if args.seed < 0:
         raise ValueError(f"--seed must be at least 0, got {args.seed}")
     rng = _draws.Generator(args.seed)
     # offsets stay in the middle band between integer shells, where the
     # truncated Bessel series is not Gibbs-limited by the count jumps
     radii = [float(rng.integers(10, 999)) + float(rng.uniform(0.3, 0.7)) for _ in range(args.count)]
-    table = _r2(args, [(args.terms, f"Bessel series with {args.terms} terms")])
+    # the series to --terms, then the exact count S_2(R) at each radius
+    needs = [lattice.hardy_reach(args.terms), *(lattice.count_ball_reach(2, R) for R in radii)]
+    table = _read_table(args, "r_2", lambda n: arith.r_d_table(2, n), TableSelection(args.table_size), needs)
     points = list(checks.bessel(radii, args.terms, table))
     rows = [(*p.params, *p.value, p.residual) for p in points]
     worst = max((p.residual for p in points), default=0.0)
@@ -417,27 +391,21 @@ def cmd_hardy(args):
     return rows, summary, None if ok else f"max |error| {worst:.4f} > {checks.BESSEL_TOL:g}"
 
 
-def _hyperboloid_entries(args, grid, reach, what):
-    """The entries r_{d-1}(m^2 + h) that a hyperboloid command reads, whose
-    grid point X sums the shells below reach(X) for ``what``: only those
-    are read, and a table is built only as far as the grid's shells reach.
-    A --table-size that falls short of one exits 3 before any table is
-    built or cached."""
+def _shell_entries(args, grid, reach, what):
+    """The entries r_{d-1}(m^2 + h), an int64 index, that a hyperboloid
+    command reads: its grid point X sums the shells below reach(X) for
+    ``what``, and only those are read."""
     from . import lattice
+    from .selection import TableSelection
 
-    if args.d < 3 or args.h < 1:
-        raise ValueError("need d >= 3 and h >= 1")
-    label = f"r_{args.d - 1}"
-    top, reach_top = 0, 0
-    for X in grid:
-        n_top = reach(X)
-        need = lattice.hyperboloid_index(args.h, n_top)
-        arith.require_coverage(label, args.table_size, need, what.format(X=X, d=args.d, h=args.h))
-        top, reach_top = max(top, need), max(reach_top, n_top)
-    from .selection import TableSelection  # loaded only by the commands that select
-
-    shells = TableSelection(top, lattice.hyperboloid_indices(args.h, reach_top))
-    return cached_table(args, label, lambda n: arith.r_d_table(args.d - 1, n), shells)
+    d, h = args.d, args.h
+    if d < 3 or not 1 <= h < 2**63:
+        raise ValueError(f"need --d >= 3 and 1 <= --h < 2^63, got --d {d} and --h {h}")
+    needs = ((lattice.hyperboloid_index(h, reach(X)), what.format(X=X, d=d, h=h)) for X in grid)
+    return _read_table(
+        args, f"r_{d - 1}", lambda n: arith.r_d_table(d - 1, n),
+        lambda top: TableSelection(top, lattice.hyperboloid_indices(h, max(map(reach, grid)))), needs,
+    )
 
 
 @subcommand(
@@ -454,7 +422,7 @@ def cmd_count_hyperboloid(args):
     grid = parse_grid(args.grid)
     if args.seed < 0:
         raise ValueError(f"--seed must be at least 0, got {args.seed}")
-    table = _hyperboloid_entries(args, grid, lambda R: R, "N_{{{d},{h}}}({X:g})")
+    table = _shell_entries(args, grid, lambda R: R, "N_{{{d},{h}}}({X:g})")
     rows = [(R, lattice.hyperboloid_count(args.d, args.h, R, table)) for R in grid]
     summary = {"d": args.d, "h": args.h}
     if args.d != 3:
@@ -488,9 +456,9 @@ def cmd_count_hyperboloid(args):
 def cmd_smooth_hyperboloid(args):
     from . import fit, kernels, lattice
 
-    kernel = parse_kernel(args.kernel)
+    kernel = kernels.parse_kernel(args.kernel)
     grid = parse_grid(args.grid)
-    table = _hyperboloid_entries(
+    table = _shell_entries(
         args, grid, lambda X: kernels.kernel_support(kernel, X), "smoothed hyperboloid at X={X:g}"
     )
     rows = [(X, lattice.hyperboloid_smoothed(args.d, args.h, X, table, kernel)) for X in grid]
@@ -511,9 +479,8 @@ def cmd_short_hyperboloid(args):
     from . import lattice
 
     grid = parse_grid(args.grid)
-    table = _hyperboloid_entries(  # each window |n - X| < X^(1 - lambda)
-        args, grid, lambda X: X + X ** (1.0 - lattice.power_saving_exponent(args.d)),
-        "short-interval window at X={X:g}",
+    table = _shell_entries(
+        args, grid, lambda X: lattice.short_window(args.d, X)[1], "short-interval window at X={X:g}"
     )
     rows = []
     worst = 0.0
@@ -708,7 +675,7 @@ def main(argv=None):
     except arith.TableCoverageError as exc:
         print(f"gv: table coverage: {exc}", file=sys.stderr)
         return EXIT_COVERAGE
-    except (ValueError, OSError, arith.TableOverflowError, arith.RoundingMarginError) as exc:
+    except (ValueError, OSError, OverflowError, arith.RoundingMarginError) as exc:
         print(f"gv: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except MemoryError as exc:  # a table or sieve too large for this machine

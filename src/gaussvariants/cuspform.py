@@ -141,12 +141,19 @@ class PartialSumSeries:
         return len(self.values) - 1
 
 
-def partial_sums(form, nu):
-    """Prefix sums of a(m)/m^nu: the form's rounded exact prefix sums
-    (read-only) at nu = 0, Kahan-compensated for nu > 0."""
+def partial_sum_order(nu):
+    """nu as a float, if ``partial_sums`` takes it; ValueError otherwise.
+    ``cli`` checks --nu with it before it reads the table."""
     nu = float(nu)
     if not 0 <= nu < math.inf:
         raise ValueError(f"nu must be finite and nonnegative, got {nu}")
+    return nu
+
+
+def partial_sums(form, nu):
+    """Prefix sums of a(m)/m^nu: the form's rounded exact prefix sums
+    (read-only) at nu = 0, Kahan-compensated for nu > 0."""
+    nu = partial_sum_order(nu)
     if nu == 0.0:
         return PartialSumSeries(form, 0.0, form.prefix_floats())
     coeffs = form.coeffs
@@ -238,8 +245,10 @@ def rankin_constant(form, n_trunc):
 
 
 def sign_scan_reach(X, r):
-    """(n, what): the end X + floor(X^r) of the sign-scan window at X, for
-    0 < r <= 1, and what reads it; as ``second_moment_reach``."""
+    """(n, what): the end X + floor(X^r) of the sign-scan window at X >= 1,
+    for 0 < r <= 1, and what reads it; as ``second_moment_reach``."""
+    if X < 1:  # X^r has no real value at X < 0, and X = 0 leaves no window
+        raise ValueError(f"the sign scan window needs X >= 1, got {X:g}")
     X = int(X)
     r = float(r)
     if not 0 < r <= 1:

@@ -61,8 +61,8 @@ class KernelSpec:
 
     def __post_init__(self):
         if self.kind == "cesaro":
-            if self.k is None or not 1 <= self.k <= 170:
-                raise ValueError("cesaro kernel needs 1 <= k <= 170 (k! must be a float)")
+            if not isinstance(self.k, int) or not 1 <= self.k <= 170:
+                raise ValueError("cesaro kernel needs an integer 1 <= k <= 170 (k! must be a float)")
         elif self.kind == "concentrating":
             if self.Y is None or not 0 < self.Y < math.inf:
                 raise ValueError("concentrating kernel needs a finite Y > 0")
@@ -72,21 +72,20 @@ class KernelSpec:
         elif self.kind != "exponential":
             raise ValueError(f"unknown kernel kind {self.kind!r}")
 
-    @classmethod
-    def cesaro(cls, k):
-        return cls("cesaro", k=int(k))
 
-    @classmethod
-    def exponential(cls):
-        return cls("exponential")
-
-    @classmethod
-    def concentrating(cls, Y):
-        return cls("concentrating", Y=float(Y))
-
-    @classmethod
-    def compact(cls, Y):
-        return cls("compact", Y=float(Y))
+def parse_kernel(text):
+    """The KernelSpec of a kernel's command-line spelling: exp | cesaro:k |
+    conc:Y | compact:Y."""
+    name, _, arg = text.partition(":")
+    if name == "exp":
+        return KernelSpec("exponential")
+    if name == "cesaro":
+        return KernelSpec("cesaro", k=int(arg))
+    if name == "conc":
+        return KernelSpec("concentrating", Y=float(arg))
+    if name == "compact":
+        return KernelSpec("compact", Y=float(arg))
+    raise ValueError(f"unknown kernel {text!r}")
 
 
 _BLOCK = 1 << 13  # nodes evaluated at once: 128 KiB per complex array
@@ -403,9 +402,7 @@ def kernel_weights(kernel, n, X):
     if kernel.kind == "concentrating":
         lg = np.log(X / n)
         return np.exp(-(kernel.Y**2) * lg * lg / (4 * np.pi)) / (2 * np.pi)
-    if kernel.kind == "compact":
-        return compact_phi(kernel.Y, n / X)
-    raise ValueError(f"unknown kernel kind {kernel.kind!r}")
+    return compact_phi(kernel.Y, n / X)  # compact: KernelSpec admits no other kind
 
 
 def kernel_support(kernel, X):
@@ -425,9 +422,7 @@ def kernel_support(kernel, X):
         if math.log(X) + spread >= 63 * math.log(2):
             return 2**63
         return int(math.ceil(X * math.exp(spread)))
-    if kernel.kind == "compact":
-        return int(math.ceil(X * (1.0 + 1.0 / kernel.Y)))
-    raise ValueError(f"unknown kernel kind {kernel.kind!r}")
+    return int(math.ceil(X * (1.0 + 1.0 / kernel.Y)))  # compact: KernelSpec admits no other kind
 
 
 def apply_kernel(n, b, kernel, X):

@@ -81,13 +81,19 @@ def _nonzero(table, lo, hi):
     return table.between(lo, hi)
 
 
-def count_ball(d, R, table):
-    """S_d(R): lattice points with ||x||^2 <= R, exactly (n = 0 included)."""
+def count_ball_reach(d, R):
+    """(n, what): the last shell floor(R) that S_d(R) reads, and what reads
+    it; as ``cuspform.second_moment_reach``."""
     R = float(R)
     if R < 0:
         raise ValueError("R must be nonnegative")
-    shell = int(math.floor(R))
-    table.require(shell, f"S_{d}({R:g})")
+    return int(math.floor(R)), f"S_{d}({R:g})"
+
+
+def count_ball(d, R, table):
+    """S_d(R): lattice points with ||x||^2 <= R, exactly (n = 0 included)."""
+    shell, what = count_ball_reach(d, R)
+    table.require(shell, what)
     _, values = _nonzero(table, 0, shell)
     pieces = (values[i : i + arith._PIECE] for i in range(0, len(values), arith._PIECE))
     return sum(int(arith.exact_ints(piece, len(piece)).sum()) for piece in pieces)
@@ -96,6 +102,15 @@ def count_ball(d, R, table):
 def discrepancy(d, R, table):
     """S_d(R) - Vol B_d(sqrt R), the lattice point discrepancy."""
     return float(count_ball(d, R, table)) - ball_volume(d, R)
+
+
+def mean_square_reach(X):
+    """(n, what): ceil(X) - 1, the last count of the mean square to X; as
+    ``count_ball_reach``."""
+    X = float(X)
+    if X <= 0:
+        raise ValueError("X must be positive")
+    return int(math.ceil(X)) - 1, f"mean square to X={X:g}"
 
 
 def mean_square_P2(X, table):
@@ -108,11 +123,10 @@ def mean_square_P2(X, table):
     (``arith.prefix_blocks``) of the nonzero entries n' <= n, rounded once.
     """
     X = float(X)
-    if X <= 0:
-        raise ValueError("X must be positive")
-    top = int(math.ceil(X))
-    table.require(top - 1, f"mean square to X={X:g}")
-    index, values = _nonzero(table, 0, top - 1)
+    last, what = mean_square_reach(X)
+    table.require(last, what)
+    index, values = _nonzero(table, 0, last)
+    top = last + 1
     kept_counts = np.zeros(len(index) + 1)  # [k]: the first k kept, summed, rounded
     for s, sums in arith.prefix_blocks(values):
         kept_counts[s + 1 : s + 1 + len(sums)] = sums
@@ -215,6 +229,15 @@ def _bessel_J1_large(x):
 _BESSEL_LEAF = 1 << 13
 
 
+def hardy_reach(n_terms):
+    """(n, what): n_terms, the last term of the Bessel series; as
+    ``count_ball_reach``."""
+    n_terms = int(n_terms)
+    if n_terms < 0:
+        raise ValueError(f"the Bessel series needs n_terms >= 0, got {n_terms}")
+    return n_terms, f"Bessel series with {n_terms} terms"
+
+
 def hardy_identity(R, n_terms, table):
     """sqrt(R) sum_{n <= M} r_2(n) n^{-1/2} J_1(2 pi sqrt(nR)).
 
@@ -234,10 +257,8 @@ def hardy_identity(R, n_terms, table):
         raise ValueError("R must be positive")
     if np.any(radii == np.floor(radii)):
         raise ValueError("the Bessel series is evaluated at non-integer R only")
-    n_terms = int(n_terms)
-    if n_terms < 0:
-        raise ValueError(f"the Bessel series needs n_terms >= 0, got {n_terms}")
-    table.require(n_terms, f"Bessel series with {n_terms} terms")
+    n_terms, what = hardy_reach(n_terms)
+    table.require(n_terms, what)
     index, values = _nonzero(table, 1, n_terms)
 
     def leaf(i, j):
@@ -376,7 +397,7 @@ def hyperboloid_smoothed(d, h, X, table, kernel=None):
     from . import kernels  # loaded only by the smoothed sums
 
     if kernel is None:
-        kernel = kernels.KernelSpec.exponential()
+        kernel = kernels.KernelSpec("exponential")
     top = kernels.kernel_support(kernel, X)
     n, b = _hyperboloid_shells(int(h), top, table, f"smoothed hyperboloid at X={X:g}")
     return kernels.apply_kernel(n, b, kernel, X)
@@ -390,6 +411,16 @@ def power_saving_exponent(d):
     return 1.0 / (6.0 + 19.0 / k)
 
 
+def short_window(d, X):
+    """(lo, hi): the window |n - X| < X^{1 - lambda(k)} of the short-interval
+    sum at X > 0."""
+    X = float(X)
+    if X <= 0:
+        raise ValueError(f"the short-interval window is normalized by a power of X > 0, got {X:g}")
+    width = X ** (1.0 - power_saving_exponent(d))
+    return X - width, X + width
+
+
 def hyperboloid_short_interval(d, h, X, table):
     """Sharp window sum over |2m^2 + h - X| < X^{1 - lambda(k)}.
 
@@ -398,15 +429,11 @@ def hyperboloid_short_interval(d, h, X, table):
     """
     d, h = int(d), int(h)
     X = float(X)
-    if X <= 0:
-        raise ValueError(f"the short-interval window is normalized by a power of X > 0, got {X:g}")
-    k = (d - 2) / 2.0
-    lam = power_saving_exponent(d)
-    width = X ** (1.0 - lam)
-    lo, hi = X - width, X + width
+    lo, hi = short_window(d, X)
     n, b = _hyperboloid_shells(h, hi, table, f"short-interval window at X={X:g}")
     total = int(b[(lo < n) & (n < hi)].sum())
-    return total, total / X ** (k - lam)
+    lam = power_saving_exponent(d)
+    return total, total / X ** ((d - 2) / 2.0 - lam)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ import numpy as np
 from gaussvariants import kernels
 b = np.random.default_rng(7).random(2_000_000) * 100.0
 n = np.arange(1, len(b) + 1)
-print(kernels.apply_kernel(n, b, kernels.KernelSpec.exponential(), 2.0**20).hex())
+print(kernels.apply_kernel(n, b, kernels.KernelSpec("exponential"), 2.0**20).hex())
 """
 
 # the files and functions allowed a BLAS product: the least-squares fits,

@@ -1,6 +1,7 @@
-"""CLI: determinism, cache round-trips, exit codes, grid/kernel parsing."""
+"""CLI: determinism, cache round-trips, exit codes, grid parsing."""
 
 import argparse
+import ast
 import hashlib
 import importlib.util
 import json
@@ -63,14 +64,6 @@ class TestParsing:
         with pytest.raises(ValueError, match="more than"):
             cli.parse_grid("0:1000000:1")
 
-    def test_kernels(self):
-        assert cli.parse_kernel("exp").kind == "exponential"
-        assert cli.parse_kernel("cesaro:2").k == 2
-        assert cli.parse_kernel("conc:4").Y == 4.0
-        assert cli.parse_kernel("compact:8").Y == 8.0
-        with pytest.raises(ValueError):
-            cli.parse_kernel("box:1")
-
 
 class TestExitCodes:
     def test_unknown_flag_is_config_error(self, tmp_path):
@@ -118,6 +111,7 @@ class TestExitCodes:
             ["second-moment", "--table-size", "3000"],
             ["sign-scan", "--table-size", "3000"],
             ["short-interval", "--table-size", "3000"],
+            ["hardy", "--terms", "100", "--table-size", "500"],  # a radius past 500
         ],
     )
     def test_short_table_exits_before_it_is_built(self, tmp_path, argv):
@@ -140,12 +134,18 @@ class TestExitCodes:
             ("count-circle", "S_2(1024) needs n <= 1024"),  # the default grid 2^4..2^13
             ("mean-square-p2", "mean square to X=1024 needs n <= 1023"),  # 2^10..2^18
             ("hardy", "Bessel series with 1000000 terms needs n <= 1000000"),
+            # the series to 100 terms fits, but not the count at the first radius past 500
+            ("hardy --terms 100 --table-size 500", "S_2(851.408) needs n <= 851"),
         ],
     )
     def test_short_circle_table_message(self, tmp_path, capsys, name, need):
         # the message the circle function itself gives, before r_2 is built
-        assert run([name, "--table-size", "1000"], tmp_path) == cli.EXIT_COVERAGE
-        assert capsys.readouterr().err == f"gv: table coverage: table 'r_2' covers n <= 1000, but {need}\n"
+        argv = name.split()
+        if "--table-size" not in argv:
+            argv += ["--table-size", "1000"]
+        assert run(argv, tmp_path) == cli.EXIT_COVERAGE
+        err = capsys.readouterr().err
+        assert err == f"gv: table coverage: table 'r_2' covers n <= {argv[-1]}, but {need}\n"
 
     @pytest.mark.parametrize(
         "name, need",
@@ -178,6 +178,13 @@ class TestExitCodes:
             ["short-interval", "--grid", "1:3:1"],  # the window needs X >= 2
             NEGATIVE_SEED[0],
             NEGATIVE_SEED[1],
+            ["sign-scan", "--grid=-4:-4:1", "--r", "0.5"],  # X^r of X < 0 is not real
+            ["sign-scan", "--grid=0:0:1"],  # an empty window
+            ["short-hyperboloid", "--grid=-5:-1:1"],
+            ["second-moment", "--grid", "2^1023..2^1023"],  # X^(3/2) and 40X are past the floats
+            ["count-hyperboloid", "--h", "100000000000000000000", "--grid", "2^4..2^8"],  # no int64
+            ["smooth-hyperboloid", "--h", "100000000000000000000", "--grid", "2^4..2^8"],
+            ["short-hyperboloid", "--h", "100000000000000000000", "--grid", "2^4..2^8"],
         ],
     )
     def test_bad_configuration_exits_before_a_table_is_built(self, tmp_path, argv):
@@ -185,6 +192,13 @@ class TestExitCodes:
         args = argv + ["--table-size", "100", "--cache", "cache"]
         assert run(args, tmp_path) == cli.EXIT_CONFIG
         assert list((tmp_path / "cache").iterdir()) == []
+
+    def test_overflowing_terms_exit_2(self, tmp_path, capsys):
+        # eisenstein-check reads no table: its 10^20 moduli leave the index range
+        assert run(["eisenstein-check", "--terms", "100000000000000000000"], tmp_path) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("gv: ") and err.count("\n") == 1, err
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("argv", NEGATIVE_SEED, ids=["hardy", "count-hyperboloid"])
     def test_negative_seed_names_the_option(self, tmp_path, capsys, argv):
@@ -486,17 +500,18 @@ class TestCache:
         "argv", [["hardy", "--count", "1", "--terms", "50"], ["count-hyperboloid", "--grid", "2^4..2^9"]]
     )
     def test_refused_selected_read_exits_2_with_its_path(self, tmp_path, capsys, argv, damage):
-        path = tmp_path / "r_2-600.gvct"
+        path = tmp_path / "r_2-1000.gvct"
         if damage == "label":
-            arith.write_table_cache(path, arith.CoefficientTable("tau", range(601)))
+            arith.write_table_cache(path, arith.CoefficientTable("tau", range(1001)))
         elif damage == "short":  # the header holds less than the name promises
             arith.write_table_cache(path, arith.r_d_table(2, 100))
         else:
-            arith.write_table_cache(path, arith.r_d_table(2, 600))
+            arith.write_table_cache(path, arith.r_d_table(2, 1000))
             blob = path.read_bytes()
             path.write_bytes(b"NOPE" + blob[4:] if damage == "magic" else blob[:-1])
         before = path.read_bytes()
-        args = argv + ["--table-size", "600", "--cache", str(tmp_path), "--out", "t"]
+        # 1000: hardy's radius at seed 0 needs S_2 past 600, checked before the read
+        args = argv + ["--table-size", "1000", "--cache", str(tmp_path), "--out", "t"]
         assert run(args, tmp_path) == cli.EXIT_CONFIG
         assert str(path) in capsys.readouterr().err
         assert path.read_bytes() == before
@@ -700,7 +715,7 @@ class TestSubcommandsEndToEnd:
             "sh",
         ]
         assert run(args, tmp_path) == 0
-        kernel = cli.parse_kernel(kernel_text)
+        kernel = kernels.parse_kernel(kernel_text)
         r3 = arith.r_d_table(3, 40000)
         rows = (tmp_path / "sh.csv").read_text().splitlines()[1:]
         assert len(rows) == 3
@@ -862,3 +877,26 @@ class TestPipelines:
         a = (cache_a / "tau-40.gvct").read_bytes()
         b = (cache_b / "tau-40.gvct").read_bytes()
         assert a == b
+
+
+def names_by_function(source):
+    """{function: the dotted names a.b it reads} for each top-level function
+    of the source, its lambdas and decorators included."""
+    return {
+        fn.name: {ast.unparse(node) for node in ast.walk(fn) if isinstance(node, ast.Attribute)}
+        for fn in ast.parse(source).body
+        if isinstance(fn, ast.FunctionDef)
+    }
+
+
+def test_cli_checks_every_read_in_one_function_and_defines_no_reach():
+    # each reach and its input checks belong to the layer that reads, so cli
+    # rounds no grid point itself and checks every (n, what) in one place
+    found = names_by_function(Path(cli.__file__).read_text(encoding="utf-8"))
+    checking = [name for name, names in found.items() if "arith.require_coverage" in names]
+    assert checking == ["_read_table"]
+    rounding = [name for name, names in found.items() if names & {"math.floor", "math.ceil"}]
+    assert rounding == []
+    # the scan does see each way in
+    seen = names_by_function("def f(X):\n    return map(math.ceil, X)\n\ndef g(R):\n    return math.floor(R)\n")
+    assert seen == {"f": {"math.ceil"}, "g": {"math.floor"}}

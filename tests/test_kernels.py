@@ -257,17 +257,17 @@ class TestCompact:
 class TestApplyKernel:
     def test_exponential_direct_sum(self, r2_big):
         n = np.arange(1, int(100 * 27.7) + 1)
-        val = kernels.apply_kernel(n, r2_big.ints()[n], kernels.KernelSpec.exponential(), 100.0)
+        val = kernels.apply_kernel(n, r2_big.ints()[n], kernels.KernelSpec("exponential"), 100.0)
         direct = float(np.sum(r2_big.floats()[1 : len(n) + 1] * np.exp(-n / 100.0)))
         assert val == pytest.approx(direct, rel=1e-12)
 
     def test_cesaro_hand_sum(self):
-        val = kernels.apply_kernel(np.arange(1, 11), [1] * 10, kernels.KernelSpec.cesaro(1), 10.0)
+        val = kernels.apply_kernel(np.arange(1, 11), [1] * 10, kernels.KernelSpec("cesaro", k=1), 10.0)
         assert val == pytest.approx(4.5)
 
     def test_compact_reproduces_sharp_plus_band(self, r2_big):
         X, Y = 1000.0, 4.0
-        spec = kernels.KernelSpec.compact(Y)
+        spec = kernels.KernelSpec("compact", Y=Y)
         n = np.arange(1, kernels.kernel_support(spec, X) + 1)
         val = kernels.apply_kernel(n, r2_big.ints()[n], spec, X)
         sharp = float(np.sum(r2_big.floats()[1 : int(X) + 1]))
@@ -281,7 +281,7 @@ class TestApplyKernel:
         for e in (10, 12, 14):
             X = 2.0**e
             Y = X ** (1.0 / 44.0)
-            spec = kernels.KernelSpec.concentrating(Y)
+            spec = kernels.KernelSpec("concentrating", Y=Y)
             n, b = lattice._hyperboloid_shells(1, 40 * X, shells, "dominance")
             smoothed = kernels.apply_kernel(n, b, spec, X)
             window, _ = lattice.hyperboloid_short_interval(3, 1, X, shells)
@@ -294,11 +294,34 @@ class TestApplyKernel:
 class TestSpecValidation:
     def test_kernel_spec_invariants(self):
         with pytest.raises(ValueError):
-            kernels.KernelSpec.cesaro(0)
+            kernels.KernelSpec("cesaro", k=0)
         with pytest.raises(ValueError):
-            kernels.KernelSpec.concentrating(-1.0)
+            kernels.KernelSpec("cesaro", k=2.0)  # an order is an integer
         with pytest.raises(ValueError):
-            kernels.KernelSpec.compact(1.5)
+            kernels.KernelSpec("concentrating", Y=-1.0)
+        with pytest.raises(ValueError):
+            kernels.KernelSpec("compact", Y=1.5)
+
+    @pytest.mark.parametrize(
+        "text, spec",
+        [
+            ("exp", kernels.KernelSpec("exponential")),
+            ("cesaro:2", kernels.KernelSpec("cesaro", k=2)),
+            ("conc:4", kernels.KernelSpec("concentrating", Y=4.0)),
+            ("compact:8", kernels.KernelSpec("compact", Y=8.0)),
+            ("box:1", None),
+            ("cesaro:x", None),
+            ("cesaro:171", None),  # 171! is past the float range
+            ("conc:nan", None),
+            ("compact:1.5", None),
+        ],
+    )
+    def test_parse_kernel(self, text, spec):
+        if spec is None:
+            with pytest.raises(ValueError):
+                kernels.parse_kernel(text)
+        else:
+            assert kernels.parse_kernel(text) == spec
 
 
 class TestTailBounds:
