@@ -112,15 +112,15 @@ def _smallest_cached(directory, label, n_max):
 def cached_table(args, label, builder, n_max):
     """Table ``label`` to exactly n_max: the first n_max + 1 entries of the
     smallest cached table of that label that reaches n_max, read from the
-    front of its file.  For a ``selection.TableSelection`` n_max, only the
-    entries it keeps of 0..n_max are read, as ``selection.TableEntries``:
-    every r_d read selects (the nonzero r_2 entries or the hyperboloid
-    shells), and only tau is read whole.  On a miss the whole table is built
-    and cached as ``label-<n_max>.gvct``, and then the same selection is
-    applied to it, so a cold and a warm run go on with the same entries; a
-    cut is never written back.  A cached file whose header disagrees with
+    front of its file.  For a fold n_max (a ``selection.TableSelection`` or
+    ``cuspform.CuspFold``) only what it keeps of 0..n_max is read: each r_d
+    read selects, each cusp sum folds tau, and only `gv tau`, which prints
+    every entry, reads a table whole.  On a miss the whole table is built
+    and cached as ``label-<n_max>.gvct``, then the same fold is applied to
+    it, so a cold and a warm run go on with the same entries; a cut is
+    never written back.  A cached file whose header disagrees with
     its name raises ValueError naming it."""
-    chosen = n_max if hasattr(n_max, "keep") else None  # a TableSelection
+    chosen = n_max if hasattr(n_max, "keep") else None  # a fold
     top = n_max if chosen is None else chosen.n_max
     directory = cache_dir(args)
     path = _smallest_cached(directory, label, top) if directory else None
@@ -140,8 +140,9 @@ def _read_table(args, label, builder, size, needs=(), named=None):
     (n, what) of ``needs``, from the ``cuspform`` or ``lattice`` function that
     reads it, is checked against --table-size in order, as table ``named``:
     a short table exits 3 with that function's message before any table is
-    read or built.  tau is read whole to --table-size, and r_2 by its nonzero
-    entries; their size is made first, so a bad --table-size exits 2, not 3.
+    read or built.  tau is folded to --table-size, and r_2 read by its
+    nonzero entries; their size is made first, so a bad --table-size exits
+    2, not 3.
     The shells of a hyperboloid sum are read to the last need: ``size`` makes
     their selection from it."""
     top = 0
@@ -246,9 +247,9 @@ def cmd_second_moment(args):
     if not (low > 0 and low**1.5 > 0):  # each moment is divided by X^(3/2)
         raise ValueError(f"second-moment needs X^(3/2) > 0, got X = {low!r}")
     needs = map(cuspform.second_moment_reach, grid)
-    tau = _read_table(args, "tau", cuspform.tau_table, cuspform.tau_size(args.table_size), needs, "delta")
-    form = cuspform.CuspFormSeries(12, tau, "delta")
-    C, tail = cuspform.rankin_constant(form, args.table_size)
+    fold = cuspform.CuspFold(cuspform.tau_size(args.table_size), rankin=True)
+    form = _read_table(args, "tau", cuspform.tau_table, fold, needs, "delta")
+    C, tail = cuspform.rankin_constant(form)
     points = list(checks.second_moment(form, C, grid))
     rows = []
     for p in points:
@@ -281,8 +282,9 @@ def cmd_sign_scan(args):
     grid = parse_grid(args.grid)
     cuspform.partial_sum_order(args.nu)  # before the read
     needs = (cuspform.sign_scan_reach(X, args.r) for X in grid)
-    tau = _read_table(args, "tau", cuspform.tau_table, cuspform.tau_size(args.table_size), needs, "delta")
-    series = cuspform.partial_sums(cuspform.CuspFormSeries(12, tau, "delta"), args.nu)
+    fold = cuspform.CuspFold(cuspform.tau_size(args.table_size), floats=args.nu > 0)
+    form = _read_table(args, "tau", cuspform.tau_table, fold, needs, "delta")
+    series = cuspform.partial_sums(form, args.nu)
     points = list(checks.sign_change_windows(series, grid, args.r))
     rows = [(*p.params, len(p.value), p.value[0] if p.value else -1) for p in points]
     all_nonempty = all(checks.holds(p) for p in points)
@@ -302,8 +304,8 @@ def cmd_short_interval(args):
 
     grid = parse_grid(args.grid)
     needs = map(cuspform.short_interval_reach, grid)
-    tau = _read_table(args, "tau", cuspform.tau_table, cuspform.tau_size(args.table_size), needs, "delta")
-    form = cuspform.CuspFormSeries(12, tau, "delta")
+    fold = cuspform.CuspFold(cuspform.tau_size(args.table_size))
+    form = _read_table(args, "tau", cuspform.tau_table, fold, needs, "delta")
     rows = []
     worst = 0.0
     for X in grid:
@@ -391,20 +393,20 @@ def cmd_hardy(args):
     return rows, summary, None if ok else f"max |error| {worst:.4f} > {checks.BESSEL_TOL:g}"
 
 
-def _shell_entries(args, grid, reach, what):
+def _shell_entries(args, needs):
     """The entries r_{d-1}(m^2 + h), an int64 index, that a hyperboloid
-    command reads: its grid point X sums the shells below reach(X) for
-    ``what``, and only those are read."""
+    command reads: ``needs`` holds the (n, what) of a ``lattice`` reach at
+    each grid point, checked once --d and --h are, and only the shells up to
+    the last n are read."""
     from . import lattice
     from .selection import TableSelection
 
     d, h = args.d, args.h
     if d < 3 or not 1 <= h < 2**63:
         raise ValueError(f"need --d >= 3 and 1 <= --h < 2^63, got --d {d} and --h {h}")
-    needs = ((lattice.hyperboloid_index(h, reach(X)), what.format(X=X, d=d, h=h)) for X in grid)
     return _read_table(
         args, f"r_{d - 1}", lambda n: arith.r_d_table(d - 1, n),
-        lambda top: TableSelection(top, lattice.hyperboloid_indices(h, max(map(reach, grid)))), needs,
+        lambda top: TableSelection(top, lattice.shell_indices(h, top)), needs,
     )
 
 
@@ -422,7 +424,7 @@ def cmd_count_hyperboloid(args):
     grid = parse_grid(args.grid)
     if args.seed < 0:
         raise ValueError(f"--seed must be at least 0, got {args.seed}")
-    table = _shell_entries(args, grid, lambda R: R, "N_{{{d},{h}}}({X:g})")
+    table = _shell_entries(args, (lattice.hyperboloid_count_reach(args.d, args.h, R) for R in grid))
     rows = [(R, lattice.hyperboloid_count(args.d, args.h, R, table)) for R in grid]
     summary = {"d": args.d, "h": args.h}
     if args.d != 3:
@@ -458,9 +460,7 @@ def cmd_smooth_hyperboloid(args):
 
     kernel = kernels.parse_kernel(args.kernel)
     grid = parse_grid(args.grid)
-    table = _shell_entries(
-        args, grid, lambda X: kernels.kernel_support(kernel, X), "smoothed hyperboloid at X={X:g}"
-    )
+    table = _shell_entries(args, (lattice.hyperboloid_smoothed_reach(args.h, X, kernel) for X in grid))
     rows = [(X, lattice.hyperboloid_smoothed(args.d, args.h, X, table, kernel)) for X in grid]
     series = lattice.count_series(grid, [r[1] for r in rows])
     summary = {"d": args.d, "h": args.h, "kernel": args.kernel, "slope": fit.estimate_exponent(series)}
@@ -479,9 +479,7 @@ def cmd_short_hyperboloid(args):
     from . import lattice
 
     grid = parse_grid(args.grid)
-    table = _shell_entries(
-        args, grid, lambda X: lattice.short_window(args.d, X)[1], "short-interval window at X={X:g}"
-    )
+    table = _shell_entries(args, (lattice.hyperboloid_short_reach(args.d, args.h, X) for X in grid))
     rows = []
     worst = 0.0
     for X in grid:
@@ -546,6 +544,8 @@ def cmd_gauss_sums(args):
 def cmd_eisenstein_check(args):
     from . import charsums, checks  # charsums: for the suites
 
+    if args.terms < 1:  # before the reduction suite runs
+        raise ValueError(f"--terms must be at least 1, got {args.terms}")
     rows = []
     worst_reduction = 0.0
     reduction_ok = True

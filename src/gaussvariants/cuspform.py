@@ -16,11 +16,20 @@ coefficient cache format.  The module computes
   C = Gamma(3/2)/(4 pi^2) * sum a(n)^2 / n^{k + 1/2},
 * sign-change scans of S^nu over short windows,
 * sharp-sum averages over short intervals.
+
+None of these sums reads a coefficient table itself.  A ``CuspFold`` reads
+the table once, one block at a time as a cache file streams or as a table
+just built is cut, and keeps only what the sums read: the prefix sums
+S_f(0..N), each rounded once, and on request the Rankin series behind C,
+rounded once, and the a(n) as floats.  The sums take the ``CuspFormSeries``
+it makes, so no cusp command holds its table.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -90,42 +99,105 @@ def tau_bruteforce(n_max):
     return CoefficientTable("tau", values)
 
 
-@dataclass
-class CuspFormSeries:
-    """A cusp form as (weight, exact coefficient table a(1..N), label)."""
+class CuspFold:
+    """What the cusp sums read of a form's exact table a(0..n_max), kept in
+    one pass over it: the fold of a tau read.
 
-    weight: int
-    coeffs: CoefficientTable
-    label: str
-    _prefix_floats: np.ndarray | None = field(default=None, repr=False)
+    It has the shape of ``selection.TableSelection``: ``arith.read_table_cache``
+    streams a cache file into ``keep`` one block at a time, and ``apply``
+    folds a table just built in the same way, so a cold and a warm run go on
+    with the same ``CuspFormSeries`` and the table is never held.  The
+    prefix sums are always kept; ``rankin`` asks for the series that
+    ``rankin_constant`` reads, and ``floats`` for the a(n) themselves, which
+    ``partial_sums`` reads at nu > 0.
+    """
 
-    def __post_init__(self):
-        if self.weight < 1:
+    __slots__ = ("n_max", "weight", "rankin", "floats")
+
+    def __init__(self, n_max, weight=12, rankin=False, floats=False):
+        self.n_max = operator.index(n_max)
+        if self.n_max < 1:
+            raise ValueError("need n_max >= 1")
+        if weight < 1:
             raise ValueError("weight must be positive")
-        if self.weight == 12 and self.label == "delta" and self.coeffs[1] != 1:
-            raise ValueError("delta must be normalized with a(1) = 1")
+        self.weight = int(weight)
+        self.rankin = bool(rankin)
+        self.floats = bool(floats)
+
+    def keep(self, label, blocks):
+        """The CuspFormSeries of table ``label`` from ``blocks``, (start, block)
+        pairs as ``TableSelection.keep`` takes them, covering 0..n_max in
+        order.  Each piece of ``arith._PIECE`` entries becomes Python ints
+        once and gives its exact prefix sums, each rounded once, and what
+        else was asked: its Rankin terms float(a(n)^2) / (float(n^k) sqrt(n)),
+        each correctly rounded, whose exact sum math.fsum rounds once, and
+        its floats.  A table labelled tau must have tau(1) = 1."""
+        k = self.weight
+        prefix = np.empty(self.n_max + 1)
+        floats = np.empty(self.n_max + 1) if self.floats else None
+
+        def fold():  # each piece into prefix and floats; yields its Rankin terms
+            carry = 0
+            for start, block in blocks:
+                for p in range(0, len(block), arith._PIECE):
+                    s = start + p
+                    a = exact(block[p : p + arith._PIECE])
+                    sums = np.cumsum(a)
+                    sums += carry
+                    carry = sums[-1]
+                    prefix[s : s + len(a)] = sums
+                    del sums  # not held while the terms are made
+                    if floats is not None:
+                        floats[s : s + len(a)] = a
+                    n = np.arange(s, s + len(a))
+                    if s == 0:  # the series starts at n = 1
+                        if label == "tau" and a[1] != 1:
+                            raise ValueError(f"table 'tau' must have tau(1) = 1, got {a[1]}")
+                        a, n = a[1:], n[1:]
+                    if self.rankin:
+                        terms = (a * a).astype(np.float64)
+                        del a
+                        terms /= (exact(n) ** k).astype(np.float64) * np.sqrt(n)
+                        yield terms.tolist()
+
+        series = math.fsum(itertools.chain.from_iterable(fold()))  # 0.0 when none are asked
+        rankin = series if self.rankin else None
+        for kept in (prefix, floats):
+            if kept is not None:
+                kept.setflags(write=False)
+        return CuspFormSeries(label, k, prefix, rankin, floats)
+
+    def apply(self, table):
+        """The CuspFormSeries of the CoefficientTable ``table``, folded one
+        block at a time as from a cache file."""
+        table.require(self.n_max, "the fold")
+        v = table.values[: self.n_max + 1]
+        return self.keep(table.label, ((s, v[s : s + arith._BLOCK]) for s in range(0, len(v), arith._BLOCK)))
+
+
+@dataclass(frozen=True, eq=False)
+class CuspFormSeries:
+    """A cusp form of weight k as its sums read the exact table a(0..N) of
+    ``label``, made by a ``CuspFold``: the prefix sums S_f(0..N), each
+    rounded once, and where the fold kept them (None otherwise) the Rankin
+    series sum_{1 <= n <= N} a(n)^2 / n^{k + 1/2}, rounded once, and the
+    a(0..N), each rounded once.  The arrays are read-only."""
+
+    label: str
+    weight: int
+    prefix: np.ndarray = field(repr=False)
+    rankin: float | None = None
+    floats: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def n_max(self):
-        return self.coeffs.n_max
-
-    def prefix_floats(self):
-        """S_f(0..N) as float64: the exact prefix sums of
-        ``arith.prefix_blocks``, each rounded once.  The array is cached and
-        shared, so it is read-only."""
-        if self._prefix_floats is None:
-            out = np.empty(len(self.coeffs))
-            for s, sums in arith.prefix_blocks(self.coeffs.values):
-                out[s : s + len(sums)] = sums
-                del sums  # not held while the next block is folded
-            out.setflags(write=False)
-            self._prefix_floats = out
-        return self._prefix_floats
+        return len(self.prefix) - 1
 
 
 def delta_form(n_max):
-    """The built-in weight-12 form with tau coefficients."""
-    return CuspFormSeries(weight=12, coeffs=tau_table(n_max), label="delta")
+    """The built-in weight-12 form with tau coefficients, folded with the
+    Rankin series and the floats, so that every sum of this module reads it."""
+    return CuspFold(n_max, rankin=True, floats=True).apply(tau_table(n_max))
 
 
 @dataclass
@@ -152,14 +224,15 @@ def partial_sum_order(nu):
 
 def partial_sums(form, nu):
     """Prefix sums of a(m)/m^nu: the form's rounded exact prefix sums
-    (read-only) at nu = 0, Kahan-compensated for nu > 0."""
+    (read-only) at nu = 0, Kahan-compensated over its floats for nu > 0."""
     nu = partial_sum_order(nu)
     if nu == 0.0:
-        return PartialSumSeries(form, 0.0, form.prefix_floats())
-    coeffs = form.coeffs
-    n = np.arange(len(coeffs), dtype=np.float64)
+        return PartialSumSeries(form, 0.0, form.prefix)
+    if form.floats is None:
+        raise ValueError("partial sums at nu > 0 read the a(n): fold the table with floats=True")
+    n = np.arange(len(form.floats), dtype=np.float64)
     n[0] = 1.0
-    terms = coeffs.floats() * n ** (-nu)
+    terms = form.floats * n ** (-nu)
     terms[0] = 0.0
     values = np.empty(len(terms))
     total = 0.0
@@ -195,7 +268,7 @@ def smoothed_second_moment(form, X):
     X = float(X)
     top, what = second_moment_reach(X)
     require_coverage(form.label, form.n_max, top, what)
-    prefix = form.prefix_floats()
+    prefix = form.prefix
 
     def leaf(i, j):
         S = prefix[i + 1 : j + 1]
@@ -205,35 +278,24 @@ def smoothed_second_moment(form, X):
     return float(arith._pairwise_sum(leaf, 0, top, arith._BLOCK))
 
 
-def rankin_constant(form, n_trunc):
+def rankin_constant(form):
     """Truncated smoothed-moment constant and a tail-size estimate.
 
-    C = Gamma(3/2)/(4 pi^2) sum_{n <= N} a(n)^2 / n^{k + 1/2}.  The Deligne
-    bound a(n)^2 <= d(n)^2 n^{k-1} leaves a tail ~ sum_{n > N} d(n)^2 n^{-3/2};
-    the returned bound uses the average order sum_{n<=x} d(n)^2 ~ x log^3 x / pi^2
-    by partial summation (a calibrated overestimate, decreasing in N).
+    C = Gamma(3/2)/(4 pi^2) sum_{n <= N} a(n)^2 / n^{k + 1/2} to the form's
+    N.  The Deligne bound a(n)^2 <= d(n)^2 n^{k-1} leaves a tail ~
+    sum_{n > N} d(n)^2 n^{-3/2}; the returned bound uses the average order
+    sum_{n<=x} d(n)^2 ~ x log^3 x / pi^2 by partial summation (a calibrated
+    overestimate, decreasing in N).
 
-    C is computed with correctly rounded operations only: each term is
-    float(a(n)^2) / (float(n^k) * sqrt(n)) from exact integers, made for
-    one piece of ``arith._PIECE`` n at a time, math.fsum rounds the exact
-    sum of the terms once, and Gamma(3/2) = sqrt(pi)/2.
-    So C has the same bits on every IEEE-754 platform.  The tail bound goes
-    through libm (log) and carries no such promise.
+    C is computed with correctly rounded operations only: the series is the
+    fsum of correctly rounded terms that the ``CuspFold`` made, rounded
+    once, and Gamma(3/2) = sqrt(pi)/2.  So C has the same bits on every
+    IEEE-754 platform.  The tail bound goes through libm (log) and carries
+    no such promise.
     """
-    n_trunc = int(n_trunc)
-    if n_trunc < 1 or n_trunc > form.n_max:
-        raise ValueError("n_trunc must lie within the tabulated range")
-    k = form.weight
-    a = form.coeffs.values
-
-    def terms():
-        for s in range(1, n_trunc + 1, arith._PIECE):
-            c = exact(a[s : min(s + arith._PIECE, n_trunc + 1)])
-            n = np.arange(s, s + len(c))
-            nk = (exact(n) ** k).astype(np.float64)
-            yield from ((c * c).astype(np.float64) / (nk * np.sqrt(n))).tolist()
-
-    series = math.fsum(terms())
+    if form.rankin is None:
+        raise ValueError("the Rankin constant reads the Rankin series: fold the table with rankin=True")
+    n_trunc = form.n_max
     front = math.sqrt(math.pi) / 2 / (4 * math.pi * math.pi)
     # Partial summation against sum_{n<=x} d(n)^2 ~ x log^3 x / pi^2, with a
     # 3x safety factor absorbing the positive lower-order average terms
@@ -241,7 +303,7 @@ def rankin_constant(form, n_trunc):
     L = math.log(max(n_trunc, 3))
     poly = 2 * L**3 + 18 * L**2 + 72 * L + 144
     tail = front * 3.0 * poly / (math.pi**2 * math.sqrt(n_trunc))
-    return front * series, tail
+    return front * form.rankin, tail
 
 
 def sign_scan_reach(X, r):
@@ -289,7 +351,7 @@ def short_interval_average(form, X):
     """
     lo, hi, width = _short_interval_window(X)
     require_coverage(form.label, form.n_max, *short_interval_reach(X))
-    S = form.prefix_floats()[lo : hi + 1]
+    S = form.prefix[lo : hi + 1]
     return float(np.sum(S * S)) / width
 
 

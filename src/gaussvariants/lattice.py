@@ -21,12 +21,13 @@ series) use only the nonzero entries of r_2, so they take only the complete
 ``selection.TableEntries`` of a nonzero selection (``TableSelection(n_max)``),
 which stand for the whole table.  A hyperboloid sum uses only the entries
 r(m^2 + h), so it takes only the TableEntries of a shell selection
-(``TableSelection(top, hyperboloid_indices(h, reach))``) and reads r(m^2 + h)
+(``TableSelection(top, shell_indices(h, top))``) and reads r(m^2 + h)
 at position m.  Both give the bits of the whole table.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -119,7 +120,8 @@ def mean_square_P2(X, table):
     On [n, n+1) the count is the constant C_n and the area is pi r, so each
     piece has the closed antiderivative -(C_n - pi r)^3 / (3 pi); pieces are
     combined with compensated summation, which is exact, so they are made
-    one block of n at a time.  C_n is the exact running sum
+    one block of n at a time and handed to it one ``arith._PIECE`` of
+    Python floats at a time.  C_n is the exact running sum
     (``arith.prefix_blocks``) of the nonzero entries n' <= n, rounded once.
     """
     X = float(X)
@@ -144,10 +146,11 @@ def mean_square_P2(X, table):
             piece = ((counts - math.pi * left) ** 3 - (counts - math.pi * right) ** 3) / (
                 3 * math.pi
             )
-            yield from piece.tolist()
+            for p in range(0, len(piece), arith._PIECE):
+                yield piece[p : p + arith._PIECE].tolist()
             a = b
 
-    return math.fsum(pieces())
+    return math.fsum(itertools.chain.from_iterable(pieces()))
 
 
 # ---------------------------------------------------------------------------
@@ -281,51 +284,69 @@ def hardy_identity(R, n_terms, table):
 # One-sheeted hyperboloids
 # ---------------------------------------------------------------------------
 
-def _hyperboloid_m_range(h, R):
-    """Largest |m| with 2 m^2 + h <= R (negative if the shell is empty)."""
-    if R < h:
-        return -1
-    return math.isqrt((int(math.floor(R)) - h) // 2)
-
-
 def hyperboloid_index(h, n_top):
     """The largest r-table index m^2 + h of the shells 2m^2 + h <= n_top, or -1."""
-    m_top = _hyperboloid_m_range(h, n_top)
-    return m_top * m_top + h if m_top >= 0 else -1
+    if n_top < h:
+        return -1
+    m_top = math.isqrt((int(math.floor(n_top)) - h) // 2)
+    return m_top * m_top + h
 
 
-def hyperboloid_indices(h, n_top):
-    """The r-table indices m^2 + h, m = 0..m_top, of the shells
-    2m^2 + h <= n_top: all that a hyperboloid sum up to n_top reads."""
-    m = np.arange(_hyperboloid_m_range(h, n_top) + 1, dtype=np.int64)
+def shell_indices(h, last):
+    """The r-table indices m^2 + h <= last, m = 0, 1, ...: all that a
+    hyperboloid sum whose reach ends at ``last`` reads, and the index of its
+    shell selection."""
+    m = np.arange(math.isqrt(last - h) + 1 if last >= h else 0, dtype=np.int64)
     return m * m + h
 
 
-def _hyperboloid_shells(h, n_top, entries, what):
-    """Shells n = 2m^2 + h <= n_top (m = 0..m_top) and their exact weights
-    b = (1 if m = 0 else 2) r(m^2 + h), with r the first m_top + 1 values of
-    ``entries``, the TableEntries of a shell selection (``hyperboloid_indices``)
-    that reaches n_top, read by position.
+def hyperboloid_count_reach(d, h, R):
+    """(n, what): the last index m^2 + h that N_{d,h}(R) reads (-1 if it
+    reads none), and what reads it; as ``count_ball_reach``."""
+    R = float(R)
+    return hyperboloid_index(h, R), f"N_{{{d},{h}}}({R:g})"
+
+
+def hyperboloid_smoothed_reach(h, X, kernel):
+    """(n, what) of ``hyperboloid_smoothed`` at X, over the shells up to
+    ``kernels.kernel_support``; as ``hyperboloid_count_reach``."""
+    from . import kernels
+
+    return hyperboloid_index(h, kernels.kernel_support(kernel, X)), f"smoothed hyperboloid at X={X:g}"
+
+
+def hyperboloid_short_reach(d, h, X):
+    """(n, what) of ``hyperboloid_short_interval`` at X, over the shells up
+    to the end of its ``short_window``; as ``hyperboloid_count_reach``."""
+    return hyperboloid_index(h, short_window(d, X)[1]), f"short-interval window at X={float(X):g}"
+
+
+def _hyperboloid_shells(h, reach, entries):
+    """Shells n = 2m^2 + h (m = 0..m_top) of the hyperboloid sum whose reach
+    (n, what) ends at the index m_top^2 + h (-1: no shell), and their exact
+    weights b = (1 if m = 0 else 2) r(m^2 + h), with r the first m_top + 1
+    values of ``entries``, the TableEntries of a shell selection
+    (``shell_indices``) that reaches that far, read by position.
 
     Every hyperboloid sum is a sum over these shells, and b holds r through
     ``arith.exact_ints`` for 2 (m_top + 1) terms, so sums of b are exact.
-    Both arrays are empty (int64) when no shell lies below n_top.  Raises
+    Both arrays are empty (int64) when there is no shell.  Raises
     ValueError for h < 1, and for entries whose first m_top + 1 indices are
     not the m^2 + h.
     """
     if h < 1:
         raise ValueError(f"need h >= 1, got {h}")
-    m_top = _hyperboloid_m_range(h, n_top)
-    if m_top >= 0:
-        entries.require(m_top * m_top + h, what)
-    m = np.arange(m_top + 1, dtype=np.int64)
+    last, what = reach
+    shells = shell_indices(h, last)
+    m = np.arange(len(shells), dtype=np.int64)
     n = 2 * m * m + h
-    if m_top < 0:
+    if not len(shells):
         return n, m
-    index, r = entries.index[: m_top + 1], entries.values[: m_top + 1]
-    if len(index) <= m_top or np.any(index != m * m + h):
-        raise ValueError(f"entries of table '{entries.label}' are not the shells m^2 + {h} to m = {m_top}")
-    r = arith.exact_ints(r, 2 * (m_top + 1))
+    entries.require(last, what)
+    index, r = entries.index[: len(shells)], entries.values[: len(shells)]
+    if len(index) < len(shells) or np.any(index != shells):
+        raise ValueError(f"entries of table '{entries.label}' are not the shells m^2 + {h} to m = {m[-1]}")
+    r = arith.exact_ints(r, 2 * len(shells))
     return n, np.where(m == 0, r, 2 * r)
 
 
@@ -339,7 +360,7 @@ def hyperboloid_count(d, h, R, table):
     R = float(R)
     if d < 3:
         raise ValueError(f"need d >= 3, got {d}")
-    _, b = _hyperboloid_shells(h, R, table, f"N_{{{d},{h}}}({R:g})")
+    _, b = _hyperboloid_shells(h, hyperboloid_count_reach(d, h, R), table)
     return int(b.sum())
 
 
@@ -384,7 +405,7 @@ def hyperboloid_shell_table(d, h, n_max, table):
     = sum_n b(n) w(n).
     """
     n_max = int(n_max)
-    n, b = _hyperboloid_shells(h, n_max, table, "hyperboloid shell table")
+    n, b = _hyperboloid_shells(h, (hyperboloid_index(h, n_max), "hyperboloid shell table"), table)
     out = np.zeros(n_max + 1, dtype=b.dtype)
     out[n] = b
     return arith.CoefficientTable(f"hyp_{d}_{h}", out)
@@ -398,8 +419,8 @@ def hyperboloid_smoothed(d, h, X, table, kernel=None):
 
     if kernel is None:
         kernel = kernels.KernelSpec("exponential")
-    top = kernels.kernel_support(kernel, X)
-    n, b = _hyperboloid_shells(int(h), top, table, f"smoothed hyperboloid at X={X:g}")
+    h = int(h)
+    n, b = _hyperboloid_shells(h, hyperboloid_smoothed_reach(h, X, kernel), table)
     return kernels.apply_kernel(n, b, kernel, X)
 
 
@@ -430,7 +451,7 @@ def hyperboloid_short_interval(d, h, X, table):
     d, h = int(d), int(h)
     X = float(X)
     lo, hi = short_window(d, X)
-    n, b = _hyperboloid_shells(h, hi, table, f"short-interval window at X={X:g}")
+    n, b = _hyperboloid_shells(h, hyperboloid_short_reach(d, h, X), table)
     total = int(b[(lo < n) & (n < hi)].sum())
     lam = power_saving_exponent(d)
     return total, total / X ** ((d - 2) / 2.0 - lam)

@@ -44,7 +44,8 @@ def no_child_left_behind():
 def shell_entries(table, h, n_top):
     """The entries r(m^2 + h) of ``table`` that the hyperboloid sums over the
     shells 2m^2 + h <= n_top read: what those sums take."""
-    return TableSelection(lattice.hyperboloid_index(h, n_top), lattice.hyperboloid_indices(h, n_top)).apply(table)
+    last = lattice.hyperboloid_index(h, n_top)
+    return TableSelection(last, lattice.shell_indices(h, last)).apply(table)
 
 
 def exact_count_integral(values, X):
@@ -80,10 +81,16 @@ def r2_nonzero(r2_big):
 
 
 @pytest.fixture(scope="session")
-def delta():
+def tau():
     # covers the smoothed second moment at X = 2^12 (needs 40 X) and the
     # short-interval grid to 2^16 + window
-    return cuspform.delta_form(164_000)
+    return cuspform.tau_table(164_000)
+
+
+@pytest.fixture(scope="session")
+def delta(tau):
+    # tau folded with everything the sums read, as ``cuspform.delta_form`` folds it
+    return cuspform.CuspFold(tau.n_max, rankin=True, floats=True).apply(tau)
 
 
 @pytest.fixture(scope="session")

@@ -93,7 +93,7 @@ def test_criterion_05_half_integral_factorization():
 
 def test_criterion_06_smoothed_second_moment_constant(delta):
     t0 = time.perf_counter()
-    C, _ = cuspform.rankin_constant(delta, delta.n_max)
+    C, _ = cuspform.rankin_constant(delta)
     (p,) = checks.second_moment(delta, C, [2.0**12])
     ratio = p.value / p.params[0] ** 1.5
     detail = f"C={C:.8f}, ratio={ratio:.8f}, measured gap {100 * p.residual:.2f}% (tol {100 * p.bound:g}%)"

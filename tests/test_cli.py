@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from conftest import exact_count_integral
 
-from gaussvariants import arith, cli, cuspform, kernels
+from gaussvariants import arith, checks, cli, cuspform, kernels
 from gaussvariants.selection import TableEntries
 
 
@@ -192,6 +192,14 @@ class TestExitCodes:
         args = argv + ["--table-size", "100", "--cache", "cache"]
         assert run(args, tmp_path) == cli.EXIT_CONFIG
         assert list((tmp_path / "cache").iterdir()) == []
+
+    @pytest.mark.parametrize("terms", ["-5", "0"])
+    def test_nonpositive_terms_name_the_option(self, tmp_path, capsys, monkeypatch, terms):
+        # refused before the reduction suite runs
+        monkeypatch.setattr(checks, "reduction", lambda: pytest.fail("the reduction suite ran"))
+        assert run(["eisenstein-check", "--terms", terms], tmp_path) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == f"gv: --terms must be at least 1, got {terms}\n"
+        assert list(tmp_path.iterdir()) == []
 
     def test_overflowing_terms_exit_2(self, tmp_path, capsys):
         # eisenstein-check reads no table: its 10^20 moduli leave the index range
@@ -565,10 +573,27 @@ WHOLE_READ_DIGESTS = {
         "fac63bd3724e61cbe9abc5e7556003c733e36b2f283585266563e2a468c127b0",
         "710e5d631a19a9e5f4879d16cbf104c22772a5089a4e33539901797fb4846276",
     ),
+    ("second-moment", 1): (
+        "fdc743f65fe5e588f6e8752adbc322bb8f5119d1dc89a025111cd793d9f4ee4c",
+        "1218e0fa26da9983eb6321142c887f344d075ef6f3eef9e8e44f9563b9f2b2cb",
+    ),
+    ("short-interval", 1): (
+        "8b280a315b3ade491d02d257fa4ddafa7ea92bca6a789596a0cc66faa7abeb55",
+        "1b957f4c53fbae01118bb5dfe2d372925ac49562851a12ce5ee59472806e647a",
+    ),
+    ("sign-scan", 1): (
+        "9a38a9bcae61acbee3d401f6bdbbed78407b41149ff53c6e928cceb9b904db18",
+        "cc5f8a6336868b12de04f38eeb6223feea067f536da0c971438a3b42f7ec29bb",
+    ),
 }
 
 # the nonzero r_2 entries each circle command keeps, to its --table-size
 NONZERO_KEPT = {"hardy": 216_342, "mean-square-p2": 60_121, "count-circle": 2_750}
+
+# the tau table each cusp command folds, to its --table-size; only
+# second-moment keeps the Rankin series, and only sign-scan, at nu > 0, the
+# a(n) as floats
+FOLDED = {"second-moment": 164_000, "short-interval": 70_000, "sign-scan": 21_000}
 
 # m_top + 1 of each hyperboloid invocation: its largest grid point sums the
 # shells 2m^2 + 1, m = 0..m_top, below 2^20, 40 * 2^16, 72 090 (compact:10
@@ -604,8 +629,14 @@ class TestSelectedReads:
                 (written,) = cache.iterdir()
         assert outputs[0] == outputs[1]
         assert tuple(hashlib.sha256(b).hexdigest() for b in outputs[0]) == WHOLE_READ_DIGESTS[name, seed]
-        # the warm run received only the entries it keeps, not a table
+        # the warm run received only what it keeps, not a table
         (entries,) = received
+        assert not isinstance(entries, arith.CoefficientTable)
+        if name in FOLDED:
+            assert isinstance(entries, cuspform.CuspFormSeries) and entries.n_max == FOLDED[name]
+            assert (entries.rankin is not None) == (name == "second-moment")
+            assert (entries.floats is not None) == (name == "sign-scan")
+            return
         assert isinstance(entries, TableEntries)
         if name in NONZERO_KEPT:
             assert entries.complete
@@ -624,12 +655,12 @@ class TestSelectedReads:
 
 
 @pytest.fixture(scope="module")
-def reference_cache(tmp_path_factory, r2_big, delta):
+def reference_cache(tmp_path_factory, r2_big, tau):
     """A cache of the session's r_2 and tau tables, which reach the default
     size of every command that reads them."""
     cache = tmp_path_factory.mktemp("reference-cache")
     arith.write_table_cache(cache / "r_2-1400000.gvct", r2_big)
-    arith.write_table_cache(cache / "tau-164000.gvct", delta.coeffs)
+    arith.write_table_cache(cache / "tau-164000.gvct", tau)
     return cache
 
 
@@ -889,14 +920,34 @@ def names_by_function(source):
     }
 
 
+def strings_passed_to(source, name):
+    """(calls of ``name``, the string literals and f-strings in their
+    arguments) in the source."""
+    calls = [n for n in ast.walk(ast.parse(source)) if isinstance(n, ast.Call) and ast.unparse(n.func) == name]
+    args = [a for call in calls for a in [*call.args, *(k.value for k in call.keywords)]]
+    strings = [
+        ast.unparse(n)
+        for a in args
+        for n in ast.walk(a)
+        if isinstance(n, ast.JoinedStr) or isinstance(n, ast.Constant) and isinstance(n.value, str)
+    ]
+    return len(calls), strings
+
+
 def test_cli_checks_every_read_in_one_function_and_defines_no_reach():
     # each reach and its input checks belong to the layer that reads, so cli
     # rounds no grid point itself and checks every (n, what) in one place
-    found = names_by_function(Path(cli.__file__).read_text(encoding="utf-8"))
+    source = Path(cli.__file__).read_text(encoding="utf-8")
+    found = names_by_function(source)
     checking = [name for name, names in found.items() if "arith.require_coverage" in names]
     assert checking == ["_read_table"]
     rounding = [name for name, names in found.items() if names & {"math.floor", "math.ceil"}]
     assert rounding == []
-    # the scan does see each way in
+    # and writes no reach's message: the three hyperboloid commands pass
+    # their lattice reaches to _shell_entries, and no text of their own
+    assert strings_passed_to(source, "_shell_entries") == (3, [])
+    # the scans do see each way in
     seen = names_by_function("def f(X):\n    return map(math.ceil, X)\n\ndef g(R):\n    return math.floor(R)\n")
     assert seen == {"f": {"math.ceil"}, "g": {"math.floor"}}
+    passed = "_shell_entries(a, g, lambda X: X, 'N({X:g})')\n_shell_entries(a, w=(f'{X}' for X in g))\n"
+    assert strings_passed_to(passed, "_shell_entries") == (2, ["'N({X:g})'", "f'{X}'"])

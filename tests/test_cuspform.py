@@ -20,8 +20,7 @@ class TestTauTable:
     def test_matches_product_expansion_to_50(self):
         assert cuspform.tau_table(50).tolist() == cuspform.tau_bruteforce(50).tolist()
 
-    def test_multiplicativity_all_coprime_pairs_to_100(self, delta):
-        tau = delta.coeffs
+    def test_multiplicativity_all_coprime_pairs_to_100(self, tau):
         for m in range(2, 101):
             for n in range(m + 1, 101):
                 if math.gcd(m, n) != 1:
@@ -29,14 +28,13 @@ class TestTauTable:
                 assert tau[m * n] == tau[m] * tau[n], (m, n)
         assert tau[6] == tau[2] * tau[3]
 
-    def test_hecke_recursion_at_two(self, delta):
-        tau = delta.coeffs
+    def test_hecke_recursion_at_two(self, tau):
         for j in range(1, 13):
             assert tau[2 ** (j + 1)] == tau[2] * tau[2**j] - 2**11 * tau[2 ** (j - 1)]
 
     def test_deligne_bound_all_tabulated(self, delta):
         d_all, _ = arith.divisor_counts(delta.n_max)
-        a = np.abs(delta.coeffs.floats()[1:])
+        a = np.abs(delta.floats[1:])
         n = np.arange(1, delta.n_max + 1, dtype=np.float64)
         bound = d_all.floats()[1:] * n**5.5 * (1 + 1e-9)
         assert np.all(a <= bound)
@@ -51,7 +49,7 @@ class TestPartialSums:
         s = cuspform.partial_sums(delta, 0.0)
         assert s.values[1] == 1.0
         assert s.values[3] == 1 - 24 + 252 == 229.0
-        assert s.values.tobytes() == delta.prefix_floats().tobytes()
+        assert s.values.tobytes() == delta.prefix.tobytes()
         with pytest.raises(ValueError):
             s.values[3] = 0.0
 
@@ -59,29 +57,28 @@ class TestPartialSums:
         s = cuspform.partial_sums(delta, 5.5)
         assert s.values[2] == pytest.approx(1 - 24 / 2**5.5, rel=1e-14)
 
-    def test_increments_recover_terms(self, delta):
+    def test_increments_recover_terms(self, tau, delta):
         nu = 5.5
         s = cuspform.partial_sums(delta, nu)
-        tau = delta.coeffs
         for n in (2, 17, 568, 9999, 100_000, delta.n_max):
             term = tau[n] / n**nu
             assert s.values[n] - s.values[n - 1] == pytest.approx(term, rel=1e-12)
 
-    def test_exact_prefix_holds_one_block_of_sums_and_one_piece(self, delta):
-        # the sums of the wide tau(164 000) table: one block of them as Python
-        # ints, 48 B a sum with its pointer, and one piece of entries as
-        # Python ints with their temporaries, 256 B an entry; a whole block of
-        # such temporaries would take about 4 MB.  The table is made before
-        # tracing starts; a second block held, 0.8 MB more, exceeds the bound
-        form = cuspform.CuspFormSeries(12, delta.coeffs, "delta")  # its prefix not made yet
+    def test_exact_prefix_holds_one_block_of_sums_and_one_piece(self, tau, delta):
+        # the sums of the wide tau(164 000) table: at most one block of them
+        # as Python ints, 48 B a sum with its pointer, and one piece of
+        # entries as Python ints with their temporaries, 256 B an entry; a
+        # whole block of such temporaries would take about 4 MB.  The table
+        # is made before tracing starts; a second block held, 0.8 MB more,
+        # exceeds the bound
         tracemalloc.start()
         try:
-            prefix = form.prefix_floats()
+            prefix = cuspform.CuspFold(tau.n_max).apply(tau).prefix
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert form.coeffs.values.ndim == 2
-        assert prefix.tobytes() == delta.prefix_floats().tobytes()
+        assert tau.values.ndim == 2
+        assert prefix.tobytes() == delta.prefix.tobytes()
         bound = prefix.nbytes + 48 * arith._BLOCK + 256 * arith._PIECE
         assert peak < bound, (peak, bound)
 
@@ -112,68 +109,77 @@ def _exact_rankin_constant(tau, n_trunc, bits=200):
         return series * mpmath.sqrt(mpmath.pi) / (8 * mpmath.pi**2)
 
 
+def rankin_at(tau, n_trunc):
+    """The Rankin constant and tail of the form folded from tau to n_trunc."""
+    return cuspform.rankin_constant(cuspform.CuspFold(n_trunc, rankin=True).apply(tau))
+
+
 @pytest.fixture(scope="module")
-def delta_1e6():
-    return cuspform.delta_form(10**6)
+def tau_1e6():
+    return cuspform.tau_table(10**6)
 
 
 class TestRankinConstant:
-    def test_single_term(self, delta):
-        C, _ = cuspform.rankin_constant(delta, 1)
+    def test_single_term(self, tau):
+        C, _ = rankin_at(tau, 1)
         assert C == pytest.approx(math.gamma(1.5) / (4 * math.pi**2), rel=1e-15)
 
     def test_frozen_regression(self, delta):
-        C, _ = cuspform.rankin_constant(delta, 164_000)
+        C, _ = cuspform.rankin_constant(delta)
+        assert delta.n_max == 164_000
         assert C == RANKIN_C_AT_164000  # bit-stable across runs
 
-    def test_pin_is_exact_sum_correctly_rounded(self, delta):
-        exact = _exact_rankin_constant(delta.coeffs.tolist(), 164_000)
+    def test_pin_is_exact_sum_correctly_rounded(self, tau):
+        exact = _exact_rankin_constant(tau.tolist(), 164_000)
         assert float(exact) == RANKIN_C_AT_164000
 
-    def test_tail_bound_monotone(self, delta):
-        tails = [cuspform.rankin_constant(delta, n)[1] for n in (10**3, 10**4, 10**5)]
+    def test_tail_bound_monotone(self, tau):
+        tails = [rankin_at(tau, n)[1] for n in (10**3, 10**4, 10**5)]
         assert tails[0] > tails[1] > tails[2] > 0
 
-    def test_tail_bound_covers_observed_gap(self, delta):
-        C_small, tail = cuspform.rankin_constant(delta, 10**4)
-        C_ref, _ = cuspform.rankin_constant(delta, 164_000)
+    def test_tail_bound_covers_observed_gap(self, tau, delta):
+        C_small, tail = rankin_at(tau, 10**4)
+        C_ref, _ = cuspform.rankin_constant(delta)
         assert abs(C_ref - C_small) < tail
 
     @pytest.mark.parametrize("n_trunc", [1, 7, 1024, 1025, 16384, 16385, 100_000, 163_999, 164_000])
-    def test_terms_are_those_of_the_per_term_formula(self, delta, n_trunc):
+    def test_terms_are_those_of_the_per_term_formula(self, tau, n_trunc):
         # the terms one at a time from Python ints, as a generator: each is
         # correctly rounded and fsum is order-free, so the bits are equal
-        tau = delta.coeffs.tolist()
-        terms = (float(c * c) / (float(n**12) * math.sqrt(n)) for n, c in enumerate(tau[1 : n_trunc + 1], 1))
-        C, _ = cuspform.rankin_constant(delta, n_trunc)
+        values = tau.tolist()
+        terms = (float(c * c) / (float(n**12) * math.sqrt(n)) for n, c in enumerate(values[1 : n_trunc + 1], 1))
+        C, _ = rankin_at(tau, n_trunc)
         assert C == math.sqrt(math.pi) / 2 / (4 * math.pi * math.pi) * math.fsum(terms)
 
-    def test_reads_its_terms_one_block_at_a_time(self, delta):
-        # a list of all 164 000 wide entries would take 1.25 MB
+    def test_reads_its_terms_one_block_at_a_time(self, tau):
+        # the fold makes the terms a piece at a time beside the prefix it
+        # keeps; a list of all 164 000 wide entries would take 1.25 MB
         tracemalloc.start()
         try:
-            cuspform.rankin_constant(delta, 164_000)
+            form = cuspform.CuspFold(tau.n_max, rankin=True).apply(tau)
+            C, _ = cuspform.rankin_constant(form)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 2**19
+        assert C == RANKIN_C_AT_164000
+        assert peak < form.prefix.nbytes + 2**19, peak
 
 
 @pytest.mark.slow
-def test_rankin_regression_at_1e6(delta_1e6):
-    C, _ = cuspform.rankin_constant(delta_1e6, 10**6)
+def test_rankin_regression_at_1e6(tau_1e6):
+    C, _ = rankin_at(tau_1e6, 10**6)
     assert C == RANKIN_C_AT_1E6
 
 
 @pytest.mark.slow
-def test_rankin_pin_at_1e6_is_exact_sum_correctly_rounded(delta_1e6):
-    exact = _exact_rankin_constant(delta_1e6.coeffs.tolist(), 10**6)
+def test_rankin_pin_at_1e6_is_exact_sum_correctly_rounded(tau_1e6):
+    exact = _exact_rankin_constant(tau_1e6.tolist(), 10**6)
     assert float(exact) == RANKIN_C_AT_1E6
 
 
 class TestSmoothedSecondMoment:
     def test_ratio_converges_to_constant(self, delta):
-        C, _ = cuspform.rankin_constant(delta, delta.n_max)
+        C, _ = cuspform.rankin_constant(delta)
         gaps = []
         for e in (10, 11, 12):
             v = cuspform.smoothed_second_moment(delta, 2.0**e)
@@ -195,14 +201,13 @@ class TestSmoothedSecondMoment:
     def test_leaves_give_the_whole_array_formula(self, X):
         form = cuspform.delta_form(21_000)
         top = math.ceil(40 * X)
-        S = form.prefix_floats()[1 : top + 1]
+        S = form.prefix[1 : top + 1]
         n = np.arange(1, top + 1, dtype=np.float64)
         whole = float(np.sum(S * S * n ** (1 - form.weight) * np.exp(-n / X)))
         assert cuspform.smoothed_second_moment(form, X) == whole
 
     def test_holds_one_leaf_of_temporaries(self, delta):
         # 163 840 terms; five whole vectors of them would take 6.25 MB
-        delta.prefix_floats()
         tracemalloc.start()
         try:
             cuspform.smoothed_second_moment(delta, 4096.0)
@@ -220,7 +225,7 @@ class TestSignChanges:
 
     def test_constant_sign_series_empty(self, delta):
         ones = arith.CoefficientTable("ones", [0] + [1] * 100)
-        form = cuspform.CuspFormSeries(2, ones, "synthetic")
+        form = cuspform.CuspFold(100, weight=2).apply(ones)
         s = cuspform.partial_sums(form, 0.0)
         assert cuspform.sign_changes(s, 10, 1.0) == []
 
@@ -241,16 +246,15 @@ class TestSignChanges:
         with pytest.raises(arith.TableCoverageError):
             cuspform.sign_changes(s, delta.n_max, 1.0)
 
-    def test_table_ending_at_window_end(self, delta):
+    def test_table_ending_at_window_end(self, tau):
         # the window [512, 1024] reads S(n) for n <= 1024 and no further
         nu = 5.5 + 1 / 6 - 0.01
 
         def scan(n_max):
-            table = arith.CoefficientTable("tau", delta.coeffs.values[: n_max + 1])
-            series = cuspform.partial_sums(cuspform.CuspFormSeries(12, table, "delta"), nu)
+            series = cuspform.partial_sums(cuspform.CuspFold(n_max, floats=True).apply(tau), nu)
             return cuspform.sign_changes(series, 512, 1.0)
 
-        assert scan(1024) == scan(delta.n_max)
+        assert scan(1024) == scan(tau.n_max)
         with pytest.raises(arith.TableCoverageError):
             scan(1023)
 
@@ -274,7 +278,7 @@ class TestSharpAverages:
 
     def test_short_interval_zero_series(self, delta):
         zeros = arith.CoefficientTable("zero", [0] * 5000)
-        form = cuspform.CuspFormSeries(12, zeros, "synthetic")
+        form = cuspform.CuspFold(4999).apply(zeros)
         assert cuspform.short_interval_average(form, 1024) == 0.0
 
     def test_determinism_fresh_vs_fixture(self, delta):
@@ -285,64 +289,73 @@ class TestSharpAverages:
 
 
 class TestCuspFormSeriesInvariants:
-    def test_prefix_floats_in_blocks_are_the_whole_cumsum(self, delta):
-        assert len(delta.coeffs) > 3 * arith._BLOCK
-        whole = [float(s) for s in itertools.accumulate(delta.coeffs.tolist())]
-        assert delta.prefix_floats().tolist() == whole
+    def test_prefix_floats_in_blocks_are_the_whole_cumsum(self, tau, delta):
+        assert len(tau) > 3 * arith._BLOCK
+        whole = [float(s) for s in itertools.accumulate(tau.tolist())]
+        assert delta.prefix.tolist() == whole
 
     def test_delta_normalization_enforced(self):
         bad = arith.CoefficientTable("tau", [0, 2, -48])
-        with pytest.raises(ValueError):
-            cuspform.CuspFormSeries(12, bad, "delta")
+        with pytest.raises(ValueError, match="tau"):
+            cuspform.CuspFold(2).apply(bad)
 
-    def test_positive_weight_required(self, delta):
+    def test_positive_weight_required(self):
         with pytest.raises(ValueError):
-            cuspform.CuspFormSeries(0, delta.coeffs, "x")
+            cuspform.CuspFold(10, weight=0)
 
-    def test_external_form_via_cache_format(self, tmp_path, delta):
-        # other forms load through the shared cache format
+    def test_sums_refuse_what_the_fold_left_out(self, tau):
+        form = cuspform.CuspFold(100).apply(tau)
+        assert form.rankin is None and form.floats is None
+        with pytest.raises(ValueError, match="rankin=True"):
+            cuspform.rankin_constant(form)
+        with pytest.raises(ValueError, match="floats=True"):
+            cuspform.partial_sums(form, 5.5)
+
+    def test_external_form_via_cache_format(self, tmp_path, tau, delta):
+        # other forms load through the shared cache format, folded as read
         path = tmp_path / "form.gvct"
-        arith.write_table_cache(path, delta.coeffs)
-        loaded = cuspform.CuspFormSeries(12, arith.read_table_cache(path), "delta")
+        arith.write_table_cache(path, tau)
+        loaded = arith.read_table_cache(path, cuspform.CuspFold(tau.n_max))
         assert cuspform.smoothed_second_moment(
             loaded, 64.0
         ) == cuspform.smoothed_second_moment(delta, 64.0)
 
 
-def test_wide_table_is_held_as_its_cache_body(tmp_path, delta):
-    # a warm second-moment: the table read from its file as (low, high) words
-    # and two exact folds over it, converted to Python ints a block at a time
+def test_warm_fold_holds_only_what_the_sums_read(tmp_path, tau, delta):
+    # a warm second-moment: tau(164 000) folded as its file streams, then
+    # the constant and a moment from what the fold kept.  Beside the float
+    # prefix sums it holds one block of the body's words and one piece of
+    # Python ints with their temporaries, 256 B an entry; the table's own
+    # (low, high) words alone would take 2.6 MB
     path = tmp_path / "tau-164000.gvct"
-    arith.write_table_cache(path, delta.coeffs)
+    arith.write_table_cache(path, tau)
     tracemalloc.start()
     try:
-        form = cuspform.CuspFormSeries(12, arith.read_table_cache(path), "delta")
-        C, _ = cuspform.rankin_constant(form, 164_000)
+        form = arith.read_table_cache(path, cuspform.CuspFold(tau.n_max, rankin=True))
+        C, _ = cuspform.rankin_constant(form)
         M = cuspform.smoothed_second_moment(form, 4096.0)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    n = len(delta.coeffs)
-    assert form.coeffs.values.shape == (n, 2) and form.coeffs.values.dtype == np.int64
+    assert isinstance(form, cuspform.CuspFormSeries) and form.floats is None
+    assert form.prefix.tobytes() == delta.prefix.tobytes()
     assert (C, M) == (RANKIN_C_AT_164000, cuspform.smoothed_second_moment(delta, 4096.0))
-    # 16 B an entry for the words, 8 for the float prefix sums, and one block
-    # of Python ints with their prefix sums and temporaries, 256 B an entry;
-    # the table as Python ints alone would take about 52 B an entry
-    assert peak <= 24 * n + 256 * arith._BLOCK, peak
+    bound = form.prefix.nbytes + 16 * arith._BLOCK + 256 * arith._PIECE
+    assert peak <= bound, (peak, bound)
 
 
-def test_wide_cache_read_holds_its_words_and_little_more(tmp_path, delta):
+def test_wide_cache_read_holds_its_words_and_little_more(tmp_path, tau):
     # the read makes the words, then the table checks whether they fit int64
     # only up to the first block that does not, with no array-sized temporary
     path = tmp_path / "tau-164000.gvct"
-    arith.write_table_cache(path, delta.coeffs)
+    arith.write_table_cache(path, tau)
     tracemalloc.start()
     try:
         table = arith.read_table_cache(path)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert table == delta.coeffs and table.values.ndim == 2
+    assert table == tau and table.values.ndim == 2
     assert peak < table.values.nbytes + 2**20, (peak, table.values.nbytes)
 
 
@@ -350,13 +363,13 @@ def test_smoothed_second_moment_vanishes_at_tiny_X(delta):
     assert cuspform.smoothed_second_moment(delta, 1e-4) == pytest.approx(0.0, abs=1e-300)
 
 
-def test_ramanujan_congruence_mod_691(delta):
+def test_ramanujan_congruence_mod_691(tau):
     # tau(n) = sigma_11(n) mod 691 (Ramanujan 1916) for every tabulated n.
     # The Rankin pins sum tau(n)^2 and cannot see a sign; this can, and the
     # divisor sieve below shares nothing with either tau builder.
-    n_max = delta.n_max
+    n_max = tau.n_max
     sigma = np.zeros(n_max + 1, dtype=np.int64)
     for d in range(1, n_max + 1):
         sigma[d::d] += pow(d, 11, 691)
-    tau = np.array([t % 691 for t in delta.coeffs.tolist()])
-    assert np.array_equal(tau[1:], sigma[1:] % 691)
+    residues = np.array([t % 691 for t in tau.tolist()])
+    assert np.array_equal(residues[1:], sigma[1:] % 691)

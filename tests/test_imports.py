@@ -112,14 +112,14 @@ ALSO_LOADS = {
 
 
 @pytest.fixture(scope="module")
-def warm_ops(tmp_path_factory, delta, r2_big):
+def warm_ops(tmp_path_factory, tau, r2_big):
     """The modules each benchmark operation loads, run in the benchmark's
     order (`fit` reads the CSV of `count-hyperboloid`) on a cache whose
     tau-164000 and r_2-1400000 serve every table they read."""
     cwd = tmp_path_factory.mktemp("warm-ops")
     cache = cwd / "cache"
     cache.mkdir()
-    arith.write_table_cache(cache / "tau-164000.gvct", delta.coeffs)
+    arith.write_table_cache(cache / "tau-164000.gvct", tau)
     arith.write_table_cache(cache / "r_2-1400000.gvct", r2_big)
     modules = {op.name: run_gv(cwd, workloads.op_argv(op, 1, str(cache), op.name)) for op in OPS}
     assert sorted(p.name for p in cache.iterdir()) == ["r_2-1400000.gvct", "tau-164000.gvct"]

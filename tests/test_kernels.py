@@ -282,7 +282,7 @@ class TestApplyKernel:
             X = 2.0**e
             Y = X ** (1.0 / 44.0)
             spec = kernels.KernelSpec("concentrating", Y=Y)
-            n, b = lattice._hyperboloid_shells(1, 40 * X, shells, "dominance")
+            n, b = lattice._hyperboloid_shells(1, (lattice.hyperboloid_index(1, 40 * X), "dominance"), shells)
             smoothed = kernels.apply_kernel(n, b, spec, X)
             window, _ = lattice.hyperboloid_short_interval(3, 1, X, shells)
             lam = lattice.power_saving_exponent(3)

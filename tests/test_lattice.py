@@ -83,7 +83,7 @@ class TestMeanSquare:
 
     def test_needs_every_nonzero_entry(self):
         r2 = arith.r_d_table(2, 100)
-        shells = TableSelection(100, lattice.hyperboloid_indices(1, 199)).apply(r2)
+        shells = TableSelection(100, lattice.shell_indices(1, 100)).apply(r2)
         with pytest.raises(ValueError, match="leave out nonzero"):
             lattice.mean_square_P2(50.5, shells)
 
@@ -388,8 +388,8 @@ class TestHyperboloidInputs:
         "selection",
         [
             TableSelection(2000),  # every nonzero entry, from r_2(0)
-            TableSelection(2000, lattice.hyperboloid_indices(2, 4000)),  # the shells of h = 2
-            TableSelection(2000, lattice.hyperboloid_indices(1, 1000)),  # stops at 22^2 + 1
+            TableSelection(2000, lattice.shell_indices(2, 2000)),  # the shells of h = 2
+            TableSelection(2000, lattice.shell_indices(1, 22**2 + 1)),  # stops at 22^2 + 1
         ],
         ids=["nonzero", "other h", "short index"],
     )

@@ -54,7 +54,7 @@ SELECTIONS = {
     "index at the block edges": lambda n: TableSelection(n, [0, B - 1, B, n]),
     "index, empty": lambda n: TableSelection(n, []),
     "index, one past a prefix": lambda n: TableSelection(B + 3, [2, B + 3]),
-    "shells": lambda n: TableSelection(n, lattice.hyperboloid_indices(1, 2 * n - 1)),
+    "shells": lambda n: TableSelection(n, lattice.shell_indices(1, n)),
 }
 
 
@@ -205,7 +205,7 @@ class TestLatticeOnEntries:
         assert lattice.hardy_identity(radii, r2.n_max, entries).tolist() == whole
 
     def test_series_and_counts_need_every_nonzero_entry(self, r2):
-        shells = TableSelection(r2.n_max, lattice.hyperboloid_indices(1, 2 * r2.n_max)).apply(r2)
+        shells = TableSelection(r2.n_max, lattice.shell_indices(1, r2.n_max)).apply(r2)
         with pytest.raises(ValueError, match="leave out nonzero"):
             lattice.count_ball(2, 10, shells)
         with pytest.raises(ValueError, match="leave out nonzero"):
@@ -215,7 +215,7 @@ class TestLatticeOnEntries:
         # the hyperboloid functions take only these entries; they give the
         # sums over the shells n = 2m^2 + 1 of the whole table, written out
         top = 399_999  # shells 2m^2 + 1 up to it read r_2 to 447^2 + 1
-        entries = TableSelection(447**2 + 1, lattice.hyperboloid_indices(1, top)).apply(r2)
+        entries = TableSelection(447**2 + 1, lattice.shell_indices(1, lattice.hyperboloid_index(1, top))).apply(r2)
         assert len(entries) == 448
         m = np.arange(448)
         r = r2.ints()[m * m + 1]
@@ -238,7 +238,7 @@ class TestLatticeOnEntries:
         # shell entries of 2^31 - 1 are kept as int32; doubled as int32 they
         # would wrap to -2
         table = arith.CoefficientTable("r_2", [2**31 - 1] * 101)
-        entries = TableSelection(82, lattice.hyperboloid_indices(1, 163)).apply(table)
+        entries = TableSelection(82, lattice.shell_indices(1, 82)).apply(table)
         assert entries.values.dtype == np.int32
         # m = 0 once and m = +-1..+-9 twice each
         assert lattice.hyperboloid_count(3, 1, 163.0, entries) == 19 * (2**31 - 1)
