@@ -19,7 +19,8 @@ This module provides the primitives everything else is built on:
   entries at a time, in both directions, so a process that reads or
   writes a table holds one copy of it plus one block.  A selected read
   (``selection.TableSelection``) keeps from each block only the entries a
-  caller uses, and never holds the table,
+  caller uses, and never holds the table; nor does a build that comes in
+  blocks, which ``stream`` writes as it is made,
 * the exact folds over stored entries, ``exact_ints`` and ``prefix_blocks``,
 * numpy's pairwise summation tree (``_pairwise_sum``), so that a long
   float sum can be taken one run of values at a time with np.sum's bits.
@@ -40,7 +41,6 @@ from __future__ import annotations
 import math
 import operator
 import os
-import tempfile
 
 import numpy as np
 
@@ -427,8 +427,14 @@ def r_d_table(d, n_max):
     # never loads the FFT code
     from .powers import sparse_power
 
+    return CoefficientTable(f"r_{d}", sparse_power(*theta_series(n_max), d, n_max))
+
+
+def theta_series(n_max):
+    """theta = 1 + 2 sum_{m >= 1} q^{m^2} to q^n_max, n_max >= 0, as its
+    exponents m^2 and coefficients, the base of every r_d build."""
     m = np.arange(math.isqrt(n_max) + 1, dtype=np.int64)
-    return CoefficientTable(f"r_{d}", sparse_power(m * m, np.where(m == 0, 1, 2), d, n_max))
+    return m * m, np.where(m == 0, 1, 2)
 
 
 _HALF_COUNT_CACHE = {}
@@ -559,37 +565,15 @@ def truncated_L(s, chi):
 
 def write_table_cache(path, table):
     """Persist a table: magic 'GVCT', u16 version, u16 label length + label,
-    u64 N, then (N+1) signed 128-bit little-endian entries.  Atomic."""
-    label_bytes = table.label.encode("utf-8")
-    if len(label_bytes) > 0xFFFF:
-        raise ValueError("label too long")
-    header = (
-        CACHE_MAGIC
-        + CACHE_VERSION.to_bytes(2, "little")
-        + len(label_bytes).to_bytes(2, "little")
-        + label_bytes
-        + table.n_max.to_bytes(8, "little")
-    )
+    u64 N, then (N+1) signed 128-bit little-endian entries.  Atomic: the
+    file is in place when this returns.  It is ``stream.stream_table_cache``
+    drawn to the end."""
+    from .stream import stream_table_cache  # a warm process writes nothing
+
     v = table.values
-    if v.ndim == 1:
-        words = np.empty((min(len(v), _BLOCK), 2), dtype="<i8")  # (low word, high word) per entry
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".gvct-")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(header)
-            for s in range(0, len(v), _BLOCK):
-                block = v[s : s + _BLOCK]  # words are written as they are
-                if v.ndim == 1:
-                    _words.put(words[: len(block)], block)
-                    block = words[: len(block)]
-                fh.write(block.astype("<i8", copy=False))
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    blocks = ((s, v[s : s + _BLOCK]) for s in range(0, len(v), _BLOCK))
+    for _ in stream_table_cache(path, table.label, table.n_max, blocks):
+        pass
 
 
 def _read_exactly(fh, size, path):
@@ -609,11 +593,9 @@ def read_table_cache(path, n_max=None):
     Either way the magic, the version and the body length (against the
     file's size) are verified, so a truncated or over-long file is refused,
     and so is an n_max past the stored table.  The body is read one block
-    at a time.  A whole or cut table is copied into the result, which is
-    int64 while every entry read so far fits and the body's own words from
-    the first block that does not, converting nothing: a prefix has the
-    layout a fresh build would give it.  A selected read keeps only what
-    the selection picks from each block and never holds the table.
+    at a time.  A whole or cut table is copied into the result by
+    ``table_from_blocks``.  A selected read keeps only what the selection
+    picks from each block and never holds the table.
     """
     selection = n_max if hasattr(n_max, "keep") else None
     if selection is not None:
@@ -636,18 +618,28 @@ def read_table_cache(path, n_max=None):
             n_max = stored
         elif not 0 <= n_max <= stored:
             raise ValueError(f"{path}: holds n <= {stored}, cannot serve n <= {n_max}")
-        n = n_max + 1
-        blocks = _body_blocks(fh, n, path)
+        blocks = _body_blocks(fh, n_max + 1, path)
         if selection is not None:
             return selection.keep(label, blocks)
-        out = None
-        for s, block in blocks:
-            if out is None or block.ndim > out.ndim:  # the first block, or the first wide one
-                wide = np.empty((n,) + block.shape[1:], dtype="<i8")
-                if s:
-                    _words.put(wide[:s], out[:s])
-                out = wide
-            _words.put(out[s : s + len(block)], block)
+        return table_from_blocks(label, n_max, blocks)
+
+
+def table_from_blocks(label, n_max, blocks):
+    """The CoefficientTable ``label`` to n_max from (start, block) pairs that
+    cover 0..n_max in order, each block int64 entries or (low, high) words
+    that the next pair may overwrite.  The blocks are copied into one array,
+    int64 while every entry so far fits and words from the first block that
+    does not, converting nothing: a prefix has the layout a fresh build
+    would give it."""
+    n = n_max + 1
+    out = None
+    for s, block in blocks:
+        if out is None or block.ndim > out.ndim:  # the first block, or the first wide one
+            wide = np.empty((n,) + block.shape[1:], dtype="<i8")
+            if s:
+                _words.put(wide[:s], out[:s])
+            out = wide
+        _words.put(out[s : s + len(block)], block)
     return CoefficientTable(label, out)
 
 

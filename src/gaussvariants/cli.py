@@ -28,6 +28,7 @@ table-coverage error, 4 failed check under --check.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
@@ -115,11 +116,15 @@ def cached_table(args, label, builder, n_max):
     front of its file.  For a fold n_max (a ``selection.TableSelection`` or
     ``cuspform.CuspFold``) only what it keeps of 0..n_max is read: each r_d
     read selects, each cusp sum folds tau, and only `gv tau`, which prints
-    every entry, reads a table whole.  On a miss the whole table is built
-    and cached as ``label-<n_max>.gvct``, then the same fold is applied to
-    it, so a cold and a warm run go on with the same entries; a cut is
-    never written back.  A cached file whose header disagrees with
-    its name raises ValueError naming it."""
+    every entry, reads a table whole.  On a miss ``builder(n_max)`` makes
+    the table, cached as ``label-<n_max>.gvct``, and the same fold is
+    applied to it, so a cold and a warm run go on with the same entries; a
+    cut is never written back.  A builder returns a CoefficientTable, which
+    is written and then folded, or (start, block) pairs as
+    ``stream.r_d_blocks`` makes them, which pass through the cache file into
+    the fold one block at a time, as a cached file does: such a build is
+    never held whole.  A cached file whose header disagrees with its name
+    raises ValueError naming it."""
     chosen = n_max if hasattr(n_max, "keep") else None  # a fold
     top = n_max if chosen is None else chosen.n_max
     directory = cache_dir(args)
@@ -129,10 +134,29 @@ def cached_table(args, label, builder, n_max):
         if table.label != label:
             raise ValueError(f"{path}: holds table '{table.label}', not '{label}'")
         return table
-    table = builder(top)
-    if directory:
-        arith.write_table_cache(os.path.join(directory, f"{label}-{top}.gvct"), table)
-    return table if chosen is None else chosen.apply(table)
+    built = builder(top)
+    target = os.path.join(directory, f"{label}-{top}.gvct") if directory else None
+    if isinstance(built, arith.CoefficientTable):
+        if target:
+            arith.write_table_cache(target, built)
+        return built if chosen is None else chosen.apply(built)
+    if target:
+        from .stream import stream_table_cache
+
+        built = stream_table_cache(target, label, top, built)
+    return arith.table_from_blocks(label, top, built) if chosen is None else chosen.keep(label, built)
+
+
+def _r_d_builder(d):
+    """The builder of r_d for ``cached_table``: ``stream.r_d_blocks``, from a
+    module loaded on a miss only."""
+
+    def build(n):
+        from . import stream
+
+        return stream.r_d_blocks(d, n)
+
+    return build
 
 
 def _read_table(args, label, builder, size, needs=(), named=None):
@@ -159,11 +183,19 @@ def _fmt(v):
 
 
 def write_csv(path, header, rows):
-    lines = [",".join(header)]
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
-    payload = ("\n".join(lines) + "\n").encode("utf-8")
+    """The header and ``rows``, any iterable of tuples, as CSV lines, written
+    one piece of ``arith._PIECE`` rows at a time, so that a long table is
+    never held as text.  Rows that fail part way leave no file."""
+    rows = iter(rows)
     with open(path, "wb") as fh:
-        fh.write(payload)
+        try:
+            fh.write((",".join(header) + "\n").encode("utf-8"))
+            while piece := list(itertools.islice(rows, arith._PIECE)):
+                fh.write("".join(",".join(_fmt(v) for v in row) + "\n" for row in piece).encode("utf-8"))
+        except BaseException:
+            fh.close()
+            os.unlink(path)
+            raise
 
 
 def write_json(path, summary):
@@ -228,7 +260,9 @@ def cmd_tau(args):
     from . import cuspform
 
     table = _read_table(args, "tau", cuspform.tau_table, cuspform.tau_size(args.table_size))
-    rows = list(enumerate(table.tolist()))[1:]
+    # the rows (n, tau(n)), n >= 1, made one piece of Python ints at a time as they are written
+    piece = arith._PIECE
+    rows = (row for s in range(1, len(table), piece) for row in enumerate(table[s : s + piece], s))
     return rows, {"label": "tau", "nMax": table.n_max, "csv": out_paths(args)[0]}, None
 
 
@@ -243,9 +277,13 @@ def cmd_second_moment(args):
     from . import checks, cuspform
 
     grid = parse_grid(args.grid)
-    low = min(grid)
-    if not (low > 0 and low**1.5 > 0):  # each moment is divided by X^(3/2)
-        raise ValueError(f"second-moment needs X^(3/2) > 0, got X = {low!r}")
+    for X in (min(grid), max(grid)):  # each moment is divided by X^(3/2)
+        try:
+            positive = X > 0 and X**1.5 > 0
+        except OverflowError:
+            raise ValueError(f"second-moment --grid: X^(3/2) is past the float range at X = {X!r}") from None
+        if not positive:
+            raise ValueError(f"second-moment needs X^(3/2) > 0, got X = {X!r}")
     needs = map(cuspform.second_moment_reach, grid)
     fold = cuspform.CuspFold(cuspform.tau_size(args.table_size), rankin=True)
     form = _read_table(args, "tau", cuspform.tau_table, fold, needs, "delta")
@@ -331,7 +369,7 @@ def cmd_count_circle(args):
     if min(grid) <= 0:
         raise ValueError(f"the discrepancy is normalized by sqrt(R): need R > 0, got {min(grid):g}")
     needs = (lattice.count_ball_reach(2, R) for R in grid)
-    table = _read_table(args, "r_2", lambda n: arith.r_d_table(2, n), TableSelection(args.table_size), needs)
+    table = _read_table(args, "r_2", _r_d_builder(2), TableSelection(args.table_size), needs)
     rows = []
     for R in grid:
         count = lattice.count_ball(2, R, table)
@@ -354,7 +392,7 @@ def cmd_mean_square_p2(args):
 
     grid = parse_grid(args.grid)
     needs = map(lattice.mean_square_reach, grid)
-    table = _read_table(args, "r_2", lambda n: arith.r_d_table(2, n), TableSelection(args.table_size), needs)
+    table = _read_table(args, "r_2", _r_d_builder(2), TableSelection(args.table_size), needs)
     rows = [(X, lattice.mean_square_P2(X, table)) for X in grid]
     (p,) = checks.growth_exponent(lattice.count_series(grid, [r[1] for r in rows]))
     ok = checks.holds(p)
@@ -384,7 +422,7 @@ def cmd_hardy(args):
     radii = [float(rng.integers(10, 999)) + float(rng.uniform(0.3, 0.7)) for _ in range(args.count)]
     # the series to --terms, then the exact count S_2(R) at each radius
     needs = [lattice.hardy_reach(args.terms), *(lattice.count_ball_reach(2, R) for R in radii)]
-    table = _read_table(args, "r_2", lambda n: arith.r_d_table(2, n), TableSelection(args.table_size), needs)
+    table = _read_table(args, "r_2", _r_d_builder(2), TableSelection(args.table_size), needs)
     points = list(checks.bessel(radii, args.terms, table))
     rows = [(*p.params, *p.value, p.residual) for p in points]
     worst = max((p.residual for p in points), default=0.0)
@@ -405,7 +443,7 @@ def _shell_entries(args, needs):
     if d < 3 or not 1 <= h < 2**63:
         raise ValueError(f"need --d >= 3 and 1 <= --h < 2^63, got --d {d} and --h {h}")
     return _read_table(
-        args, f"r_{d - 1}", lambda n: arith.r_d_table(d - 1, n),
+        args, f"r_{d - 1}", _r_d_builder(d - 1),
         lambda top: TableSelection(top, lattice.shell_indices(h, top)), needs,
     )
 
@@ -534,6 +572,11 @@ def cmd_gauss_sums(args):
     return rows, summary, None if ok else f"a Gauss-sum residual exceeded {checks.TOL:g}"
 
 
+# The series g_h(4c), c <= --terms, costs O(N^2): 16 000 terms take about
+# 30 s on a 2-CPU x86-64 host, so 10^5 take about 20 minutes.
+_MAX_SERIES_TERMS = 10**5
+
+
 @subcommand(
     "eisenstein-check",
     "reduction and L-factorization identities",
@@ -546,6 +589,8 @@ def cmd_eisenstein_check(args):
 
     if args.terms < 1:  # before the reduction suite runs
         raise ValueError(f"--terms must be at least 1, got {args.terms}")
+    if args.terms > _MAX_SERIES_TERMS:
+        raise ValueError(f"--terms must be at most {_MAX_SERIES_TERMS}, got {args.terms}")
     rows = []
     worst_reduction = 0.0
     reduction_ok = True

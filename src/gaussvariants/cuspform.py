@@ -70,14 +70,14 @@ def tau_table(n_max):
     """Exact tau(n) for 1 <= n <= n_max (index 0 = 0).
 
     tau(n) is the coefficient of q^(n-1) in the eighth power of the
-    eta-cube series, taken exactly by ``powers.sparse_power``.
+    eta-cube series, taken exactly as ``powers.sparse_power`` takes it and
+    written after one zero entry, so that the power is not copied.
     """
     n_max = tau_size(n_max)
-    from .powers import sparse_power  # on first use, as in arith.r_d_table
+    from . import powers  # on first use, as in arith.r_d_table
 
     exps, coeffs = _eta_cube_support(n_max - 1)
-    power = sparse_power(exps, coeffs, 8, n_max - 1)
-    return CoefficientTable("tau", np.concatenate((np.zeros_like(power[:1]), power)))
+    return CoefficientTable("tau", powers._power(exps, coeffs, 8, n_max - 1, lead=1))
 
 
 def tau_bruteforce(n_max):

@@ -8,16 +8,29 @@ each output diagonal sum_{i+j=k} A_i B_j below 2^40: one rfft per limb,
 one irfft per diagonal, each checking its rounding margin and raising
 ``arith.RoundingMarginError`` rather than round a wrong value.
 
-A square of at least ``_SPLIT_LENGTH`` entries, as is every FFT square
-behind tau(164000) or tau(10^6), is split two levels deep (Karatsuba and
-Ofman 1962): with a = a0 + q^h a1 it is a0^2, (a0 + a1)^2 and a1^2, each
-of half the length and each split once more, so nine FFT products of a
-quarter of the length.  Each square is folded into its level's result as
-soon as it is made.  The longest transform, and with it every live
-spectrum and the FFT library's buffers, is a quarter as long as one whole
-square's; a tau(10^6) build takes about 1.3 times as long as with one
-level.  The result has the same bits, dtype and digit rows as the one
-square.
+A square or a product of at least ``_SPLIT_LENGTH`` entries, as is every
+FFT square behind tau(164000) or tau(10^6) and the odd-power product of
+r_5 or r_7 to 2^20, is split three levels deep (Karatsuba and Ofman 1962):
+with a = a0 + q^h a1 and b = b0 + q^h b1 it is a0 b0, a1 b1 and
+(a0 + a1)(b0 + b1), each of half the length and each split again, so 27
+FFT products of an eighth of the length.  Each product owns its operands
+(``_multiply``): the caller hands them over in a list, and each is replaced
+by its halves and their sum, as copies, before anything is multiplied, so
+no operand outlives its last use; ``sparse_power`` hands over its running
+power in the same way.  Each of the three products is folded into its
+level's result as soon as it is made.  The longest transform, and with it
+every live spectrum and the FFT library's buffers, is an eighth as long as
+one whole product's.  A tau(164000) build then holds 8.5 MB at its peak
+under tracemalloc (11.3 MB two levels deep, with each square's input held
+by its caller) and takes about 0.05 s longer; a tau(10^6) build about 1.2
+times as long.  The result has the same bits, dtype and digit rows as the
+one product.
+
+Digit rows become the cache's words one block of ``arith._BLOCK`` entries
+at a time (``_to_words``), after any zero entries a caller asks for, so
+that tau's leading zero costs no copy.  A square that can be summed by
+exponent pairs also comes one block of output at a time
+(``square_blocks``), which is how r_2 is streamed into its cache file.
 """
 
 from __future__ import annotations
@@ -27,22 +40,22 @@ from itertools import islice
 import numpy as np
 
 from ._words import narrow
-from .arith import RoundingMarginError
+from .arith import _BLOCK, RoundingMarginError
 
 _INT64 = np.iinfo(np.int64)
 
-# Limbs are as wide as keeps every output diagonal, a sum of min(limb
-# counts) * min(nnz) limb products, below this bound.
+# Limbs are as wide as keeps every output diagonal sum_{i+j=k} A_i B_j below
+# this bound, by the bound on each limb (_limb_bounds) and on nnz.
 _DIAGONAL_BOUND = 1 << 40
 # One limb of 51 bits holds every |x| < 2^50, all _rint_checked accepts;
 # with 8-bit digits, every carry then stays below 2^57.
 _MAX_WIDTH = 51
 _DIGIT_BITS = 8  # a result that may pass int64 is held as int8 rows of balanced digits
 _PAIR_CHUNK = 1 << 14  # exponent pairs per bincount, on average, in a sparse square
-# A square of at least this many entries is split _SPLIT_LEVELS deep into
-# nine squares of a quarter of its length; one spectrum of this length is 2 MB.
+# A product of at least this many entries is split _SPLIT_LEVELS deep into
+# 27 products of an eighth of its length; one spectrum of this length is 2 MB.
 _SPLIT_LENGTH = 1 << 17
-_SPLIT_LEVELS = 2
+_SPLIT_LEVELS = 3
 
 
 def _smooth_length(n):
@@ -85,12 +98,31 @@ def _limb_count(m, width):
     return count
 
 
+def _limb_bounds(m, width):
+    """Bounds on |limb j| over the balanced width-bit limbs of every |x| <= m,
+    low first: each limb is at most 2^(width-1), and at most what is left of m
+    above the limbs below it."""
+    half, bounds = 1 << (width - 1), []
+    for _ in range(_limb_count(m, width)):
+        bounds.append(min(half, m))
+        m = (m + half) >> width
+    return bounds
+
+
 def _limb_width(a_max, b_max, nnz):
-    """The widest limb whose output diagonals stay below _DIAGONAL_BOUND."""
+    """The widest limb whose output diagonals stay below _DIAGONAL_BOUND: no
+    diagonal sum_{i+j=k} A_i B_j, with at most nnz limb products to an entry,
+    can reach it, by the bounds on each limb."""
     for width in range(_MAX_WIDTH, 1, -1):
         half = 1 << (width - 1)
-        terms = min(_limb_count(a_max, width), _limb_count(b_max, width))
-        if terms * min(a_max, half) * min(b_max, half) * nnz < _DIAGONAL_BOUND:
+        if min(a_max, half) * min(b_max, half) * nnz >= _DIAGONAL_BOUND:
+            continue  # the lowest diagonal alone may reach the bound
+        a, b = _limb_bounds(a_max, width), _limb_bounds(b_max, width)
+        top = max(
+            sum(a[i] * b[k - i] for i in range(max(0, k - len(b) + 1), min(k, len(a) - 1) + 1))
+            for k in range(len(a) + len(b) - 1)
+        )
+        if top * nnz < _DIAGONAL_BOUND:
             break
     return width
 
@@ -214,30 +246,52 @@ def _fold(out, x, at, add):
         acc >>= _DIGIT_BITS
 
 
-def _square(a, n_max, levels=None):
-    """a * a to q^n_max, for int64 a or digit rows of at most n_max + 1
-    entries, as ``_product(a, a, n_max)`` returns it.
+def _multiply(held, n_max, levels=None):
+    """The product of the operands in ``held`` to q^n_max, as ``_product``
+    returns it: a * a for held = [a], a * b for held = [a, b], int64 or
+    digit rows of one length, at most n_max + 1 entries.  The operands are
+    taken out of ``held``, so that each is freed as soon as it has been
+    used when the caller keeps no other reference to it.
 
-    A square of at least _SPLIT_LENGTH entries is split _SPLIT_LEVELS deep.
-    At each level a = a0 + q^h a1, h = ceil(len(a) / 2), is squared as
-    a0^2 + q^h ((a0 + a1)^2 - a0^2 - a1^2) + q^2h a1^2 (Karatsuba and Ofman
-    1962).  The bracket is needed only to q^(n_max - h), so a0 + a1 is cut
-    there, and a1^2 q^2h falls past q^n_max when a is as long as the
-    result.  Each of the three squares is folded into the result as
-    soon as it is made, so a level holds its result and one square, and
-    no spectrum or FFT buffer longer than about 2 len(a) / 2^levels is made.
+    A product of at least _SPLIT_LENGTH entries is split _SPLIT_LEVELS deep.
+    At each level each operand x = x0 + q^h x1, h = ceil(len(x) / 2), and
+    a b = a0 b0 + q^h ((a0 + a1)(b0 + b1) - a0 b0 - a1 b1) + q^2h a1 b1
+    (Karatsuba and Ofman 1962).  The bracket is needed only to
+    q^(n_max - h), so each x0 + x1 is cut there, and a1 b1 q^2h falls past
+    q^n_max when the operands are as long as the result.  Each operand is
+    replaced by its sum x0 + x1 and its halves x0 and x1, each a copy, before
+    anything is multiplied; each of the three products, a0 b0, a1 b1 and
+    then the sums', takes its operands over and is folded into the result as
+    soon as it is made.  So a level holds its result, one product and what
+    is left of its operands, and no spectrum or FFT buffer longer than about
+    2 len(a) / 2^levels is made.  (With the sums' product second, the same
+    allocations left glibc's heap 1.7 MB higher in a tau(164000) build.)
     """
-    size = a.shape[-1]
+    size = held[0].shape[-1]
     if levels is None:
         levels = _SPLIT_LEVELS if size >= _SPLIT_LENGTH else 0
     if levels == 0 or size < 2:
-        return _product(a, a, n_max)
-    a_max, nnz = _extent(a)
-    bound = a_max * a_max * nnz
+        a = held.pop(0)
+        return _product(a, held.pop() if held else a, n_max)
+    extents = [_extent(x) for x in held]
+    (a_max, a_nnz), (b_max, b_nnz) = extents[0], extents[-1]
+    bound = a_max * b_max * min(a_nnz, b_nnz)
     h = (size + 1) // 2
     m = min(n_max + 1 - h, 2 * h - 1)  # the length of the bracket that is needed
-    a0, a1 = a[..., :h], a[..., h:]
-    low = _square(a0, min(n_max, 2 * h - 2), levels - 1)  # a0^2 has 2h - 1 entries
+    lows, sums, highs = [], [], []
+    for x_max, _ in extents:
+        x = held.pop(0)
+        if x.ndim == 1 and 2 * x_max <= _INT64.max:
+            both = np.zeros(min(h, m), dtype=np.int64)
+        else:  # x0 + x1 might not fit int64
+            both = np.zeros((_limb_count(2 * x_max, _DIGIT_BITS), min(h, m)), dtype=np.int8)
+        _fold(both, x[..., :h], 0, np.add)
+        _fold(both, x[..., h:], 0, np.add)
+        lows.append(x[..., :h].copy())
+        sums.append(both)
+        highs.append(x[..., h:].copy())
+        del x, both  # the operand is freed here
+    low = _multiply(lows, min(n_max, 2 * h - 2), levels - 1)  # a0 b0 has 2h - 1 entries
     if bound <= _INT64.max:  # as in _product: the sum wraps mod 2^64 but fits int64
         out = np.zeros(n_max + 1, dtype=np.int64)
     else:  # a sum that fits count balanced digits has the digits of the sum mod 2^(8 count)
@@ -245,17 +299,11 @@ def _square(a, n_max, levels=None):
     _fold(out, low, 0, np.add)
     _fold(out, low[..., :m], h, np.subtract)
     del low
-    if a.ndim == 1 and 2 * a_max <= _INT64.max:
-        both = np.zeros(min(h, m), dtype=np.int64)
-    else:  # a0 + a1 might not fit int64
-        both = np.zeros((_limb_count(2 * a_max, _DIGIT_BITS), min(h, m)), dtype=np.int8)
-    _fold(both, a0, 0, np.add)
-    _fold(both, a1, 0, np.add)
-    _fold(out, _square(both, m - 1, levels - 1), h, np.add)
-    del both
-    high = _square(a1, m - 1, levels - 1)
+    high = _multiply(highs, m - 1, levels - 1)
     _fold(out, high, h, np.subtract)
     _fold(out, high, 2 * h, np.add)
+    del high
+    _fold(out, _multiply(sums, m - 1, levels - 1), h, np.add)
     return out
 
 
@@ -265,20 +313,18 @@ def _dense(exps, coeffs, n_max):
     return base
 
 
-def _sparse_square(exps, coeffs, n_max):
-    """(sum c_i q^e_i)^2 to q^n_max.
+def _pair_blocks(exps, coeffs, n_max):
+    """(sum c_i q^e_i)^2 to q^n_max as (start, block) pairs of int64 entries
+    that cover 0..n_max in order, when (sum |c_i|)^2 < 2^53.
 
-    When (sum |c_i|)^2 < 2^53, the pairs i <= j are enumerated one block of
-    output exponents at a time and summed by bincount in float64, which is
-    then exact: every partial sum is an integer below 2^53.  Otherwise this
-    is an FFT square.
+    The pairs i <= j are enumerated one block of output exponents at a time,
+    at most ``arith._BLOCK`` of them and about _PAIR_CHUNK pairs, and summed
+    by bincount in float64, which is then exact: every partial sum is an
+    integer below 2^53.
     """
-    if sum(abs(c) for c in coeffs.tolist()) ** 2 >= 1 << 53:
-        return _square(_dense(exps, coeffs, n_max), n_max)
     rows = np.arange(len(exps))
     pairs = int(np.maximum(np.searchsorted(exps, n_max - exps, side="right") - rows, 0).sum())
-    width = max(1, _PAIR_CHUNK * (n_max + 1) // max(pairs, 1))
-    out = np.empty(n_max + 1, dtype=np.int64)
+    width = max(1, min(_BLOCK, _PAIR_CHUNK * (n_max + 1) // max(pairs, 1)))
     for lo in range(0, n_max + 1, width):
         hi = min(lo + width, n_max + 1)
         # row i pairs with j in [first_i, first_i + count_i): e_i + e_j in [lo, hi)
@@ -287,8 +333,36 @@ def _sparse_square(exps, coeffs, n_max):
         i = np.repeat(rows, count)
         j = np.repeat(first, count) + np.arange(len(i)) - np.repeat(np.cumsum(count) - count, count)
         w = coeffs[i] * coeffs[j] * np.where(i == j, 1, 2)
-        out[lo:hi] = np.bincount(exps[i] + exps[j] - lo, weights=w, minlength=hi - lo)
+        yield lo, np.bincount(exps[i] + exps[j] - lo, weights=w, minlength=hi - lo).astype(np.int64)
+
+
+def _pairs_exact(coeffs):
+    """Whether a square of the series with these coefficients can be summed
+    by ``_pair_blocks``."""
+    return sum(abs(c) for c in coeffs.tolist()) ** 2 < 1 << 53
+
+
+def _sparse_square(exps, coeffs, n_max):
+    """(sum c_i q^e_i)^2 to q^n_max: by exponent pairs (``_pair_blocks``) when
+    they can be summed exactly, and otherwise as an FFT square."""
+    if not _pairs_exact(coeffs):
+        return _multiply([_dense(exps, coeffs, n_max)], n_max)
+    out = np.empty(n_max + 1, dtype=np.int64)
+    for lo, block in _pair_blocks(exps, coeffs, n_max):
+        out[lo : lo + len(block)] = block
     return out
+
+
+def _series(exps, coeffs, k, n_max):
+    """The checked arguments of ``sparse_power``, with the terms past q^n_max dropped."""
+    exps = np.asarray(exps, dtype=np.int64)
+    coeffs = np.asarray(coeffs, dtype=np.int64)
+    if int(k) < 1 or int(n_max) < 0 or exps.shape != coeffs.shape or exps.ndim != 1:
+        raise ValueError("need k >= 1, n_max >= 0 and one coefficient per exponent")
+    if len(exps) and (exps[0] < 0 or np.any(exps[1:] <= exps[:-1])):
+        raise ValueError("exponents must be nonnegative and strictly increasing")
+    keep = exps <= int(n_max)
+    return exps[keep], coeffs[keep], int(k), int(n_max)
 
 
 def sparse_power(exps, coeffs, k, n_max):
@@ -301,43 +375,64 @@ def sparse_power(exps, coeffs, k, n_max):
     RoundingMarginError if an FFT product cannot be rounded with certainty.
     An entry past 128 bits takes more words, which no table accepts.
     """
-    exps = np.asarray(exps, dtype=np.int64)
-    coeffs = np.asarray(coeffs, dtype=np.int64)
-    k = int(k)
-    n_max = int(n_max)
-    if k < 1 or n_max < 0 or exps.shape != coeffs.shape or exps.ndim != 1:
-        raise ValueError("need k >= 1, n_max >= 0 and one coefficient per exponent")
-    if len(exps) and (exps[0] < 0 or np.any(exps[1:] <= exps[:-1])):
-        raise ValueError("exponents must be nonnegative and strictly increasing")
-    keep = exps <= n_max
-    exps, coeffs = exps[keep], coeffs[keep]
-    acc = None  # the base itself, until the first square
+    return _power(*_series(exps, coeffs, k, n_max))
+
+
+def _power(exps, coeffs, k, n_max, lead=0):
+    """``sparse_power`` of checked arguments, after ``lead`` zero entries:
+    entry n is the coefficient of q^(n - lead).  Each square and product
+    takes the running power over, so that no step holds its input past its
+    last use."""
+    held = []  # the running power, alone
     for bit in bin(k)[3:]:
-        acc = _sparse_square(exps, coeffs, n_max) if acc is None else _square(acc, n_max)
+        held.append(_multiply(held, n_max) if held else _sparse_square(exps, coeffs, n_max))
         if bit == "1":
-            acc = _product(acc, _dense(exps, coeffs, n_max), n_max)
-    if acc is None:
-        return _dense(exps, coeffs, n_max)
-    return acc if acc.ndim == 1 else _to_words(acc)
+            held.append(_dense(exps, coeffs, n_max))
+            held.append(_multiply(held, n_max))
+    power = held.pop() if held else _dense(exps, coeffs, n_max)
+    if power.ndim == 2:
+        return _to_words(power, lead)
+    return np.concatenate((np.zeros(lead, dtype=np.int64), power)) if lead else power
 
 
-def _to_words(rows):
-    """Digit rows as int64 words, low first and the last one signed: the
-    cache's (low, high) pairs while every entry fits 128 bits, and int64
-    when every entry fits int64.
+def square_blocks(exps, coeffs, n_max):
+    """``sparse_power(exps, coeffs, 2, n_max)`` as (start, block) pairs that
+    cover 0..n_max in order, each block int64 entries or (low, high) words.
+    When the exponent pairs can be summed exactly, as for theta^2 to any
+    table size, each block is made as it is drawn and the square is never
+    held whole; otherwise the square is made whole and cut into blocks of
+    ``arith._BLOCK`` entries.  The arguments are checked when it is called."""
+    exps, coeffs, _, n_max = _series(exps, coeffs, 2, n_max)
+    if _pairs_exact(coeffs):
+        return _pair_blocks(exps, coeffs, n_max)
+    power = _power(exps, coeffs, 2, n_max)
+    return ((s, power[s : s + _BLOCK]) for s in range(0, len(power), _BLOCK))
 
-    One carry pass makes the digits standard, u_j in [0, 2^8), eight to a
-    word; the bits above the last row are those of the final carry, -1 or 0."""
-    count = len(rows)
-    words = np.zeros((rows.shape[1], max(2, count // 8 + 1)), dtype=np.uint64)
-    carry = np.zeros(rows.shape[1], dtype=np.int16)
-    for j, row in enumerate(rows):
-        carry += row
-        digit = carry & 0xFF
-        carry -= digit
-        carry >>= _DIGIT_BITS
-        words[:, j // 8] |= digit.astype(np.uint64) << 8 * (j % 8)
-    sign = carry.astype(np.int64).view(np.uint64)
-    words[:, count // 8] |= sign << 8 * (count % 8)
-    words[:, count // 8 + 1 :] = sign[:, None]
+
+def _to_words(rows, lead=0):
+    """Digit rows as int64 words after ``lead`` zero entries, low first and
+    the last one signed: the cache's (low, high) pairs while every entry
+    fits 128 bits, and int64 when every entry fits int64.
+
+    The words are as many as hold the bound that ``_extent`` puts on the
+    entries, and are made one block of ``arith._BLOCK`` entries at a time: a
+    carry pass makes the digits standard, u_j in [0, 2^8), eight to a word,
+    and the bits above the last row are those of the final carry, -1 or 0."""
+    n = rows.shape[1]
+    width = _extent(rows)[0].bit_length() // 64 + 1  # |x| < 2^(64 width - 1)
+    count = min(len(rows), 8 * width)  # the rows that reach those words
+    words = np.zeros((lead + n, width), dtype=np.uint64)
+    for s in range(0, n, _BLOCK):
+        block = words[lead + s : lead + s + _BLOCK]
+        carry = np.zeros(len(block), dtype=np.int16)
+        for j, row in enumerate(rows[:count, s : s + _BLOCK]):
+            carry += row
+            digit = carry & 0xFF
+            carry -= digit
+            carry >>= _DIGIT_BITS
+            block[:, j // 8] |= digit.astype(np.uint64) << 8 * (j % 8)
+        if count < 8 * width:
+            sign = carry.astype(np.int64).view(np.uint64)
+            block[:, count // 8] |= sign << 8 * (count % 8)
+            block[:, count // 8 + 1 :] = sign[:, None]
     return narrow(words.view(np.int64))

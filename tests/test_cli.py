@@ -8,6 +8,7 @@ import json
 import math
 import os
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -15,8 +16,8 @@ import numpy as np
 import pytest
 from conftest import exact_count_integral
 
-from gaussvariants import arith, checks, cli, cuspform, kernels
-from gaussvariants.selection import TableEntries
+from gaussvariants import arith, charsums, checks, cli, cuspform, kernels, lattice, stream
+from gaussvariants.selection import TableEntries, TableSelection
 
 
 # a negative seed, in commands whose tables fit in --table-size 100, so
@@ -201,12 +202,32 @@ class TestExitCodes:
         assert capsys.readouterr().err == f"gv: --terms must be at least 1, got {terms}\n"
         assert list(tmp_path.iterdir()) == []
 
-    def test_overflowing_terms_exit_2(self, tmp_path, capsys):
-        # eisenstein-check reads no table: its 10^20 moduli leave the index range
+    def test_overflowing_terms_exit_2(self, tmp_path, capsys, monkeypatch):
+        # eisenstein-check reads no table: 10^20 moduli are refused by the
+        # bound on --terms, before the reduction suite runs
+        monkeypatch.setattr(checks, "reduction", lambda: pytest.fail("the reduction suite ran"))
         assert run(["eisenstein-check", "--terms", "100000000000000000000"], tmp_path) == cli.EXIT_CONFIG
         err = capsys.readouterr().err
-        assert err.startswith("gv: ") and err.count("\n") == 1, err
+        assert err == "gv: --terms must be at most 100000, got 100000000000000000000\n", err
         assert list(tmp_path.iterdir()) == []
+
+    def test_terms_bound_is_stated_and_checked_first(self, tmp_path, capsys, monkeypatch):
+        # one past the bound is refused as early; the series is never started
+        monkeypatch.setattr(checks, "reduction", lambda: pytest.fail("the reduction suite ran"))
+        monkeypatch.setattr(charsums, "gauss_sum_g_series", lambda *a: pytest.fail("the series ran"))
+        terms = str(cli._MAX_SERIES_TERMS + 1)
+        assert run(["eisenstein-check", "--terms", terms], tmp_path) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == f"gv: --terms must be at most {cli._MAX_SERIES_TERMS}, got {terms}\n"
+
+    @pytest.mark.parametrize("grid", ["2^1023..2^1023", "2^600..2^700"])
+    def test_moment_grid_past_the_float_range_names_the_grid(self, tmp_path, capsys, grid):
+        # X^(3/2) overflows at the largest grid point only; no table is read or built
+        (tmp_path / "cache").mkdir()
+        args = ["second-moment", "--grid", grid, "--table-size", "3000", "--cache", "cache"]
+        assert run(args, tmp_path) == cli.EXIT_CONFIG
+        X = repr(2.0 ** int(grid.rpartition("^")[2]))
+        assert capsys.readouterr().err == f"gv: second-moment --grid: X^(3/2) is past the float range at X = {X}\n"
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["cache"]
 
     @pytest.mark.parametrize("argv", NEGATIVE_SEED, ids=["hardy", "count-hyperboloid"])
     def test_negative_seed_names_the_option(self, tmp_path, capsys, argv):
@@ -244,7 +265,25 @@ class TestExitCodes:
         def too_large(d, n_max):
             raise MemoryError("Unable to allocate 745. GiB")
 
-        monkeypatch.setattr(arith, "r_d_table", too_large)
+        monkeypatch.setattr(stream, "r_d_blocks", too_large)  # what hardy builds r_2 with
+        (tmp_path / "cache").mkdir()
+        args = ["hardy", "--count", "1", "--terms", "5", "--cache", "cache"]
+        assert run(args, tmp_path) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == "gv: out of memory: Unable to allocate 745. GiB\n"
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["cache"]
+
+    def test_failure_in_a_streamed_build_leaves_no_cache_file(self, tmp_path, monkeypatch, capsys):
+        # the r_2 blocks pass through the cache file as they are made: a
+        # failure after the first block leaves neither the file nor its
+        # temporary
+        real = stream.r_d_blocks
+
+        def fails_after_one_block(d, n_max):
+            blocks = real(d, n_max)
+            yield next(blocks)
+            raise MemoryError("Unable to allocate 745. GiB")
+
+        monkeypatch.setattr(stream, "r_d_blocks", fails_after_one_block)
         (tmp_path / "cache").mkdir()
         args = ["hardy", "--count", "1", "--terms", "5", "--cache", "cache"]
         assert run(args, tmp_path) == cli.EXIT_CONFIG
@@ -399,6 +438,43 @@ class TestCache:
         assert run(["tau", "--table-size", "50", "--cache", str(cache), "--out", "t2"], tmp_path) == 0
         assert (tmp_path / "t.csv").read_bytes() == (tmp_path / "t2.csv").read_bytes()
 
+    def test_tau_csv_is_written_one_piece_at_a_time(self, tmp_path, tau):
+        # a warm `gv tau --table-size 20000` holds its table (0.32 MB of
+        # words) and one piece of rows and their text: 0.85 MB measured,
+        # against 5.4 MB when every row and line was made before the write
+        cache = tmp_path / "cache"
+        arith.write_table_cache(cache / "tau-20000.gvct", cuspform.tau_table(20000))
+        argv = ["tau", "--table-size", "20000", "--cache", str(cache), "--out", str(tmp_path / "t")]
+        assert run(argv, tmp_path) == 0  # the first run loads what the command imports
+        tracemalloc.start()
+        try:
+            assert run(argv, tmp_path) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.2e6, peak
+        lines = (tmp_path / "t.csv").read_text().splitlines()
+        assert lines[0] == "n,tau" and len(lines) == 20001
+        assert lines[1:] == [f"{n},{v}" for n, v in enumerate(tau[1:20001], 1)]
+
+    def test_rows_that_fail_part_way_leave_no_csv(self, tmp_path, monkeypatch, capsys):
+        # gv tau makes its rows as it writes them: a failure after the first
+        # piece exits 2 and leaves neither a CSV nor a JSON
+        cache = tmp_path / "cache"
+        arith.write_table_cache(cache / "tau-3000.gvct", cuspform.tau_table(3000))
+        real = arith.CoefficientTable.__getitem__
+
+        def fails_past_the_first_piece(table, n):
+            if isinstance(n, slice) and n.start > arith._PIECE:
+                raise MemoryError("Unable to allocate 1. GiB")
+            return real(table, n)
+
+        monkeypatch.setattr(arith.CoefficientTable, "__getitem__", fails_past_the_first_piece)
+        argv = ["tau", "--table-size", "3000", "--cache", str(cache), "--out", "t"]
+        assert run(argv, tmp_path) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == "gv: out of memory: Unable to allocate 1. GiB\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cache"]
+
     def test_env_var_overrides_flag(self, tmp_path, monkeypatch):
         env_cache = tmp_path / "env-cache"
         monkeypatch.setenv("GV_CACHE", str(env_cache))
@@ -479,6 +555,58 @@ class TestCache:
         assert cli.cached_table(args, "r_2", builder, 100) == arith.r_d_table(2, 100)
         assert built == [100]
         assert (tmp_path / "r_2-100.gvct").exists()
+
+    @pytest.mark.parametrize("fold", [None, "nonzero", "shells"])
+    def test_streamed_build_is_cached_and_read_as_a_built_table(self, tmp_path, fold):
+        # r_2 as blocks passes through its cache file into the read: the
+        # file is the one write_table_cache writes, and the read is what
+        # a warm run reads from it
+        table = arith.r_d_table(2, 40000)
+        n_max = {None: 40000, "nonzero": TableSelection(40000), "shells": TableSelection(40000, [1, 2, 5, 39999])}[fold]
+        args = argparse.Namespace(cache=str(tmp_path / "cold"))
+        cold = cli.cached_table(args, "r_2", lambda n: stream.r_d_blocks(2, n), n_max)
+        arith.write_table_cache(tmp_path / "whole.gvct", table)
+        assert (tmp_path / "cold" / "r_2-40000.gvct").read_bytes() == (tmp_path / "whole.gvct").read_bytes()
+        warm = cli.cached_table(args, "r_2", lambda n: pytest.fail("built twice"), n_max)
+        if fold is None:
+            assert cold == warm == table
+        else:
+            assert cold.complete == warm.complete
+            assert np.array_equal(cold.index, warm.index) and cold.index.dtype == warm.index.dtype
+            assert np.array_equal(cold.values, warm.values) and cold.values.dtype == warm.values.dtype
+
+    def test_cold_nonzero_read_of_r2_never_holds_the_table(self, tmp_path):
+        # r_2 to 10^6 is 8 MB of int64.  The nonzero selection keeps 216 342
+        # entries in int32 arrays with room for all 10^6 + 1, 8 MB of which
+        # it touches only what it keeps, cold or warm.  Beyond that room a
+        # cold miss holds about 0.9 MB (a block, its pair temporaries and
+        # the file's word buffer); built whole and then selected it held
+        # 1.8 MB beyond the table
+        args = argparse.Namespace(cache=str(tmp_path))
+        tracemalloc.start()
+        try:
+            entries = cli.cached_table(args, "r_2", lambda n: stream.r_d_blocks(2, n), TableSelection(10**6))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(entries) == 216342 and entries.index.dtype == entries.values.dtype == np.int32
+        room = 2 * 4 * (10**6 + 1)
+        assert peak - room < 1.2e6, peak - room
+
+    def test_cold_shell_read_of_r2_never_holds_the_table(self, tmp_path):
+        # the default smooth-hyperboloid reads 1 145 shell entries of r_2 to
+        # 1 308 737, a 10.5 MB table: a cold miss held 11.5 MB when it built
+        # the table whole, and holds about 0.9 MB streaming it
+        args = argparse.Namespace(cache=str(tmp_path))
+        selection = TableSelection(1308737, lattice.shell_indices(1, 1308737))
+        tracemalloc.start()
+        try:
+            entries = cli.cached_table(args, "r_2", lambda n: stream.r_d_blocks(2, n), selection)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(entries) == 1145
+        assert peak < 1.2e6, peak
 
     @pytest.mark.parametrize("size", [40, 60])
     def test_label_disagreeing_with_name_exits_2(self, tmp_path, capsys, size):

@@ -83,6 +83,11 @@ def test_cold_tau_loads_the_powers(tmp_path):
     assert "powers" in loaded(tmp_path, "tau")
 
 
+def test_cold_r2_read_loads_the_stream(tmp_path):
+    # r_2 is built in blocks into its cache file; a warm read loads neither
+    assert {"powers", "stream"} <= loaded(tmp_path, "count-circle")
+
+
 workloads = load_workloads()
 OPS = workloads.CLI_OPS + workloads.CHECK_OPS
 

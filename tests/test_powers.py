@@ -2,6 +2,7 @@
 
 import random
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -122,70 +123,120 @@ def value_of(x):
     return [sum(int(row[i]) << powers._DIGIT_BITS * j for j, row in enumerate(x)) for i in range(x.shape[1])]
 
 
+def random_operand(rng, n, digits):
+    """(values, operand): n random entries of 3 to 100 bits, some 0 and some
+    at int64's own edges, as int64 or, with ``digits`` true or past int64,
+    as balanced digit rows with up to two spare rows."""
+    bits = rng.choice([3, 24, 40, 62, 63, 100])
+    values = [rng.choice((-1, 1)) * rng.getrandbits(bits) if rng.random() < 0.8 else 0 for _ in range(n)]
+    if bits == 63 and rng.random() < 0.5:  # int64's own edges, where a0 + a1 leaves int64
+        values[rng.randrange(n)] = rng.choice([-(2**63), 2**63 - 1])
+    if bits <= 63 and not digits:
+        return values, np.array(values, dtype=np.int64)
+    count = powers._limb_count(max(map(abs, values)), powers._DIGIT_BITS) + rng.randint(0, 2)
+    return values, balanced_digit_rows(values, count)
+
+
 class TestSplitSquare:
     def test_split_squares_match_exact_convolution(self, monkeypatch):
-        # a0^2 + q^h ((a0 + a1)^2 - a0^2 - a1^2) + q^2h a1^2, one and two
+        # a0^2 + q^h ((a0 + a1)^2 - a0^2 - a1^2) + q^2h a1^2, one to three
         # levels deep: dropping any term leaves a wrong value at some q^k,
         # k >= h.  A full square (fewer than n_max + 1 entries) needs the
         # last term; a truncated one does not reach it
         monkeypatch.setattr(powers, "_SPLIT_LENGTH", 2)
         rng = random.Random(23)
         seen = set()
-        for trial in range(400):
-            levels = 1 + trial % 2
+        for trial in range(360):
+            levels = 1 + trial % 3
             monkeypatch.setattr(powers, "_SPLIT_LEVELS", levels)
             n = rng.randint(2, 17)  # odd and even lengths
             n_max = n - 1 if trial % 4 < 2 else rng.randint(n, 2 * n + 1)
-            bits = rng.choice([3, 24, 40, 62, 63, 100])
-            values = [rng.choice((-1, 1)) * rng.getrandbits(bits) if rng.random() < 0.8 else 0 for _ in range(n)]
-            if bits == 63 and rng.random() < 0.5:  # int64's own edges, where a0 + a1 leaves int64
-                values[rng.randrange(n)] = rng.choice([-(2**63), 2**63 - 1])
-            if bits <= 63 and trial % 3:
-                a = np.array(values, dtype=np.int64)
-            else:
-                count = powers._limb_count(max(map(abs, values)), powers._DIGIT_BITS) + rng.randint(0, 2)
-                a = balanced_digit_rows(values, count)
-            got = powers._square(a, n_max)
+            values, a = random_operand(rng, n, rng.random() < 1 / 3)
+            held = [a]
+            got = powers._multiply(held, n_max)
+            assert held == []  # the operand was taken over
             terms = [range(max(0, k - n + 1), min(k, n - 1) + 1) for k in range(n_max + 1)]
             assert value_of(got) == [sum(values[i] * values[k - i] for i in r) for k, r in enumerate(terms)], trial
             whole = powers._product(a, a, n_max)  # the same dtype, shape and bits
             assert got.dtype == whole.dtype and np.array_equal(got, whole), trial
             seen.add((levels, n_max >= n, a.ndim, got.ndim))
-        assert seen == {(levels, full, a, b) for levels in (1, 2) for full in (0, 1) for a in (1, 2) for b in (1, 2)}
+        assert seen == {(levels, full, a, b) for levels in (1, 2, 3) for full in (0, 1) for a in (1, 2) for b in (1, 2)}
+
+    def test_split_products_match_exact_convolution(self, monkeypatch):
+        # a0 b0 + q^h ((a0 + a1)(b0 + b1) - a0 b0 - a1 b1) + q^2h a1 b1, one
+        # to three levels deep, for int64 operands and digit rows in any mix
+        monkeypatch.setattr(powers, "_SPLIT_LENGTH", 2)
+        rng = random.Random(29)
+        seen = set()
+        for trial in range(480):
+            levels = 1 + trial % 3
+            monkeypatch.setattr(powers, "_SPLIT_LEVELS", levels)
+            n = rng.randint(2, 12)
+            n_max = n - 1 if trial % 4 < 2 else rng.randint(n, 2 * n + 1)
+            (a_values, a), (b_values, b) = (random_operand(rng, n, rng.random() < 1 / 2) for _ in "ab")
+            held = [a, b]
+            got = powers._multiply(held, n_max)
+            assert held == []
+            terms = [range(max(0, k - n + 1), min(k, n - 1) + 1) for k in range(n_max + 1)]
+            assert value_of(got) == [sum(a_values[i] * b_values[k - i] for i in r) for k, r in enumerate(terms)], trial
+            whole = powers._product(a, b, n_max)
+            assert got.dtype == whole.dtype and np.array_equal(got, whole), trial
+            seen.add((levels, n_max >= n, a.ndim, b.ndim, got.ndim))
+        assert seen == {(lv, f, a, b, c) for lv in (1, 2, 3) for f in (0, 1) for a in (1, 2) for b in (1, 2) for c in (1, 2)}
+
+    @pytest.mark.parametrize("count", [1, 2], ids=["square", "product"])
+    def test_each_operand_is_freed_before_anything_is_multiplied(self, monkeypatch, count):
+        # the operands handed over are replaced by their halves and sums, so
+        # none of them is alive when the first product of a leaf is made
+        monkeypatch.setattr(powers, "_SPLIT_LENGTH", 8)
+        held = [np.arange(1, 17, dtype=np.int64) * (k + 1) for k in range(count)]
+        refs = [weakref.ref(x) for x in held]
+        alive = []
+        real = powers._product
+        monkeypatch.setattr(
+            powers, "_product", lambda a, b, n_max: alive.append(any(r() is not None for r in refs)) or real(a, b, n_max)
+        )
+        powers._multiply(held, 15)
+        assert len(alive) == 27 and not any(alive)
 
     def test_squares_split_from_the_split_length(self, monkeypatch):
         calls = []
         real = powers._product
         monkeypatch.setattr(powers, "_product", lambda a, b, n_max: calls.append(a.shape[-1]) or real(a, b, n_max))
         monkeypatch.setattr(powers, "_SPLIT_LENGTH", 10)
+        monkeypatch.setattr(powers, "_SPLIT_LEVELS", 2)
         a = np.arange(1, 10, dtype=np.int64)
-        assert powers._square(a, 8).tolist() == np.convolve(a, a)[:9].tolist()
+        assert powers._multiply([a], 8).tolist() == np.convolve(a, a)[:9].tolist()
         assert calls == [9]
         a = np.arange(1, 11, dtype=np.int64)
-        assert powers._square(a, 9).tolist() == np.convolve(a, a)[:10].tolist()
-        # a0^2 (a full square of 5 entries), (a0 + a1)^2 and a1^2 (truncated,
-        # 5 entries each), each split once more into three of 2 or 3 entries
-        assert calls == [9, 3, 3, 2, 3, 2, 2, 3, 2, 2]
+        assert powers._multiply([a], 9).tolist() == np.convolve(a, a)[:10].tolist()
+        # a0^2 (a full square of 5 entries), a1^2 and (a0 + a1)^2 (truncated,
+        # 5 entries each), in that order, each split once more into three of
+        # 2 or 3 entries
+        assert calls == [9, 3, 2, 3, 3, 2, 2, 3, 2, 2]
 
     def test_tau_build_makes_no_transform_longer_than_the_split_length(self, monkeypatch):
         # tau(164000) squares series of 164000 entries: one level deep its
-        # longest transform has 164025 points, two levels deep 82944
+        # longest transform has 164025 points, two levels deep 82944 and
+        # three levels deep 41472
         lengths = []
         real = np.fft.rfft
         monkeypatch.setattr(np.fft, "rfft", lambda x, n=None: lengths.append(n) or real(x, n))
         cuspform.tau_table(164000)
-        assert 0 < max(lengths) <= powers._SPLIT_LENGTH, max(lengths)
+        assert 0 < max(lengths) <= powers._SPLIT_LENGTH // 2, max(lengths)
 
     def test_tau_build_holds_one_square_per_level(self):
         # measured peaks: 15.9 MB one level deep, 11.3 MB two levels deep
-        # with each square folded into its level's result as it is made
+        # with each square folded into its level's result as it is made, and
+        # 8.4-8.6 MB three levels deep with each square owning its operands;
+        # the bound leaves 0.6 MB for other numpy builds
         tracemalloc.start()
         try:
             cuspform.tau_table(164000)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 13e6, peak
+        assert peak < 9.2e6, peak
 
     def test_tau_table_is_the_same_with_and_without_the_split(self, monkeypatch):
         # tau to 140001 squares series of 140001 entries, which split
@@ -195,3 +246,39 @@ class TestSplitSquare:
         whole = cuspform.tau_table(140001)
         assert split.values.shape == whole.values.shape == (140002, 2)
         assert split == whole
+
+
+class TestWords:
+    def test_words_hold_each_entry_after_the_lead(self):
+        # the fewest int64 words that hold every entry, low first, after
+        # ``lead`` zero entries, whatever spare rows the digits carry
+        rng = random.Random(31)
+        for trial in range(480):
+            n, count, lead = rng.randint(1, 30), rng.randint(1, 20), rng.randint(0, 2)
+            top = 8 * count - 2
+            values = [rng.randrange(-(2**top), 2**top) >> rng.randint(0, top) for _ in range(n)]
+            words = powers._to_words(balanced_digit_rows(values, count), lead)
+            assert arith._exact_list(words) == [0] * lead + values, trial
+            fewest = min(w for w in range(1, 9) if all(-(2 ** (64 * w - 1)) <= v < 2 ** (64 * w - 1) for v in values))
+            assert words.dtype == np.int64 and words.shape == (lead + n,) + ((fewest,) if fewest > 1 else ()), trial
+
+    def test_words_are_made_one_block_at_a_time(self):
+        # tau(164000) has 15 digit rows; the words were once made from
+        # whole-length temporaries, 8.0 MB for 2.6 MB of words; now one
+        # block's temporaries and the bound's pass take about 0.46 MB
+        rows = np.random.default_rng(5).integers(-128, 128, size=(15, 164000), dtype=np.int8)
+        tracemalloc.start()
+        try:
+            words = powers._to_words(rows, 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert words.shape == (164001, 2)
+        assert peak < words.nbytes + 0.7e6, peak
+
+    def test_tau_table_does_not_copy_the_power(self, monkeypatch):
+        # the words are made after tau's zero entry, not copied behind it
+        monkeypatch.setattr(np, "concatenate", lambda *a, **k: pytest.fail("the power was copied"))
+        table = cuspform.tau_table(3000)
+        assert table.values.shape == (3001, 2)
+        assert table[:5] == [0, 1, -24, 252, -1472]
