@@ -179,6 +179,13 @@ def exact_ints(values, count):
     return values.astype(np.int64, copy=False) if _fits(values, count) else _words.exact(values)
 
 
+def table_blocks(values):
+    """The table ``values`` as (start, values[start : start + _BLOCK]) pairs
+    that cover it in order, as a cache body is read: the one cut of a table
+    in memory into blocks, for a writer, a selection or a fold."""
+    return ((s, values[s : s + _BLOCK]) for s in range(0, len(values), _BLOCK))
+
+
 def prefix_blocks(values):
     """The exact running sums of the stored entries ``values``, as (start,
     sums) pairs of ``_BLOCK`` sums: int64 where the carry is below
@@ -188,8 +195,7 @@ def prefix_blocks(values):
     ints and its temporaries is held.  A block yielded is released before
     the next is folded, so a consumer that drops it too holds one block."""
     carry = 0
-    for s in range(0, len(values), _BLOCK):
-        block = values[s : s + _BLOCK]
+    for s, block in table_blocks(values):
         if abs(carry) < _INT64_SAFE and _fits(block, len(block)):
             sums = np.cumsum(block, dtype=np.int64)
             sums += carry
@@ -570,9 +576,7 @@ def write_table_cache(path, table):
     drawn to the end."""
     from .stream import stream_table_cache  # a warm process writes nothing
 
-    v = table.values
-    blocks = ((s, v[s : s + _BLOCK]) for s in range(0, len(v), _BLOCK))
-    for _ in stream_table_cache(path, table.label, table.n_max, blocks):
+    for _ in stream_table_cache(path, table.label, table.n_max, table_blocks(table.values)):
         pass
 
 

@@ -171,8 +171,7 @@ class CuspFold:
         """The CuspFormSeries of the CoefficientTable ``table``, folded one
         block at a time as from a cache file."""
         table.require(self.n_max, "the fold")
-        v = table.values[: self.n_max + 1]
-        return self.keep(table.label, ((s, v[s : s + arith._BLOCK]) for s in range(0, len(v), arith._BLOCK)))
+        return self.keep(table.label, arith.table_blocks(table.values[: self.n_max + 1]))
 
 
 @dataclass(frozen=True, eq=False)

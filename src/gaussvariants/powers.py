@@ -10,20 +10,16 @@ one irfft per diagonal, each checking its rounding margin and raising
 
 A square or a product of at least ``_SPLIT_LENGTH`` entries, as is every
 FFT square behind tau(164000) or tau(10^6) and the odd-power product of
-r_5 or r_7 to 2^20, is split three levels deep (Karatsuba and Ofman 1962):
-with a = a0 + q^h a1 and b = b0 + q^h b1 it is a0 b0, a1 b1 and
-(a0 + a1)(b0 + b1), each of half the length and each split again, so 27
-FFT products of an eighth of the length.  Each product owns its operands
-(``_multiply``): the caller hands them over in a list, and each is replaced
-by its halves and their sum, as copies, before anything is multiplied, so
-no operand outlives its last use; ``sparse_power`` hands over its running
-power in the same way.  Each of the three products is folded into its
-level's result as soon as it is made.  The longest transform, and with it
-every live spectrum and the FFT library's buffers, is an eighth as long as
-one whole product's.  A tau(164000) build then holds 8.5 MB at its peak
-under tracemalloc (11.3 MB two levels deep, with each square's input held
-by its caller) and takes about 0.05 s longer; a tau(10^6) build about 1.2
-times as long.  The result has the same bits, dtype and digit rows as the
+r_5 or r_7 to 2^20, is cut into ``_SPLIT_BLOCKS`` blocks of w entries,
+a = sum_i q^(iw) a_i, and each pair of blocks that reaches q^N is one FFT
+product a_i b_j, added into the result at q^((i+j)w) as soon as it is
+made (``_multiply``); a square takes each pair i < j once and adds it
+twice.  The blocks are views, so nothing is copied, and no transform is
+longer than about 2w: every live spectrum and the FFT library's buffers
+are an eighth as long as one whole product's.  A truncated square to q^N
+takes 20 block products, a truncated product 36.  A tau(164000) build
+then holds 8.3 MB at its peak under tracemalloc, against 15.9 MB for
+whole squares.  The result has the same bits, dtype and digit rows as the
 one product.
 
 Digit rows become the cache's words one block of ``arith._BLOCK`` entries
@@ -40,7 +36,7 @@ from itertools import islice
 import numpy as np
 
 from ._words import narrow
-from .arith import _BLOCK, RoundingMarginError
+from .arith import _BLOCK, RoundingMarginError, table_blocks
 
 _INT64 = np.iinfo(np.int64)
 
@@ -52,10 +48,10 @@ _DIAGONAL_BOUND = 1 << 40
 _MAX_WIDTH = 51
 _DIGIT_BITS = 8  # a result that may pass int64 is held as int8 rows of balanced digits
 _PAIR_CHUNK = 1 << 14  # exponent pairs per bincount, on average, in a sparse square
-# A product of at least this many entries is split _SPLIT_LEVELS deep into
-# 27 products of an eighth of its length; one spectrum of this length is 2 MB.
+# An operand of at least this many entries is cut into _SPLIT_BLOCKS blocks
+# (_multiply); one spectrum of this length is 2 MB.
 _SPLIT_LENGTH = 1 << 17
-_SPLIT_LEVELS = 3
+_SPLIT_BLOCKS = 8
 
 
 def _smooth_length(n):
@@ -154,13 +150,6 @@ def _regroup(digits, src, dst, count):
         yield _cut(acc, dst)
 
 
-def _wrapped(x):
-    """int64 x, or the value of digit rows x mod 2^64 as int64."""
-    if x.ndim == 1:
-        return x
-    return sum(np.left_shift(row, _DIGIT_BITS * j, dtype=np.int64) for j, row in enumerate(x))
-
-
 def _digit_rows(x, count):
     """The low count balanced digits of int64 x or of digit rows x, low first:
     together they are x mod 2^(8 count)."""
@@ -180,14 +169,18 @@ def _limbs(x, x_max, width):
 
 
 def _product(a, b, n_max):
-    """a * b to q^n_max, exactly, for int64 a, b or digit rows of at most
-    n_max + 1 entries; digit rows come back when the result may pass int64."""
+    """a * b to q^n_max, exactly, for int64 a, b or digit rows (b is a for a
+    square); digit rows come back when the result may pass int64.  Only the
+    entries of each operand that reach q^n_max are read: one past them would
+    wrap around the transform."""
+    square = b is a
+    a = a[..., : n_max + 1]
+    b = a if square else b[..., : n_max + 1]
     (a_max, a_nnz), (b_max, b_nnz) = _extent(a), _extent(b)
     nnz = min(a_nnz, b_nnz)
     bound = a_max * b_max * nnz
     width = _limb_width(a_max, b_max, nnz)
     n_fft = _smooth_length(min(2 * n_max + 1, a.shape[-1] + b.shape[-1] - 1))
-    square = b is a
     la, lb = _limb_count(a_max, width), _limb_count(b_max, width)
     # spectra are made when a diagonal first needs them and dropped after the last
     limbs_a = _limbs(a, a_max, width)
@@ -225,85 +218,61 @@ def _product(a, b, n_max):
     return np.array([digit.astype(np.int8) for digit in digits])
 
 
-def _fold(out, x, at, add):
-    """out[..., at:] = add(out[..., at:], x) as far as out reaches, for
-    ``add`` np.add or np.subtract and int64 x or digit rows x: int64 out
-    wraps mod 2^64, and digit rows out keep the balanced digits of the
-    result mod 2^(8 len(out))."""
-    width = min(x.shape[-1], out.shape[-1] - at)
-    if width <= 0:
-        return
+def _fold(out, x, at):
+    """out[..., at : at + n] += x, for int64 x or digit rows x of n entries
+    that out reaches: int64 out wraps mod 2^64, and digit rows out keep the
+    balanced digits of the sum mod 2^(8 len(out))."""
+    view = out[..., at : at + x.shape[-1]]
     if out.ndim == 1:
-        view = out[at : at + width]
-        add(view, _wrapped(x[..., :width]), out=view)
+        view += x
         return
-    acc = np.zeros(width, dtype=np.int16)  # digit j of the sum, plus the carry into it
-    for digit, row in zip(out[:, at : at + width], _digit_rows(x[..., :width], len(out))):
+    acc = np.zeros(x.shape[-1], dtype=np.int16)  # digit j of the sum, plus the carry into it
+    for digit, row in zip(view, _digit_rows(x, len(out))):
         acc += digit
-        add(acc, row, out=acc)
+        acc += row
         digit[:] = acc  # wraps to the balanced digit, acc mod 2^8
         acc -= digit
         acc >>= _DIGIT_BITS
 
 
-def _multiply(held, n_max, levels=None):
-    """The product of the operands in ``held`` to q^n_max, as ``_product``
-    returns it: a * a for held = [a], a * b for held = [a, b], int64 or
-    digit rows of one length, at most n_max + 1 entries.  The operands are
-    taken out of ``held``, so that each is freed as soon as it has been
-    used when the caller keeps no other reference to it.
+def _multiply(a, b, n_max):
+    """a * b to q^n_max as ``_product`` returns it, for int64 a, b or digit
+    rows (b is a for a square).
 
-    A product of at least _SPLIT_LENGTH entries is split _SPLIT_LEVELS deep.
-    At each level each operand x = x0 + q^h x1, h = ceil(len(x) / 2), and
-    a b = a0 b0 + q^h ((a0 + a1)(b0 + b1) - a0 b0 - a1 b1) + q^2h a1 b1
-    (Karatsuba and Ofman 1962).  The bracket is needed only to
-    q^(n_max - h), so each x0 + x1 is cut there, and a1 b1 q^2h falls past
-    q^n_max when the operands are as long as the result.  Each operand is
-    replaced by its sum x0 + x1 and its halves x0 and x1, each a copy, before
-    anything is multiplied; each of the three products, a0 b0, a1 b1 and
-    then the sums', takes its operands over and is folded into the result as
-    soon as it is made.  So a level holds its result, one product and what
-    is left of its operands, and no spectrum or FFT buffer longer than about
-    2 len(a) / 2^levels is made.  (With the sums' product second, the same
-    allocations left glibc's heap 1.7 MB higher in a tau(164000) build.)
+    An operand of at least _SPLIT_LENGTH entries is cut into _SPLIT_BLOCKS
+    views of w entries, a = sum_i q^(iw) a_i, and a b is the sum of
+    q^((i+j)w) a_i b_j over the pairs with (i + j) w <= n_max, each one
+    ``_product`` added into the result as soon as it is made; a square adds
+    a_i a_j, i < j, twice.  Each pair is asked for no more than its own
+    2w - 1 entries, so no spectrum or FFT buffer is longer than about 2w.
+    The result is made for the bound that ``_product`` puts on the whole
+    product, int64 or as many digit rows: no block product's bound is
+    larger, and a sum that fits the rows has their balanced digits mod
+    2^(8 rows), so the bits are those of the one product.
     """
-    size = held[0].shape[-1]
-    if levels is None:
-        levels = _SPLIT_LEVELS if size >= _SPLIT_LENGTH else 0
-    if levels == 0 or size < 2:
-        a = held.pop(0)
-        return _product(a, held.pop() if held else a, n_max)
-    extents = [_extent(x) for x in held]
-    (a_max, a_nnz), (b_max, b_nnz) = extents[0], extents[-1]
+    square = b is a
+    a = a[..., : n_max + 1]
+    b = a if square else b[..., : n_max + 1]
+    size = max(a.shape[-1], b.shape[-1])
+    if size < _SPLIT_LENGTH:
+        return _product(a, b, n_max)
+    a_max, a_nnz = _extent(a)
+    b_max, b_nnz = (a_max, a_nnz) if square else _extent(b)
     bound = a_max * b_max * min(a_nnz, b_nnz)
-    h = (size + 1) // 2
-    m = min(n_max + 1 - h, 2 * h - 1)  # the length of the bracket that is needed
-    lows, sums, highs = [], [], []
-    for x_max, _ in extents:
-        x = held.pop(0)
-        if x.ndim == 1 and 2 * x_max <= _INT64.max:
-            both = np.zeros(min(h, m), dtype=np.int64)
-        else:  # x0 + x1 might not fit int64
-            both = np.zeros((_limb_count(2 * x_max, _DIGIT_BITS), min(h, m)), dtype=np.int8)
-        _fold(both, x[..., :h], 0, np.add)
-        _fold(both, x[..., h:], 0, np.add)
-        lows.append(x[..., :h].copy())
-        sums.append(both)
-        highs.append(x[..., h:].copy())
-        del x, both  # the operand is freed here
-    low = _multiply(lows, min(n_max, 2 * h - 2), levels - 1)  # a0 b0 has 2h - 1 entries
     if bound <= _INT64.max:  # as in _product: the sum wraps mod 2^64 but fits int64
         out = np.zeros(n_max + 1, dtype=np.int64)
-    else:  # a sum that fits count balanced digits has the digits of the sum mod 2^(8 count)
+    else:
         out = np.zeros((_limb_count(bound, _DIGIT_BITS), n_max + 1), dtype=np.int8)
-    _fold(out, low, 0, np.add)
-    _fold(out, low[..., :m], h, np.subtract)
-    del low
-    high = _multiply(highs, m - 1, levels - 1)
-    _fold(out, high, h, np.subtract)
-    _fold(out, high, 2 * h, np.add)
-    del high
-    _fold(out, _multiply(sums, m - 1, levels - 1), h, np.add)
+    w = -(-size // _SPLIT_BLOCKS)
+    for i in range(0, a.shape[-1], w):
+        a_i = a[..., i : i + w]
+        for j in range(i if square else 0, min(b.shape[-1], n_max + 1 - i), w):
+            b_j = a_i if square and j == i else b[..., j : j + w]
+            x = _product(a_i, b_j, min(n_max - i - j, a_i.shape[-1] + b_j.shape[-1] - 2))
+            _fold(out, x, i + j)
+            if square and j > i:
+                _fold(out, x, i + j)  # the mirror pair a_j a_i
+            del x  # not held while the next pair is multiplied
     return out
 
 
@@ -346,7 +315,8 @@ def _sparse_square(exps, coeffs, n_max):
     """(sum c_i q^e_i)^2 to q^n_max: by exponent pairs (``_pair_blocks``) when
     they can be summed exactly, and otherwise as an FFT square."""
     if not _pairs_exact(coeffs):
-        return _multiply([_dense(exps, coeffs, n_max)], n_max)
+        base = _dense(exps, coeffs, n_max)
+        return _multiply(base, base, n_max)
     out = np.empty(n_max + 1, dtype=np.int64)
     for lo, block in _pair_blocks(exps, coeffs, n_max):
         out[lo : lo + len(block)] = block
@@ -380,16 +350,14 @@ def sparse_power(exps, coeffs, k, n_max):
 
 def _power(exps, coeffs, k, n_max, lead=0):
     """``sparse_power`` of checked arguments, after ``lead`` zero entries:
-    entry n is the coefficient of q^(n - lead).  Each square and product
-    takes the running power over, so that no step holds its input past its
-    last use."""
-    held = []  # the running power, alone
+    entry n is the coefficient of q^(n - lead)."""
+    power = None
     for bit in bin(k)[3:]:
-        held.append(_multiply(held, n_max) if held else _sparse_square(exps, coeffs, n_max))
+        power = _sparse_square(exps, coeffs, n_max) if power is None else _multiply(power, power, n_max)
         if bit == "1":
-            held.append(_dense(exps, coeffs, n_max))
-            held.append(_multiply(held, n_max))
-    power = held.pop() if held else _dense(exps, coeffs, n_max)
+            power = _multiply(power, _dense(exps, coeffs, n_max), n_max)
+    if power is None:  # k = 1
+        power = _dense(exps, coeffs, n_max)
     if power.ndim == 2:
         return _to_words(power, lead)
     return np.concatenate((np.zeros(lead, dtype=np.int64), power)) if lead else power
@@ -405,8 +373,7 @@ def square_blocks(exps, coeffs, n_max):
     exps, coeffs, _, n_max = _series(exps, coeffs, 2, n_max)
     if _pairs_exact(coeffs):
         return _pair_blocks(exps, coeffs, n_max)
-    power = _power(exps, coeffs, 2, n_max)
-    return ((s, power[s : s + _BLOCK]) for s in range(0, len(power), _BLOCK))
+    return table_blocks(_power(exps, coeffs, 2, n_max))
 
 
 def _to_words(rows, lead=0):

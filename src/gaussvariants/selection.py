@@ -61,22 +61,21 @@ class TableSelection:
         lo, hi = np.searchsorted(self.index, (start, start + len(block)))
         return self.index[lo:hi] - start
 
-    def keep(self, label, blocks, room=None):
+    def keep(self, label, blocks):
         """The TableEntries of table ``label`` that this selection keeps from
         ``blocks``: (start, block) pairs, block holding a(start..), that
         cover 0..n_max in order.  A block may be overwritten once the next
         one is drawn; nothing kept refers to it.  A block holds int64
         entries, or (low, high) words as in the cache body.
 
-        The pairs are written into arrays with ``room`` for them, by default
-        for every entry the selection could keep (all n_max + 1 for the
-        nonzero selection); the arrays are cut to the kept length at the
-        end, so only the part written is ever touched.  The values are
-        int32 up to the first kept entry that does not fit, then int64 up
-        to the first that does not fit that, then words.
+        The pairs are written into arrays with room for every entry the
+        selection could keep (all n_max + 1 for the nonzero selection); the
+        arrays are cut to the kept length at the end, so only the part
+        written is ever touched.  The values are int32 up to the first kept
+        entry that does not fit, then int64 up to the first that does not
+        fit that, then words.
         """
-        if room is None:
-            room = self.n_max + 1 if self.index is None else len(self.index)
+        room = self.n_max + 1 if self.index is None else len(self.index)
         index = np.empty(room, dtype=np.int32 if self.n_max < 2**31 else np.int64)
         values = np.empty(room, dtype=np.int32)
         kept = 0
@@ -100,13 +99,7 @@ class TableSelection:
         keeps, picked one block at a time as from a cache file, into arrays
         of the kept length."""
         table.require(self.n_max, "the selection")
-        v = table.values[: self.n_max + 1]
-        if self.index is None:
-            room = np.count_nonzero(v if v.ndim == 1 else v.any(axis=1))
-        else:
-            room = len(self.index)
-        blocks = ((s, v[s : s + arith._BLOCK]) for s in range(0, len(v), arith._BLOCK))
-        return self.keep(table.label, blocks, room)
+        return self.keep(table.label, arith.table_blocks(table.values[: self.n_max + 1]))
 
 
 def _width(values):

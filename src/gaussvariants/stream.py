@@ -39,8 +39,7 @@ def r_d_blocks(d, n_max):
     d = int(d)
     n_max = int(n_max)
     if d != 2:
-        v = arith.r_d_table(d, n_max).values
-        return ((s, v[s : s + _BLOCK]) for s in range(0, len(v), _BLOCK))
+        return arith.table_blocks(arith.r_d_table(d, n_max).values)
     if n_max < 0:
         raise ValueError("need d >= 1 and n_max >= 0")
     from .powers import square_blocks
@@ -79,8 +78,7 @@ def stream_table_cache(path, label, n_max, blocks):
             for start, block in blocks:
                 if start != written or written + len(block) > n_max + 1:
                     raise ValueError(f"{path}: a block at {start} does not follow entry {written - 1}")
-                for s in range(0, len(block), _BLOCK):
-                    part = block[s : s + _BLOCK]  # words are written as they are
+                for _, part in arith.table_blocks(block):  # words are written as they are
                     if part.ndim == 1:
                         put(words[: len(part)], part)
                         part = words[: len(part)]

@@ -2,7 +2,6 @@
 
 import random
 import tracemalloc
-import weakref
 
 import numpy as np
 import pytest
@@ -85,6 +84,18 @@ class TestSparsePower:
             assert got == [sum(a[i] * b[k - i] for i in range(k + 1)) for k in range(n)], trial
         assert wide > 900
 
+    def test_product_reads_only_the_entries_that_reach_n_max(self):
+        # an operand longer than n_max + 1 entries once wrapped around the
+        # transform onto the low entries, which no rounding check sees:
+        # (1 + 2q + ... + 10q^9)^2 to q^3 came out as 148, 168, 180, 184
+        a = np.arange(1, 11, dtype=np.int64)
+        assert powers._product(a, a, 3).tolist() == [1, 4, 10, 20]
+        b = np.arange(30, 0, -3, dtype=np.int64)
+        assert powers._product(a, b, 3).tolist() == np.convolve(a, b)[:4].tolist()
+        wide = [x << 60 for x in range(1, 11)]  # digit rows, and a result past int64
+        rows = powers._product(balanced_digit_rows(wide, 9), a, 2)
+        assert value_of(rows) == [sum(wide[i] * (k - i + 1) for i in range(k + 1)) for k in range(3)]
+
     def test_margin_check_refuses_a_quarter(self):
         assert powers._rint_checked(np.array([3.2, -1.9, 0.0])).tolist() == [3, -2, 0]
         with pytest.raises(arith.RoundingMarginError):
@@ -129,7 +140,7 @@ def random_operand(rng, n, digits):
     as balanced digit rows with up to two spare rows."""
     bits = rng.choice([3, 24, 40, 62, 63, 100])
     values = [rng.choice((-1, 1)) * rng.getrandbits(bits) if rng.random() < 0.8 else 0 for _ in range(n)]
-    if bits == 63 and rng.random() < 0.5:  # int64's own edges, where a0 + a1 leaves int64
+    if bits == 63 and rng.random() < 0.5:  # int64's own edges, where a limb cut may wrap
         values[rng.randrange(n)] = rng.choice([-(2**63), 2**63 - 1])
     if bits <= 63 and not digits:
         return values, np.array(values, dtype=np.int64)
@@ -138,98 +149,94 @@ def random_operand(rng, n, digits):
 
 
 class TestSplitSquare:
+    @staticmethod
+    def kinds(rng, n):
+        """(kind, n_max): a truncated result of n entries, a full one that
+        reaches past the operands' 2n - 1, or one shorter than the operands."""
+        kind = rng.randrange(3)
+        return kind, (n - 1, rng.randint(n, 2 * n + 1), rng.randint(0, n - 2))[kind]
+
     def test_split_squares_match_exact_convolution(self, monkeypatch):
-        # a0^2 + q^h ((a0 + a1)^2 - a0^2 - a1^2) + q^2h a1^2, one to three
-        # levels deep: dropping any term leaves a wrong value at some q^k,
-        # k >= h.  A full square (fewer than n_max + 1 entries) needs the
-        # last term; a truncated one does not reach it
+        # sum_i a_i^2 q^(2iw) + 2 sum_(i<j) a_i a_j q^((i+j)w), cut into 2, 3,
+        # 5 or 8 blocks: dropping a pair, or adding a mirror pair once, leaves
+        # a wrong value at some q^k, k >= w
         monkeypatch.setattr(powers, "_SPLIT_LENGTH", 2)
         rng = random.Random(23)
-        seen = set()
-        for trial in range(360):
-            levels = 1 + trial % 3
-            monkeypatch.setattr(powers, "_SPLIT_LEVELS", levels)
-            n = rng.randint(2, 17)  # odd and even lengths
-            n_max = n - 1 if trial % 4 < 2 else rng.randint(n, 2 * n + 1)
+        seen, uneven = set(), 0
+        for trial in range(640):
+            blocks = (2, 3, 5, 8)[trial % 4]
+            monkeypatch.setattr(powers, "_SPLIT_BLOCKS", blocks)
+            n = rng.randint(2, 17)
+            kind, n_max = self.kinds(rng, n)
             values, a = random_operand(rng, n, rng.random() < 1 / 3)
-            held = [a]
-            got = powers._multiply(held, n_max)
-            assert held == []  # the operand was taken over
+            got = powers._multiply(a, a, n_max)
             terms = [range(max(0, k - n + 1), min(k, n - 1) + 1) for k in range(n_max + 1)]
             assert value_of(got) == [sum(values[i] * values[k - i] for i in r) for k, r in enumerate(terms)], trial
             whole = powers._product(a, a, n_max)  # the same dtype, shape and bits
             assert got.dtype == whole.dtype and np.array_equal(got, whole), trial
-            seen.add((levels, n_max >= n, a.ndim, got.ndim))
-        assert seen == {(levels, full, a, b) for levels in (1, 2, 3) for full in (0, 1) for a in (1, 2) for b in (1, 2)}
+            seen.add((blocks, kind, a.ndim, got.ndim))
+            uneven += min(n, n_max + 1) % -(-min(n, n_max + 1) // blocks) != 0
+        assert seen == {(blocks, kind, a, b) for blocks in (2, 3, 5, 8) for kind in range(3) for a in (1, 2) for b in (1, 2)}
+        assert uneven > 100
 
     def test_split_products_match_exact_convolution(self, monkeypatch):
-        # a0 b0 + q^h ((a0 + a1)(b0 + b1) - a0 b0 - a1 b1) + q^2h a1 b1, one
-        # to three levels deep, for int64 operands and digit rows in any mix
+        # sum_(i,j) a_i b_j q^((i+j)w), for int64 operands and digit rows in any mix
         monkeypatch.setattr(powers, "_SPLIT_LENGTH", 2)
         rng = random.Random(29)
         seen = set()
-        for trial in range(480):
-            levels = 1 + trial % 3
-            monkeypatch.setattr(powers, "_SPLIT_LEVELS", levels)
+        for trial in range(960):
+            blocks = (2, 3, 5, 8)[trial % 4]
+            monkeypatch.setattr(powers, "_SPLIT_BLOCKS", blocks)
             n = rng.randint(2, 12)
-            n_max = n - 1 if trial % 4 < 2 else rng.randint(n, 2 * n + 1)
+            kind, n_max = self.kinds(rng, n)
             (a_values, a), (b_values, b) = (random_operand(rng, n, rng.random() < 1 / 2) for _ in "ab")
-            held = [a, b]
-            got = powers._multiply(held, n_max)
-            assert held == []
+            got = powers._multiply(a, b, n_max)
             terms = [range(max(0, k - n + 1), min(k, n - 1) + 1) for k in range(n_max + 1)]
             assert value_of(got) == [sum(a_values[i] * b_values[k - i] for i in r) for k, r in enumerate(terms)], trial
             whole = powers._product(a, b, n_max)
             assert got.dtype == whole.dtype and np.array_equal(got, whole), trial
-            seen.add((levels, n_max >= n, a.ndim, b.ndim, got.ndim))
-        assert seen == {(lv, f, a, b, c) for lv in (1, 2, 3) for f in (0, 1) for a in (1, 2) for b in (1, 2) for c in (1, 2)}
-
-    @pytest.mark.parametrize("count", [1, 2], ids=["square", "product"])
-    def test_each_operand_is_freed_before_anything_is_multiplied(self, monkeypatch, count):
-        # the operands handed over are replaced by their halves and sums, so
-        # none of them is alive when the first product of a leaf is made
-        monkeypatch.setattr(powers, "_SPLIT_LENGTH", 8)
-        held = [np.arange(1, 17, dtype=np.int64) * (k + 1) for k in range(count)]
-        refs = [weakref.ref(x) for x in held]
-        alive = []
-        real = powers._product
-        monkeypatch.setattr(
-            powers, "_product", lambda a, b, n_max: alive.append(any(r() is not None for r in refs)) or real(a, b, n_max)
-        )
-        powers._multiply(held, 15)
-        assert len(alive) == 27 and not any(alive)
+            seen.add((blocks, kind, a.ndim, b.ndim, got.ndim))
+        assert seen == {
+            (blocks, kind, a, b, c) for blocks in (2, 3, 5, 8) for kind in range(3) for a in (1, 2) for b in (1, 2) for c in (1, 2)
+        }
 
     def test_squares_split_from_the_split_length(self, monkeypatch):
         calls = []
         real = powers._product
-        monkeypatch.setattr(powers, "_product", lambda a, b, n_max: calls.append(a.shape[-1]) or real(a, b, n_max))
+        monkeypatch.setattr(
+            powers, "_product", lambda a, b, n_max: calls.append((a.shape[-1], b.shape[-1], n_max, b is a)) or real(a, b, n_max)
+        )
         monkeypatch.setattr(powers, "_SPLIT_LENGTH", 10)
-        monkeypatch.setattr(powers, "_SPLIT_LEVELS", 2)
+        monkeypatch.setattr(powers, "_SPLIT_BLOCKS", 3)
         a = np.arange(1, 10, dtype=np.int64)
-        assert powers._multiply([a], 8).tolist() == np.convolve(a, a)[:9].tolist()
-        assert calls == [9]
+        assert powers._multiply(a, a, 8).tolist() == np.convolve(a, a)[:9].tolist()
+        assert calls == [(9, 9, 8, True)]
+        # ten entries are three blocks of 4, 4 and 2 at q^0, q^4 and q^8; the
+        # pairs are taken row by row, each as far as it reaches q^9 and no
+        # further than its own full length, and a square skips the mirror pairs
         a = np.arange(1, 11, dtype=np.int64)
-        assert powers._multiply([a], 9).tolist() == np.convolve(a, a)[:10].tolist()
-        # a0^2 (a full square of 5 entries), a1^2 and (a0 + a1)^2 (truncated,
-        # 5 entries each), in that order, each split once more into three of
-        # 2 or 3 entries
-        assert calls == [9, 3, 2, 3, 3, 2, 2, 3, 2, 2]
+        calls.clear()
+        assert powers._multiply(a, a, 9).tolist() == np.convolve(a, a)[:10].tolist()
+        assert calls == [(4, 4, 6, True), (4, 4, 5, False), (4, 2, 1, False), (4, 4, 1, True)]
+        b = np.arange(20, 10, -1, dtype=np.int64)
+        calls.clear()
+        assert powers._multiply(a, b, 9).tolist() == np.convolve(a, b)[:10].tolist()
+        assert [c[:3] for c in calls] == [(4, 4, 6), (4, 4, 5), (4, 2, 1), (4, 4, 5), (4, 4, 1), (2, 4, 1)]
 
-    def test_tau_build_makes_no_transform_longer_than_the_split_length(self, monkeypatch):
-        # tau(164000) squares series of 164000 entries: one level deep its
-        # longest transform has 164025 points, two levels deep 82944 and
-        # three levels deep 41472
+    def test_tau_build_transforms_are_two_blocks_long(self, monkeypatch):
+        # tau(164000) squares series of 164001 entries: whole, its longest
+        # transform has 164025 points; in eight blocks of 20501, 41472
         lengths = []
         real = np.fft.rfft
         monkeypatch.setattr(np.fft, "rfft", lambda x, n=None: lengths.append(n) or real(x, n))
         cuspform.tau_table(164000)
         assert 0 < max(lengths) <= powers._SPLIT_LENGTH // 2, max(lengths)
 
-    def test_tau_build_holds_one_square_per_level(self):
-        # measured peaks: 15.9 MB one level deep, 11.3 MB two levels deep
-        # with each square folded into its level's result as it is made, and
-        # 8.4-8.6 MB three levels deep with each square owning its operands;
-        # the bound leaves 0.6 MB for other numpy builds
+    def test_tau_build_holds_one_block_product_at_a_time(self):
+        # measured peaks: 15.9 MB with whole squares, 11.3 MB and 8.4-8.6 MB
+        # for Karatsuba splits two and three levels deep, and 8.25 MB in
+        # blocks of an eighth, each block product added into the result as
+        # it is made; the bound leaves 0.9 MB for other numpy builds
         tracemalloc.start()
         try:
             cuspform.tau_table(164000)
@@ -246,6 +253,32 @@ class TestSplitSquare:
         whole = cuspform.tau_table(140001)
         assert split.values.shape == whole.values.shape == (140002, 2)
         assert split == whole
+
+    def test_split_r_d_tables_match_unsplit_ones_and_divisor_sums(self, monkeypatch):
+        # every square and every odd-power product by theta to 20000 splits
+        # once the split length is 2^10; r_4 and r_8 are also the divisor
+        # sums 8 sigma(n) - 32 sigma(n/4) and 16 sum_(delta | n) (-1)^(n + delta) delta^3
+        n_max = 20000
+        whole = {d: arith.r_d_table(d, n_max) for d in range(3, 9)}
+        lengths = []
+        real = powers._product
+        monkeypatch.setattr(powers, "_product", lambda a, b, m: lengths.append(max(a.shape[-1], b.shape[-1])) or real(a, b, m))
+        monkeypatch.setattr(powers, "_SPLIT_LENGTH", 1 << 10)
+        for d in range(3, 9):
+            split = arith.r_d_table(d, n_max)
+            assert split.values.dtype == whole[d].values.dtype and np.array_equal(split.values, whole[d].values), d
+        assert max(lengths) == 2501  # an eighth of 20001
+        sigma = np.zeros(n_max + 1, dtype=np.int64)
+        cubes = np.zeros(n_max + 1, dtype=np.int64)
+        for delta in range(1, n_max + 1):
+            n = np.arange(delta, n_max + 1, delta)
+            sigma[n] += delta
+            cubes[n] += np.where((n + delta) % 2, -(delta**3), delta**3)
+        r4, r8 = 8 * sigma, 16 * cubes
+        r4[4::4] -= 32 * sigma[1 : n_max // 4 + 1]
+        r4[0] = r8[0] = 1
+        assert np.array_equal(split.values, r8)
+        assert np.array_equal(arith.r_d_table(4, n_max).values, r4)
 
 
 class TestWords:
