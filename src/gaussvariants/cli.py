@@ -652,9 +652,12 @@ def cmd_fit(args):
     from . import fit, lattice
 
     model = []
-    for term in args.model.split(","):
-        a, _, b = term.partition(":")
-        model.append((float(a), int(b or 0)))
+    try:
+        for term in args.model.split(","):
+            a, _, b = term.partition(":")
+            model.append((float(a), int(b or 0)))
+    except ValueError as exc:
+        raise ValueError(f"--model term {term!r}: {exc}") from None
     try:  # each refusal of the data names its file
         with warnings.catch_warnings():  # numpy's empty-file warning; refused below
             warnings.simplefilter("ignore", UserWarning)

@@ -6,7 +6,8 @@ coefficient cache format.  The module computes
 
 * tau(1..N) exactly, as the coefficients of q * (eta-cube series)^8 where
   the eta-cube series sum (-1)^m (2m+1) q^{m(m+1)/2} has sparse triangular
-  support, so the eighth power is one ``powers.sparse_power``,
+  support, made in one numpy pass as ``arith.theta_series`` makes theta,
+  so the eighth power is one ``powers.sparse_power``,
 * partial sums S^nu(n) = sum_{m <= n} a(m)/m^nu (exact integer sums, rounded
   once, at nu = 0; compensated floating accumulation otherwise),
 * the exponentially smoothed second moment
@@ -14,7 +15,7 @@ coefficient cache format.  The module computes
   C = Gamma(3/2)/(4 pi^2) * L(3/2, f x f~) / zeta(3); the zeta(3) in the
   Rankin-Selberg normalization cancels, leaving
   C = Gamma(3/2)/(4 pi^2) * sum a(n)^2 / n^{k + 1/2},
-* sign-change scans of S^nu over short windows,
+* sign-change scans of S^nu over short windows, one numpy pass each,
 * sharp-sum averages over short intervals.
 
 None of these sums reads a coefficient table itself.  A ``CuspFold`` reads
@@ -44,15 +45,13 @@ _TAU_N_LIMIT = 10**6
 
 
 def _eta_cube_support(degree):
-    """Exponents m(m+1)/2 <= degree and coefficients (-1)^m (2m+1)."""
-    exps = []
-    coeffs = []
-    m = 0
-    while m * (m + 1) // 2 <= degree:
-        exps.append(m * (m + 1) // 2)
-        coeffs.append((2 * m + 1) * (-1 if m % 2 else 1))
-        m += 1
-    return np.array(exps, dtype=np.int64), np.array(coeffs, dtype=np.int64)
+    """Exponents m(m+1)/2 <= degree and coefficients (-1)^m (2m+1), as
+    ``arith.theta_series`` gives theta's: m(m+1)/2 <= degree while
+    2m + 1 <= isqrt(8 degree + 1)."""
+    top = (math.isqrt(8 * degree + 1) + 1) // 2
+    coeffs = np.arange(1, 2 * top, 2, dtype=np.int64)
+    coeffs[1::2] *= -1
+    return np.cumsum(np.arange(top, dtype=np.int64)), coeffs  # m(m+1)/2 = 0 + 1 + ... + m
 
 
 def tau_size(n_max):
@@ -193,15 +192,9 @@ class CuspFormSeries:
         return len(self.prefix) - 1
 
 
-def delta_form(n_max):
-    """The built-in weight-12 form with tau coefficients, folded with the
-    Rankin series and the floats, so that every sum of this module reads it."""
-    return CuspFold(n_max, rankin=True, floats=True).apply(tau_table(n_max))
-
-
-@dataclass
+@dataclass(frozen=True, eq=False)
 class PartialSumSeries:
-    """S^nu(n) = sum_{m <= n} a(m)/m^nu."""
+    """S^nu(n) = sum_{m <= n} a(m)/m^nu; the values are read-only."""
 
     base: CuspFormSeries
     nu: float
@@ -222,8 +215,8 @@ def partial_sum_order(nu):
 
 
 def partial_sums(form, nu):
-    """Prefix sums of a(m)/m^nu: the form's rounded exact prefix sums
-    (read-only) at nu = 0, Kahan-compensated over its floats for nu > 0."""
+    """Prefix sums of a(m)/m^nu, read-only: the form's rounded exact prefix
+    sums at nu = 0, Kahan-compensated over its floats for nu > 0."""
     nu = partial_sum_order(nu)
     if nu == 0.0:
         return PartialSumSeries(form, 0.0, form.prefix)
@@ -242,6 +235,7 @@ def partial_sums(form, nu):
         comp = (s - total) - y
         total = s
         values[i] = total
+    values.setflags(write=False)
     return PartialSumSeries(form, nu, values)
 
 
@@ -322,25 +316,16 @@ def sign_changes(series, X, r):
     """Positions n in [X, X + X^r] where S^nu changes sign.
 
     Zeros are bridged: a zero value is skipped and the comparison uses the
-    last nonzero sign, so an exact zero never counts as two changes.
+    last nonzero sign, so an exact zero never counts as two changes.  A
+    change is reported at the last nonzero position before it.
     """
     X = int(X)
     hi, what = sign_scan_reach(X, r)
     require_coverage(series.base.label, series.n_max, hi, what)
-    vals = series.values
-    changes = []
-    prev_sign = 0
-    prev_n = None
-    for n in range(X, hi + 1):
-        v = vals[n]
-        if v == 0.0:
-            continue
-        sign = 1 if v > 0 else -1
-        if prev_sign and sign != prev_sign:
-            changes.append(prev_n)
-        prev_sign = sign
-        prev_n = n
-    return changes
+    window = series.values[X : hi + 1]
+    nonzero = np.flatnonzero(window)
+    positive = window[nonzero] > 0
+    return (nonzero[np.flatnonzero(positive[1:] != positive[:-1])] + X).tolist()
 
 
 def short_interval_average(form, X):

@@ -75,17 +75,22 @@ class KernelSpec:
 
 def parse_kernel(text):
     """The KernelSpec of a kernel's command-line spelling: exp | cesaro:k |
-    conc:Y | compact:Y."""
-    name, _, arg = text.partition(":")
-    if name == "exp":
-        return KernelSpec("exponential")
-    if name == "cesaro":
-        return KernelSpec("cesaro", k=int(arg))
-    if name == "conc":
-        return KernelSpec("concentrating", Y=float(arg))
-    if name == "compact":
-        return KernelSpec("compact", Y=float(arg))
-    raise ValueError(f"unknown kernel {text!r}")
+    conc:Y | compact:Y.  Each refusal names the option and the spelling."""
+    name, colon, arg = text.partition(":")
+    try:
+        if name == "exp":
+            if colon:
+                raise ValueError("exp takes no parameter")
+            return KernelSpec("exponential")
+        if name == "cesaro":
+            return KernelSpec("cesaro", k=int(arg))
+        if name == "conc":
+            return KernelSpec("concentrating", Y=float(arg))
+        if name == "compact":
+            return KernelSpec("compact", Y=float(arg))
+    except ValueError as exc:
+        raise ValueError(f"--kernel {text!r}: {exc}") from None
+    raise ValueError(f"--kernel {text!r}: unknown; the kernels are exp, cesaro:k, conc:Y and compact:Y")
 
 
 _BLOCK = 1 << 13  # nodes evaluated at once: 128 KiB per complex array
@@ -396,9 +401,7 @@ def kernel_weights(kernel, n, X):
     if kernel.kind == "exponential":
         return np.exp(-n / X)
     if kernel.kind == "cesaro":
-        w = 1.0 - n / X
-        w[w < 0] = 0.0
-        return w**kernel.k / math.factorial(kernel.k)
+        return np.maximum(1.0 - n / X, 0.0) ** kernel.k / math.factorial(kernel.k)
     if kernel.kind == "concentrating":
         lg = np.log(X / n)
         return np.exp(-(kernel.Y**2) * lg * lg / (4 * np.pi)) / (2 * np.pi)

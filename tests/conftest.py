@@ -87,9 +87,15 @@ def tau():
     return cuspform.tau_table(164_000)
 
 
+def delta_form(n_max):
+    """The weight-12 form with tau coefficients to n_max, folded with the
+    Rankin series and the floats, so that every sum of ``cuspform`` reads it."""
+    return cuspform.CuspFold(n_max, rankin=True, floats=True).apply(cuspform.tau_table(n_max))
+
+
 @pytest.fixture(scope="session")
 def delta(tau):
-    # tau folded with everything the sums read, as ``cuspform.delta_form`` folds it
+    # tau folded with everything the sums read, as ``delta_form`` folds it
     return cuspform.CuspFold(tau.n_max, rankin=True, floats=True).apply(tau)
 
 

@@ -2,6 +2,7 @@
 bound of a check that is not numeric."""
 
 import numpy as np
+from conftest import delta_form
 
 from gaussvariants import arith, charsums, checks, cuspform, kernels, lattice
 from gaussvariants.selection import TableSelection
@@ -25,7 +26,7 @@ def test_point_counts(monkeypatch):
     for grid in (((2.0, 2000), (1.75, 2000)), ((1.75, 5000), (2.0, 2000))):
         assert sum(1 for _ in checks.factorization(grid)) == 20
     # the suites that take their table and grid, on small ones
-    delta = cuspform.delta_form(1000)
+    delta = delta_form(1000)
     grid = [2.0**e for e in range(4, 9)]
     series = lattice.count_series(grid, [x**0.5 * (1.0 + x**0.25) for x in grid])
     suites = (
@@ -41,7 +42,7 @@ def test_point_counts(monkeypatch):
 
 def test_failing_window_has_residual_past_bound():
     # massively over-normalized sums keep one sign on small windows
-    series = cuspform.partial_sums(cuspform.delta_form(200), 30)
+    series = cuspform.partial_sums(delta_form(200), 30)
     points = list(checks.sign_change_windows(series, (16.0, 32.0)))
     assert [p.value for p in points] == [[], []]
     for p in points:

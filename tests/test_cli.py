@@ -229,6 +229,24 @@ class TestExitCodes:
         assert capsys.readouterr().err == f"gv: second-moment --grid: X^(3/2) is past the float range at X = {X}\n"
         assert sorted(p.name for p in tmp_path.rglob("*")) == ["cache"]
 
+    @pytest.mark.parametrize(
+        "argv, err",
+        [
+            (
+                ["smooth-hyperboloid", "--kernel", "cesaro:"],
+                "--kernel 'cesaro:': invalid literal for int() with base 10: ''",
+            ),
+            (["smooth-hyperboloid", "--kernel", "exp:3"], "--kernel 'exp:3': exp takes no parameter"),
+            (["fit", "--data", "d.csv", "--model", "a:b"], "--model term 'a:b': could not convert string to float: 'a'"),
+        ],
+        ids=["cesaro", "exp", "model"],
+    )
+    def test_unparsed_spelling_names_the_option(self, tmp_path, capsys, argv, err):
+        # refused before a table or the data is read
+        assert run(argv, tmp_path) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == f"gv: {err}\n"
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("argv", NEGATIVE_SEED, ids=["hardy", "count-hyperboloid"])
     def test_negative_seed_names_the_option(self, tmp_path, capsys, argv):
         assert run(argv + ["--table-size", "100"], tmp_path) == cli.EXIT_CONFIG

@@ -6,6 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from conftest import delta_form
 
 from gaussvariants import arith, cuspform
 
@@ -43,6 +44,16 @@ class TestTauTable:
         with pytest.raises(ValueError):
             cuspform.tau_table(10**6 + 1)
 
+    def test_eta_cube_support_is_its_definition(self):
+        # m = 100 is the first with m(m+1)/2 = 5050 past every degree, so
+        # each triangular boundary to 5000 is crossed
+        terms = [(m * (m + 1) // 2, (-1) ** m * (2 * m + 1)) for m in range(101)]
+        for degree in range(5001):
+            exps, coeffs = cuspform._eta_cube_support(degree)
+            assert exps.dtype == coeffs.dtype == np.int64
+            kept = [t for t in terms if t[0] <= degree]
+            assert list(zip(exps.tolist(), coeffs.tolist())) == kept, degree
+
 
 class TestPartialSums:
     def test_exact_prefix_at_nu_zero(self, delta):
@@ -52,6 +63,14 @@ class TestPartialSums:
         assert s.values.tobytes() == delta.prefix.tobytes()
         with pytest.raises(ValueError):
             s.values[3] = 0.0
+
+    @pytest.mark.parametrize("nu", [0.0, 5.5])
+    def test_read_only_at_every_nu(self, nu):
+        s = cuspform.partial_sums(delta_form(100), nu)
+        with pytest.raises(ValueError):
+            s.values[3] = 0.0
+        with pytest.raises(AttributeError):  # frozen, as the form it sums
+            s.values = s.values.copy()
 
     def test_first_two_terms_at_nu(self, delta):
         s = cuspform.partial_sums(delta, 5.5)
@@ -199,7 +218,7 @@ class TestSmoothedSecondMoment:
     # X = 2^9 needs 20 480 terms, more than one leaf of 2^14
     @pytest.mark.parametrize("X", [2.0**9, 100.5])
     def test_leaves_give_the_whole_array_formula(self, X):
-        form = cuspform.delta_form(21_000)
+        form = delta_form(21_000)
         top = math.ceil(40 * X)
         S = form.prefix[1 : top + 1]
         n = np.arange(1, top + 1, dtype=np.float64)
@@ -240,6 +259,43 @@ class TestSignChanges:
         # position; the change back lands on index 5
         assert cuspform.sign_changes(series, 2, 1.0) == [2]
         assert cuspform.sign_changes(series, 3, 1.0) == [5]
+
+    def test_one_pass_is_the_loop_it_replaced(self, delta):
+        # random windows over runs of zeros, +-0.0, subnormals, infinities
+        # and NaN, some starting or ending on a zero, at r < 1 and r = 1
+        def loop(vals, X, hi):
+            changes = []
+            prev_sign = 0
+            prev_n = None
+            for n in range(X, hi + 1):
+                v = vals[n]
+                if v == 0.0:
+                    continue
+                sign = 1 if v > 0 else -1
+                if prev_sign and sign != prev_sign:
+                    changes.append(prev_n)
+                prev_sign = sign
+                prev_n = n
+            return changes
+
+        rng = np.random.default_rng(2017)
+        pool = np.array([0.0, -0.0, 5e-324, -5e-324, 2.0**-1060, -1.0, 1.0, np.inf, -np.inf, np.nan])
+        for _ in range(2000):
+            size = int(rng.integers(3, 200))
+            vals = np.where(rng.random(size) < 0.5, rng.choice(pool, size), rng.standard_normal(size))
+            for start in rng.integers(0, size, 3):
+                vals[start : start + rng.integers(1, 20)] = rng.choice([0.0, -0.0])
+            X = int(rng.integers(1, (size - 1) // 2 + 1))
+            r = float(rng.choice([0.25, 0.5, 0.9, 1.0]))
+            hi, _ = cuspform.sign_scan_reach(X, r)
+            ends = rng.integers(4)
+            if ends & 1:
+                vals[X] = 0.0
+            if ends & 2:
+                vals[hi] = -0.0
+            changes = cuspform.sign_changes(cuspform.PartialSumSeries(delta, 0.0, vals), X, r)
+            assert changes == loop(vals, X, hi), (vals.tolist(), X, r)
+            assert all(type(n) is int for n in changes)
 
     def test_window_exceeding_table(self, delta):
         s = cuspform.partial_sums(delta, 0.0)
@@ -282,7 +338,7 @@ class TestSharpAverages:
         assert cuspform.short_interval_average(form, 1024) == 0.0
 
     def test_determinism_fresh_vs_fixture(self, delta):
-        fresh = cuspform.delta_form(3000)
+        fresh = delta_form(3000)
         a = cuspform.short_interval_average(fresh, 1024)
         b = cuspform.short_interval_average(delta, 1024)
         assert a == b

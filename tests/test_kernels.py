@@ -1,6 +1,7 @@
 """Kernel identities: contour quadrature vs closed forms, cutoff behavior."""
 
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -290,6 +291,14 @@ class TestApplyKernel:
             w_min = float(np.min(kernels.kernel_weights(spec, edges, X)))
             assert window * w_min <= smoothed * (1 + 1e-12)
 
+    @pytest.mark.parametrize("text", ["exp", "cesaro:1", "cesaro:3", "conc:4", "compact:8"])
+    def test_weight_at_a_scalar_is_its_weight_in_a_list(self, text):
+        spec = kernels.parse_kernel(text)
+        for n in (1.0, 5.0, 10.0, 10.5, 30.0):
+            w = kernels.kernel_weights(spec, n, 10.0)
+            assert np.ndim(w) == 0
+            assert np.float64(w).tobytes() == kernels.kernel_weights(spec, [n], 10.0).tobytes()
+
 
 class TestSpecValidation:
     def test_kernel_spec_invariants(self):
@@ -310,15 +319,18 @@ class TestSpecValidation:
             ("conc:4", kernels.KernelSpec("concentrating", Y=4.0)),
             ("compact:8", kernels.KernelSpec("compact", Y=8.0)),
             ("box:1", None),
+            ("exp:3", None),  # exp takes no parameter
+            ("cesaro:", None),
             ("cesaro:x", None),
             ("cesaro:171", None),  # 171! is past the float range
+            ("conc:", None),
             ("conc:nan", None),
             ("compact:1.5", None),
         ],
     )
     def test_parse_kernel(self, text, spec):
-        if spec is None:
-            with pytest.raises(ValueError):
+        if spec is None:  # the refusal names the option and the spelling
+            with pytest.raises(ValueError, match=f"^--kernel {re.escape(repr(text))}: "):
                 kernels.parse_kernel(text)
         else:
             assert kernels.parse_kernel(text) == spec
